@@ -31,8 +31,8 @@ print(f"  quality factor w0/gamma0 = {w0 / material.gamma0:.1f}")
 
 # thermal occupation is huge at GHz frequencies: hbar*w0 << k_B*T even at
 # room temperature, so the fluctuation spectrum is strongly classical
-from scipy.constants import Boltzmann, hbar
-print(f"  hbar*w0 / k_B*300K = {hbar * w0 / (Boltzmann * 300.0):.2e}")
+from spinvdw.response import HBAR, K_B
+print(f"  hbar*w0 / k_B*300K = {HBAR * w0 / (K_B * 300.0):.2e}")
 
 w = np.linspace(-3.0, 3.0, 1201) * w0
 alpha = polarizability(sphere, w)
@@ -44,7 +44,7 @@ print(f"  eta(w0, T=0)     = {hadamard(sphere, w0, 0.0):.4e}")
 print(f"  eta(w0, T=300K)  = {hadamard(sphere, w0, 300.0):.4e}")
 print(f"  eta(w0, T=1500K) = {hadamard(sphere, w0, 1500.0):.4e}")
 print("  (the T=300K/T=0 ratio is the classical enhancement 2kT/hbar*w0 "
-      f"= {2 * Boltzmann * 300.0 / (hbar * w0):.0f})")
+      f"= {2 * K_B * 300.0 / (HBAR * w0):.0f})")
 
 try:
     import matplotlib

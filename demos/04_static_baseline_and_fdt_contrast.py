@@ -17,7 +17,7 @@ from spinvdw import bst, resonance_frequency
 from spinvdw.baseline import (MatsubaraSpec, hamaker_constant,
                               matsubara_static_energy, naive_fdt_energy_rr,
                               static_force_estimate)
-from spinvdw.configurations import energy_rr
+from spinvdw.configurations import Arrangement, energy
 from spinvdw.response import SpinningSphere
 from spinvdw.spectral import PairContext
 
@@ -49,7 +49,7 @@ ctx0 = PairContext(SpinningSphere(a, material, 0.0),
 d = 0.5 * w0
 pairs = [(1.5 * w0, 0.0), (1.5 * w0 + d, d)]
 print("spins along the line of centers, T = 0, common shift of 0.5 w0:")
-for label, fn in (("nonequilibrium", lambda oa, ob: energy_rr(ctx0, oa, ob)),
+for label, fn in (("nonequilibrium", lambda oa, ob: energy(ctx0, Arrangement("rr"), oa, ob)),
                   ("naive equilibrium-FDT", lambda oa, ob: naive_fdt_energy_rr(ctx0, oa, ob))):
     e1, e2 = fn(*pairs[0]), fn(*pairs[1])
     print(f"  {label:22s}: E(1.5 w0, 0) = {e1:.6e} J, "

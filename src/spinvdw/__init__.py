@@ -4,17 +4,17 @@ Rotational Doppler shifts reshape the fluctuation spectra of spinning
 dielectric spheres and with them the vdW force between two of them: the
 attraction can be resonantly enhanced near twice the polaritonic frequency
 and flips to repulsion beyond it. This package computes the lab-frame
-response tensors, the nonequilibrium spectral integrals, the four canonical
-arrangement energies and forces, the dissipationless closed forms used as
-analytic references, and the static Matsubara/Hamaker baselines.
+response tensors, the nonequilibrium spectral integrals, the energies and
+forces of any arrangement of the two spin axes (four canonical ones by
+name), the dissipationless closed forms used as analytic references, and
+the static Matsubara/Hamaker baselines.
 """
 
 from .baseline import (MatsubaraSpec, hamaker_constant, matsubara_static_energy,
                        naive_fdt_energy_rr, static_energy_estimate,
                        static_force_estimate)
 from .configurations import (Arrangement, ArrangementKind, delta_force, energy,
-                             energy_rr, energy_uo, energy_ur, energy_uu, force,
-                             rest_energy)
+                             force, rest_energy)
 from .oracle import LorentzPair, aux_closed, eab_closed, eba_closed, ratio_aux, ratio_rr, ratio_uu
 from .response import (MaterialModel, PoleProximityError, SpinningSphere,
                        UnitSystem, bst, hadamard, permittivity, polarizability,
@@ -22,7 +22,6 @@ from .response import (MaterialModel, PoleProximityError, SpinningSphere,
 from .rotation import (ResponseTensor, TensorKind, axis_rotate,
                        noneq_fdt_hadamard, spin_transform)
 from .spectral import (ConvergenceError, PairContext, QuadratureSpec,
-                       aux_energy, energy_AB, energy_BA, general_energy,
-                       integrate_spectrum)
+                       aux_energy, energy_AB, energy_BA, integrate_spectrum)
 
 __version__ = "0.1.0"

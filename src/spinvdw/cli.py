@@ -14,14 +14,14 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baseline, configurations, oracle, response, spectral
 from .configurations import Arrangement, ArrangementKind
 from .response import MaterialModel, SpinningSphere, bst, resonance_frequency
+from .rotation import rotation_matrix_to_axis
 from .spectral import ConvergenceError, PairContext
 
 __all__ = ["ConfigError", "SweepSpec", "SweepResult", "parse_config",
@@ -61,7 +61,6 @@ class SweepSpec:
     radius_b: float = DEFAULT_RADIUS
     separation: float = DEFAULT_SEPARATION
     rel_tol: float = spectral.DEFAULT_REL_TOL
-    threads: int = 1
     out_path: str = ""
     out_format: str = "csv"
     axes: tuple = ()                  # (axis_a, axis_b, rhat) when general
@@ -158,7 +157,7 @@ def parse_config(source=None):
         "sweep.omega_a_stop_over_omega0", "sweep.omega_a_count",
         "sweep.omega_b_rule", "sweep.omega_b_value_rad_s",
         "sweep.omega_b_ratio", "sweep.omega_b_grid_rad_s",
-        "quadrature.rel_tol", "threads", "output.path", "output.format",
+        "quadrature.rel_tol", "output.path", "output.format",
     }
     for key in cfg:
         if key not in known:
@@ -206,7 +205,6 @@ def parse_config(source=None):
             temperature=temperature,
             radius_a=radius_a, radius_b=radius_b, separation=separation,
             rel_tol=_get(cfg, "quadrature.rel_tol", float, spectral.DEFAULT_REL_TOL),
-            threads=_get(cfg, "threads", int, 1),
             out_path=_get(cfg, "output.path", str, ""),
             out_format=_get(cfg, "output.format", str, "csv"),
             axes=axes,
@@ -246,7 +244,6 @@ def spec_to_config(spec, ctx):
         "sweep.omega_b_ratio": spec.omega_b_ratio,
         "sweep.omega_b_grid_rad_s": list(spec.omega_b_grid),
         "quadrature.rel_tol": spec.rel_tol,
-        "threads": spec.threads,
         "output.path": spec.out_path,
         "output.format": spec.out_format,
     }
@@ -265,9 +262,7 @@ def run_sweep(spec, ctx):
     """Evaluate every grid point of a sweep; failures go to the error column.
 
     The zero-rotation reference F(0,0) is computed once and shared by all
-    rows. Points are independent; with ``spec.threads > 1`` they are
-    evaluated concurrently but assembled in grid order, so the output is
-    deterministic regardless of worker count.
+    rows, which follow the grid order.
     """
     arrangement = spec.make_arrangement()
     w0 = resonance_frequency(ctx.sphere_a.material)
@@ -278,10 +273,8 @@ def run_sweep(spec, ctx):
     except (ConvergenceError, ArithmeticError) as exc:
         e0 = f0 = math.nan
         e0_error = type(exc).__name__ + ": " + str(exc)
-    points = spec.grid_points()
 
-    def compute(point):
-        wa, wb = point
+    def compute(wa, wb):
         try:
             if e0_error:
                 raise ConvergenceError(f"zero-rotation reference failed: {e0_error}")
@@ -298,11 +291,7 @@ def run_sweep(spec, ctx):
                 "E_J": e, "E0_J": e0, "deltaE_J": e - e0,
                 "F_N": f, "deltaF_fN": (f - f0) * 1e15, "error": ""}
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            rows = list(pool.map(compute, points))
-    else:
-        rows = [compute(p) for p in points]
+    rows = [compute(wa, wb) for wa, wb in spec.grid_points()]
 
     ma = ctx.sphere_a.material
     metadata = {
@@ -407,7 +396,7 @@ PRESETS = ("fig1_300K", "fig1_1500K", "fig2a", "fig2b", "fig2c",
            "baseline_static")
 
 
-def run_preset(name, rel_tol=None, threads=None, points=None):
+def run_preset(name, rel_tol=None, points=None):
     """Run a named preset and return its result.
 
     ``points`` overrides the grid length (for quick runs and tests);
@@ -421,11 +410,9 @@ def run_preset(name, rel_tol=None, threads=None, points=None):
         if points is not None:
             grid = tuple(np.linspace(spec.omega_a_grid[0],
                                      spec.omega_a_grid[-1], points))
-            spec = SweepSpec(**{**spec.__dict__, "omega_a_grid": grid})
+            spec = replace(spec, omega_a_grid=grid)
         if rel_tol is not None:
-            spec = SweepSpec(**{**spec.__dict__, "rel_tol": rel_tol})
-        if threads is not None:
-            spec = SweepSpec(**{**spec.__dict__, "threads": threads})
+            spec = replace(spec, rel_tol=rel_tol)
         result = run_sweep(spec, _context_for(spec))
         rows.extend(result.rows)
         metadata = result.metadata
@@ -474,8 +461,9 @@ def _run_checks(rel_tol=1e-7):
     spread = (max(energies) - min(energies)) / abs(energies[0])
     record("zero_rotation_identity", spread < 1e-10, f"spread={spread:.2e}")
 
-    e1 = configurations.energy_rr(ctx, 1.2 * w0, 0.4 * w0, rel_tol)
-    e2 = configurations.energy_rr(ctx, 1.5 * w0, 0.7 * w0, rel_tol)
+    rr = Arrangement("rr")
+    e1 = configurations.energy(ctx, rr, 1.2 * w0, 0.4 * w0, rel_tol)
+    e2 = configurations.energy(ctx, rr, 1.5 * w0, 0.7 * w0, rel_tol)
     dev = abs(e2 / e1 - 1.0)
     record("rr_shift_invariance", dev < 1e-9, f"dev={dev:.2e}")
 
@@ -491,16 +479,14 @@ def _run_checks(rel_tol=1e-7):
     dev = abs(eb / ea - 1.0)
     record("exchange_symmetry", dev < 1e-9, f"dev={dev:.2e}")
 
-    arr = Arrangement("uu")
-    gen = configurations.energy(ctx, Arrangement("general", *_CAN_UU),
-                                0.9 * w0, -0.3 * w0, rel_tol)
-    asm = configurations.energy(ctx, arr, 0.9 * w0, -0.3 * w0, rel_tol)
-    dev = abs(gen / asm - 1.0)
-    record("general_vs_assembly_uu", dev < 1e-6, f"dev={dev:.2e}")
+    uu = Arrangement("uu")
+    m = rotation_matrix_to_axis((0.48, -0.6, 0.64), spin=0.9)
+    turned = Arrangement("general", *(m @ v for v in (uu.axis_a, uu.axis_b, uu.rhat)))
+    e_turned = configurations.energy(ctx, turned, 0.9 * w0, -0.3 * w0, rel_tol)
+    e_uu = configurations.energy(ctx, uu, 0.9 * w0, -0.3 * w0, rel_tol)
+    dev = abs(e_turned / e_uu - 1.0)
+    record("general_rotation_invariance", dev < 1e-12, f"dev={dev:.2e}")
     return checks
-
-
-_CAN_UU = ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 
 
 def _point_args(sub):
@@ -518,7 +504,6 @@ def build_parser():
         description="van der Waals energies and forces between spinning nanospheres")
     parser.add_argument("--config", help="JSON config with flat dotted keys")
     parser.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
-    parser.add_argument("--threads", type=int, help="worker threads for sweeps")
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 if any point fails to converge")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -568,9 +553,7 @@ def main(argv=None):
 def _dispatch(args):
     spec, ctx = parse_config(args.config)
     if args.rel_tol is not None:
-        spec = SweepSpec(**{**spec.__dict__, "rel_tol": args.rel_tol})
-    if args.threads is not None:
-        spec = SweepSpec(**{**spec.__dict__, "threads": args.threads})
+        spec = replace(spec, rel_tol=args.rel_tol)
     w0 = resonance_frequency(ctx.sphere_a.material)
 
     if args.command in ("energy", "force"):
@@ -593,7 +576,7 @@ def _dispatch(args):
     if args.command == "sweep":
         if args.preset:
             result = run_preset(args.preset, rel_tol=args.rel_tol,
-                                threads=args.threads, points=args.points)
+                                points=args.points)
             out = args.out or f"{args.preset}.{args.fmt or 'csv'}"
         else:
             if args.config is None:

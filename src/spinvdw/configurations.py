@@ -1,29 +1,41 @@
-"""Canonical arrangement energies, forces, and rotation-induced changes.
+"""Arrangement energies, forces, and rotation-induced changes.
 
-The four canonical arrangements fix the two spin axes and the line of
-centers; their energies are small integer combinations of the auxiliary
-spectral function E(Omega):
+A sphere spinning at Omega about the unit axis n responds in the lab frame
+as xi(w + Omega) P_+ + xi(w) P_0 + xi(w - Omega) P_-, for its
+polarizability and its Hadamard spectrum alike. P_0 = n n^T, and P_+/- are
+the circular-polarisation projectors about n (the xx/xy form of
+:func:`spinvdw.rotation.spin_entries`, rotated onto n). Contracting both
+spheres' tensors with the dipole kernel g = 1 - 3 rhat rhat^T makes the
+energy of every arrangement a weighted sum of the auxiliary spectral
+function E(Omega) of :func:`spinvdw.spectral.aux_energy`:
+
+    E = 2 sum_{s,t in {+,0,-}} c_st E(s Omega_A - t Omega_B),
+    c_st = Tr(g P_s^A g P_t^B)   (real and >= 0).
+
+The weights depend only on the axis triple, so they are computed once per
+arrangement. For the four canonical arrangements they give
 
     rr (spins along the line):        4[E(dO) + 2E(0)]
     uu (spins transverse, parallel):  E(dO) + 9E(sO) + 2E(0)
     ur (one along, one transverse):   8E(O_A) + 2E(O_B) + E(dO) + E(sO)
     uo (transverse, crossed):         2E(O_A) + 2E(O_B) + 4E(dO) + 4E(sO)
 
-with dO = Omega_A - Omega_B and sO = Omega_A + Omega_B. At rest all four
-reduce to E0 = 12 E(0). Forces follow exactly from the R^-6 law: no
-numerical differentiation anywhere.
+with dO = Omega_A - Omega_B and sO = Omega_A + Omega_B. At rest all
+arrangements reduce to E0 = 12 E(0), since the weights sum to Tr(g g) = 6.
+Forces follow exactly from the R^-6 law: no numerical differentiation
+anywhere.
 """
 
 import enum
-from dataclasses import replace
+import math
 
 import numpy as np
 
 from . import spectral
+from .rotation import rotation_matrix_to_axis
 
-__all__ = ["ArrangementKind", "Arrangement", "energy_rr", "energy_uu",
-           "energy_ur", "energy_uo", "energy", "rest_energy", "force",
-           "delta_force", "general_context"]
+__all__ = ["ArrangementKind", "Arrangement", "energy", "rest_energy", "force",
+           "delta_force"]
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -46,88 +58,79 @@ _CANONICAL_AXES = {
     ArrangementKind.UO: (Z_AXIS, Y_AXIS, X_AXIS),
 }
 
+# Projectors about z for the Doppler signs (+1, 0, -1): xi(w + s Omega) P_s.
+_SIGNS = (1.0, 0.0, -1.0)
+_Q_PLUS = np.array([[0.5, 0.5j, 0.0], [-0.5j, 0.5, 0.0], [0.0, 0.0, 0.0]])
+_Q = np.array([_Q_PLUS, np.diag([0.0, 0.0, 1.0]), _Q_PLUS.conj()])
+
+
+def _terms(axis_a, axis_b, rhat):
+    """Non-negligible weights c_st of an axis triple as (s, t, c) tuples.
+
+    Weights below 1e-14 of their sum are roundoff of exact zeros; dropping
+    them spares the shift integrals they would multiply.
+    """
+    rhat = np.asarray(rhat, dtype=float)
+    g = np.eye(3) - 3.0 * np.outer(rhat, rhat)
+    ra, rb = rotation_matrix_to_axis(axis_a), rotation_matrix_to_axis(axis_b)
+    pa = ra @ _Q @ ra.T
+    pb = rb @ _Q @ rb.T
+    c = np.einsum("ij,sjk,kl,tli->st", g, pa, g, pb).real
+    floor = 1e-14 * np.abs(c).sum()
+    return tuple((_SIGNS[s], _SIGNS[t], float(c[s, t]))
+                 for s in range(3) for t in range(3) if c[s, t] > floor)
+
+
+_CANONICAL_TERMS = {kind: _terms(*axes) for kind, axes in _CANONICAL_AXES.items()}
+
+
+def _unit_vector(v, name):
+    v = tuple(float(c) for c in v)
+    if len(v) != 3 or abs(math.sqrt(sum(c * c for c in v)) - 1.0) > 1e-12:
+        raise ValueError(f"{name} must be a unit 3-vector, got {v}")
+    return v
+
 
 class Arrangement:
-    """Geometric configuration of the two spin axes and the line of centers."""
+    """Geometric configuration of the two spin axes and the line of centers.
+
+    ``axis_a`` and ``axis_b`` are the spin axes and ``rhat`` the unit vector
+    from A to B; the canonical kinds fix all three.
+    """
 
     def __init__(self, kind, axis_a=None, axis_b=None, rhat=None):
         kind = ArrangementKind(kind)
         if kind is ArrangementKind.GENERAL:
             if axis_a is None or axis_b is None or rhat is None:
                 raise ValueError("general arrangement needs axis_a, axis_b, rhat")
-            self.axis_a, self.axis_b, self.rhat = (tuple(axis_a), tuple(axis_b),
-                                                   tuple(rhat))
+            self.axis_a = _unit_vector(axis_a, "axis_a")
+            self.axis_b = _unit_vector(axis_b, "axis_b")
+            self.rhat = _unit_vector(rhat, "rhat")
+            self._terms = _terms(self.axis_a, self.axis_b, self.rhat)
         else:
             if any(v is not None for v in (axis_a, axis_b, rhat)):
                 raise ValueError(f"{kind.value} arrangement has fixed axes")
             self.axis_a, self.axis_b, self.rhat = _CANONICAL_AXES[kind]
+            self._terms = _CANONICAL_TERMS[kind]
         self.kind = kind
 
     def __repr__(self):
         return f"Arrangement({self.kind.value})"
 
 
-def energy_rr(ctx, Omega_A, Omega_B, rel_tol=None):
-    """Interaction energy, both spheres spinning along the line of centers (J).
-
-    Depends only on the relative angular velocity: a common shift of both
-    rotation rates leaves it invariant.
-    """
-    aux = spectral.aux_energy
-    return 4.0 * (aux(ctx, Omega_A - Omega_B, rel_tol) + 2.0 * aux(ctx, 0.0, rel_tol))
-
-
-def energy_uu(ctx, Omega_A, Omega_B, rel_tol=None):
-    """Interaction energy, spins parallel and transverse to the line (J)."""
-    aux = spectral.aux_energy
-    return (aux(ctx, Omega_A - Omega_B, rel_tol)
-            + 9.0 * aux(ctx, Omega_A + Omega_B, rel_tol)
-            + 2.0 * aux(ctx, 0.0, rel_tol))
-
-
-def energy_ur(ctx, Omega_A, Omega_B, rel_tol=None):
-    """Interaction energy, A transverse and B along the line (J)."""
-    aux = spectral.aux_energy
-    return (8.0 * aux(ctx, Omega_A, rel_tol) + 2.0 * aux(ctx, Omega_B, rel_tol)
-            + aux(ctx, Omega_A - Omega_B, rel_tol)
-            + aux(ctx, Omega_A + Omega_B, rel_tol))
-
-
-def energy_uo(ctx, Omega_A, Omega_B, rel_tol=None):
-    """Interaction energy, spins crossed and both transverse to the line (J)."""
-    aux = spectral.aux_energy
-    return (2.0 * aux(ctx, Omega_A, rel_tol) + 2.0 * aux(ctx, Omega_B, rel_tol)
-            + 4.0 * aux(ctx, Omega_A - Omega_B, rel_tol)
-            + 4.0 * aux(ctx, Omega_A + Omega_B, rel_tol))
-
-
-_ASSEMBLY = {
-    ArrangementKind.RR: energy_rr,
-    ArrangementKind.UU: energy_uu,
-    ArrangementKind.UR: energy_ur,
-    ArrangementKind.UO: energy_uo,
-}
-
-
-def general_context(ctx, arrangement, Omega_A, Omega_B):
-    """PairContext with spin states installed for the direct tensor integral."""
-    sa = replace(ctx.sphere_a, omega=float(Omega_A), axis=arrangement.axis_a)
-    sb = replace(ctx.sphere_b, omega=float(Omega_B), axis=arrangement.axis_b)
-    return spectral.PairContext(sa, sb, ctx.separation, arrangement.rhat)
-
-
 def energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
     """Interaction energy for any arrangement (J).
 
-    Canonical kinds use the cached auxiliary-function assemblies (each
-    energy needs at most four spectral integrals, and repeated arguments
-    hit the cache); the general kind falls back to the full tensor
-    contraction of :func:`spinvdw.spectral.general_energy`.
+    Sums the arrangement's weights over the Doppler shifts
+    |s Omega_A - t Omega_B|, merging terms with equal shifts, so each
+    distinct shift costs one cached auxiliary integral.
     """
-    if arrangement.kind is ArrangementKind.GENERAL:
-        return spectral.general_energy(
-            general_context(ctx, arrangement, Omega_A, Omega_B), rel_tol)
-    return _ASSEMBLY[arrangement.kind](ctx, Omega_A, Omega_B, rel_tol)
+    weights = {}
+    for s, t, c in arrangement._terms:
+        shift = abs(s * Omega_A - t * Omega_B)
+        weights[shift] = weights.get(shift, 0.0) + c
+    return 2.0 * sum(c * spectral.aux_energy(ctx, shift, rel_tol)
+                     for shift, c in weights.items())
 
 
 def rest_energy(ctx, rel_tol=None):

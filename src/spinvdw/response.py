@@ -8,12 +8,9 @@ Doppler machinery lives in :mod:`spinvdw.rotation`.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import Boltzmann as K_B
-from scipy.constants import epsilon_0 as EPS0
-from scipy.constants import hbar as HBAR
 
 __all__ = [
     "HBAR", "K_B", "EPS0",
@@ -22,12 +19,15 @@ __all__ = [
     "resonance_frequency", "im_polarizability_over_omega", "coth",
 ]
 
+# CODATA 2022 values; HBAR is h/2pi in double precision.
+HBAR = 1.0545718176461565e-34   # J s
+K_B = 1.380649e-23              # J/K (exact)
+EPS0 = 8.8541878188e-12         # F/m
+
 # Barium strontium titanate, polaritonic resonance only (GHz range).
 BST_F0 = 12.2
 BST_OMEGA_TILDE0 = 5.7e9   # rad/s
 BST_GAMMA0 = 2.8e8         # rad/s
-
-Z_AXIS = (0.0, 0.0, 1.0)
 
 
 class PoleProximityError(ArithmeticError):
@@ -73,7 +73,10 @@ def bst(gamma_scale=1.0):
 
 @dataclass(frozen=True)
 class SpinningSphere:
-    """A nanosphere with an internal temperature and a rotation state.
+    """A nanosphere with an internal temperature.
+
+    Its spin axis belongs to the arrangement and its spin rate is an
+    argument of the energy functions (:mod:`spinvdw.configurations`).
 
     Parameters
     ----------
@@ -82,34 +85,17 @@ class SpinningSphere:
     material : MaterialModel
     temperature : float
         Internal temperature (K), >= 0. Zero is treated exactly (coth -> sgn).
-    omega : float
-        Signed angular speed about ``axis`` (rad/s).
-    axis : 3-sequence
-        Unit rotation axis; defaults to z.
     """
 
     radius: float
     material: MaterialModel
     temperature: float = 300.0
-    omega: float = 0.0
-    axis: tuple = field(default=Z_AXIS)
 
     def __post_init__(self):
         if not (self.radius > 0):
             raise ValueError(f"radius must be > 0, got {self.radius}")
         if not (self.temperature >= 0):
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        axis = tuple(float(c) for c in self.axis)
-        if len(axis) != 3 or abs(math.sqrt(sum(c * c for c in axis)) - 1.0) > 1e-12:
-            raise ValueError(f"axis must be a unit 3-vector, got {self.axis}")
-        object.__setattr__(self, "axis", axis)
-
-    @property
-    def axis_array(self):
-        return np.asarray(self.axis, dtype=float)
-
-    def at_rest(self):
-        return replace(self, omega=0.0)
 
 
 @dataclass(frozen=True)
@@ -117,27 +103,14 @@ class UnitSystem:
     """Internal working units for the spectral integrals.
 
     Frequencies are measured in ``omega_scale`` (the polaritonic resonance of
-    sphere A), polarizabilities in ``alpha_scale`` = 4*pi*eps0*a^3, and
-    energies in ``energy_scale`` = hbar*omega_scale*(a_A*a_B/R^2)^3. SI values
-    enter and leave only through these conversions; raw SI magnitudes of the
-    integrands would waste most of the double-precision exponent range.
+    sphere A), polarizabilities in units of 4*pi*eps0*a^3, and energies in
+    ``energy_scale`` = hbar*omega_scale*(a_A*a_B/R^2)^3. SI values enter and
+    leave only through these scales; raw SI magnitudes of the integrands
+    would waste most of the double-precision exponent range.
     """
 
     omega_scale: float
-    alpha_scale: float
     energy_scale: float
-
-    def omega_to_internal(self, omega_si):
-        return omega_si / self.omega_scale
-
-    def omega_to_si(self, u):
-        return u * self.omega_scale
-
-    def energy_to_si(self, e):
-        return e * self.energy_scale
-
-    def energy_to_internal(self, e_si):
-        return e_si / self.energy_scale
 
 
 def resonance_frequency(material):

@@ -13,21 +13,19 @@ sphere A's resonance, polarizabilities in units of 4*pi*eps0*a^3); SI
 joules appear only in the returned values.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import response
-from .response import (EPS0, HBAR, UnitSystem, _alpha_reduced,
+from .response import (HBAR, UnitSystem, _alpha_reduced,
                        _im_alpha_over_omega_reduced, _omega_coth_kernel,
                        resonance_frequency)
-from .rotation import rotation_matrix_to_axis
 
 __all__ = [
     "ConvergenceError", "QuadratureSpec", "PairContext",
     "integrate_spectrum", "pair_quadrature_spec",
-    "energy_BA", "energy_AB", "aux_energy", "general_energy",
+    "energy_BA", "energy_AB", "aux_energy",
     "clear_cache", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
 ]
 
@@ -226,7 +224,12 @@ def integrate_spectrum(f, spec):
 
 @dataclass(frozen=True)
 class PairContext:
-    """Two spheres and their relative geometry.
+    """Two spheres and their distance; everything the shift integrals need.
+
+    The directions (spin axes and line of centers) live in
+    :class:`spinvdw.configurations.Arrangement` and the spin rates are
+    arguments of the energy functions, so one context serves every
+    arrangement and rotation state.
 
     Parameters
     ----------
@@ -234,14 +237,11 @@ class PairContext:
     separation : float
         Center-to-center distance R (m); must exceed the summed radii
         (dipole approximation) and stay below ~1 cm (non-retarded regime).
-    rhat : 3-sequence
-        Unit vector from A to B; used by :func:`general_energy` only.
     """
 
     sphere_a: object
     sphere_b: object
     separation: float
-    rhat: tuple = field(default=(0.0, 0.0, 1.0))
 
     def __post_init__(self):
         if self.separation <= self.sphere_a.radius + self.sphere_b.radius:
@@ -249,18 +249,12 @@ class PairContext:
         if self.separation > MAX_SEPARATION:
             raise ValueError(
                 f"separation {self.separation} m is outside the non-retarded regime")
-        rhat = tuple(float(c) for c in self.rhat)
-        if len(rhat) != 3 or abs(math.sqrt(sum(c * c for c in rhat)) - 1.0) > 1e-12:
-            raise ValueError("rhat must be a unit 3-vector")
-        object.__setattr__(self, "rhat", rhat)
 
     def units(self):
         """Working unit system anchored to sphere A's resonance."""
         ws = resonance_frequency(self.sphere_a.material)
         a3 = self.sphere_a.radius**3 * self.sphere_b.radius**3
-        return UnitSystem(ws,
-                          4.0 * np.pi * EPS0 * self.sphere_a.radius**3,
-                          HBAR * ws * a3 / self.separation**6)
+        return UnitSystem(ws, HBAR * ws * a3 / self.separation**6)
 
     def _key(self):
         ma, mb = self.sphere_a.material, self.sphere_b.material
@@ -271,8 +265,7 @@ class PairContext:
                 self.separation)
 
     def swapped(self):
-        rhat = tuple(-c for c in self.rhat)
-        return PairContext(self.sphere_b, self.sphere_a, self.separation, rhat)
+        return PairContext(self.sphere_b, self.sphere_a, self.separation)
 
 
 def _scaled_pair(ctx):
@@ -326,9 +319,9 @@ def _realize(value, errest, spec, what):
     return value.real
 
 
-# Plain dict: single get/set operations are atomic under the GIL, and a
-# racing duplicate computation just reinserts the identical value, so
-# concurrent sweep workers stay deterministic.
+# Sweeps revisit the same few shifts (E(0) on every row, sums and
+# differences of the grid rates), so most lookups hit. Single-threaded;
+# nothing is ever evicted.
 _cache = {}
 
 
@@ -392,69 +385,8 @@ def energy_AB(ctx, Omega, rel_tol=None):
 def aux_energy(ctx, Omega, rel_tol=None):
     """Auxiliary building-block energy E(Omega) = E_{A->B} + E_{B->A} (J).
 
-    Even in Omega; every canonical arrangement energy is a small integer
-    combination of values of this function.
+    Even in Omega; the energy of every arrangement is a weighted sum of
+    values of this function (see :mod:`spinvdw.configurations`).
     """
     return energy_AB(ctx, Omega, rel_tol) + energy_BA(ctx, Omega, rel_tol)
 
-
-def _tensor_batch(mat, shift, rot, u, eta_args=None):
-    """(N,3,3) lab-frame response tensors on a frequency batch.
-
-    ``eta_args = (temperature, omega_scale)`` selects the Hadamard spectrum;
-    otherwise the polarizability is used. ``rot`` maps z to the spin axis.
-    """
-    if eta_args is None:
-        fn = lambda v: _alpha_reduced(mat, v)
-    else:
-        temperature, ws = eta_args
-        fn = _eta_reduced(mat, temperature, ws)
-    plus, minus = fn(u + shift), fn(u - shift)
-    out = np.zeros(u.shape + (3, 3), dtype=complex)
-    out[:, 0, 0] = out[:, 1, 1] = 0.5 * (plus + minus)
-    xy = 0.5j * (plus - minus)
-    out[:, 0, 1] = xy
-    out[:, 1, 0] = -xy
-    out[:, 2, 2] = fn(u)
-    if rot is not None:
-        out = rot @ out @ rot.T
-    return out
-
-
-def general_energy(ctx, rel_tol=None):
-    """Interaction energy for arbitrary spin axes and separation direction (J).
-
-    Contracts the lab-frame polarizability and Hadamard tensors of both
-    spheres (built from their ``omega`` and ``axis`` fields) with the static
-    dipole-dipole kernel (delta_jk - 3 Rhat_j Rhat_k) on both sides and
-    integrates over frequency. This is the direct evaluation against which
-    the closed-form arrangement assemblies are checked.
-    """
-    ws, mat_a, mat_b = _scaled_pair(ctx)
-    units = ctx.units()
-    sa, sb = ctx.sphere_a, ctx.sphere_b
-    shift_a, shift_b = sa.omega / ws, sb.omega / ws
-    rhat = np.asarray(ctx.rhat)
-    g = np.eye(3) - 3.0 * np.outer(rhat, rhat)
-
-    def rot_for(axis):
-        r = rotation_matrix_to_axis(axis)
-        return None if np.allclose(r, np.eye(3)) else r
-
-    rot_a, rot_b = rot_for(sa.axis_array), rot_for(sb.axis_array)
-
-    def integrand(u):
-        alpha_a = _tensor_batch(mat_a, shift_a, rot_a, u)
-        eta_b = _tensor_batch(mat_b, shift_b, rot_b, u,
-                              eta_args=(sb.temperature, ws))
-        eta_a = _tensor_batch(mat_a, shift_a, rot_a, u,
-                              eta_args=(sa.temperature, ws))
-        alpha_b = _tensor_batch(mat_b, shift_b, rot_b, u)
-        t1 = np.einsum("nij,nij->n", g @ alpha_a @ g, eta_b.conj())
-        t2 = np.einsum("nij,nij->n", g @ eta_a.conj() @ g, alpha_b)
-        return t1 + t2
-
-    spec = pair_quadrature_spec(ctx, shifts=(sa.omega, sb.omega), rel_tol=rel_tol)
-    value, errest = _integrate(integrand, spec)
-    red = _realize(value, errest, spec, "general_energy")
-    return -units.energy_scale * red / (8.0 * np.pi)

@@ -6,12 +6,13 @@ import pytest
 from spinvdw.baseline import (MatsubaraSpec, hamaker_constant,
                               matsubara_static_energy, naive_fdt_energy_rr,
                               static_energy_estimate, static_force_estimate)
-from spinvdw.configurations import energy_rr, rest_energy
+from spinvdw.configurations import Arrangement, energy, rest_energy
 from spinvdw.response import K_B, SpinningSphere, bst
 from spinvdw.spectral import ConvergenceError, PairContext
 
 A = 60e-9
 R = 180e-9
+RR = Arrangement("rr")
 
 
 class TestMatsubara:
@@ -109,15 +110,15 @@ class TestNaiveFdt:
 
     def test_full_result_keeps_invariance(self, ctx0, w0):
         d = 0.5 * w0
-        f1 = energy_rr(ctx0, 1.5 * w0, 0.0)
-        f2 = energy_rr(ctx0, 1.5 * w0 + d, d)
+        f1 = energy(ctx0, RR, 1.5 * w0, 0.0)
+        f2 = energy(ctx0, RR, 1.5 * w0 + d, d)
         assert abs(f2 / f1 - 1.0) < 1e-9
 
     def test_difference_vanishes_at_slow_rotation(self, ctx0, w0):
         gap_small = abs(naive_fdt_energy_rr(ctx0, 0.01 * w0, 0.0)
-                        / energy_rr(ctx0, 0.01 * w0, 0.0) - 1.0)
+                        / energy(ctx0, RR, 0.01 * w0, 0.0) - 1.0)
         gap_large = abs(naive_fdt_energy_rr(ctx0, 1.5 * w0, 0.0)
-                        / energy_rr(ctx0, 1.5 * w0, 0.0) - 1.0)
+                        / energy(ctx0, RR, 1.5 * w0, 0.0) - 1.0)
         assert gap_small < 1e-3
         assert gap_large > 1e-3   # clearly resolved gap once spinning
         assert gap_large > 10.0 * gap_small

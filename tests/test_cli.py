@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinvdw
 from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepSpec, emit, main,
                          parse_config, read_csv_rows, run_preset, run_sweep,
                          spec_to_config)
@@ -84,14 +88,6 @@ class TestSweep:
         assert row["deltaF_fN"] == 0.0 and row["deltaE_J"] == 0.0
         assert row["error"] == ""
         assert row["E_J"] == row["E0_J"] < 0.0
-
-    def test_thread_count_does_not_change_rows(self, w0):
-        base = {"sweep.omega_a_grid_rad_s": list(np.linspace(0, 3 * w0, 5))}
-        spec1, ctx = parse_config(base)
-        spec4, _ = parse_config({**base, "threads": 4})
-        r1 = run_sweep(spec1, ctx)
-        r4 = run_sweep(spec4, ctx)
-        assert r1.rows == r4.rows
 
     def test_ratio_rule_pairs(self, w0):
         spec, ctx = parse_config({"sweep.omega_b_rule": "ratio",
@@ -211,3 +207,16 @@ class TestMainExitCodes:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
+        assert "general_rotation_invariance" in out
+
+    def test_import_leaves_scipy_unloaded(self):
+        # the physical constants are literals; scipy would cost start-up time
+        src = os.path.dirname(os.path.dirname(spinvdw.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spinvdw.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -1,14 +1,25 @@
-import numpy as np
-import pytest
+import functools
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference import canonical_energy, tensor_energy
+from spinvdw import spectral
 from spinvdw.configurations import (Arrangement, ArrangementKind, delta_force,
-                                    energy, energy_rr, energy_uo, energy_ur,
-                                    energy_uu, force, general_context,
-                                    rest_energy)
+                                    energy, force, rest_energy)
 from spinvdw.oracle import ratio_rr, ratio_uu
-from spinvdw.spectral import aux_energy, general_energy
+from spinvdw.response import MaterialModel, SpinningSphere, resonance_frequency
+from spinvdw.rotation import rotation_matrix_to_axis
+from spinvdw.spectral import PairContext, aux_energy
 
 KINDS = ["rr", "uu", "ur", "uo"]
+RR, UU, UR, UO = (Arrangement(k) for k in KINDS)
+
+# Energies are ~1e-23 J: pytest.approx's default absolute tolerance of
+# 1e-12 would accept any two of them.
+approx = functools.partial(pytest.approx, abs=0.0)
 
 
 class TestZeroRotation:
@@ -19,28 +30,53 @@ class TestZeroRotation:
             assert abs(e / e0 - 1.0) < 1e-10
 
     def test_rest_energy_is_12_aux(self, ctx300):
-        assert rest_energy(ctx300) == pytest.approx(
+        assert rest_energy(ctx300) == approx(
             12.0 * aux_energy(ctx300, 0.0), rel=1e-14)
+
+
+class TestCanonicalFormulas:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_hand_formula(self, ctx300, w0, kind):
+        for oa, ob in [(1.3, -0.4), (0.7, 0.0), (0.0, 2.1), (1.1, 1.1), (-2.2, 0.9)]:
+            assert energy(ctx300, Arrangement(kind), oa * w0, ob * w0) == approx(
+                canonical_energy(ctx300, kind, oa * w0, ob * w0), rel=1e-12)
+
+    @pytest.mark.parametrize("kind, count", [("rr", 2), ("uu", 3), ("ur", 4),
+                                             ("uo", 4)])
+    def test_one_aux_call_per_distinct_shift(self, ctx300, w0, monkeypatch,
+                                             kind, count):
+        # zero weights are dropped and equal shifts merged, so generic rates
+        # cost exactly the shifts the hand formula names
+        shifts = []
+        inner = spectral.aux_energy
+
+        def counting(ctx, Omega, rel_tol=None):
+            shifts.append(Omega)
+            return inner(ctx, Omega, rel_tol)
+
+        monkeypatch.setattr(spectral, "aux_energy", counting)
+        energy(ctx300, Arrangement(kind), 1.3 * w0, -0.4 * w0)
+        assert len(shifts) == len(set(shifts)) == count
 
 
 class TestRR:
     def test_equal_rotation_is_static(self, ctx300, w0):
-        assert energy_rr(ctx300, 1.3 * w0, 1.3 * w0) == pytest.approx(
+        assert energy(ctx300, RR, 1.3 * w0, 1.3 * w0) == approx(
             rest_energy(ctx300), rel=1e-12)
 
     @pytest.mark.parametrize("delta_frac", [0.3, 1.7])
     def test_shift_invariance(self, ctx300, w0, delta_frac):
         d = delta_frac * w0
-        e1 = energy_rr(ctx300, 1.2 * w0, 0.4 * w0)
-        e2 = energy_rr(ctx300, 1.2 * w0 + d, 0.4 * w0 + d)
+        e1 = energy(ctx300, RR, 1.2 * w0, 0.4 * w0)
+        e2 = energy(ctx300, RR, 1.2 * w0 + d, 0.4 * w0 + d)
         assert abs(e2 / e1 - 1.0) < 1e-9
 
     def test_small_gamma_matches_lorentz_ratio(self, ctx_smallgamma, w0):
         # identical nearly-undamped spheres at T = 0: E/E0 follows the
         # closed-form rational function; at Omega_AB = w0 it equals 10/9
-        got = energy_rr(ctx_smallgamma, w0, 0.0) / rest_energy(ctx_smallgamma)
-        assert got == pytest.approx(ratio_rr(w0, w0), rel=1e-3)
-        assert got == pytest.approx(10.0 / 9.0, rel=1e-3)
+        got = energy(ctx_smallgamma, RR, w0, 0.0) / rest_energy(ctx_smallgamma)
+        assert got == approx(ratio_rr(w0, w0), rel=1e-3)
+        assert got == approx(10.0 / 9.0, rel=1e-3)
 
 
 class TestUU:
@@ -48,15 +84,15 @@ class TestUU:
         # Omega_B = -Omega_A: E = E(2 Omega_A) + 11 E(0)
         oa = 0.8 * w0
         want = aux_energy(ctx300, 2.0 * oa) + 11.0 * aux_energy(ctx300, 0.0)
-        assert energy_uu(ctx300, oa, -oa) == pytest.approx(want, rel=1e-12)
+        assert energy(ctx300, UU, oa, -oa) == approx(want, rel=1e-12)
 
     def test_small_gamma_matches_lorentz_ratio(self, ctx_smallgamma, w0):
-        got = energy_uu(ctx_smallgamma, 0.9 * w0, 0.3 * w0) / rest_energy(ctx_smallgamma)
-        assert got == pytest.approx(ratio_uu(w0, 0.9 * w0, 0.3 * w0), rel=1e-3)
+        got = energy(ctx_smallgamma, UU, 0.9 * w0, 0.3 * w0) / rest_energy(ctx_smallgamma)
+        assert got == approx(ratio_uu(w0, 0.9 * w0, 0.3 * w0), rel=1e-3)
 
     def test_zero_rotation_unity_weights(self, ctx300):
         # weights 1 + 9 + 2 reproduce the 12 E(0) static value
-        assert energy_uu(ctx300, 0.0, 0.0) == pytest.approx(
+        assert energy(ctx300, UU, 0.0, 0.0) == approx(
             rest_energy(ctx300), rel=1e-14)
 
 
@@ -65,25 +101,23 @@ class TestUR:
         # Omega_B = 0: 8E(O) + 2E(0) + 2E(O) = 10E(O) + 2E(0)
         oa = 1.1 * w0
         want = 10.0 * aux_energy(ctx300, oa) + 2.0 * aux_energy(ctx300, 0.0)
-        assert energy_ur(ctx300, oa, 0.0) == pytest.approx(want, rel=1e-12)
+        assert energy(ctx300, UR, oa, 0.0) == approx(want, rel=1e-12)
 
     def test_matches_general(self, ctx300, w0):
-        arr = Arrangement("ur")
         oa, ob = 0.9 * w0, -0.5 * w0
-        gen = general_energy(general_context(ctx300, arr, oa, ob))
-        assert gen == pytest.approx(energy_ur(ctx300, oa, ob), rel=1e-6)
+        assert energy(ctx300, UR, oa, ob) == approx(
+            tensor_energy(ctx300, UR, oa, ob), rel=1e-6)
 
 
 class TestUO:
     def test_symmetric_in_rates(self, ctx300, w0):
-        assert energy_uo(ctx300, 0.7 * w0, -1.2 * w0) == pytest.approx(
-            energy_uo(ctx300, -1.2 * w0, 0.7 * w0), rel=1e-12)
+        assert energy(ctx300, UO, 0.7 * w0, -1.2 * w0) == approx(
+            energy(ctx300, UO, -1.2 * w0, 0.7 * w0), rel=1e-12)
 
     def test_matches_general(self, ctx300, w0):
-        arr = Arrangement("uo")
         oa, ob = 0.9 * w0, -0.5 * w0
-        gen = general_energy(general_context(ctx300, arr, oa, ob))
-        assert gen == pytest.approx(energy_uo(ctx300, oa, ob), rel=1e-6)
+        assert energy(ctx300, UO, oa, ob) == approx(
+            tensor_energy(ctx300, UO, oa, ob), rel=1e-6)
 
 
 class TestParity:
@@ -122,10 +156,10 @@ class TestNeedleBehavior:
         # (the arrangement with the line of centers along the surviving zz
         # response is the stronger one)
         e0 = rest_energy(ctx300)
-        err = energy_rr(ctx300, 30.0 * w0, 0.0) / e0
-        euu = energy_uu(ctx300, 30.0 * w0, 0.0) / e0
-        assert err == pytest.approx(2.0 / 3.0, abs=0.01)
-        assert euu == pytest.approx(1.0 / 6.0, abs=0.01)
+        err = energy(ctx300, RR, 30.0 * w0, 0.0) / e0
+        euu = energy(ctx300, UU, 30.0 * w0, 0.0) / e0
+        assert err == approx(2.0 / 3.0, abs=0.01)
+        assert euu == approx(1.0 / 6.0, abs=0.01)
         assert err > euu
 
 
@@ -141,7 +175,72 @@ class TestArrangementType:
             Arrangement("general")
         arr = Arrangement("general", (0, 0, 1), (0, 1, 0), (1, 0, 0))
         assert arr.kind is ArrangementKind.GENERAL
+        with pytest.raises(ValueError, match="rhat"):
+            Arrangement("general", (0, 0, 1), (0, 1, 0), (1.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="axis_b"):
+            Arrangement("general", (0, 0, 1), (0, 0, 1.0 + 1e-6), (1, 0, 0))
 
     def test_canonical_rejects_axes(self):
         with pytest.raises(ValueError):
             Arrangement("rr", axis_a=(1, 0, 0))
+
+
+# Random general geometries: unequal materials, radii and temperatures
+# (T = 0 included) and rates up to 4.5 w0.
+
+def _unit(v):
+    norm = math.sqrt(sum(c * c for c in v))
+    return tuple(c / norm for c in v)
+
+
+UNITS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: sum(c * c for c in v) > 1e-2).map(_unit)
+TEMPERATURES = st.one_of(st.just(0.0), st.floats(1.0, 2000.0))
+RATES = st.floats(-4.5, 4.5)
+
+
+@st.composite
+def pairs(draw):
+    def sphere():
+        wt0 = draw(st.floats(4e9, 8e9))
+        material = MaterialModel(draw(st.floats(4.0, 20.0)), wt0,
+                                 wt0 * draw(st.floats(0.03, 0.1)))
+        return SpinningSphere(draw(st.floats(40e-9, 80e-9)), material,
+                              draw(TEMPERATURES))
+
+    sa, sb = sphere(), sphere()
+    gap = draw(st.floats(1.3, 2.5))
+    return PairContext(sa, sb, gap * (sa.radius + sb.radius))
+
+
+def _negated(v):
+    return tuple(-c for c in v)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(ctx=pairs(), axes=st.tuples(UNITS, UNITS, UNITS), rates=st.tuples(RATES, RATES),
+       turn_axis=UNITS, turn_spin=st.floats(0.0, 2.0 * math.pi))
+def test_general_kernel_properties(ctx, axes, rates, turn_axis, turn_spin):
+    w0 = resonance_frequency(ctx.sphere_a.material)
+    oa, ob = rates[0] * w0, rates[1] * w0
+    # E can pass through zero where the rotation-induced repulsion cancels
+    # the static attraction, so deviations are measured against the larger
+    # of |E| and |E0|
+    scale = abs(rest_energy(ctx))
+
+    def close(x, want, rel):
+        return abs(x - want) <= rel * max(abs(want), scale)
+
+    arr = Arrangement("general", *axes)
+    e = energy(ctx, arr, oa, ob)
+    assert close(e, tensor_energy(ctx, arr, oa, ob), 1e-6)
+
+    m = rotation_matrix_to_axis(turn_axis, turn_spin)
+    turned = Arrangement("general", *(m @ v for v in axes))
+    assert close(energy(ctx, turned, oa, ob), e, 1e-12)
+
+    a, b, rhat = axes
+    flip_a = Arrangement("general", _negated(a), b, rhat)
+    flip_b = Arrangement("general", a, _negated(b), rhat)
+    assert close(energy(ctx, flip_a, -oa, ob), e, 1e-12)
+    assert close(energy(ctx, flip_b, oa, -ob), e, 1e-12)

@@ -103,11 +103,11 @@ class TestFdtWeights:
         assert (f, g) == (0.0, 1.0)
 
     def test_omega_zero_reduces_to_coth(self, w0):
-        from scipy.constants import Boltzmann, hbar
+        from spinvdw.response import HBAR, K_B
         f, g = fdt_weights(0.9 * w0, 0.0, 300.0)
         assert g == 0.0
-        assert f == pytest.approx(1.0 / np.tanh(hbar * 0.9 * w0 /
-                                                (2 * Boltzmann * 300.0)), rel=1e-14)
+        assert f == pytest.approx(1.0 / np.tanh(HBAR * 0.9 * w0 /
+                                                (2 * K_B * 300.0)), rel=1e-14)
 
 
 class TestNoneqFdt:

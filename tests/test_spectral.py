@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from reference import tensor_energy
 from spinvdw import oracle
+from spinvdw.configurations import Arrangement, energy
 from spinvdw.response import EPS0, SpinningSphere, bst, polarizability
 from spinvdw.spectral import (ConvergenceError, PairContext, QuadratureSpec,
-                              aux_energy, energy_AB, energy_BA, general_energy,
+                              aux_energy, energy_AB, energy_BA,
                               integrate_spectrum, pair_quadrature_spec)
 
 A = 60e-9
@@ -177,28 +179,31 @@ class TestEnergyIntegrals:
 
 
 class TestGeneralEnergy:
+    # the direct tensor contraction of tests/reference.py against the
+    # shift integrals and the projector-weighted kernel; abs=0 because
+    # energies (~1e-23 J) sit far below approx's default abs tolerance
     def test_at_rest_matches_12_aux(self, ctx300):
-        gen = general_energy(ctx300)
-        assert gen == pytest.approx(12.0 * aux_energy(ctx300, 0.0), rel=1e-8)
+        gen = tensor_energy(ctx300, Arrangement("rr"), 0.0, 0.0)
+        assert gen == pytest.approx(12.0 * aux_energy(ctx300, 0.0), rel=1e-8,
+                                    abs=0.0)
 
     def test_matches_rr_assembly(self, ctx300, w0):
-        from spinvdw.configurations import Arrangement, energy_rr, general_context
         oa, ob = 1.4 * w0, -0.3 * w0
-        gen = general_energy(general_context(ctx300, Arrangement("rr"), oa, ob))
-        assert gen == pytest.approx(energy_rr(ctx300, oa, ob), rel=1e-6)
+        arr = Arrangement("rr")
+        assert tensor_energy(ctx300, arr, oa, ob) == pytest.approx(
+            energy(ctx300, arr, oa, ob), rel=1e-6, abs=0.0)
 
     def test_matches_uu_assembly(self, ctx300, w0):
-        from spinvdw.configurations import Arrangement, energy_uu, general_context
         oa, ob = 1.4 * w0, -0.3 * w0
-        gen = general_energy(general_context(ctx300, Arrangement("uu"), oa, ob))
-        assert gen == pytest.approx(energy_uu(ctx300, oa, ob), rel=1e-6)
+        arr = Arrangement("uu")
+        assert tensor_energy(ctx300, arr, oa, ob) == pytest.approx(
+            energy(ctx300, arr, oa, ob), rel=1e-6, abs=0.0)
 
     def test_parity_exact(self, ctx300, w0):
-        from spinvdw.configurations import Arrangement, general_context
         arr = Arrangement("uo")
-        ep = general_energy(general_context(ctx300, arr, 1.1 * w0, 0.6 * w0))
-        em = general_energy(general_context(ctx300, arr, -1.1 * w0, -0.6 * w0))
-        assert em == pytest.approx(ep, rel=1e-9)
+        ep = tensor_energy(ctx300, arr, 1.1 * w0, 0.6 * w0)
+        em = tensor_energy(ctx300, arr, -1.1 * w0, -0.6 * w0)
+        assert em == pytest.approx(ep, rel=1e-9, abs=0.0)
 
 
 class TestPairContext:
@@ -208,5 +213,3 @@ class TestPairContext:
             PairContext(sphere, sphere, 100e-9)     # overlapping
         with pytest.raises(ValueError):
             PairContext(sphere, sphere, 0.05)       # retarded regime
-        with pytest.raises(ValueError):
-            PairContext(sphere, sphere, R, rhat=(1.0, 1.0, 0.0))
