@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import spectral
-from .rotation import rotation_matrix_to_axis
+from .rotation import _assemble, rotation_matrix_to_axis
 
 __all__ = ["ArrangementKind", "Arrangement", "energy", "rest_energy", "force",
            "delta_force"]
@@ -59,9 +59,11 @@ _CANONICAL_AXES = {
 }
 
 # Projectors about z for the Doppler signs (+1, 0, -1): xi(w + s Omega) P_s.
+# P_s is the coefficient of xi(w + s Omega) in the tensor that spin_entries
+# and _assemble build, so the sign convention lives in rotation alone.
 _SIGNS = (1.0, 0.0, -1.0)
-_Q_PLUS = np.array([[0.5, 0.5j, 0.0], [-0.5j, 0.5, 0.0], [0.0, 0.0, 0.0]])
-_Q = np.array([_Q_PLUS, np.diag([0.0, 0.0, 1.0]), _Q_PLUS.conj()])
+_Q = np.array([_assemble(0.5, 0.5j, 0.0), _assemble(0.0, 0.0, 1.0),
+               _assemble(0.5, -0.5j, 0.0)])
 
 
 def _terms(axis_a, axis_b, rhat):
@@ -121,16 +123,11 @@ class Arrangement:
 def energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
     """Interaction energy for any arrangement (J).
 
-    Sums the arrangement's weights over the Doppler shifts
-    |s Omega_A - t Omega_B|, merging terms with equal shifts, so each
-    distinct shift costs one cached auxiliary integral.
+    Evaluates the arrangement's weights with
+    :func:`spinvdw.spectral.general_energy`, one cached auxiliary integral
+    per distinct shift |s Omega_A - t Omega_B|.
     """
-    weights = {}
-    for s, t, c in arrangement._terms:
-        shift = abs(s * Omega_A - t * Omega_B)
-        weights[shift] = weights.get(shift, 0.0) + c
-    return 2.0 * sum(c * spectral.aux_energy(ctx, shift, rel_tol)
-                     for shift, c in weights.items())
+    return spectral.general_energy(ctx, arrangement._terms, Omega_A, Omega_B, rel_tol)
 
 
 def rest_energy(ctx, rel_tol=None):

@@ -25,7 +25,7 @@ from .response import (HBAR, UnitSystem, _alpha_reduced,
 __all__ = [
     "ConvergenceError", "QuadratureSpec", "PairContext",
     "integrate_spectrum", "pair_quadrature_spec",
-    "energy_BA", "energy_AB", "aux_energy",
+    "energy_BA", "energy_AB", "aux_energy", "general_energy",
     "clear_cache", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
 ]
 
@@ -389,4 +389,19 @@ def aux_energy(ctx, Omega, rel_tol=None):
     values of this function (see :mod:`spinvdw.configurations`).
     """
     return energy_AB(ctx, Omega, rel_tol) + energy_BA(ctx, Omega, rel_tol)
+
+
+def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
+    """Interaction energy of any arrangement from its projector weights (J).
+
+    ``terms`` holds the arrangement's ``(s, t, c)`` weights (see
+    :mod:`spinvdw.configurations`); the energy is
+    2 sum c E(|s Omega_A - t Omega_B|). Terms with equal shifts are merged,
+    so each distinct shift costs one cached auxiliary integral.
+    """
+    weights = {}
+    for s, t, c in terms:
+        shift = abs(s * Omega_A - t * Omega_B)
+        weights[shift] = weights.get(shift, 0.0) + c
+    return 2.0 * sum(c * aux_energy(ctx, shift, rel_tol) for shift, c in weights.items())
 
