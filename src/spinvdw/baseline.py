@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .response import EPS0, HBAR, K_B, permittivity, resonance_frequency
-from .spectral import ConvergenceError, _alpha_reduced, _scaled_pair
+from .spectral import ConvergenceError, _alpha_reduced
 
 __all__ = ["MatsubaraSpec", "matsubara_static_energy", "hamaker_constant",
            "static_energy_estimate", "static_force_estimate",
@@ -129,17 +129,18 @@ def naive_fdt_energy_rr(ctx, Omega_A, Omega_B, rel_tol=None):
     Omega_A - Omega_B alone, which is the inconsistency that motivates the
     nonequilibrium treatment. Exact at Omega_A = Omega_B = 0.
     """
-    ws, mat_a, mat_b = _scaled_pair(ctx)
+    ws, mat_a, mat_b = ctx._scaled
     units = ctx.units()
     oa, ob = Omega_A / ws, Omega_B / ws
 
     def integrand(u):
+        # only the imaginary part enters, so the tolerance applies to it
         sa = _alpha_reduced(mat_a, u + oa) + _alpha_reduced(mat_a, u - oa)
         sb = _alpha_reduced(mat_b, u + ob) + _alpha_reduced(mat_b, u - ob)
-        return (sa * sb
-                + 8.0 * _alpha_reduced(mat_a, u) * _alpha_reduced(mat_b, u)) / 4.0
+        return ((sa * sb
+                 + 8.0 * _alpha_reduced(mat_a, u) * _alpha_reduced(mat_b, u)) / 4.0).imag
 
     spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega_A, Omega_B),
                                          rel_tol=rel_tol, lo=0.0)
     value = spectral.integrate_spectrum(integrand, spec)
-    return -units.energy_scale * value.imag / math.pi
+    return -units.energy_scale * value.real / math.pi

@@ -486,6 +486,20 @@ def _run_checks(rel_tol=1e-7):
     e_uu = configurations.energy(ctx, uu, 0.9 * w0, -0.3 * w0, rel_tol)
     dev = abs(e_turned / e_uu - 1.0)
     record("general_rotation_invariance", dev < 1e-12, f"dev={dev:.2e}")
+
+    # the contour closure the energies use against the quadrature, with
+    # the closure's roundoff estimate; both relative to the BA/AB values
+    for temperature, shift in ((300.0, 1.3), (0.0, 2.05)):
+        pair = _context_for(replace(spec, temperature=temperature))
+        dev = roundoff = 0.0
+        for which in ("BA", "AB"):
+            closed, est = spectral.shift_integral(pair, shift * w0, which, "closed")
+            quad, _ = spectral.shift_integral(pair, shift * w0, which, "quadrature",
+                                              rel_tol)
+            dev = max(dev, abs(closed / quad - 1.0))
+            roundoff = max(roundoff, est / abs(closed))
+        record(f"closed_form_vs_quadrature_{temperature:g}K", dev <= 10.0 * rel_tol,
+               f"dev={dev:.2e} roundoff={roundoff:.2e} (Omega = {shift} w0)")
     return checks
 
 
@@ -615,7 +629,7 @@ def _dispatch(args):
         checks = _run_checks()
         ok = True
         for name, passed, info in checks:
-            print(f"{'PASS' if passed else 'FAIL'}  {name:28s} {info}")
+            print(f"{'PASS' if passed else 'FAIL'}  {name:34s} {info}")
             ok &= passed
         return 0 if ok else 1
 

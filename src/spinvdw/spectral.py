@@ -1,30 +1,41 @@
 """Spectral integrals of the dipole-dipole interaction.
 
-The interaction energy of two spinning spheres reduces to frequency
-integrals of products of one sphere's (Doppler-shifted) polarizability with
-the other's Hadamard spectrum. The integrands are smooth but sharply peaked
-at every Doppler image of the polaritonic resonances, so the quadrature
-here is an adaptive Gauss-Kronrod panel scheme with breakpoints seeded at
-all of those peaks and a power-law estimate for the tails beyond a finite
-window.
+The interaction energy of two spinning spheres reduces to the shift
+integrals
+
+    J(s) = int du [alpha_X(u + s) + alpha_X(u - s)] eta_Y(u),
+
+with (X, Y) = (A, B) for the "BA" integral and (B, A) for "AB", where
+eta = 2 coth(theta u) Im alpha is the Hadamard spectrum at the temperature
+of Y. On the production path they are evaluated exactly by closing the
+contour in the upper half plane: the residues at the two upper poles of
+eta plus the Matsubara sum over the poles of coth, which sums in closed
+form to digamma functions (logarithms at T = 0). The result carries a
+roundoff estimate; a tolerance below it raises :class:`ConvergenceError`
+at once. The closed form needs two distinct poles off the imaginary axis,
+0 < gamma0 < 2 w0 for both materials; outside that domain the integrals
+fall back to an adaptive Gauss-Kronrod panel quadrature with breakpoints
+seeded at every Doppler image of the resonances and fitted power-law
+tails beyond a finite window. The quadrature also serves the static
+baselines and the cross-checks.
 
 All integration happens in nondimensional units (frequencies in units of
 sphere A's resonance, polarizabilities in units of 4*pi*eps0*a^3); SI
 joules appear only in the returned values.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import response
-from .response import (HBAR, UnitSystem, _alpha_reduced,
+from .response import (HBAR, K_B, UnitSystem, _alpha_reduced,
                        _im_alpha_over_omega_reduced, _omega_coth_kernel,
                        resonance_frequency)
 
 __all__ = [
     "ConvergenceError", "QuadratureSpec", "PairContext",
-    "integrate_spectrum", "pair_quadrature_spec",
+    "integrate_spectrum", "pair_quadrature_spec", "shift_integral",
     "energy_BA", "energy_AB", "aux_energy", "general_energy",
     "clear_cache", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
 ]
@@ -35,7 +46,11 @@ MAX_SEPARATION = 1e-2     # non-retarded regime sanity bound (m)
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature hit its refinement cap before reaching tolerance."""
+    """A spectral integral cannot meet its tolerance.
+
+    Raised when the adaptive quadrature hits its refinement cap, or when
+    the roundoff estimate of the closed form exceeds the tolerance.
+    """
 
     def __init__(self, message, value=None, estimate=None):
         super().__init__(message)
@@ -112,8 +127,9 @@ class QuadratureSpec:
     ``seed_width``, so Lorentzian peaks of width gamma are resolved from
     the first pass when ``seed_width ~ gamma/8``. Refinement bisects
     offending panels until the Kronrod error estimate drops below
-    max(abs_tol, rel_tol*|integral|). A C/w^4 tail is appended at any
-    domain end that sits at +/-window.
+    max(abs_tol, rel_tol*|integral|). A power-law tail, its exponent fitted
+    over the last octave, is appended at any domain end that sits at
+    +/-window.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
@@ -155,8 +171,40 @@ def _initial_edges(spec):
     return np.array(sorted(pts))
 
 
+def _tails(f, spec):
+    """Power-law tails beyond the window ends; returns (value, uncertainty).
+
+    Each component of f is taken to decay as C|w|^-p beyond an end W, with
+    p = log2|f(W/2)/f(W)| fitted per component, which adds f(W) W/(p - 1).
+    The uncertainty is the change of that tail when p is fitted one octave
+    further in instead; it is infinite where p <= 1 (no integrable tail).
+    """
+    value, err = 0.0j, 0.0
+    for end in (spec.lo, spec.hi):
+        if end == 0.0 or abs(abs(end) - spec.window) >= 1e-12 * spec.window:
+            continue
+        v = np.asarray(f(np.array([end, 0.5 * end, 0.25 * end])), dtype=complex)
+        for part, unit in ((v.real, 1.0), (v.imag, 1j)):
+            if part[0] == 0.0:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p, p_in = np.log2(np.abs(part[1:] / part[:2]))
+            if not (p > 1.0 and p_in > 1.0):
+                err = math.inf
+                continue
+            tail = part[0] * abs(end) / (p - 1.0)
+            value += unit * tail
+            err += abs(tail - part[0] * abs(end) / (p_in - 1.0))
+    return value, err
+
+
 def _integrate(f, spec):
-    """Adaptive panel quadrature; returns (value, error_estimate)."""
+    """Adaptive panel quadrature; returns (value, error_estimate).
+
+    The estimate sums the panels' Kronrod errors and the tails'
+    uncertainty.
+    """
+    tail, tail_err = _tails(f, spec)
     edges = _initial_edges(spec)
     a, b = edges[:-1], edges[1:]
     vals, errs = _gk15(f, a, b)
@@ -164,17 +212,18 @@ def _integrate(f, spec):
     for level in range(spec.max_levels + 1):
         # deterministic accumulation: panels summed in left-edge order
         order = np.argsort(a, kind="stable")
-        total = vals[order].sum()
-        err = errs[order].sum()
+        total = vals[order].sum() + tail
+        err = errs[order].sum() + tail_err
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if err <= tol:
             break
-        if level == spec.max_levels:
+        if level == spec.max_levels or tail_err > tol:
             raise ConvergenceError(
-                f"no convergence after {spec.max_levels} refinement levels "
-                f"(error estimate {err:.3e}, tolerance {tol:.3e})",
+                f"no convergence after {level} refinement levels "
+                f"(error estimate {err:.3e}, of which tail {tail_err:.3e}; "
+                f"tolerance {tol:.3e})",
                 value=total, estimate=err)
-        mark = errs > tol / (2.0 * len(a))
+        mark = errs > (tol - tail_err) / (2.0 * len(a))
         if not mark.any():
             mark[np.argmax(errs)] = True
         if len(a) + mark.sum() > spec.max_panels:
@@ -191,11 +240,6 @@ def _integrate(f, spec):
         a, b = new_a, new_b
         vals = np.concatenate([keep_v, ref_v])
         errs = np.concatenate([keep_e, ref_e])
-
-    # analytic |w|^-4 tails beyond the window
-    for end, sgn in ((spec.lo, -1.0), (spec.hi, 1.0)):
-        if abs(abs(end) - spec.window) < 1e-12 * spec.window and end != 0.0:
-            total += complex(np.asarray(f(np.array([end])))[0]) * abs(end) / 3.0
     return total, err
 
 
@@ -206,7 +250,8 @@ def integrate_spectrum(f, spec):
     ----------
     f : callable
         Vectorized complex-valued integrand; smooth except at the listed
-        breakpoints and decaying at least as |w|^-4 beyond the window.
+        breakpoints and decaying as a power |w|^-p, p > 1, beyond the
+        window.
     spec : QuadratureSpec
 
     Returns
@@ -216,7 +261,8 @@ def integrate_spectrum(f, spec):
     Raises
     ------
     ConvergenceError
-        If the refinement cap is reached; carries the achieved estimate.
+        If the refinement cap is reached or the tails alone exceed the
+        tolerance; carries the achieved estimate.
     """
     value, _ = _integrate(f, spec)
     return value
@@ -229,7 +275,9 @@ class PairContext:
     The directions (spin axes and line of centers) live in
     :class:`spinvdw.configurations.Arrangement` and the spin rates are
     arguments of the energy functions, so one context serves every
-    arrangement and rotation state.
+    arrangement and rotation state. What the integrals derive from the
+    spheres (the unit system, the materials in working units, the cache key
+    and whether the closed form applies) is computed once, here.
 
     Parameters
     ----------
@@ -249,31 +297,33 @@ class PairContext:
         if self.separation > MAX_SEPARATION:
             raise ValueError(
                 f"separation {self.separation} m is outside the non-retarded regime")
+        ma, mb = self.sphere_a.material, self.sphere_b.material
+        ws = resonance_frequency(ma)
+        a3 = self.sphere_a.radius**3 * self.sphere_b.radius**3
+        derived = {
+            "_units": UnitSystem(ws, HBAR * ws * a3 / self.separation**6),
+            "_scaled": (ws, ma.scaled(ws), mb.scaled(ws)),
+            "_key": (ma.f0, ma.omega_tilde0, ma.gamma0,
+                     mb.f0, mb.omega_tilde0, mb.gamma0,
+                     self.sphere_a.radius, self.sphere_b.radius,
+                     self.sphere_a.temperature, self.sphere_b.temperature,
+                     self.separation),
+            "closed_form": _closed_form_applies(ma) and _closed_form_applies(mb),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def units(self):
         """Working unit system anchored to sphere A's resonance."""
-        ws = resonance_frequency(self.sphere_a.material)
-        a3 = self.sphere_a.radius**3 * self.sphere_b.radius**3
-        return UnitSystem(ws, HBAR * ws * a3 / self.separation**6)
-
-    def _key(self):
-        ma, mb = self.sphere_a.material, self.sphere_b.material
-        return (ma.f0, ma.omega_tilde0, ma.gamma0,
-                mb.f0, mb.omega_tilde0, mb.gamma0,
-                self.sphere_a.radius, self.sphere_b.radius,
-                self.sphere_a.temperature, self.sphere_b.temperature,
-                self.separation)
+        return self._units
 
     def swapped(self):
         return PairContext(self.sphere_b, self.sphere_a, self.separation)
 
 
-def _scaled_pair(ctx):
-    """Materials and thermal parameters in working units (w0A = 1)."""
-    ws = resonance_frequency(ctx.sphere_a.material)
-    mat_a = ctx.sphere_a.material.scaled(ws)
-    mat_b = ctx.sphere_b.material.scaled(ws)
-    return ws, mat_a, mat_b
+def _closed_form_applies(material):
+    """0 < gamma0 < 2 w0: two distinct poles of alpha, off the imaginary axis."""
+    return 0.0 < material.gamma0 < 2.0 * resonance_frequency(material)
 
 
 def _eta_reduced(mat, temperature, omega_scale):
@@ -287,16 +337,17 @@ def _eta_reduced(mat, temperature, omega_scale):
 def pair_quadrature_spec(ctx, shifts=(0.0,), rel_tol=None, lo=None, hi=None):
     """Quadrature controls for a pair integral with the given Doppler shifts.
 
-    Breakpoints sit at 0, at both polaritonic resonances, and at every
-    Doppler image resonance +/- shift; the window extends 50x beyond the
-    outermost relevant scale so the tail estimate only sees the w^-4 decay.
+    Breakpoints sit at 0, at both polaritonic resonances, at every
+    Doppler image resonance +/- shift, and at +/- shift, where a shifted
+    zero-temperature spectrum has its kink; the window extends 50x beyond the
+    outermost relevant scale so the tail fit only sees the power-law decay.
     """
-    ws, mat_a, mat_b = _scaled_pair(ctx)
+    ws, mat_a, mat_b = ctx._scaled
     u0a = resonance_frequency(mat_a)   # = 1 by construction
     u0b = resonance_frequency(mat_b)
     shifts = [abs(s) / ws for s in shifts]
     bps = {0.0}
-    for r in (u0a, u0b):
+    for r in (0.0, u0a, u0b):
         for s in [0.0] + shifts:
             bps.update((r + s, r - s, -r + s, -r - s))
     window = 50.0 * max(u0a, u0b, *(s + max(u0a, u0b) for s in shifts))
@@ -319,31 +370,158 @@ def _realize(value, errest, spec, what):
     return value.real
 
 
-# Sweeps revisit the same few shifts (E(0) on every row, sums and
-# differences of the grid rates), so most lookups hit. Single-threaded;
-# nothing is ever evicted.
-_cache = {}
+def _alpha_poles(mat):
+    """Poles p_k and residues r_k of alpha(u) = sum_k r_k/(u - p_k).
 
-
-def clear_cache():
-    _cache.clear()
-
-
-def _cached_shift_integral(ctx, Omega, rel_tol, which):
-    """Core integral of energy_BA/energy_AB in working units, memoized.
-
-    Both integrals are even in Omega, so the cache key uses |Omega|
-    quantized to 1e-12 of the working frequency unit.
+    p = +/-W' - i gamma/2 with W' = sqrt(w0^2 - gamma^2/4): both in the
+    lower half plane (causality), distinct and off the imaginary axis
+    inside the closed-form domain.
     """
-    ws, mat_a, mat_b = _scaled_pair(ctx)
-    shift = abs(Omega) / ws
-    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    key = (ctx._key(), which, round(shift / 1e-12), rel)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+    w0sq = mat.omega_tilde0**2 * (1.0 + mat.f0 / 3.0)
+    half = 0.5 * mat.gamma0
+    wp = math.sqrt(w0sq - half * half)
+    r = mat.f0 * mat.omega_tilde0**2 / (6.0 * wp)
+    return np.array([wp - 1j * half, -wp - 1j * half]), np.array([-r, r])
 
-    spec = pair_quadrature_spec(ctx, shifts=(Omega,), rel_tol=rel)
+
+# Bernoulli numbers B_2 ... B_16 for the Stirling series of psi and psi'
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
+                       7 / 6, -3617 / 510])
+_STIRLING_PSI = tuple(_BERNOULLI[::-1] / np.arange(16, 1, -2))
+_STIRLING_TRI = tuple(_BERNOULLI[::-1])
+
+
+def _digamma(w):
+    """Complex digamma psi(w) and trigamma psi'(w).
+
+    Reflection maps Re w < 1/2 onto 1 - w, the upward recurrence lifts |w|
+    to at least 10, and the Stirling series through B_16 finishes. Accurate
+    to about 1e-15 relative away from the poles at w = 0, -1, -2, ...
+    """
+    w = np.asarray(w, dtype=complex)
+    flip = w.real < 0.5
+    z = np.where(flip, 1.0 - w, w)
+    # one common shift for all entries; shifting further than needed is exact
+    steps = int(np.ceil(10.0 - z.real[np.abs(z) < 10.0].min(initial=10.0)))
+    recur = 1.0 / (z[..., None] + np.arange(steps))
+    psi = -recur.sum(axis=-1)
+    tri = (recur * recur).sum(axis=-1)
+    z = z + steps
+    inv = 1.0 / z
+    inv2 = inv * inv
+    s_psi = s_tri = 0.0
+    for c_psi, c_tri in zip(_STIRLING_PSI, _STIRLING_TRI):
+        s_psi = s_psi * inv2 + c_psi
+        s_tri = s_tri * inv2 + c_tri
+    psi += np.log(z) - 0.5 * inv - inv2 * s_psi
+    tri += inv + 0.5 * inv2 + inv * inv2 * s_tri
+    if flip.any():
+        # psi(w) = psi(1 - w) - pi cot(pi w), psi'(w) = pi^2/sin^2(pi w) - psi'(1 - w),
+        # through e = exp(2 pi i w sgn Im w), |e| <= 1, which stays exact
+        # where cot and 1/sin^2 saturate at large |Im w|
+        frac = w - np.round(w.real)
+        sgn = np.where(frac.imag < 0.0, -1.0, 1.0)
+        e = np.exp(2j * np.pi * sgn * frac)
+        psi = np.where(flip, psi + 1j * np.pi * sgn * (1.0 + e) / (1.0 - e), psi)
+        tri = np.where(flip, -tri - 4.0 * np.pi**2 * e / (1.0 - e) ** 2, tri)
+    return psi, tri
+
+
+def _log(w):
+    """log(w) and its derivative, the T = 0 limit of the digamma terms."""
+    return np.log(w), 1.0 / w
+
+
+_NEAR = 2e-3                    # |w_j - w_i| < _NEAR |w|: nearly coincident
+_GAUSS2 = 0.5 / math.sqrt(3.0)  # two-point Gauss-Legendre nodes, half-spacing
+_ROUNDOFF = 10.0 * np.finfo(float).eps
+
+
+def _closed_form(mat_x, mat_y, temperature, omega_scale, shifts):
+    """Shift integrals of alpha_X against eta_Y by contour closure.
+
+    With alpha = sum_k r_k/(u - p_k), S(u) = alpha_X(u + s) + alpha_X(u - s)
+    has poles x_i with coefficients a_i, and alpha_Y(u) - alpha_Y(-u) has
+    poles y_j with coefficients b_j. Closing the contour in the upper half
+    plane picks up the two upper poles q = -p_k of eta_Y and the poles of
+    coth at the Matsubara frequencies i n xi1, whose sum is a digamma
+    difference:
+
+        J = 2 pi sum_k coth(theta q_k) S(q_k) r_k^Y
+            - (2/xi1) sum_ij a_i b_j [F(w_j) - F(w_i)]/(w_j - w_i),
+
+    with theta = hbar w_s/2kT, xi1 = pi/theta, w = 1 + i x/xi1 and
+    F = digamma. At T = 0, coth -> sgn Re q, xi1 -> 1, w = i x and F = log.
+    Nearly coincident w_i, w_j (equal dampings of X and Y, or high T) take
+    the divided difference as two-point Gauss-Legendre quadrature of F'
+    over the segment, which cancels nothing.
+
+    Returns complex J and its roundoff estimate 10 eps sum|terms|, as arrays
+    over ``shifts`` (in working units); Im J vanishes up to roundoff. The
+    estimate leaves out the conditioning of J in the shift and the material
+    constants, which every double-precision evaluation shares: at the
+    resonant zero crossing of BA the error reaches about 1.4 times it.
+    """
+    px, rx = _alpha_poles(mat_x)
+    py, ry = _alpha_poles(mat_y)
+    s = np.asarray(shifts, dtype=float)[:, None]
+    x = np.concatenate([px - s, px + s], axis=1)      # (shifts, 4)
+    a = np.concatenate([rx, rx])
+    y = np.concatenate([py, -py])
+    b = np.concatenate([ry, ry])
+    q = -py
+    if temperature == 0.0:
+        coth, xi1, fn = np.sign(q.real), 1.0, _log
+        wx, wy = 1j * x, 1j * y
+    else:
+        theta = HBAR * omega_scale / (2.0 * K_B * temperature)
+        coth, xi1, fn = 1.0 / np.tanh(theta * q), np.pi / theta, _digamma
+        wx, wy = 1.0 + 1j * x / xi1, 1.0 + 1j * y / xi1
+
+    residues = (2.0 * np.pi * coth * ry)[:, None] * a / (q[:, None] - x[:, None, :])
+    wi = wx[:, :, None]
+    h = wy - wi                                       # (shifts, 4, 4)
+    mid = wi + 0.5 * h
+    near = np.abs(h) < _NEAR * np.abs(mid)
+    m, d = mid[near], _GAUSS2 * h[near]
+    f, df = fn(np.concatenate([wx.ravel(), wy, m - d, m + d]))
+    fx, fy = f[:wx.size].reshape(wi.shape), f[wx.size:wx.size + wy.size]
+    ab = (-2.0 / xi1) * a[:, None] * b
+    h = np.where(near, 1.0, h)
+    dd = (fy - fx) / h
+    if m.size:
+        dd[near] = 0.5 * (df[-2 * m.size:-m.size] + df[-m.size:])
+    pairs = ab * dd
+    total = residues.sum(axis=(1, 2)) + pairs.sum(axis=(1, 2))
+    # terms cancel by up to five orders of magnitude (near the resonant zero
+    # crossing of BA, and as gamma -> 0); a digamma difference counts with
+    # both of its values
+    pair_size = np.where(near, np.abs(pairs),
+                         np.abs(ab) * (np.abs(fy) + np.abs(fx)) / np.abs(h))
+    roundoff = _ROUNDOFF * (np.abs(residues).sum(axis=(1, 2)) + pair_size.sum(axis=(1, 2)))
+    return total, roundoff
+
+
+def _closed(ctx, shifts, which):
+    """Closed-form reduced integrals at working-unit shifts: (values, roundoff)."""
+    ws, mat_a, mat_b = ctx._scaled
+    if which == "BA":
+        value, roundoff = _closed_form(mat_a, mat_b, ctx.sphere_b.temperature, ws, shifts)
+    else:
+        value, roundoff = _closed_form(mat_b, mat_a, ctx.sphere_a.temperature, ws, shifts)
+    bad = np.abs(value.imag) > roundoff
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"energy_{which}: imaginary residue {value.imag[k]:.3e} exceeds the "
+            f"roundoff estimate {roundoff[k]:.3e}; closed form violated")
+    return value.real, roundoff
+
+
+def _quadrature(ctx, shift, rel_tol, which):
+    """Gauss-Kronrod reduced integral at one working-unit shift: (value, error)."""
+    ws, mat_a, mat_b = ctx._scaled
+    spec = pair_quadrature_spec(ctx, shifts=(shift * ws,), rel_tol=rel_tol)
     if which == "BA":
         eta_b = _eta_reduced(mat_b, ctx.sphere_b.temperature, ws)
 
@@ -357,9 +535,80 @@ def _cached_shift_integral(ctx, Omega, rel_tol, which):
             return (eta_a(u + shift) + eta_a(u - shift)) * _alpha_reduced(mat_b, u)
 
     value, errest = _integrate(integrand, spec)
-    result = _realize(value, errest, spec, f"energy_{which}")
-    _cache[key] = result
-    return result
+    return _realize(value, errest, spec, f"energy_{which}"), errest
+
+
+def shift_integral(ctx, Omega, which, method, rel_tol=None):
+    """One reduced shift integral and its error estimate, uncached.
+
+    ``which`` is "BA" or "AB". ``method`` "closed" is the contour closure,
+    whose estimate is its roundoff; "quadrature" is the Gauss-Kronrod
+    quadrature at ``rel_tol``, whose estimate covers panels and tails.
+    """
+    shift = abs(Omega) / ctx._scaled[0]
+    if method == "closed":
+        value, roundoff = _closed(ctx, [shift], which)
+        return float(value[0]), float(roundoff[0])
+    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
+    value, errest = _quadrature(ctx, shift, rel, which)
+    return float(value), float(errest)
+
+
+# Sweeps revisit the same few shifts (E(0) on every row, sums and
+# differences of the grid rates), so most lookups hit. Single-threaded;
+# nothing is ever evicted. Entries are (value, roundoff estimate), the
+# estimate 0 for quadrature values, which met their rel_tol when computed.
+_cache = {}
+
+
+def clear_cache():
+    _cache.clear()
+
+
+def _shift_integrals(ctx, Omegas, rel_tol, kinds=("BA", "AB")):
+    """Reduced shift integrals, a list per kind with one value per Omega.
+
+    Both integrals are even in Omega, so the cache key uses |Omega|
+    quantized to 1e-12 of the working frequency unit. Closed-form values do
+    not depend on rel_tol, so their key omits it: all misses of one call
+    are evaluated in one vectorized pass per kind, and every lookup checks
+    the stored roundoff estimate against max(abs_tol, rel_tol |value|).
+    Quadrature values keep rel_tol in the key and met it when computed.
+    """
+    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
+    ws = ctx._scaled[0]
+    shifts = [abs(om) / ws for om in Omegas]
+    slots = [round(s / 1e-12) for s in shifts]
+    first = {}                          # the shift evaluated for each slot
+    for n, s in zip(slots, shifts):
+        first.setdefault(n, s)
+    rel_key = () if ctx.closed_form else (rel,)
+    out = []
+    for which in kinds:
+        missing = [n for n in first if (ctx._key, which, n) + rel_key not in _cache]
+        if missing and ctx.closed_form:
+            values, roundoff = _closed(ctx, [first[n] for n in missing], which)
+        else:
+            values = [_quadrature(ctx, first[n], rel, which)[0] for n in missing]
+            roundoff = [0.0] * len(missing)
+        for n, v, r in zip(missing, values, roundoff):
+            _cache[(ctx._key, which, n) + rel_key] = (float(v), float(r))
+        row = []
+        for n in slots:
+            value, roundoff = _cache[(ctx._key, which, n) + rel_key]
+            if roundoff > max(DEFAULT_ABS_TOL, rel * abs(value)):
+                raise ConvergenceError(
+                    f"energy_{which}: rel_tol {rel:.1e} is below the closed form's "
+                    f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
+                    value=value, estimate=roundoff)
+            row.append(value)
+        out.append(row)
+    return out
+
+
+def _to_joules(ctx):
+    """Factor from a reduced shift integral to its energy (J)."""
+    return -ctx._units.energy_scale / (32.0 * np.pi)
 
 
 def energy_BA(ctx, Omega, rel_tol=None):
@@ -367,19 +616,16 @@ def energy_BA(ctx, Omega, rel_tol=None):
 
     -A/R^6 * integral dw [alpha_A(w+Omega) + alpha_A(w-Omega)] eta_B(w)
     with A = hbar/(512 pi^3 eps0^2). Real by symmetry; the imaginary
-    residue of the quadrature is checked against the tolerance before
-    being discarded.
+    residue is checked against the error estimate before being discarded.
     """
-    units = ctx.units()
-    red = _cached_shift_integral(ctx, Omega, rel_tol, "BA")
-    return -units.energy_scale * red / (32.0 * np.pi)
+    [[value]] = _shift_integrals(ctx, (Omega,), rel_tol, ("BA",))
+    return _to_joules(ctx) * value
 
 
 def energy_AB(ctx, Omega, rel_tol=None):
     """Energy from Doppler-shifted fluctuations in A driving B (J)."""
-    units = ctx.units()
-    red = _cached_shift_integral(ctx, Omega, rel_tol, "AB")
-    return -units.energy_scale * red / (32.0 * np.pi)
+    [[value]] = _shift_integrals(ctx, (Omega,), rel_tol, ("AB",))
+    return _to_joules(ctx) * value
 
 
 def aux_energy(ctx, Omega, rel_tol=None):
@@ -397,11 +643,13 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
     ``terms`` holds the arrangement's ``(s, t, c)`` weights (see
     :mod:`spinvdw.configurations`); the energy is
     2 sum c E(|s Omega_A - t Omega_B|). Terms with equal shifts are merged,
-    so each distinct shift costs one cached auxiliary integral.
+    and the BA and AB integrals of all distinct shifts are looked up, and
+    their misses evaluated, in one call.
     """
     weights = {}
     for s, t, c in terms:
         shift = abs(s * Omega_A - t * Omega_B)
         weights[shift] = weights.get(shift, 0.0) + c
-    return 2.0 * sum(c * aux_energy(ctx, shift, rel_tol) for shift, c in weights.items())
-
+    ba, ab = _shift_integrals(ctx, list(weights), rel_tol)
+    total = sum(c * (x + y) for c, x, y in zip(weights.values(), ba, ab))
+    return 2.0 * _to_joules(ctx) * total

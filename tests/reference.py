@@ -10,7 +10,13 @@ the cached shift integrals, so it checks the production kernel of
 
 ``CANONICAL`` holds the hand-derived integer combinations of E(Omega) for
 the four canonical arrangements, as expected values.
+
+``quadrature_shift_integral`` evaluates one reduced shift integral by the
+adaptive Gauss-Kronrod quadrature, directly from the material kernels, as
+the reference for the contour closure of :mod:`spinvdw.spectral`.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +32,7 @@ def tensor_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
     with g = 1 - 3 rhat rhat^T and each lab-frame tensor the spin transform
     about z rotated onto its sphere's axis.
     """
-    ws, mat_a, mat_b = spectral._scaled_pair(ctx)
+    ws, mat_a, mat_b = ctx._scaled
     shift_a, shift_b = Omega_A / ws, Omega_B / ws
     rhat = np.asarray(arrangement.rhat, dtype=float)
     g = np.eye(3) - 3.0 * np.outer(rhat, rhat)
@@ -81,3 +87,31 @@ def canonical_energy(ctx, kind, Omega_A, Omega_B, rel_tol=None):
     """Hand-derived energy of a canonical arrangement (J)."""
     return CANONICAL[kind](lambda om: spectral.aux_energy(ctx, om, rel_tol),
                            Omega_A, Omega_B)
+
+
+def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10, abs_tol=None):
+    """Reduced BA or AB shift integral (working units) by quadrature.
+
+    BA = int du [alpha_A(u + s) + alpha_A(u - s)] eta_B(u) and
+    AB = int du [eta_A(u + s) + eta_A(u - s)] alpha_B(u), s = |Omega|/w_s.
+    """
+    ws, mat_a, mat_b = ctx._scaled
+    shift = abs(Omega) / ws
+    if which == "BA":
+        eta_b = spectral._eta_reduced(mat_b, ctx.sphere_b.temperature, ws)
+
+        def integrand(u):
+            return (_alpha_reduced(mat_a, u + shift)
+                    + _alpha_reduced(mat_a, u - shift)) * eta_b(u)
+    else:
+        eta_a = spectral._eta_reduced(mat_a, ctx.sphere_a.temperature, ws)
+
+        def integrand(u):
+            return (eta_a(u + shift) + eta_a(u - shift)) * _alpha_reduced(mat_b, u)
+
+    spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega,), rel_tol=rel_tol)
+    if abs_tol is not None:
+        spec = replace(spec, abs_tol=abs_tol)
+    value = spectral.integrate_spectrum(integrand, spec)
+    assert abs(value.imag) <= 1e-6 * abs(value.real) + spec.abs_tol, value
+    return value.real

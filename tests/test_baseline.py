@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,10 @@ from spinvdw.configurations import Arrangement, energy, rest_energy
 from spinvdw.response import K_B, SpinningSphere, bst
 from spinvdw.spectral import ConvergenceError, PairContext
 
+# SI energies, forces and polarizabilities are far below pytest.approx's
+# default absolute tolerance of 1e-12, which would accept any two of them.
+approx = functools.partial(pytest.approx, abs=0.0)
+
 A = 60e-9
 R = 180e-9
 RR = Arrangement("rr")
@@ -21,18 +26,18 @@ class TestMatsubara:
         d0sq = (12.2 / 15.2) ** 2
         want = -6.0 * K_B * 300.0 * (A / R) ** 6 * 0.5 * d0sq
         got = matsubara_static_energy(ctx300, MatsubaraSpec(300.0))
-        assert got == pytest.approx(want, rel=1e-8)
-        assert d0sq == pytest.approx(0.6442, abs=2e-4)
+        assert got == approx(want, rel=1e-8)
+        assert d0sq == approx(0.6442, abs=2e-4)
 
     def test_matches_spectral_rest_energy(self, ctx300):
         # Wick rotation consistency: the imaginary-axis sum reproduces the
         # real-axis nonequilibrium integral at zero rotation
         e_sum = matsubara_static_energy(ctx300, MatsubaraSpec(300.0))
-        assert rest_energy(ctx300) == pytest.approx(e_sum, rel=1e-6)
+        assert rest_energy(ctx300) == approx(e_sum, rel=1e-6)
 
     def test_exchange_symmetric(self, ctx300):
         spec = MatsubaraSpec(300.0)
-        assert matsubara_static_energy(ctx300.swapped(), spec) == pytest.approx(
+        assert matsubara_static_energy(ctx300.swapped(), spec) == approx(
             matsubara_static_energy(ctx300, spec), rel=1e-14)
 
     def test_r_scaling(self, ctx300):
@@ -40,7 +45,7 @@ class TestMatsubara:
         near = matsubara_static_energy(ctx300, spec)
         far = matsubara_static_energy(
             PairContext(ctx300.sphere_a, ctx300.sphere_b, 2.0 * R), spec)
-        assert far == pytest.approx(near / 64.0, rel=1e-14)
+        assert far == approx(near / 64.0, rel=1e-14)
 
     def test_terms_decreasing(self, material):
         from spinvdw.response import permittivity
@@ -66,8 +71,8 @@ class TestHamaker:
         # [(13.2-1)/(13.2+1)]^2 = 0.738..., halved for n = 0
         want = 1.5 * K_B * 300.0 * 0.5 * (12.2 / 14.2) ** 2
         got = hamaker_constant(material, MatsubaraSpec(300.0))
-        assert got == pytest.approx(want, rel=1e-8)
-        assert (12.2 / 14.2) ** 2 == pytest.approx(0.738, abs=5e-4)
+        assert got == approx(want, rel=1e-8)
+        assert (12.2 / 14.2) ** 2 == approx(0.738, abs=5e-4)
 
     def test_positive(self, material):
         assert hamaker_constant(material, MatsubaraSpec(300.0)) > 0.0
@@ -87,10 +92,10 @@ class TestStaticForce:
         # H = 5e-20 J, a = 60 nm, R = 180 nm -> |F| = 4.06 fN
         f = static_force_estimate(5e-20, A, R)
         assert f < 0.0
-        assert abs(f) == pytest.approx(4.0644e-15, abs=1e-19)
+        assert abs(f) == approx(4.0644e-15, abs=1e-19)
 
     def test_geometry_factor(self):
-        assert (A / R) ** 6 == pytest.approx(1.0 / 729.0, rel=1e-12)
+        assert (A / R) ** 6 == approx(1.0 / 729.0, rel=1e-12)
 
     def test_energy_estimate_sign(self):
         assert static_energy_estimate(5e-20, A, R) < 0.0
@@ -99,7 +104,7 @@ class TestStaticForce:
 class TestNaiveFdt:
     def test_equals_full_result_at_rest(self, ctx0):
         naive = naive_fdt_energy_rr(ctx0, 0.0, 0.0)
-        assert naive == pytest.approx(rest_energy(ctx0), rel=1e-8)
+        assert naive == approx(rest_energy(ctx0), rel=1e-8)
 
     def test_shift_non_invariance(self, ctx0, w0):
         # the equilibrium assumption breaks the relative-velocity property

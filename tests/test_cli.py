@@ -208,6 +208,8 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
         assert "general_rotation_invariance" in out
+        assert "closed_form_vs_quadrature_300K" in out
+        assert "closed_form_vs_quadrature_0K" in out
 
     def test_import_leaves_scipy_unloaded(self):
         # the physical constants are literals; scipy would cost start-up time

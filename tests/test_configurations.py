@@ -46,16 +46,19 @@ class TestCanonicalFormulas:
     def test_one_aux_call_per_distinct_shift(self, ctx300, w0, monkeypatch,
                                              kind, count):
         # zero weights are dropped and equal shifts merged, so generic rates
-        # cost exactly the shifts the hand formula names
-        shifts = []
-        inner = spectral.aux_energy
+        # hand the shift integrals exactly the shifts the hand formula
+        # names, BA and AB in a single call
+        calls = []
+        inner = spectral._shift_integrals
 
-        def counting(ctx, Omega, rel_tol=None):
-            shifts.append(Omega)
-            return inner(ctx, Omega, rel_tol)
+        def counting(ctx, Omegas, rel_tol, kinds=("BA", "AB")):
+            calls.append((list(Omegas), kinds))
+            return inner(ctx, Omegas, rel_tol, kinds)
 
-        monkeypatch.setattr(spectral, "aux_energy", counting)
+        monkeypatch.setattr(spectral, "_shift_integrals", counting)
         energy(ctx300, Arrangement(kind), 1.3 * w0, -0.4 * w0)
+        [(shifts, kinds)] = calls
+        assert kinds == ("BA", "AB")
         assert len(shifts) == len(set(shifts)) == count
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,10 @@ from spinvdw.response import (EPS0, HBAR, K_B, MaterialModel, PoleProximityError
                               SpinningSphere, bst, hadamard,
                               im_polarizability_over_omega, permittivity,
                               polarizability, resonance_frequency)
+
+# SI energies, forces and polarizabilities are far below pytest.approx's
+# default absolute tolerance of 1e-12, which would accept any two of them.
+approx = functools.partial(pytest.approx, abs=0.0)
 
 A = 60e-9
 
@@ -22,7 +27,7 @@ def alpha_scale(radius=A):
 class TestPermittivity:
     def test_static_value(self, material):
         # eps(0)/eps0 = 1 + f0
-        assert permittivity(material, 0.0) == pytest.approx(13.2, rel=1e-14)
+        assert permittivity(material, 0.0) == approx(13.2, rel=1e-14)
 
     def test_transparency_limit(self, material):
         assert abs(permittivity(material, 1e16) - 1.0) < 1e-10
@@ -31,8 +36,8 @@ class TestPermittivity:
         # hand evaluation at i*wt0: 1 + f0/(2 + gamma0/wt0)
         want = 1.0 + 12.2 / (2.0 + 2.8e8 / 5.7e9)
         got = permittivity(material, 1j * material.omega_tilde0)
-        assert got == pytest.approx(6.953767123287671, rel=1e-12)
-        assert got == pytest.approx(want, rel=1e-14)
+        assert got == approx(6.953767123287671, rel=1e-12)
+        assert got == approx(want, rel=1e-14)
         assert got.imag == 0.0
 
     def test_imaginary_axis_real_decreasing(self, material):
@@ -53,14 +58,14 @@ class TestPolarizability:
         # f0/(3+f0) in units of 4*pi*eps0*a^3
         a0 = polarizability(sphere(), 0.0)
         assert a0.imag == 0.0
-        assert a0.real / alpha_scale() == pytest.approx(12.2 / 15.2, rel=1e-12)
+        assert a0.real / alpha_scale() == approx(12.2 / 15.2, rel=1e-12)
 
     def test_resonance_purely_imaginary(self, material, w0):
         val = polarizability(sphere(), w0)
         want = alpha_scale() * material.f0 * material.omega_tilde0**2 / (
             3.0 * material.gamma0 * w0)
         assert abs(val.real) < 1e-9 * abs(val)
-        assert val.imag == pytest.approx(want, rel=1e-9)
+        assert val.imag == approx(want, rel=1e-9)
 
     def test_reality_condition(self, w0):
         s = sphere()
@@ -81,13 +86,13 @@ class TestPolarizability:
 
 class TestResonanceFrequency:
     def test_bst_value(self, material):
-        assert resonance_frequency(material) == pytest.approx(
+        assert resonance_frequency(material) == approx(
             5.7e9 * math.sqrt(1.0 + 12.2 / 3.0), rel=1e-15)
-        assert resonance_frequency(material) == pytest.approx(1.2830276692e10, rel=1e-9)
+        assert resonance_frequency(material) == approx(1.2830276692e10, rel=1e-9)
 
     def test_limits(self):
-        assert resonance_frequency(MaterialModel(1e-300, 5.0, 0.0)) == pytest.approx(5.0)
-        assert resonance_frequency(MaterialModel(3.0, 5.0, 0.0)) == pytest.approx(
+        assert resonance_frequency(MaterialModel(1e-300, 5.0, 0.0)) == approx(5.0)
+        assert resonance_frequency(MaterialModel(3.0, 5.0, 0.0)) == approx(
             5.0 * math.sqrt(2.0), rel=1e-15)
 
 
@@ -96,7 +101,7 @@ class TestHadamard:
         s = sphere(0.0)
         for w in (0.3 * w0, -0.7 * w0, 2.0 * w0):
             want = 2.0 * np.sign(w) * polarizability(s, w).imag
-            assert hadamard(s, w, 0.0) == pytest.approx(want, rel=1e-14)
+            assert hadamard(s, w, 0.0) == approx(want, rel=1e-14)
 
     def test_even_and_nonnegative(self, w0):
         s = sphere(300.0)
@@ -111,7 +116,7 @@ class TestHadamard:
         want = (4.0 * K_B * 1500.0 / HBAR) * alpha_scale() * material.f0 \
             * material.omega_tilde0**2 * material.gamma0 / (3.0 * w0**4)
         got = hadamard(sphere(1500.0), 0.0)
-        assert got == pytest.approx(want, rel=1e-8)
+        assert got == approx(want, rel=1e-8)
 
     def test_monotone_in_temperature(self, w0):
         s = sphere()
@@ -128,7 +133,7 @@ class TestHadamard:
         s = sphere()
         got = im_polarizability_over_omega(s, 0.0)
         fd = polarizability(s, 1e-3).imag / 1e-3
-        assert got == pytest.approx(fd, rel=1e-10)
+        assert got == approx(fd, rel=1e-10)
 
 
 class TestValidation:
@@ -156,5 +161,5 @@ class TestUnitSystem:
         # evaluating the scaled material at w/ws must match the SI evaluation
         scaled = material.scaled(w0)
         for u in (0.0, 0.31, 2.7):
-            assert permittivity(scaled, u) == pytest.approx(
+            assert permittivity(scaled, u) == approx(
                 permittivity(material, u * w0), rel=1e-14)

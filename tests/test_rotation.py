@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,10 @@ from spinvdw.response import SpinningSphere, bst, hadamard, polarizability
 from spinvdw.rotation import (ResponseTensor, TensorKind, axis_rotate,
                               fdt_weights, noneq_fdt_hadamard,
                               rotation_matrix_to_axis, spin_transform)
+
+# SI energies, forces and polarizabilities are far below pytest.approx's
+# default absolute tolerance of 1e-12, which would accept any two of them.
+approx = functools.partial(pytest.approx, abs=0.0)
 
 A = 60e-9
 
@@ -36,14 +42,14 @@ class TestSpinTransform:
             assert e[k, 2] == 0.0 and e[2, k] == 0.0
         # antisymmetric part consistent with the half-difference formula
         plus, minus = alpha_fn(0.9 * w0), alpha_fn(-1.7 * w0)
-        assert e[0, 1] == pytest.approx(0.5j * (plus - minus), rel=1e-14)
+        assert e[0, 1] == approx(0.5j * (plus - minus), rel=1e-14)
 
     def test_resonant_entry_against_direct_evaluation(self, alpha_fn, w0):
         # Omega = 2 w0, w = -w0: xx = [alpha(w0) + alpha(-3 w0)]/2, dominated
         # by the resonant alpha(w0) which is finite because gamma0 > 0
         t = spin_transform(alpha_fn, 2.0 * w0, -w0)
         want = 0.5 * (alpha_fn(w0) + alpha_fn(-3.0 * w0))
-        assert t.xx == pytest.approx(want, rel=1e-14)
+        assert t.xx == approx(want, rel=1e-14)
         assert abs(t.xx.imag) > 10.0 * abs(alpha_fn(-3.0 * w0))
 
     def test_hadamard_entry_classes(self, eta_fn_300, w0):
@@ -53,7 +59,7 @@ class TestSpinTransform:
         assert abs(t.xy.real) < 1e-13 * mag
         # xy odd under w -> -w
         tm = spin_transform(eta_fn_300, 0.8 * w0, -1.1 * w0, TensorKind.HADAMARD)
-        assert tm.xy == pytest.approx(-t.xy, rel=1e-13)
+        assert tm.xy == approx(-t.xy, rel=1e-13)
 
 
 class TestAxisRotate:
@@ -87,8 +93,8 @@ class TestAxisRotate:
         # flipping the axis flips the sense of rotation: xy changes sign
         t = spin_transform(alpha_fn, w0, 0.5 * w0)
         r = axis_rotate(t, (0.0, 0.0, -1.0))
-        assert r.entries[0, 1] == pytest.approx(-t.entries[0, 1], rel=1e-14)
-        assert r.entries[0, 0] == pytest.approx(t.entries[0, 0], rel=1e-14)
+        assert r.entries[0, 1] == approx(-t.entries[0, 1], rel=1e-14)
+        assert r.entries[0, 0] == approx(t.entries[0, 0], rel=1e-14)
 
 
 class TestFdtWeights:
@@ -106,7 +112,7 @@ class TestFdtWeights:
         from spinvdw.response import HBAR, K_B
         f, g = fdt_weights(0.9 * w0, 0.0, 300.0)
         assert g == 0.0
-        assert f == pytest.approx(1.0 / np.tanh(HBAR * 0.9 * w0 /
+        assert f == approx(1.0 / np.tanh(HBAR * 0.9 * w0 /
                                                 (2 * K_B * 300.0)), rel=1e-14)
 
 
@@ -116,8 +122,8 @@ class TestNoneqFdt:
         Om, w = 0.6 * w0, 1.7 * w0
         at = spin_transform(alpha_fn, Om, w)
         ht = noneq_fdt_hadamard(alpha_fn, Om, w, 0.0)
-        assert ht.xy == pytest.approx(-2j * np.sign(w) * at.xy.real, rel=1e-13)
-        assert ht.xx == pytest.approx(2.0 * np.sign(w) * at.xx.imag, rel=1e-13)
+        assert ht.xy == approx(-2j * np.sign(w) * at.xy.real, rel=1e-13)
+        assert ht.xx == approx(2.0 * np.sign(w) * at.xx.imag, rel=1e-13)
 
     def test_no_rotation_reduces_to_equilibrium(self, alpha_fn, eta_fn_300, w0):
         ht = noneq_fdt_hadamard(alpha_fn, 0.0, 1.3 * w0, 300.0)

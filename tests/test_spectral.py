@@ -1,15 +1,25 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import tensor_energy
-from spinvdw import oracle
+from reference import quadrature_shift_integral, tensor_energy
+from spinvdw import oracle, spectral
 from spinvdw.configurations import Arrangement, energy
-from spinvdw.response import EPS0, SpinningSphere, bst, polarizability
+from spinvdw.response import (EPS0, MaterialModel, SpinningSphere, bst,
+                              polarizability, resonance_frequency)
 from spinvdw.spectral import (ConvergenceError, PairContext, QuadratureSpec,
                               aux_energy, energy_AB, energy_BA,
-                              integrate_spectrum, pair_quadrature_spec)
+                              integrate_spectrum, pair_quadrature_spec,
+                              shift_integral)
+
+# SI energies, forces and polarizabilities are far below pytest.approx's
+# default absolute tolerance of 1e-12, which would accept any two of them.
+approx = functools.partial(pytest.approx, abs=0.0)
 
 A = 60e-9
 R = 180e-9
@@ -17,12 +27,12 @@ R = 180e-9
 
 class TestIntegrateSpectrum:
     def test_lorentzian_normalization(self):
-        # int gamma/pi/(w^2+gamma^2) = 1; the w^-4 tail model underestimates
-        # the w^-2 remainder, so the window must carry most of the mass
+        # int gamma/pi/(w^2+gamma^2) = 1; beyond the window the tail decays
+        # as w^-2, an exponent the tail fit must find
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14, breakpoints=(0.0,),
                               window=1e9, seed_width=0.125)
         val = integrate_spectrum(lambda w: 1.0 / np.pi / (w * w + 1.0), spec)
-        assert val.real == pytest.approx(1.0, rel=1e-8)
+        assert val.real == approx(1.0, rel=1e-8)
         assert val.imag == 0.0
 
     def test_odd_function_vanishes(self):
@@ -35,7 +45,7 @@ class TestIntegrateSpectrum:
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, breakpoints=(0.0,),
                               window=40.0, seed_width=0.5)
         val = integrate_spectrum(lambda w: np.exp(-w * w), spec)
-        assert val.real == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+        assert val.real == approx(math.sqrt(math.pi), rel=1e-10)
 
     def test_im_alpha_sum_rule(self, material, w0):
         # int sgn(w) Im alpha = C*gamma*(1/c)*(pi/2 + atan(b/c)) with
@@ -53,14 +63,14 @@ class TestIntegrateSpectrum:
                               seed_width=g / 8.0)
         val = integrate_spectrum(
             lambda w: np.sign(w) * polarizability(s, w).imag, spec)
-        assert val.real == pytest.approx(exact, rel=1e-8)
-        assert exact == pytest.approx(math.pi * c_num / w0, rel=2.0 * g / w0)
+        assert val.real == approx(exact, rel=1e-8)
+        assert exact == approx(math.pi * c_num / w0, rel=2.0 * g / w0)
 
     def test_half_line_domain(self):
         spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-14, breakpoints=(0.0, 1.0),
                               window=200.0, seed_width=0.25, lo=0.0)
         val = integrate_spectrum(lambda w: 1.0 / (1.0 + w * w) ** 2, spec)
-        assert val.real == pytest.approx(math.pi / 4.0, rel=1e-8)
+        assert val.real == approx(math.pi / 4.0, rel=1e-8)
 
     def test_convergence_error_carries_estimate(self):
         # |w|^(-1/2) kink not at any breakpoint, absurd tolerance, few levels
@@ -96,17 +106,17 @@ class TestEnergyIntegrals:
         pair = oracle.LorentzPair(alpha0, alpha0, w0s, w0s, R)
         got = energy_BA(ctx_smallgamma, 0.5 * w0s)
         want = oracle.eba_closed(pair, 0.5 * w0s)
-        assert got == pytest.approx(want, rel=0.01)
+        assert got == approx(want, rel=0.01)
 
     def test_symmetric_at_zero_shift(self, ctx300):
-        assert energy_BA(ctx300, 0.0) == pytest.approx(energy_AB(ctx300, 0.0),
+        assert energy_BA(ctx300, 0.0) == approx(energy_AB(ctx300, 0.0),
                                                        rel=1e-10)
 
     def test_identical_spheres_equal_contributions_small_gamma(self, ctx_smallgamma, w0):
         # the two driving directions coincide for identical spheres in the
         # nearly-undamped limit, at any rotation rate
         om = 1.4 * w0
-        assert energy_AB(ctx_smallgamma, om) == pytest.approx(
+        assert energy_AB(ctx_smallgamma, om) == approx(
             energy_BA(ctx_smallgamma, om), rel=1e-3)
 
     def test_small_gamma_convergence_rate(self, w0):
@@ -121,20 +131,20 @@ class TestEnergyIntegrals:
             ctx = PairContext(sphere, sphere, R)
             devs.append(abs(aux_energy(ctx, 0.5 * w0) / want - 1.0))
         assert devs[0] > devs[1] > devs[2]
-        assert devs[0] / devs[1] == pytest.approx(10.0, rel=0.5)
-        assert devs[1] / devs[2] == pytest.approx(10.0, rel=0.5)
+        assert devs[0] / devs[1] == approx(10.0, rel=0.5)
+        assert devs[1] / devs[2] == approx(10.0, rel=0.5)
 
     def test_ab_contributes_half_at_rest(self, ctx300):
-        assert energy_AB(ctx300, 0.0) == pytest.approx(
+        assert energy_AB(ctx300, 0.0) == approx(
             0.5 * aux_energy(ctx300, 0.0), rel=1e-10)
 
     def test_change_of_variables_identity(self, ctx300, w0):
         # moving the Doppler shift from eta_A onto alpha_B is a pure
         # substitution; evaluate the shifted-alpha form directly
         from spinvdw.response import _alpha_reduced, resonance_frequency
-        from spinvdw.spectral import _eta_reduced, _integrate, _scaled_pair
+        from spinvdw.spectral import _eta_reduced, _integrate
         om = 0.8 * w0
-        ws, mat_a, mat_b = _scaled_pair(ctx300)
+        ws, mat_a, mat_b = ctx300._scaled
         shift = om / ws
         eta_a = _eta_reduced(mat_a, ctx300.sphere_a.temperature, ws)
         spec = pair_quadrature_spec(ctx300, shifts=(om,))
@@ -144,11 +154,11 @@ class TestEnergyIntegrals:
         direct, _ = _integrate(
             lambda u: (eta_a(u + shift) + eta_a(u - shift))
             * _alpha_reduced(mat_b, u), spec)
-        assert direct.real == pytest.approx(moved.real, rel=1e-8)
+        assert direct.real == approx(moved.real, rel=1e-8)
 
     def test_aux_even(self, ctx300, w0):
         for om in (0.4 * w0, 1.9 * w0):
-            assert aux_energy(ctx300, om) == pytest.approx(
+            assert aux_energy(ctx300, om) == approx(
                 aux_energy(ctx300, -om), rel=1e-12)
 
     def test_ratio_distance_independent(self, ctx300, w0):
@@ -162,7 +172,7 @@ class TestEnergyIntegrals:
         e2 = aux_energy(PairContext(ctx300.sphere_a, ctx300.sphere_b, 2.0 * R),
                         0.7 * w0)
         exponent = math.log(e2 / e1) / math.log(2.0)
-        assert exponent == pytest.approx(-6.0, abs=1e-8)
+        assert exponent == approx(-6.0, abs=1e-8)
 
     def test_exchange_symmetry(self, w0):
         # different radii and temperatures; swapping the spheres must not
@@ -172,7 +182,7 @@ class TestEnergyIntegrals:
         ctx = PairContext(sa, sb, R)
         e = aux_energy(ctx, 0.9 * w0)
         e_swapped = aux_energy(ctx.swapped(), 0.9 * w0)
-        assert e_swapped == pytest.approx(e, rel=1e-9)
+        assert e_swapped == approx(e, rel=1e-9)
 
     def test_attractive_at_rest(self, ctx300):
         assert aux_energy(ctx300, 0.0) < 0.0
@@ -180,30 +190,143 @@ class TestEnergyIntegrals:
 
 class TestGeneralEnergy:
     # the direct tensor contraction of tests/reference.py against the
-    # shift integrals and the projector-weighted kernel; abs=0 because
-    # energies (~1e-23 J) sit far below approx's default abs tolerance
+    # shift integrals and the projector-weighted kernel
     def test_at_rest_matches_12_aux(self, ctx300):
         gen = tensor_energy(ctx300, Arrangement("rr"), 0.0, 0.0)
-        assert gen == pytest.approx(12.0 * aux_energy(ctx300, 0.0), rel=1e-8,
-                                    abs=0.0)
+        assert gen == approx(12.0 * aux_energy(ctx300, 0.0), rel=1e-8)
 
     def test_matches_rr_assembly(self, ctx300, w0):
         oa, ob = 1.4 * w0, -0.3 * w0
         arr = Arrangement("rr")
-        assert tensor_energy(ctx300, arr, oa, ob) == pytest.approx(
-            energy(ctx300, arr, oa, ob), rel=1e-6, abs=0.0)
+        assert tensor_energy(ctx300, arr, oa, ob) == approx(
+            energy(ctx300, arr, oa, ob), rel=1e-6)
 
     def test_matches_uu_assembly(self, ctx300, w0):
         oa, ob = 1.4 * w0, -0.3 * w0
         arr = Arrangement("uu")
-        assert tensor_energy(ctx300, arr, oa, ob) == pytest.approx(
-            energy(ctx300, arr, oa, ob), rel=1e-6, abs=0.0)
+        assert tensor_energy(ctx300, arr, oa, ob) == approx(
+            energy(ctx300, arr, oa, ob), rel=1e-6)
 
     def test_parity_exact(self, ctx300, w0):
         arr = Arrangement("uo")
         ep = tensor_energy(ctx300, arr, 1.1 * w0, 0.6 * w0)
         em = tensor_energy(ctx300, arr, -1.1 * w0, -0.6 * w0)
-        assert em == pytest.approx(ep, rel=1e-9, abs=0.0)
+        assert em == approx(ep, rel=1e-9)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+TEMPERATURES = st.one_of(st.just(0.0), _log_uniform(1e-3, 3000.0))
+
+
+def _split(mat):
+    """Half the distance between the two poles of alpha, W' = sqrt(w0^2 - g^2/4)."""
+    return math.sqrt(resonance_frequency(mat) ** 2 - 0.25 * mat.gamma0**2)
+
+
+class TestClosedForm:
+    """The contour closure against quadrature, mpmath and its domain edge."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_quadrature(self, data):
+        # unequal materials, radii and temperatures (T = 0 included), any
+        # shift up to 9 w0, and the degenerate shifts where poles of the
+        # integrand coincide: s = 0 for identical spheres, and
+        # s = W'_A +/- W'_B, exact coincidences when the dampings agree
+        def material(wt):
+            return MaterialModel(data.draw(st.floats(4.0, 20.0)), wt,
+                                 wt * data.draw(_log_uniform(1e-3, 0.5)))
+
+        mat_a = material(5.7e9)
+        mat_b = material(5.7e9 * data.draw(st.floats(0.5, 2.0)))
+        if data.draw(st.booleans()):
+            mat_b = MaterialModel(mat_b.f0, mat_b.omega_tilde0, mat_a.gamma0)
+        sphere_a = SpinningSphere(data.draw(st.floats(30e-9, 80e-9)), mat_a,
+                                  data.draw(TEMPERATURES))
+        sphere_b = SpinningSphere(data.draw(st.floats(30e-9, 80e-9)), mat_b,
+                                  data.draw(TEMPERATURES))
+        case = data.draw(st.sampled_from(["any", "rest", "sum", "difference"]))
+        if case == "rest":
+            sphere_b = sphere_a
+        ctx = PairContext(sphere_a, sphere_b, R)
+        assert ctx.closed_form
+        ws, sa, sb = ctx._scaled
+        shift = {"any": data.draw(st.floats(0.0, 9.0)), "rest": 0.0,
+                 "sum": _split(sa) + _split(sb),
+                 "difference": abs(_split(sa) - _split(sb))}[case]
+        for which in ("BA", "AB"):
+            # J can cross zero, so the bound is relative to max(|J|, |J(0)|)
+            scale = abs(quadrature_shift_integral(ctx, 0.0, which, 5e-10))
+            want = quadrature_shift_integral(ctx, shift * ws, which, 5e-10,
+                                             abs_tol=5e-10 * scale)
+            got, roundoff = shift_integral(ctx, shift * ws, which, "closed")
+            assert abs(got - want) <= 1e-9 * max(abs(want), scale), (which, got, want)
+            # a divided difference taken by the wrong branch would cancel
+            # digits, and the estimate would show it
+            assert roundoff <= 1e-10 * max(abs(want), scale), (which, roundoff)
+
+    def test_matches_mpmath_at_zero_temperature(self, ctx0):
+        # 30-digit quadrature of the T = 0 BA integrand of the BST pair,
+        # [alpha(u + s) + alpha(u - s)] 2 sgn(u) Im alpha(u), which is even
+        # in u for identical spheres; s = 2 w0 sits next to the resonant
+        # zero crossing of BA, where J is 3e-3 of J(0)
+        ws, mat, _ = ctx0._scaled
+        with mpmath.workdps(30):
+            c = mpmath.mpf(mat.f0) * mpmath.mpf(mat.omega_tilde0) ** 2 / 3
+            w0sq = mpmath.mpf(mat.omega_tilde0) ** 2 * (1 + mpmath.mpf(mat.f0) / 3)
+
+            def alpha(u):
+                return c / (w0sq - u * u - 1j * mpmath.mpf(mat.gamma0) * u)
+
+            def reference(s):
+                def f(u):
+                    return mpmath.re((alpha(u + s) + alpha(u - s)) * 2 * mpmath.im(alpha(u)))
+                ends = sorted({p for p in (1 + s, 1 - s, s - 1, 1) if p > 0})
+                return float(2 * mpmath.quad(f, [0] + ends + [mpmath.inf]))
+
+            want0 = reference(mpmath.mpf(0))
+            for s in ("0", "1", "2", "2.05"):
+                want = reference(mpmath.mpf(s))
+                got, _ = shift_integral(ctx0, float(s) * ws, "BA", "closed")
+                assert abs(got - want) <= 1e-12 * max(abs(want), abs(want0)), (s, got, want)
+
+    def test_digamma_matches_mpmath(self):
+        # low temperatures put the upper-half-plane poles at Re w << 0 with
+        # large |Im w|, where the reflection formula takes over
+        grid = [complex(x, y)
+                for x in (-350.3, -40.7, -3.2, 0.2, 0.5, 1.0, 3.7, 12.0, 900.0)
+                for y in (-1500.0, -45.0, -2.5, 0.3, 7.0, 60.0, 1500.0)]
+        psi, tri = spectral._digamma(np.array(grid))
+        for w, p, t in zip(grid, psi, tri):
+            want_p, want_t = complex(mpmath.psi(0, w)), complex(mpmath.psi(1, w))
+            assert abs(p - want_p) <= 1e-13 * abs(want_p), (w, p, want_p)
+            assert abs(t - want_t) <= 1e-13 * abs(want_t), (w, t, want_t)
+
+    @pytest.mark.parametrize("damping", [2.0, 2.5])
+    def test_overdamped_material_uses_quadrature(self, w0, damping):
+        # gamma0 >= 2 w0 merges the two poles of alpha or puts them on the
+        # imaginary axis, outside the closed form's domain
+        mat = MaterialModel(12.2, 5.7e9, damping * w0)
+        ctx = PairContext(SpinningSphere(A, mat, 300.0),
+                          SpinningSphere(A, bst(), 300.0), R)
+        assert not ctx.closed_form
+        to_reduced = -32.0 * np.pi / ctx.units().energy_scale
+        for which, fn in (("BA", energy_BA), ("AB", energy_AB)):
+            want = quadrature_shift_integral(ctx, 0.7 * w0, which, 1e-8)
+            assert fn(ctx, 0.7 * w0) * to_reduced == approx(want, rel=1e-12)
+
+    def test_tolerance_below_roundoff_raises(self, ctx300, w0):
+        value, roundoff = shift_integral(ctx300, 1.3 * w0, "BA", "closed")
+        with pytest.raises(ConvergenceError) as err:
+            energy_BA(ctx300, 1.3 * w0, rel_tol=0.1 * roundoff / abs(value))
+        assert err.value.estimate == roundoff
+        # the cached value still serves a tolerance above the estimate
+        to_reduced = -32.0 * np.pi / ctx300.units().energy_scale
+        looser = energy_BA(ctx300, 1.3 * w0, rel_tol=10.0 * roundoff / abs(value))
+        assert looser * to_reduced == approx(value, rel=1e-15)
 
 
 class TestPairContext:
