@@ -35,7 +35,7 @@ from . import spectral
 from .rotation import _assemble, rotation_matrix_to_axis
 
 __all__ = ["ArrangementKind", "Arrangement", "energy", "rest_energy", "force",
-           "delta_force"]
+           "delta_energy", "delta_force"]
 
 X_AXIS = (1.0, 0.0, 0.0)
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -144,11 +144,25 @@ def force(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
     return 6.0 * energy(ctx, arrangement, Omega_A, Omega_B, rel_tol) / ctx.separation
 
 
+def delta_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
+    """Rotation-induced energy change E(Omega) - E(0,0) (J).
+
+    One weighted shift sum: the arrangement's weights plus -sum c at zero
+    shift, since every term of the rest energy sits there. Its shifts and 0
+    are looked up, and their misses evaluated, together.
+    """
+    rest = (0.0, 0.0, -sum(c for _, _, c in arrangement._terms))
+    delta = spectral.general_energy(ctx, arrangement._terms + (rest,),
+                                    Omega_A, Omega_B, rel_tol)
+    # at rest the weights cancel exactly, and a zero sum times the negative
+    # energy scale is -0.0; report it as 0.0, as E - E0 would
+    return delta + 0.0
+
+
 def delta_force(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
     """Rotation-induced force modification F(Omega) - F(0,0) (N).
 
     Positive values are a repulsive contribution relative to the static
     pair.
     """
-    return (force(ctx, arrangement, Omega_A, Omega_B, rel_tol)
-            - force(ctx, arrangement, 0.0, 0.0, rel_tol))
+    return 6.0 * delta_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol) / ctx.separation

@@ -37,7 +37,7 @@ __all__ = [
     "ConvergenceError", "QuadratureSpec", "PairContext",
     "integrate_spectrum", "pair_quadrature_spec", "shift_integral",
     "energy_BA", "energy_AB", "aux_energy", "general_energy",
-    "clear_cache", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
+    "prefetch", "clear_cache", "cache_info", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
 ]
 
 DEFAULT_REL_TOL = 1e-8
@@ -94,11 +94,12 @@ _WG[[9, 11, 13]] = _WG_HALF[2::-1]
 
 
 def _gk15(f, a, b):
-    """Gauss-Kronrod 15 on a batch of panels; returns (integrals, errors).
+    """Gauss-Kronrod 15 on a batch of panels; returns (integrals, errors, floors).
 
     The error estimate is the QUADPACK rescaling of |K15 - G7|: the raw
     difference grossly overestimates the true error on resolved panels, and
-    the (200*uu/resasc)^1.5 form restores a realistic magnitude.
+    the (200*uu/resasc)^1.5 form restores a realistic magnitude. It never
+    drops below the panel's roundoff floor 50 eps int|f|, also returned.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -114,8 +115,8 @@ def _gk15(f, a, b):
         scaled = resasc * np.minimum(1.0, (200.0 * uu / resasc) ** 1.5)
     err = np.where(resasc > 0.0, scaled, uu)
     # roundoff floor: tolerances below it are honestly unreachable
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return kronrod, err
+    floor = 50.0 * np.finfo(float).eps * resabs
+    return kronrod, np.maximum(err, floor), floor
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def _integrate(f, spec):
     tail, tail_err = _tails(f, spec)
     edges = _initial_edges(spec)
     a, b = edges[:-1], edges[1:]
-    vals, errs = _gk15(f, a, b)
+    vals, errs, floors = _gk15(f, a, b)
 
     for level in range(spec.max_levels + 1):
         # deterministic accumulation: panels summed in left-edge order
@@ -226,6 +227,14 @@ def _integrate(f, spec):
         mark = errs > (tol - tail_err) / (2.0 * len(a))
         if not mark.any():
             mark[np.argmax(errs)] = True
+        # bisection cannot lower a panel's roundoff floor: once the panels
+        # to split are resolved down to theirs and the floors alone exceed
+        # the tolerance, no refinement reaches it
+        if (errs[mark] <= floors[mark]).all() and floors.sum() + tail_err > tol:
+            raise ConvergenceError(
+                f"roundoff floor reached at {len(a)} panels "
+                f"(error estimate {err:.3e}, tolerance {tol:.3e})",
+                value=total, estimate=err)
         if len(a) + mark.sum() > spec.max_panels:
             raise ConvergenceError(
                 f"panel budget exhausted at {len(a)} panels "
@@ -234,12 +243,12 @@ def _integrate(f, spec):
         mid = 0.5 * (a[mark] + b[mark])
         new_a = np.concatenate([a[~mark], a[mark], mid])
         new_b = np.concatenate([b[~mark], mid, b[mark]])
-        keep_v, keep_e = vals[~mark], errs[~mark]
-        ref_v, ref_e = _gk15(f, np.concatenate([a[mark], mid]),
-                             np.concatenate([mid, b[mark]]))
+        ref_v, ref_e, ref_f = _gk15(f, np.concatenate([a[mark], mid]),
+                                    np.concatenate([mid, b[mark]]))
         a, b = new_a, new_b
-        vals = np.concatenate([keep_v, ref_v])
-        errs = np.concatenate([keep_e, ref_e])
+        vals = np.concatenate([vals[~mark], ref_v])
+        errs = np.concatenate([errs[~mark], ref_e])
+        floors = np.concatenate([floors[~mark], ref_f])
     return total, err
 
 
@@ -403,9 +412,11 @@ def _digamma(w):
     z = np.where(flip, 1.0 - w, w)
     # one common shift for all entries; shifting further than needed is exact
     steps = int(np.ceil(10.0 - z.real[np.abs(z) < 10.0].min(initial=10.0)))
-    recur = 1.0 / (z[..., None] + np.arange(steps))
+    # in place: one (entries, steps) array at a time bounds the transient
+    recur = z[..., None] + np.arange(steps)
+    np.divide(1.0, recur, out=recur)
     psi = -recur.sum(axis=-1)
-    tri = (recur * recur).sum(axis=-1)
+    tri = np.multiply(recur, recur, out=recur).sum(axis=-1)
     z = z + steps
     inv = 1.0 / z
     inv2 = inv * inv
@@ -503,19 +514,20 @@ def _closed_form(mat_x, mat_y, temperature, omega_scale, shifts):
 
 
 def _closed(ctx, shifts, which):
-    """Closed-form reduced integrals at working-unit shifts: (values, roundoff)."""
+    """Closed-form reduced integrals at working-unit shifts: (complex values, roundoff)."""
     ws, mat_a, mat_b = ctx._scaled
     if which == "BA":
-        value, roundoff = _closed_form(mat_a, mat_b, ctx.sphere_b.temperature, ws, shifts)
-    else:
-        value, roundoff = _closed_form(mat_b, mat_a, ctx.sphere_a.temperature, ws, shifts)
-    bad = np.abs(value.imag) > roundoff
-    if bad.any():
-        k = int(np.argmax(bad))
+        return _closed_form(mat_a, mat_b, ctx.sphere_b.temperature, ws, shifts)
+    return _closed_form(mat_b, mat_a, ctx.sphere_a.temperature, ws, shifts)
+
+
+def _real(which, value, roundoff, imag):
+    """A closed-form value with its imaginary residue checked and dropped."""
+    if abs(imag) > roundoff:
         raise ArithmeticError(
-            f"energy_{which}: imaginary residue {value.imag[k]:.3e} exceeds the "
-            f"roundoff estimate {roundoff[k]:.3e}; closed form violated")
-    return value.real, roundoff
+            f"energy_{which}: imaginary residue {imag:.3e} exceeds the "
+            f"roundoff estimate {roundoff:.3e}; closed form violated")
+    return value
 
 
 def _quadrature(ctx, shift, rel_tol, which):
@@ -547,55 +559,122 @@ def shift_integral(ctx, Omega, which, method, rel_tol=None):
     """
     shift = abs(Omega) / ctx._scaled[0]
     if method == "closed":
-        value, roundoff = _closed(ctx, [shift], which)
-        return float(value[0]), float(roundoff[0])
+        [value], [roundoff] = _closed(ctx, [shift], which)
+        return float(_real(which, value.real, roundoff, value.imag)), float(roundoff)
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     value, errest = _quadrature(ctx, shift, rel, which)
     return float(value), float(errest)
 
 
 # Sweeps revisit the same few shifts (E(0) on every row, sums and
-# differences of the grid rates), so most lookups hit. Single-threaded;
-# nothing is ever evicted. Entries are (value, roundoff estimate), the
-# estimate 0 for quadrature values, which met their rel_tol when computed.
+# differences of the grid rates), so most lookups hit; a sweep evaluates
+# all of its closed-form shifts up front (prefetch) and its rows only look
+# them up. Single-threaded; nothing is ever evicted. Closed-form entries are
+# (value, roundoff estimate, imaginary residue), checked on every lookup, so
+# a bad shift fails only the lookups that use it; quadrature entries met
+# their rel_tol when computed and store (value, 0, 0).
 _cache = {}
+_stats = {"hits": 0, "misses": 0, "blocks": 0}
+
+# Shifts per closed-form evaluation. It bounds the transient arrays of
+# _closed_form and _digamma (about 13 kB per shift at T > 0), which a sweep
+# evaluated in one piece would hold for hundreds of shifts at once.
+_BLOCK = 64
 
 
 def clear_cache():
     _cache.clear()
+    _stats.update(hits=0, misses=0, blocks=0)
+
+
+def cache_info():
+    """Shift-cache counters since the last :func:`clear_cache`.
+
+    ``entries`` cached values, ``hits`` and ``misses`` of the lookups (one
+    per kind and distinct shift), and ``blocks``, the closed-form
+    evaluations of at most ``_BLOCK`` shifts each.
+    """
+    return dict(entries=len(_cache), **_stats)
+
+
+def _slot(shift):
+    """Cache slot of a working-unit shift: |shift| quantized to 1e-12."""
+    return round(shift / 1e-12)
+
+
+def _fill_closed(ctx, shifts, kinds=("BA", "AB")):
+    """Evaluate the uncached closed-form values of ``shifts``, a slot -> shift map.
+
+    The misses of each kind go to :func:`_closed_form` in blocks of at
+    most ``_BLOCK`` shifts. Nothing is checked here; lookups check.
+    """
+    for which in kinds:
+        missing = [n for n in shifts if (ctx._key, which, n) not in _cache]
+        for start in range(0, len(missing), _BLOCK):
+            block = missing[start:start + _BLOCK]
+            values, roundoff = _closed(ctx, [shifts[n] for n in block], which)
+            _stats["blocks"] += 1
+            for n, v, r in zip(block, values, roundoff):
+                _cache[(ctx._key, which, n)] = (float(v.real), float(r), float(v.imag))
+
+
+def prefetch(ctx, terms, rate_pairs):
+    """Evaluate every shift integral that energies at ``rate_pairs`` will need.
+
+    ``terms`` are an arrangement's ``(s, t, c)`` weights (see
+    :func:`general_energy`) and ``rate_pairs`` its (Omega_A, Omega_B)
+    points; the distinct |s Omega_A - t Omega_B| and 0 (the rest energy)
+    are evaluated in a few blocked closed-form passes, so the energies that
+    follow are pure lookups. Quadrature-domain contexts evaluate nothing
+    here: their values depend on rel_tol and stay per lookup.
+    """
+    if not ctx.closed_form:
+        return
+    ws = ctx._scaled[0]
+    shifts = {_slot(0.0): 0.0}
+    for omega_a, omega_b in rate_pairs:
+        for s, t, _ in terms:
+            shift = abs(s * omega_a - t * omega_b) / ws
+            shifts.setdefault(_slot(shift), shift)
+    _fill_closed(ctx, shifts)
 
 
 def _shift_integrals(ctx, Omegas, rel_tol, kinds=("BA", "AB")):
     """Reduced shift integrals, a list per kind with one value per Omega.
 
-    Both integrals are even in Omega, so the cache key uses |Omega|
-    quantized to 1e-12 of the working frequency unit. Closed-form values do
-    not depend on rel_tol, so their key omits it: all misses of one call
-    are evaluated in one vectorized pass per kind, and every lookup checks
-    the stored roundoff estimate against max(abs_tol, rel_tol |value|).
-    Quadrature values keep rel_tol in the key and met it when computed.
+    Both integrals are even in Omega, so the cache key uses the slot of
+    |Omega|. Closed-form values do not depend on rel_tol, so their key omits
+    it: the misses of one call are evaluated in one blocked pass per kind,
+    and every lookup checks the stored imaginary residue and roundoff
+    estimate, the latter against max(abs_tol, rel_tol |value|). Quadrature
+    values keep rel_tol in the key and met it when computed.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     ws = ctx._scaled[0]
-    shifts = [abs(om) / ws for om in Omegas]
-    slots = [round(s / 1e-12) for s in shifts]
-    first = {}                          # the shift evaluated for each slot
-    for n, s in zip(slots, shifts):
-        first.setdefault(n, s)
+    shifts = {}                         # the shift evaluated for each slot
+    slots = []
+    for om in Omegas:
+        shift = abs(om) / ws
+        n = _slot(shift)
+        shifts.setdefault(n, shift)
+        slots.append(n)
     rel_key = () if ctx.closed_form else (rel,)
+    missing = [(which, n) for which in kinds for n in shifts
+               if (ctx._key, which, n) + rel_key not in _cache]
+    _stats["misses"] += len(missing)
+    _stats["hits"] += len(kinds) * len(shifts) - len(missing)
+    if missing and ctx.closed_form:
+        _fill_closed(ctx, shifts, kinds)
+    elif missing:
+        for which, n in missing:
+            value, _ = _quadrature(ctx, shifts[n], rel, which)
+            _cache[(ctx._key, which, n, rel)] = (float(value), 0.0, 0.0)
     out = []
     for which in kinds:
-        missing = [n for n in first if (ctx._key, which, n) + rel_key not in _cache]
-        if missing and ctx.closed_form:
-            values, roundoff = _closed(ctx, [first[n] for n in missing], which)
-        else:
-            values = [_quadrature(ctx, first[n], rel, which)[0] for n in missing]
-            roundoff = [0.0] * len(missing)
-        for n, v, r in zip(missing, values, roundoff):
-            _cache[(ctx._key, which, n) + rel_key] = (float(v), float(r))
         row = []
         for n in slots:
-            value, roundoff = _cache[(ctx._key, which, n) + rel_key]
+            value, roundoff, imag = _cache[(ctx._key, which, n) + rel_key]
+            value = _real(which, value, roundoff, imag)
             if roundoff > max(DEFAULT_ABS_TOL, rel * abs(value)):
                 raise ConvergenceError(
                     f"energy_{which}: rel_tol {rel:.1e} is below the closed form's "

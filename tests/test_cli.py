@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import spinvdw
+from spinvdw import spectral
 from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepSpec, emit, main,
                          parse_config, read_csv_rows, run_preset, run_sweep,
                          spec_to_config)
+from spinvdw.configurations import energy
 from spinvdw.response import resonance_frequency
 
 
@@ -110,6 +112,104 @@ class TestSweep:
         assert any(r["error"] for r in result.rows)
         failed = [r for r in result.rows if r["error"]]
         assert all(math.isnan(r["E_J"]) for r in failed)
+
+
+GENERAL_AXES = {"arrangement": "general",
+                "arrangement.axis_a": [0.0, 0.6, 0.8],
+                "arrangement.axis_b": [0.48, -0.6, 0.64],
+                "arrangement.rhat": [1.0, 0.0, 0.0]}
+
+
+@pytest.fixture
+def cold_cache():
+    spectral.clear_cache()
+    yield
+    spectral.clear_cache()   # drop entries a test may have corrupted
+
+
+class TestBlockedSweep:
+    """A sweep evaluates its shift integrals up front; rows only look up."""
+
+    @staticmethod
+    def _assert_rows_match_unbatched(spec, ctx):
+        rows = run_sweep(spec, ctx).rows
+        arrangement = spec.make_arrangement()
+        spectral.clear_cache()
+        e0 = energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
+        for row in rows:
+            # each row on its own, from a cold cache, as an unbatched sweep
+            spectral.clear_cache()
+            e = energy(ctx, arrangement, row["omega_A_rad_s"], row["omega_B_rad_s"],
+                       spec.rel_tol)
+            scale = 1e-13 * max(abs(e), abs(e0))
+            assert not row["error"]
+            assert abs(row["E_J"] - e) <= scale, (row, e)
+            assert abs(row["E0_J"] - e0) <= scale, (row, e0)
+
+    @pytest.mark.parametrize("temperature", [0.0, 300.0, 1500.0])
+    @pytest.mark.parametrize("arrangement", [{"arrangement": "rr"},
+                                             {"arrangement": "uu"}, GENERAL_AXES],
+                             ids=["rr", "uu", "general"])
+    def test_rows_equal_unbatched_energies(self, w0, cold_cache, temperature,
+                                           arrangement):
+        spec, ctx = parse_config({
+            **arrangement, "temperature_K": temperature,
+            "sweep.omega_a_grid_rad_s": list(np.linspace(0.0, 4.5 * w0, 12)),
+            "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.4})
+        assert ctx.closed_form
+        self._assert_rows_match_unbatched(spec, ctx)
+
+    def test_quadrature_context_rows_equal_unbatched(self, w0, cold_cache):
+        # gamma0 = 2.5 w0 lies outside the closed form's domain: nothing is
+        # evaluated up front, and every row evaluates its own misses
+        spec, ctx = parse_config({
+            "material.gamma0_rad_s": 2.5 * w0,
+            "sweep.omega_a_grid_rad_s": [0.0, 0.7 * w0, 1.9 * w0]})
+        assert not ctx.closed_form
+        self._assert_rows_match_unbatched(spec, ctx)
+
+    def test_one_blocked_pass_and_no_row_misses(self, w0, cold_cache, monkeypatch):
+        spec, ctx = parse_config({**GENERAL_AXES, "sweep.omega_a_count": 60,
+                                  "sweep.omega_b_rule": "ratio",
+                                  "sweep.omega_b_ratio": 0.3})
+        sizes = []
+        inner = spectral._closed_form
+
+        def recording(mat_x, mat_y, temperature, omega_scale, shifts):
+            sizes.append(len(shifts))
+            return inner(mat_x, mat_y, temperature, omega_scale, shifts)
+
+        monkeypatch.setattr(spectral, "_closed_form", recording)
+        result = run_sweep(spec, ctx)
+        assert not any(r["error"] for r in result.rows)
+        info = spectral.cache_info()
+        distinct = info["entries"] // 2          # the same shifts for BA and AB
+        assert distinct > 64                     # more than one block per kind
+        assert info["blocks"] == len(sizes) <= 2 * math.ceil(distinct / 64)
+        assert max(sizes) == 64 and sum(sizes) == 2 * distinct
+        assert info["misses"] == 0 and info["hits"] > 0
+        spectral.clear_cache()
+        assert spectral.cache_info() == {"entries": 0, "hits": 0, "misses": 0,
+                                         "blocks": 0}
+
+    def test_bad_shift_fails_only_its_rows(self, w0, cold_cache, monkeypatch):
+        # rr with Omega_B = 0 needs the shifts Omega_A and 0, so one bad
+        # shift belongs to one row; its lookup raises, the sweep goes on
+        grid = [0.5 * w0, w0, 1.5 * w0, 2.0 * w0]
+        spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": grid})
+        bad = 1.5 * w0 / ctx._scaled[0]
+        inner = spectral._closed_form
+
+        def corrupt(mat_x, mat_y, temperature, omega_scale, shifts):
+            value, roundoff = inner(mat_x, mat_y, temperature, omega_scale, shifts)
+            return value + 1j * (np.asarray(shifts) == bad), roundoff
+
+        monkeypatch.setattr(spectral, "_closed_form", corrupt)
+        rows = run_sweep(spec, ctx).rows
+        assert [r["omega_A_rad_s"] for r in rows if r["error"]] == [1.5 * w0]
+        assert rows[2]["error"].startswith(
+            "ArithmeticError: energy_BA: imaginary residue 1.000e+00 exceeds")
+        assert all(math.isfinite(r["E_J"]) for r in rows if not r["error"])
 
 
 class TestEmit:

@@ -247,3 +247,16 @@ def test_general_kernel_properties(ctx, axes, rates, turn_axis, turn_spin):
     flip_b = Arrangement("general", a, _negated(b), rhat)
     assert close(energy(ctx, flip_a, -oa, ob), e, 1e-12)
     assert close(energy(ctx, flip_b, oa, -ob), e, 1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(ctx=pairs(), kind=st.sampled_from(KINDS + ["general"]),
+       axes=st.tuples(UNITS, UNITS, UNITS), rates=st.tuples(RATES, RATES))
+def test_delta_force_is_force_difference(ctx, kind, axes, rates):
+    # delta_force sums the arrangement's weights and -sum c at zero shift in
+    # one pass; it must equal the difference of the two forces
+    w0 = resonance_frequency(ctx.sphere_a.material)
+    oa, ob = rates[0] * w0, rates[1] * w0
+    arr = Arrangement(kind, *axes) if kind == "general" else Arrangement(kind)
+    f, f0 = force(ctx, arr, oa, ob), force(ctx, arr, 0.0, 0.0)
+    assert abs(delta_force(ctx, arr, oa, ob) - (f - f0)) <= 1e-12 * (abs(f) + abs(f0))

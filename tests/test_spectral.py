@@ -58,7 +58,9 @@ class TestIntegrateSpectrum:
         c = math.sqrt(w0**2 * g * g - 0.25 * g**4)
         exact = c_num * g * (math.pi / 2.0 + math.atan(b / c)) / c
 
-        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-16,
+        # abs_tol far below the value, so the quadrature has to refine to
+        # rel_tol instead of accepting its first pass
+        spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12 * abs(exact),
                               breakpoints=(-w0, 0.0, w0), window=100 * w0,
                               seed_width=g / 8.0)
         val = integrate_spectrum(
@@ -79,6 +81,25 @@ class TestIntegrateSpectrum:
         with pytest.raises(ConvergenceError) as err:
             integrate_spectrum(lambda w: np.sqrt(np.abs(w - 0.4327)), spec)
         assert err.value.estimate > 0.0
+        assert err.value.value is not None
+
+    def test_unreachable_tolerance_fails_fast(self, ctx0, w0, monkeypatch):
+        # BA at T = 0 next to its resonant zero crossing is 3e-3 of J(0), so
+        # rel_tol 1e-10 falls to abs_tol, below the panels' roundoff floor,
+        # which bisection cannot lower; without the floor check the
+        # refinement ran to 150k panels before the budget stopped it
+        panels = []
+        inner = spectral._gk15
+
+        def counting(f, a, b):
+            panels.append(len(a))
+            return inner(f, a, b)
+
+        monkeypatch.setattr(spectral, "_gk15", counting)
+        with pytest.raises(ConvergenceError, match="roundoff floor") as err:
+            shift_integral(ctx0, 2.0 * w0, "BA", "quadrature", rel_tol=1e-10)
+        assert sum(panels) < 5000
+        assert err.value.estimate > spectral.DEFAULT_ABS_TOL
         assert err.value.value is not None
 
     def test_breakpoints_outside_window_rejected(self):
