@@ -477,8 +477,14 @@ def _run_checks(rel_tol=1e-7):
         dev = abs(em / ep - 1.0)
         record(f"parity_{kind}", dev < 1e-9, f"dev={dev:.2e}")
 
-    ea = spectral.aux_energy(ctx, 0.8 * w0, rel_tol)
-    eb = spectral.aux_energy(ctx.swapped(), 0.8 * w0, rel_tol)
+    # an identical pair would compare a cache entry with itself; these
+    # spheres differ in material, radius and temperature
+    pair = PairContext(
+        SpinningSphere(50e-9, ctx.sphere_a.material, 300.0),
+        SpinningSphere(70e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0),
+        spec.separation)
+    ea = spectral.aux_energy(pair, 0.8 * w0, rel_tol)
+    eb = spectral.aux_energy(pair.swapped(), 0.8 * w0, rel_tol)
     dev = abs(eb / ea - 1.0)
     record("exchange_symmetry", dev < 1e-9, f"dev={dev:.2e}")
 

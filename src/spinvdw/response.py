@@ -16,7 +16,7 @@ __all__ = [
     "HBAR", "K_B", "EPS0",
     "PoleProximityError", "MaterialModel", "SpinningSphere", "UnitSystem",
     "bst", "permittivity", "polarizability", "hadamard",
-    "resonance_frequency", "im_polarizability_over_omega", "coth",
+    "resonance_frequency", "im_polarizability_over_omega",
 ]
 
 # CODATA 2022 values; HBAR is h/2pi in double precision.
@@ -175,18 +175,6 @@ def im_polarizability_over_omega(sphere, omega):
     """Im alpha(w)/w in SI units; the w -> 0 limit is the dc noise slope."""
     scale = 4.0 * np.pi * EPS0 * sphere.radius**3
     return scale * _im_alpha_over_omega_reduced(sphere.material, omega)
-
-
-def coth(x):
-    """Elementwise coth with the conventions needed here.
-
-    Overflow-free for large |x| (tanh saturates); returns +/-inf at x = 0,
-    which callers must avoid or regularize (hadamard does).
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = 1.0 / np.tanh(x)
-    return out
 
 
 def _omega_coth_kernel(omega, temperature, omega_scale=1.0):

@@ -10,14 +10,16 @@ eta = 2 coth(theta u) Im alpha is the Hadamard spectrum at the temperature
 of Y. On the production path they are evaluated exactly by closing the
 contour in the upper half plane: the residues at the two upper poles of
 eta plus the Matsubara sum over the poles of coth, which sums in closed
-form to digamma functions (logarithms at T = 0). The result carries a
-roundoff estimate; a tolerance below it raises :class:`ConvergenceError`
-at once. The closed form needs two distinct poles off the imaginary axis,
-0 < gamma0 < 2 w0 for both materials; outside that domain the integrals
-fall back to an adaptive Gauss-Kronrod panel quadrature with breakpoints
-seeded at every Doppler image of the resonances and fitted power-law
-tails beyond a finite window. The quadrature also serves the static
-baselines and the cross-checks.
+form to digamma functions (logarithms at T = 0). One evaluation stacks
+both integrals of a pair as rows, at a block of shifts; identical spheres
+(equal materials at equal temperatures) make the two integrals one row.
+The result carries a roundoff estimate; a tolerance below it raises
+:class:`ConvergenceError` at once. The closed form needs two distinct
+poles off the imaginary axis, 0 < gamma0 < 2 w0 for both materials;
+outside that domain the integrals fall back to an adaptive Gauss-Kronrod
+panel quadrature with breakpoints seeded at every Doppler image of the
+resonances and fitted power-law tails beyond a finite window. The
+quadrature also serves the static baselines and the cross-checks.
 
 All integration happens in nondimensional units (frequencies in units of
 sphere A's resonance, polarizabilities in units of 4*pi*eps0*a^3); SI
@@ -108,7 +110,9 @@ def _gk15(f, a, b):
     kronrod = h * (v @ _WK)
     gauss = h * (v @ _WG)
     uu = np.abs(kronrod - gauss)
-    mean = kronrod[:, None] / (2.0 * h[:, None])
+    # kronrod/2h, without dividing by h: complex division by a subnormal
+    # half-width overflows the reciprocal and turns the estimate into nan
+    mean = 0.5 * (v @ _WK)[:, None]
     resabs = h * (np.abs(v) @ _WK)
     resasc = h * (np.abs(v - mean) @ _WK)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -375,7 +379,7 @@ def _realize(value, errest, spec, what):
     if abs(value.imag) > bound:
         raise ArithmeticError(
             f"{what}: imaginary residue {value.imag:.3e} exceeds {bound:.3e}; "
-            "tensor symmetry violated")
+            "the shift integral is not real")
     return value.real
 
 
@@ -390,18 +394,19 @@ def _alpha_poles(mat):
     half = 0.5 * mat.gamma0
     wp = math.sqrt(w0sq - half * half)
     r = mat.f0 * mat.omega_tilde0**2 / (6.0 * wp)
-    return np.array([wp - 1j * half, -wp - 1j * half]), np.array([-r, r])
+    return (wp - 1j * half, -wp - 1j * half), (-r, r)
 
 
-# Bernoulli numbers B_2 ... B_16 for the Stirling series of psi and psi'
+# Bernoulli numbers B_2 ... B_16 for the Stirling series of psi and psi',
+# highest order first, one (psi, psi') column per Horner step
 _BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730,
                        7 / 6, -3617 / 510])
-_STIRLING_PSI = tuple(_BERNOULLI[::-1] / np.arange(16, 1, -2))
-_STIRLING_TRI = tuple(_BERNOULLI[::-1])
+_STIRLING = np.stack([_BERNOULLI[::-1] / np.arange(16, 1, -2),
+                      _BERNOULLI[::-1]], axis=1)[:, :, None]
 
 
 def _digamma(w):
-    """Complex digamma psi(w) and trigamma psi'(w).
+    """Complex digamma psi(w) and trigamma psi'(w) of a 1-d array.
 
     Reflection maps Re w < 1/2 onto 1 - w, the upward recurrence lifts |w|
     to at least 10, and the Stirling series through B_16 finishes. Accurate
@@ -420,12 +425,16 @@ def _digamma(w):
     z = z + steps
     inv = 1.0 / z
     inv2 = inv * inv
-    s_psi = s_tri = 0.0
-    for c_psi, c_tri in zip(_STIRLING_PSI, _STIRLING_TRI):
-        s_psi = s_psi * inv2 + c_psi
-        s_tri = s_tri * inv2 + c_tri
-    psi += np.log(z) - 0.5 * inv - inv2 * s_psi
-    tri += inv + 0.5 * inv2 + inv * inv2 * s_tri
+    # both series in one (2, entries) Horner, in place
+    lifted = np.empty((2, inv2.size), dtype=complex)
+    lifted[...] = inv2
+    series = np.empty_like(lifted)
+    series[...] = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        np.multiply(series, lifted, out=series)
+        np.add(series, c, out=series)
+    psi += np.log(z) - 0.5 * inv - inv2 * series[0]
+    tri += inv + 0.5 * inv2 + inv * inv2 * series[1]
     if flip.any():
         # psi(w) = psi(1 - w) - pi cot(pi w), psi'(w) = pi^2/sin^2(pi w) - psi'(1 - w),
         # through e = exp(2 pi i w sgn Im w), |e| <= 1, which stays exact
@@ -447,16 +456,33 @@ _NEAR = 2e-3                    # |w_j - w_i| < _NEAR |w|: nearly coincident
 _GAUSS2 = 0.5 / math.sqrt(3.0)  # two-point Gauss-Legendre nodes, half-spacing
 _ROUNDOFF = 10.0 * np.finfo(float).eps
 
+# The kinds in the row order of the closed form's results
+_KINDS = ("BA", "AB")
 
-def _closed_form(mat_x, mat_y, temperature, omega_scale, shifts):
+
+def _kind_rows(ctx):
+    """The closed-form rows (mat_x, mat_y, T_y) of BA and AB.
+
+    BA integrates alpha_A against eta_B at T_B, and AB alpha_B against
+    eta_A at T_A. Equal scaled materials at equal temperatures make the two
+    the same integral, so that pair has one row.
+    """
+    _, mat_a, mat_b = ctx._scaled
+    ba = (mat_a, mat_b, ctx.sphere_b.temperature)
+    ab = (mat_b, mat_a, ctx.sphere_a.temperature)
+    return (ba,) if ba == ab else (ba, ab)
+
+
+def _closed(rows, omega_scale, shifts):
     """Shift integrals of alpha_X against eta_Y by contour closure.
 
-    With alpha = sum_k r_k/(u - p_k), S(u) = alpha_X(u + s) + alpha_X(u - s)
-    has poles x_i with coefficients a_i, and alpha_Y(u) - alpha_Y(-u) has
-    poles y_j with coefficients b_j. Closing the contour in the upper half
-    plane picks up the two upper poles q = -p_k of eta_Y and the poles of
-    coth at the Matsubara frequencies i n xi1, whose sum is a digamma
-    difference:
+    Each row (mat_x, mat_y, T_y) is one kind of integral, and all rows are
+    evaluated at all ``shifts`` (in working units) together. With
+    alpha = sum_k r_k/(u - p_k), S(u) = alpha_X(u + s) + alpha_X(u - s) has
+    poles x_i with coefficients a_i, and alpha_Y(u) - alpha_Y(-u) has poles
+    y_j with coefficients b_j. Closing the contour in the upper half plane
+    picks up the two upper poles q = -p_k of eta_Y and the poles of coth at
+    the Matsubara frequencies i n xi1, whose sum is a digamma difference:
 
         J = 2 pi sum_k coth(theta q_k) S(q_k) r_k^Y
             - (2/xi1) sum_ij a_i b_j [F(w_j) - F(w_i)]/(w_j - w_i),
@@ -465,60 +491,94 @@ def _closed_form(mat_x, mat_y, temperature, omega_scale, shifts):
     F = digamma. At T = 0, coth -> sgn Re q, xi1 -> 1, w = i x and F = log.
     Nearly coincident w_i, w_j (equal dampings of X and Y, or high T) take
     the divided difference as two-point Gauss-Legendre quadrature of F'
-    over the segment, which cancels nothing.
+    over the segment, which cancels nothing. Everything that does not
+    depend on the shift is built once per call, and all F values of all
+    rows come from one call of each of log and digamma.
 
-    Returns complex J and its roundoff estimate 10 eps sum|terms|, as arrays
-    over ``shifts`` (in working units); Im J vanishes up to roundoff. The
-    estimate leaves out the conditioning of J in the shift and the material
+    Returns complex J and its roundoff estimate 10 eps sum|terms|, arrays
+    of shape (rows, shifts); Im J vanishes up to roundoff. The estimate
+    leaves out the conditioning of J in the shift and the material
     constants, which every double-precision evaluation shares: at the
     resonant zero crossing of BA the error reaches about 1.4 times it.
     """
-    px, rx = _alpha_poles(mat_x)
-    py, ry = _alpha_poles(mat_y)
-    s = np.asarray(shifts, dtype=float)[:, None]
-    x = np.concatenate([px - s, px + s], axis=1)      # (shifts, 4)
-    a = np.concatenate([rx, rx])
-    y = np.concatenate([py, -py])
-    b = np.concatenate([ry, ry])
-    q = -py
-    if temperature == 0.0:
-        coth, xi1, fn = np.sign(q.real), 1.0, _log
-        wx, wy = 1j * x, 1j * y
-    else:
-        theta = HBAR * omega_scale / (2.0 * K_B * temperature)
-        coth, xi1, fn = 1.0 / np.tanh(theta * q), np.pi / theta, _digamma
-        wx, wy = 1.0 + 1j * x / xi1, 1.0 + 1j * y / xi1
+    px, a, y, b, cold, theta, xi1, offset = ([] for _ in range(8))
+    for mat_x, mat_y, temperature in rows:
+        poles_x, rx = _alpha_poles(mat_x)
+        (p1, p2), ry = _alpha_poles(mat_y)
+        px.append(poles_x)
+        a.append(rx + rx)
+        y.append((p1, p2, -p1, -p2))
+        b.append(ry + ry)
+        cold.append(temperature == 0.0)
+        if cold[-1]:
+            theta.append(1.0)           # unused: coth -> sgn Re q
+            xi1.append(1.0)
+            offset.append(0.0)
+        else:
+            theta.append(HBAR * omega_scale / (2.0 * K_B * temperature))
+            xi1.append(np.pi / theta[-1])
+            offset.append(1.0)
+    px, y = np.array(px)[:, None, :], np.array(y)       # (rows, 1, 2), (rows, 4)
+    a, b, cold = np.array(a), np.array(b), np.array(cold)
+    xi1 = np.array(xi1)[:, None]
+    offset = np.array(offset)[:, None]
+    q = y[:, 2:]                                        # -p_k^Y, (rows, 2)
+    coth = np.where(cold[:, None], np.sign(q.real),
+                    1.0 / np.tanh(np.array(theta)[:, None] * q))
+    weight = (2.0 * np.pi * coth * b[:, :2])[:, :, None] * a[:, None, :]
+    wy = offset + 1j * y / xi1
+    ab = ((-2.0 / xi1[:, :, None]) * a[:, :, None] * b[:, None, :])[:, None]
 
-    residues = (2.0 * np.pi * coth * ry)[:, None] * a / (q[:, None] - x[:, None, :])
-    wi = wx[:, :, None]
-    h = wy - wi                                       # (shifts, 4, 4)
+    s = np.asarray(shifts, dtype=float)[:, None]
+    x = np.concatenate([px - s, px + s], axis=2)        # (rows, shifts, 4)
+    wx = offset[:, :, None] + 1j * x / xi1[:, :, None]
+    residues = weight[:, None] / (q[:, None, :, None] - x[:, :, None, :])
+    wi = wx[..., None]
+    h = wy[:, None, None, :] - wi                       # (rows, shifts, 4, 4)
     mid = wi + 0.5 * h
     near = np.abs(h) < _NEAR * np.abs(mid)
     m, d = mid[near], _GAUSS2 * h[near]
-    f, df = fn(np.concatenate([wx.ravel(), wy, m - d, m + d]))
-    fx, fy = f[:wx.size].reshape(wi.shape), f[wx.size:wx.size + wy.size]
-    ab = (-2.0 / xi1) * a[:, None] * b
+    args = np.concatenate([wx.ravel(), wy.ravel(), m - d, m + d])
+    if cold.all():
+        f, df = _log(args)
+    elif not cold.any():
+        f, df = _digamma(args)
+    else:
+        # one call each on the entries of the T = 0 rows and of the others
+        row = np.arange(len(rows))
+        on_log = cold[np.concatenate([np.repeat(row, wx[0].size), np.repeat(row, 4),
+                                      np.tile(near.nonzero()[0], 2)])]
+        f, df = np.empty_like(args), np.empty_like(args)
+        f[on_log], df[on_log] = _log(args[on_log])
+        f[~on_log], df[~on_log] = _digamma(args[~on_log])
+    fx = f[:wx.size].reshape(wi.shape)
+    fy = f[wx.size:wx.size + wy.size].reshape(wy.shape)[:, None, None, :]
     h = np.where(near, 1.0, h)
     dd = (fy - fx) / h
     if m.size:
         dd[near] = 0.5 * (df[-2 * m.size:-m.size] + df[-m.size:])
     pairs = ab * dd
-    total = residues.sum(axis=(1, 2)) + pairs.sum(axis=(1, 2))
+    total = residues.sum(axis=(2, 3)) + pairs.sum(axis=(2, 3))
     # terms cancel by up to five orders of magnitude (near the resonant zero
     # crossing of BA, and as gamma -> 0); a digamma difference counts with
     # both of its values
     pair_size = np.where(near, np.abs(pairs),
                          np.abs(ab) * (np.abs(fy) + np.abs(fx)) / np.abs(h))
-    roundoff = _ROUNDOFF * (np.abs(residues).sum(axis=(1, 2)) + pair_size.sum(axis=(1, 2)))
+    roundoff = _ROUNDOFF * (np.abs(residues).sum(axis=(2, 3))
+                            + pair_size.sum(axis=(2, 3)))
     return total, roundoff
 
 
-def _closed(ctx, shifts, which):
-    """Closed-form reduced integrals at working-unit shifts: (complex values, roundoff)."""
-    ws, mat_a, mat_b = ctx._scaled
-    if which == "BA":
-        return _closed_form(mat_a, mat_b, ctx.sphere_b.temperature, ws, shifts)
-    return _closed_form(mat_b, mat_a, ctx.sphere_a.temperature, ws, shifts)
+def _closed_kinds(ctx, shifts):
+    """Closed-form BA and AB integrals of a context at working-unit shifts.
+
+    Returns (complex values, roundoff), arrays of shape (2, shifts) with
+    rows in ``_KINDS`` order, from one evaluation of :func:`_closed`.
+    """
+    rows = _kind_rows(ctx)
+    values, roundoff = _closed(rows, ctx._scaled[0], shifts)
+    take = [0, len(rows) - 1]
+    return values[take], roundoff[take]
 
 
 def _real(which, value, roundoff, imag):
@@ -559,7 +619,9 @@ def shift_integral(ctx, Omega, which, method, rel_tol=None):
     """
     shift = abs(Omega) / ctx._scaled[0]
     if method == "closed":
-        [value], [roundoff] = _closed(ctx, [shift], which)
+        values, roundoff = _closed_kinds(ctx, [shift])
+        k = _KINDS.index(which)
+        value, roundoff = values[k, 0], roundoff[k, 0]
         return float(_real(which, value.real, roundoff, value.imag)), float(roundoff)
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     value, errest = _quadrature(ctx, shift, rel, which)
@@ -577,8 +639,9 @@ _cache = {}
 _stats = {"hits": 0, "misses": 0, "blocks": 0}
 
 # Shifts per closed-form evaluation. It bounds the transient arrays of
-# _closed_form and _digamma (about 13 kB per shift at T > 0), which a sweep
-# evaluated in one piece would hold for hundreds of shifts at once.
+# _closed and _digamma, which hold a block of one or two kind rows (about
+# 13 kB per shift and row at T > 0) and which a sweep evaluated in one
+# piece would hold for hundreds of shifts at once.
 _BLOCK = 64
 
 
@@ -591,8 +654,8 @@ def cache_info():
     """Shift-cache counters since the last :func:`clear_cache`.
 
     ``entries`` cached values, ``hits`` and ``misses`` of the lookups (one
-    per kind and distinct shift), and ``blocks``, the closed-form
-    evaluations of at most ``_BLOCK`` shifts each.
+    per kind and distinct shift), and ``blocks``, the stacked closed-form
+    evaluations of both kinds at up to ``_BLOCK`` shifts each.
     """
     return dict(entries=len(_cache), **_stats)
 
@@ -602,19 +665,21 @@ def _slot(shift):
     return round(shift / 1e-12)
 
 
-def _fill_closed(ctx, shifts, kinds=("BA", "AB")):
+def _fill_closed(ctx, shifts):
     """Evaluate the uncached closed-form values of ``shifts``, a slot -> shift map.
 
-    The misses of each kind go to :func:`_closed_form` in blocks of at
-    most ``_BLOCK`` shifts. Nothing is checked here; lookups check.
+    Both kinds of every missing shift are evaluated together, in blocks of
+    at most ``_BLOCK`` shifts, one :func:`_closed_kinds` call each. Nothing
+    is checked here; lookups check.
     """
-    for which in kinds:
-        missing = [n for n in shifts if (ctx._key, which, n) not in _cache]
-        for start in range(0, len(missing), _BLOCK):
-            block = missing[start:start + _BLOCK]
-            values, roundoff = _closed(ctx, [shifts[n] for n in block], which)
-            _stats["blocks"] += 1
-            for n, v, r in zip(block, values, roundoff):
+    missing = [n for n in shifts
+               if any((ctx._key, which, n) not in _cache for which in _KINDS)]
+    for start in range(0, len(missing), _BLOCK):
+        block = missing[start:start + _BLOCK]
+        values, roundoff = _closed_kinds(ctx, [shifts[n] for n in block])
+        _stats["blocks"] += 1
+        for which, row_values, row_roundoff in zip(_KINDS, values, roundoff):
+            for n, v, r in zip(block, row_values, row_roundoff):
                 _cache[(ctx._key, which, n)] = (float(v.real), float(r), float(v.imag))
 
 
@@ -639,15 +704,15 @@ def prefetch(ctx, terms, rate_pairs):
     _fill_closed(ctx, shifts)
 
 
-def _shift_integrals(ctx, Omegas, rel_tol, kinds=("BA", "AB")):
+def _shift_integrals(ctx, Omegas, rel_tol, kinds=_KINDS):
     """Reduced shift integrals, a list per kind with one value per Omega.
 
     Both integrals are even in Omega, so the cache key uses the slot of
     |Omega|. Closed-form values do not depend on rel_tol, so their key omits
-    it: the misses of one call are evaluated in one blocked pass per kind,
-    and every lookup checks the stored imaginary residue and roundoff
-    estimate, the latter against max(abs_tol, rel_tol |value|). Quadrature
-    values keep rel_tol in the key and met it when computed.
+    it: the misses of one call are evaluated, both kinds at once, in one
+    blocked pass, and every lookup checks the stored imaginary residue and
+    roundoff estimate, the latter against max(abs_tol, rel_tol |value|).
+    Quadrature values keep rel_tol in the key and met it when computed.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     ws = ctx._scaled[0]
@@ -664,7 +729,7 @@ def _shift_integrals(ctx, Omegas, rel_tol, kinds=("BA", "AB")):
     _stats["misses"] += len(missing)
     _stats["hits"] += len(kinds) * len(shifts) - len(missing)
     if missing and ctx.closed_form:
-        _fill_closed(ctx, shifts, kinds)
+        _fill_closed(ctx, shifts)
     elif missing:
         for which, n in missing:
             value, _ = _quadrature(ctx, shifts[n], rel, which)

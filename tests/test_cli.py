@@ -9,8 +9,8 @@ import pytest
 
 import spinvdw
 from spinvdw import spectral
-from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepSpec, emit, main,
-                         parse_config, read_csv_rows, run_preset, run_sweep,
+from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepSpec, _run_checks, emit,
+                         main, parse_config, read_csv_rows, run_preset, run_sweep,
                          spec_to_config)
 from spinvdw.configurations import energy
 from spinvdw.response import resonance_frequency
@@ -173,20 +173,21 @@ class TestBlockedSweep:
                                   "sweep.omega_b_rule": "ratio",
                                   "sweep.omega_b_ratio": 0.3})
         sizes = []
-        inner = spectral._closed_form
+        inner = spectral._closed
 
-        def recording(mat_x, mat_y, temperature, omega_scale, shifts):
+        def recording(rows, omega_scale, shifts):
             sizes.append(len(shifts))
-            return inner(mat_x, mat_y, temperature, omega_scale, shifts)
+            return inner(rows, omega_scale, shifts)
 
-        monkeypatch.setattr(spectral, "_closed_form", recording)
+        monkeypatch.setattr(spectral, "_closed", recording)
         result = run_sweep(spec, ctx)
         assert not any(r["error"] for r in result.rows)
         info = spectral.cache_info()
         distinct = info["entries"] // 2          # the same shifts for BA and AB
-        assert distinct > 64                     # more than one block per kind
-        assert info["blocks"] == len(sizes) <= 2 * math.ceil(distinct / 64)
-        assert max(sizes) == 64 and sum(sizes) == 2 * distinct
+        assert distinct > 64                     # more than one block
+        # both kinds in each evaluation, every shift evaluated once
+        assert info["blocks"] == len(sizes) == math.ceil(distinct / 64)
+        assert max(sizes) == 64 and sum(sizes) == distinct
         assert info["misses"] == 0 and info["hits"] > 0
         spectral.clear_cache()
         assert spectral.cache_info() == {"entries": 0, "hits": 0, "misses": 0,
@@ -198,13 +199,13 @@ class TestBlockedSweep:
         grid = [0.5 * w0, w0, 1.5 * w0, 2.0 * w0]
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": grid})
         bad = 1.5 * w0 / ctx._scaled[0]
-        inner = spectral._closed_form
+        inner = spectral._closed
 
-        def corrupt(mat_x, mat_y, temperature, omega_scale, shifts):
-            value, roundoff = inner(mat_x, mat_y, temperature, omega_scale, shifts)
+        def corrupt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
             return value + 1j * (np.asarray(shifts) == bad), roundoff
 
-        monkeypatch.setattr(spectral, "_closed_form", corrupt)
+        monkeypatch.setattr(spectral, "_closed", corrupt)
         rows = run_sweep(spec, ctx).rows
         assert [r["omega_A_rad_s"] for r in rows if r["error"]] == [1.5 * w0]
         assert rows[2]["error"].startswith(
@@ -310,6 +311,22 @@ class TestMainExitCodes:
         assert "general_rotation_invariance" in out
         assert "closed_form_vs_quadrature_300K" in out
         assert "closed_form_vs_quadrature_0K" in out
+
+    def test_check_exchange_row_swaps_distinct_contexts(self, monkeypatch):
+        # an identical pair would compare one cache entry with itself
+        contexts = []
+        inner = spectral.aux_energy
+
+        def recording(ctx, Omega, rel_tol=None):
+            contexts.append(ctx)
+            return inner(ctx, Omega, rel_tol)
+
+        monkeypatch.setattr(spectral, "aux_energy", recording)
+        rows = {name: (ok, info) for name, ok, info in _run_checks()}
+        pair, swapped = contexts
+        assert swapped == pair.swapped() and swapped._key != pair._key
+        ok, info = rows["exchange_symmetry"]
+        assert ok and float(info.removeprefix("dev=")) <= 1e-9
 
     def test_import_leaves_scipy_unloaded(self):
         # the physical constants are literals; scipy would cost start-up time

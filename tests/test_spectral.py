@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from reference import quadrature_shift_integral, tensor_energy
 from spinvdw import oracle, spectral
-from spinvdw.configurations import Arrangement, energy
+from spinvdw.configurations import Arrangement, delta_force, energy, rest_energy
 from spinvdw.response import (EPS0, MaterialModel, SpinningSphere, bst,
                               polarizability, resonance_frequency)
 from spinvdw.spectral import (ConvergenceError, PairContext, QuadratureSpec,
@@ -34,6 +34,16 @@ class TestIntegrateSpectrum:
         val = integrate_spectrum(lambda w: 1.0 / np.pi / (w * w + 1.0), spec)
         assert val.real == approx(1.0, rel=1e-8)
         assert val.imag == 0.0
+
+    def test_subnormal_panels(self):
+        # breakpoints at +/- a subnormal shift (a spin rate of 1e-300 rad/s
+        # in working units) leave panels narrower than the smallest normal
+        # float; their error estimates must stay finite
+        spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14,
+                              breakpoints=(-1e-310, 0.0, 1e-310),
+                              window=1e9, seed_width=0.125)
+        val = integrate_spectrum(lambda w: 1.0 / np.pi / (w * w + 1.0), spec)
+        assert val.real == approx(1.0, rel=1e-8)
 
     def test_odd_function_vanishes(self):
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-13, breakpoints=(0.0,),
@@ -348,6 +358,81 @@ class TestClosedForm:
         to_reduced = -32.0 * np.pi / ctx300.units().energy_scale
         looser = energy_BA(ctx300, 1.3 * w0, rel_tol=10.0 * roundoff / abs(value))
         assert looser * to_reduced == approx(value, rel=1e-15)
+
+
+class TestStackedClosedForm:
+    """One evaluation serves both kinds of a context, one row when they agree."""
+
+    @pytest.mark.parametrize("case", ["cold", "equal", "cold_a", "cold_b", "warm"])
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_each_kind_alone(self, case, data):
+        # T = 0 on both sides, equal T > 0, one side at T = 0, and unequal
+        # T > 0; equal or unequal materials in each
+        def material():
+            wt = 5.7e9 * data.draw(st.floats(0.5, 2.0))
+            return MaterialModel(data.draw(st.floats(4.0, 20.0)), wt,
+                                 wt * data.draw(_log_uniform(1e-3, 0.5)))
+
+        mat_a = material()
+        mat_b = mat_a if data.draw(st.booleans()) else material()
+        warm = _log_uniform(1e-3, 3000.0)
+        if case in ("cold", "equal"):
+            t_a = t_b = 0.0 if case == "cold" else data.draw(warm)
+        else:
+            t_a = 0.0 if case == "cold_a" else data.draw(warm)
+            t_b = 0.0 if case == "cold_b" else data.draw(warm)
+        ctx = PairContext(SpinningSphere(A, mat_a, t_a), SpinningSphere(50e-9, mat_b, t_b), R)
+        ws, sa, sb = ctx._scaled
+        shifts = data.draw(st.lists(st.floats(0.0, 9.0), min_size=1, max_size=6))
+        values, roundoff = spectral._closed_kinds(ctx, shifts)
+        for k, row in enumerate([(sa, sb, t_b), (sb, sa, t_a)]):
+            [alone], _ = spectral._closed([row], ws, shifts)
+            # a row stacked with another shares its digamma recurrence depth,
+            # which changes roundoff only
+            assert np.all(np.abs(values[k] - alone) <= roundoff[k]), (k, values[k], alone)
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = []
+        inner = spectral._closed
+
+        def recording(rows, omega_scale, shifts):
+            calls.append(len(rows))
+            return inner(rows, omega_scale, shifts)
+
+        monkeypatch.setattr(spectral, "_closed", recording)
+        return calls
+
+    @pytest.mark.parametrize("cold_call", [
+        lambda ctx, w0: delta_force(ctx, Arrangement("uo"), 1.3 * w0, -0.4 * w0),
+        lambda ctx, w0: aux_energy(ctx, 0.7 * w0),
+        lambda ctx, w0: rest_energy(ctx),
+        lambda ctx, w0: energy_BA(ctx, 0.7 * w0) + energy_AB(ctx, 0.7 * w0),
+    ], ids=["delta_force", "aux_energy", "rest_energy", "BA_then_AB"])
+    def test_one_evaluation_per_cold_call(self, monkeypatch, w0, cold_call):
+        ctx = PairContext(SpinningSphere(A, bst(), 300.0),
+                          SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 0.0), R)
+        spectral.clear_cache()
+        calls = self._record(monkeypatch)
+        cold_call(ctx, w0)
+        assert calls == [2]
+        spectral.clear_cache()
+
+    @pytest.mark.parametrize("mat_b, t_b, rows", [
+        (bst(), 300.0, 1),                            # identical spheres
+        (bst(), 900.0, 2),                            # equal materials, unequal T
+        (MaterialModel(8.0, 6.5e9, 4e8), 300.0, 2),   # unequal materials, equal T
+    ], ids=["identical", "unequal_T", "unequal_materials"])
+    def test_rows_per_evaluation(self, monkeypatch, w0, mat_b, t_b, rows):
+        # the radii enter only the energy scale, not the rows
+        ctx = PairContext(SpinningSphere(A, bst(), 300.0),
+                          SpinningSphere(50e-9, mat_b, t_b), R)
+        spectral.clear_cache()
+        calls = self._record(monkeypatch)
+        aux_energy(ctx, 0.7 * w0)
+        assert calls == [rows]
+        spectral.clear_cache()
 
 
 class TestPairContext:
