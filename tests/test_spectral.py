@@ -36,8 +36,8 @@ class TestIntegrateSpectrum:
         assert val.imag == 0.0
 
     def test_subnormal_panels(self):
-        # breakpoints at +/- a subnormal shift (a spin rate of 1e-300 rad/s
-        # in working units) leave panels narrower than the smallest normal
+        # breakpoints at +/- a subnormal shift (a spin rate of about
+        # 1e-300 rad/s) leave panels narrower than the smallest normal
         # float; their error estimates must stay finite
         spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14,
                               breakpoints=(-1e-310, 0.0, 1e-310),
@@ -382,7 +382,8 @@ class TestStackedClosedForm:
         else:
             t_a = 0.0 if case == "cold_a" else data.draw(warm)
             t_b = 0.0 if case == "cold_b" else data.draw(warm)
-        ctx = PairContext(SpinningSphere(A, mat_a, t_a), SpinningSphere(50e-9, mat_b, t_b), R)
+        ctx = PairContext(SpinningSphere(A, mat_a, t_a),
+                          SpinningSphere(50e-9, mat_b, t_b), R)
         ws, sa, sb = ctx._scaled
         shifts = data.draw(st.lists(st.floats(0.0, 9.0), min_size=1, max_size=6))
         values, roundoff = spectral._closed_kinds(ctx, shifts)
@@ -420,10 +421,10 @@ class TestStackedClosedForm:
         spectral.clear_cache()
 
     @pytest.mark.parametrize("mat_b, t_b, rows", [
-        (bst(), 300.0, 1),                            # identical spheres
+        (bst(), 300.0, 1),                            # equal materials and T
         (bst(), 900.0, 2),                            # equal materials, unequal T
         (MaterialModel(8.0, 6.5e9, 4e8), 300.0, 2),   # unequal materials, equal T
-    ], ids=["identical", "unequal_T", "unequal_materials"])
+    ], ids=["equal", "unequal_T", "unequal_materials"])
     def test_rows_per_evaluation(self, monkeypatch, w0, mat_b, t_b, rows):
         # the radii enter only the energy scale, not the rows
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
