@@ -460,19 +460,6 @@ _ROUNDOFF = 10.0 * np.finfo(float).eps
 _KINDS = ("BA", "AB")
 
 
-def _kind_rows(ctx):
-    """The closed-form rows (mat_x, mat_y, T_y) of BA and AB.
-
-    BA integrates alpha_A against eta_B at T_B, and AB alpha_B against
-    eta_A at T_A. Equal scaled materials at equal temperatures make the two
-    the same integral, so that pair has one row.
-    """
-    _, mat_a, mat_b = ctx._scaled
-    ba = (mat_a, mat_b, ctx.sphere_b.temperature)
-    ab = (mat_b, mat_a, ctx.sphere_a.temperature)
-    return (ba,) if ba == ab else (ba, ab)
-
-
 def _closed(rows, omega_scale, shifts):
     """Shift integrals of alpha_X against eta_Y by contour closure.
 
@@ -572,11 +559,17 @@ def _closed(rows, omega_scale, shifts):
 def _closed_kinds(ctx, shifts):
     """Closed-form BA and AB integrals of a context at working-unit shifts.
 
-    Returns (complex values, roundoff), arrays of shape (2, shifts) with
-    rows in ``_KINDS`` order, from one evaluation of :func:`_closed`.
+    BA integrates alpha_A against eta_B at T_B, and AB alpha_B against
+    eta_A at T_A. Equal scaled materials at equal temperatures make the two
+    the same integral, evaluated as one row. Returns (complex values,
+    roundoff), arrays of shape (2, shifts) with rows in ``_KINDS`` order,
+    from one evaluation of :func:`_closed`.
     """
-    rows = _kind_rows(ctx)
-    values, roundoff = _closed(rows, ctx._scaled[0], shifts)
+    ws, mat_a, mat_b = ctx._scaled
+    ba = (mat_a, mat_b, ctx.sphere_b.temperature)
+    ab = (mat_b, mat_a, ctx.sphere_a.temperature)
+    rows = (ba,) if ba == ab else (ba, ab)
+    values, roundoff = _closed(rows, ws, shifts)
     take = [0, len(rows) - 1]
     return values[take], roundoff[take]
 
