@@ -426,12 +426,10 @@ def _digamma(w):
     inv = 1.0 / z
     inv2 = inv * inv
     # both series in one (2, entries) Horner, in place
-    lifted = np.empty((2, inv2.size), dtype=complex)
-    lifted[...] = inv2
-    series = np.empty_like(lifted)
+    series = np.empty((2, inv2.size), dtype=complex)
     series[...] = _STIRLING[0]
     for c in _STIRLING[1:]:
-        np.multiply(series, lifted, out=series)
+        np.multiply(series, inv2, out=series)
         np.add(series, c, out=series)
     psi += np.log(z) - 0.5 * inv - inv2 * series[0]
     tri += inv + 0.5 * inv2 + inv * inv2 * series[1]
