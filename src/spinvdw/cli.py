@@ -66,6 +66,12 @@ class SweepSpec:
     axes: tuple = ()                  # (axis_a, axis_b, rhat) when general
 
     def __post_init__(self):
+        # Python floats, whatever built the rates: rows, shifts and cache
+        # slots then skip numpy scalar arithmetic
+        for name in ("omega_a_grid", "omega_b_grid"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        for name in ("omega_b_value", "omega_b_ratio"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.arrangement not in ("rr", "uu", "ur", "uo", "general"):
             raise ConfigError(f"arrangement: unknown value {self.arrangement!r}")
         if self.omega_b_rule not in ("fixed", "ratio", "grid"):
@@ -174,14 +180,14 @@ def parse_config(source=None):
 
     w0 = resonance_frequency(mat_a)
     if "sweep.omega_a_grid_rad_s" in cfg:
-        grid = tuple(float(v) for v in cfg["sweep.omega_a_grid_rad_s"])
+        grid = cfg["sweep.omega_a_grid_rad_s"]
     else:
         start = _get(cfg, "sweep.omega_a_start_over_omega0", float, 0.0)
         stop = _get(cfg, "sweep.omega_a_stop_over_omega0", float, 4.0)
         count = _get(cfg, "sweep.omega_a_count", int, 200)
         if count < 1:
             raise ConfigError("sweep.omega_a_count: must be >= 1")
-        grid = tuple(np.linspace(start * w0, stop * w0, count))
+        grid = np.linspace(start * w0, stop * w0, count)
 
     axes = ()
     arrangement = _get(cfg, "arrangement", str, "rr")
@@ -200,8 +206,7 @@ def parse_config(source=None):
             omega_b_rule=_get(cfg, "sweep.omega_b_rule", str, "fixed"),
             omega_b_value=_get(cfg, "sweep.omega_b_value_rad_s", float, 0.0),
             omega_b_ratio=_get(cfg, "sweep.omega_b_ratio", float, 0.0),
-            omega_b_grid=tuple(float(v) for v in
-                               cfg.get("sweep.omega_b_grid_rad_s", ())),
+            omega_b_grid=cfg.get("sweep.omega_b_grid_rad_s", ()),
             temperature=temperature,
             radius_a=radius_a, radius_b=radius_b, separation=separation,
             rel_tol=_get(cfg, "quadrature.rel_tol", float, spectral.DEFAULT_REL_TOL),
@@ -371,12 +376,12 @@ def _preset_specs(name):
 
     def fig1(temperature):
         return [SweepSpec(arrangement="rr",
-                          omega_a_grid=tuple(np.linspace(0.0, 4.0 * w0, 200)),
+                          omega_a_grid=np.linspace(0.0, 4.0 * w0, 200),
                           omega_b_rule="fixed", omega_b_value=0.0,
                           temperature=temperature)]
 
     def fig2(ratio):
-        grid = tuple(np.linspace(0.0, 5.0 * w0, 200))
+        grid = np.linspace(0.0, 5.0 * w0, 200)
         return [SweepSpec(arrangement="uu", omega_a_grid=grid,
                           omega_b_rule="ratio", omega_b_ratio=rho,
                           temperature=1500.0)
@@ -411,8 +416,7 @@ def run_preset(name, rel_tol=None, points=None):
     rows, metadata = [], {}
     for spec in specs:
         if points is not None:
-            grid = tuple(np.linspace(spec.omega_a_grid[0],
-                                     spec.omega_a_grid[-1], points))
+            grid = np.linspace(spec.omega_a_grid[0], spec.omega_a_grid[-1], points)
             spec = replace(spec, omega_a_grid=grid)
         if rel_tol is not None:
             spec = replace(spec, rel_tol=rel_tol)
@@ -526,7 +530,10 @@ def build_parser():
         prog="spinvdw",
         description="van der Waals energies and forces between spinning nanospheres")
     parser.add_argument("--config", help="JSON config with flat dotted keys")
-    parser.add_argument("--rel-tol", type=float, help="quadrature relative tolerance")
+    parser.add_argument("--rel-tol", type=float,
+                        help="relative tolerance: a closed-form value whose roundoff "
+                             "estimate exceeds it fails; the quadrature, used outside "
+                             "0 < gamma0 < 2 omega0, refines to it")
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 if any point fails to converge")
     sub = parser.add_subparsers(dest="command", required=True)

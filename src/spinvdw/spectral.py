@@ -486,8 +486,11 @@ def _closed(rows, omega_scale, shifts):
     constants, which every double-precision evaluation shares: at the
     resonant zero crossing of BA the error reaches about 1.4 times it.
     """
+    # the T = 0 rows first, so that log and digamma each take the
+    # arguments of one contiguous run of rows
+    order = sorted(range(len(rows)), key=lambda r: rows[r][2] != 0.0)
     px, a, y, b, cold, theta, xi1, offset = ([] for _ in range(8))
-    for mat_x, mat_y, temperature in rows:
+    for mat_x, mat_y, temperature in (rows[r] for r in order):
         poles_x, rx = _alpha_poles(mat_x)
         (p1, p2), ry = _alpha_poles(mat_y)
         px.append(poles_x)
@@ -503,6 +506,7 @@ def _closed(rows, omega_scale, shifts):
             theta.append(HBAR * omega_scale / (2.0 * K_B * temperature))
             xi1.append(np.pi / theta[-1])
             offset.append(1.0)
+    c = cold.count(True)                                # rows [0, c) are at T = 0
     px, y = np.array(px)[:, None, :], np.array(y)       # (rows, 1, 2), (rows, 4)
     a, b, cold = np.array(a), np.array(b), np.array(cold)
     xi1 = np.array(xi1)[:, None]
@@ -523,25 +527,20 @@ def _closed(rows, omega_scale, shifts):
     mid = wi + 0.5 * h
     near = np.abs(h) < _NEAR * np.abs(mid)
     m, d = mid[near], _GAUSS2 * h[near]
-    args = np.concatenate([wx.ravel(), wy.ravel(), m - d, m + d])
-    if cold.all():
-        f, df = _log(args)
-    elif not cold.any():
-        f, df = _digamma(args)
-    else:
-        # one call each on the entries of the T = 0 rows and of the others
-        row = np.arange(len(rows))
-        on_log = cold[np.concatenate([np.repeat(row, wx[0].size), np.repeat(row, 4),
-                                      np.tile(near.nonzero()[0], 2)])]
-        f, df = np.empty_like(args), np.empty_like(args)
-        f[on_log], df[on_log] = _log(args[on_log])
-        f[~on_log], df[~on_log] = _digamma(args[~on_log])
-    fx = f[:wx.size].reshape(wi.shape)
-    fy = f[wx.size:wx.size + wy.size].reshape(wy.shape)[:, None, None, :]
+    lo, hi = m - d, m + d                               # row by row, as near
+    # one call each of log and digamma, on the arguments of their rows
+    k = np.count_nonzero(near[:c])
+    groups = []
+    if c:
+        groups.append(_values(_log, wx[:c], wy[:c], lo[:k], hi[:k]))
+    if c < len(rows):
+        groups.append(_values(_digamma, wx[c:], wy[c:], lo[k:], hi[k:]))
+    fx, fy, dlo, dhi = groups[0] if len(groups) == 1 else map(np.concatenate, zip(*groups))
+    fx, fy = fx[..., None], fy[:, None, None, :]
     h = np.where(near, 1.0, h)
     dd = (fy - fx) / h
     if m.size:
-        dd[near] = 0.5 * (df[-2 * m.size:-m.size] + df[-m.size:])
+        dd[near] = 0.5 * (dlo + dhi)
     pairs = ab * dd
     total = residues.sum(axis=(2, 3)) + pairs.sum(axis=(2, 3))
     # terms cancel by up to five orders of magnitude (near the resonant zero
@@ -551,7 +550,17 @@ def _closed(rows, omega_scale, shifts):
                          np.abs(ab) * (np.abs(fy) + np.abs(fx)) / np.abs(h))
     roundoff = _ROUNDOFF * (np.abs(residues).sum(axis=(2, 3))
                             + pair_size.sum(axis=(2, 3)))
+    if order != sorted(order):
+        back = np.argsort(order)
+        total, roundoff = total[back], roundoff[back]
     return total, roundoff
+
+
+def _values(fn, wx, wy, lo, hi):
+    """F = fn at wx and wy, and F' at lo and hi, from one call of fn."""
+    f, df = fn(np.concatenate([wx.ravel(), wy.ravel(), lo, hi]))
+    i, j, k = wx.size, wx.size + wy.size, wx.size + wy.size + lo.size
+    return f[:i].reshape(wx.shape), f[i:j].reshape(wy.shape), df[j:k], df[k:]
 
 
 def _closed_kinds(ctx, shifts):
@@ -622,10 +631,14 @@ def shift_integral(ctx, Omega, which, method, rel_tol=None):
 # Sweeps revisit the same few shifts (E(0) on every row, sums and
 # differences of the grid rates), so most lookups hit; a sweep evaluates
 # all of its closed-form shifts up front (prefetch) and its rows only look
-# them up. Single-threaded; nothing is ever evicted. Closed-form entries are
-# (value, roundoff estimate, imaginary residue), checked on every lookup, so
-# a bad shift fails only the lookups that use it; quadrature entries met
-# their rel_tol when computed and store (value, 0, 0).
+# them up. Single-threaded; nothing is ever evicted. Each pair has one
+# table, found once per call under the context's ``_key``, so equal
+# contexts share it (the presets share 420 values). A closed-form entry is
+# keyed by slot and holds the BA and AB (value, roundoff estimate,
+# imaginary residue) of one evaluation, checked on every lookup, so a bad
+# shift fails only the lookups that use it; a quadrature entry is keyed by
+# (kind, slot, rel_tol), met its rel_tol when computed and stores
+# (value, 0, 0).
 _cache = {}
 _stats = {"hits": 0, "misses": 0, "blocks": 0}
 
@@ -644,11 +657,14 @@ def clear_cache():
 def cache_info():
     """Shift-cache counters since the last :func:`clear_cache`.
 
-    ``entries`` cached values, ``hits`` and ``misses`` of the lookups (one
-    per kind and distinct shift), and ``blocks``, the stacked closed-form
-    evaluations of both kinds at up to ``_BLOCK`` shifts each.
+    ``entries`` cached values (a closed-form slot holds two, one per kind),
+    ``hits`` and ``misses`` of the lookups (one per kind and distinct
+    shift), and ``blocks``, the stacked closed-form evaluations of both
+    kinds at up to ``_BLOCK`` shifts each.
     """
-    return dict(entries=len(_cache), **_stats)
+    entries = sum(2 if isinstance(key, int) else 1
+                  for table in _cache.values() for key in table)
+    return dict(entries=entries, **_stats)
 
 
 def _slot(shift):
@@ -656,22 +672,21 @@ def _slot(shift):
     return round(shift / 1e-12)
 
 
-def _fill_closed(ctx, shifts):
-    """Evaluate the uncached closed-form values of ``shifts``, a slot -> shift map.
+def _fill_closed(ctx, table, shifts):
+    """Evaluate the closed-form entries of ``shifts``, a slot -> shift map.
 
-    Both kinds of every missing shift are evaluated together, in blocks of
-    at most ``_BLOCK`` shifts, one :func:`_closed_kinds` call each. Nothing
-    is checked here; lookups check.
+    Both kinds of every shift are evaluated together, in blocks of at most
+    ``_BLOCK`` shifts, one :func:`_closed_kinds` call each, and stored in
+    ``table``. Nothing is checked here; lookups check.
     """
-    missing = [n for n in shifts
-               if any((ctx._key, which, n) not in _cache for which in _KINDS)]
-    for start in range(0, len(missing), _BLOCK):
-        block = missing[start:start + _BLOCK]
+    slots = list(shifts)
+    for start in range(0, len(slots), _BLOCK):
+        block = slots[start:start + _BLOCK]
         values, roundoff = _closed_kinds(ctx, [shifts[n] for n in block])
         _stats["blocks"] += 1
-        for which, row_values, row_roundoff in zip(_KINDS, values, roundoff):
-            for n, v, r in zip(block, row_values, row_roundoff):
-                _cache[(ctx._key, which, n)] = (float(v.real), float(r), float(v.imag))
+        ba, ab = (zip(v.real.tolist(), r.tolist(), v.imag.tolist())
+                  for v, r in zip(values, roundoff))
+        table.update(zip(block, zip(ba, ab)))
 
 
 def prefetch(ctx, terms, rate_pairs):
@@ -687,26 +702,41 @@ def prefetch(ctx, terms, rate_pairs):
     if not ctx.closed_form:
         return
     ws = ctx._scaled[0]
+    table = _cache.setdefault(ctx._key, {})
     shifts = {_slot(0.0): 0.0}
     for omega_a, omega_b in rate_pairs:
         for s, t, _ in terms:
             shift = abs(s * omega_a - t * omega_b) / ws
             shifts.setdefault(_slot(shift), shift)
-    _fill_closed(ctx, shifts)
+    _fill_closed(ctx, table, {n: x for n, x in shifts.items() if n not in table})
+
+
+def _checked(which, entry, rel_tol):
+    """The value of a cache entry, after its residue and roundoff checks."""
+    value, roundoff, imag = entry
+    value = _real(which, value, roundoff, imag)
+    if roundoff > max(DEFAULT_ABS_TOL, rel_tol * abs(value)):
+        raise ConvergenceError(
+            f"energy_{which}: rel_tol {rel_tol:.1e} is below the closed form's "
+            f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
+            value=value, estimate=roundoff)
+    return value
 
 
 def _shift_integrals(ctx, Omegas, rel_tol, kinds=_KINDS):
     """Reduced shift integrals, a list per kind with one value per Omega.
 
     Both integrals are even in Omega, so the cache key uses the slot of
-    |Omega|. Closed-form values do not depend on rel_tol, so their key omits
-    it: the misses of one call are evaluated, both kinds at once, in one
-    blocked pass, and every lookup checks the stored imaginary residue and
-    roundoff estimate, the latter against max(abs_tol, rel_tol |value|).
-    Quadrature values keep rel_tol in the key and met it when computed.
+    |Omega|. Closed-form values do not depend on rel_tol, so their key is
+    the slot alone: the misses of one call are evaluated, both kinds at
+    once, in one blocked pass, and every lookup checks the stored imaginary
+    residue and roundoff estimate, the latter against
+    max(abs_tol, rel_tol |value|). Quadrature values keep rel_tol in the key
+    and met it when computed.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     ws = ctx._scaled[0]
+    table = _cache.setdefault(ctx._key, {})
     shifts = {}                         # the shift evaluated for each slot
     slots = []
     for om in Omegas:
@@ -714,31 +744,25 @@ def _shift_integrals(ctx, Omegas, rel_tol, kinds=_KINDS):
         n = _slot(shift)
         shifts.setdefault(n, shift)
         slots.append(n)
-    rel_key = () if ctx.closed_form else (rel,)
-    missing = [(which, n) for which in kinds for n in shifts
-               if (ctx._key, which, n) + rel_key not in _cache]
-    _stats["misses"] += len(missing)
-    _stats["hits"] += len(kinds) * len(shifts) - len(missing)
-    if missing and ctx.closed_form:
-        _fill_closed(ctx, shifts)
-    elif missing:
-        for which, n in missing:
+    if ctx.closed_form:
+        missing = {n: x for n, x in shifts.items() if n not in table}
+        misses = len(kinds) * len(missing)
+        if missing:
+            _fill_closed(ctx, table, missing)
+        entries = [table[n] for n in slots]
+        rows = [[entry[_KINDS.index(which)] for entry in entries] for which in kinds]
+    else:
+        missing = [(which, n, rel) for which in kinds for n in shifts
+                   if (which, n, rel) not in table]
+        misses = len(missing)
+        for which, n, _ in missing:
             value, _ = _quadrature(ctx, shifts[n], rel, which)
-            _cache[(ctx._key, which, n, rel)] = (float(value), 0.0, 0.0)
-    out = []
-    for which in kinds:
-        row = []
-        for n in slots:
-            value, roundoff, imag = _cache[(ctx._key, which, n) + rel_key]
-            value = _real(which, value, roundoff, imag)
-            if roundoff > max(DEFAULT_ABS_TOL, rel * abs(value)):
-                raise ConvergenceError(
-                    f"energy_{which}: rel_tol {rel:.1e} is below the closed form's "
-                    f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
-                    value=value, estimate=roundoff)
-            row.append(value)
-        out.append(row)
-    return out
+            table[which, n, rel] = (float(value), 0.0, 0.0)
+        rows = [[table[which, n, rel] for n in slots] for which in kinds]
+    _stats["misses"] += misses
+    _stats["hits"] += len(kinds) * len(shifts) - misses
+    return [[_checked(which, entry, rel) for entry in row]
+            for which, row in zip(kinds, rows)]
 
 
 def _to_joules(ctx):

@@ -9,9 +9,9 @@ import pytest
 
 import spinvdw
 from spinvdw import spectral
-from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepSpec, _run_checks, emit,
-                         main, parse_config, read_csv_rows, run_preset, run_sweep,
-                         spec_to_config)
+from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepResult, SweepSpec, _context_for,
+                         _run_checks, emit, main, parse_config, read_csv_rows,
+                         run_preset, run_sweep, spec_to_config)
 from spinvdw.configurations import energy
 from spinvdw.response import resonance_frequency
 
@@ -193,6 +193,21 @@ class TestBlockedSweep:
         assert spectral.cache_info() == {"entries": 0, "hits": 0, "misses": 0,
                                          "blocks": 0}
 
+    def test_equal_contexts_share_entries(self, w0, cold_cache):
+        # a second, distinct but equal context finds every shift in place
+        config = {"arrangement": "uu", "sweep.omega_a_count": 30,
+                  "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.5}
+        spec, ctx = parse_config(config)
+        first = run_sweep(spec, ctx).rows
+        info = spectral.cache_info()
+        assert info["blocks"] > 0
+        _, other = parse_config(config)
+        assert other is not ctx and other == ctx
+        assert run_sweep(spec, other).rows == first
+        again = spectral.cache_info()
+        assert again["blocks"] == info["blocks"] and again["misses"] == 0
+        assert again["entries"] == info["entries"] and again["hits"] > info["hits"]
+
     def test_bad_shift_fails_only_its_rows(self, w0, cold_cache, monkeypatch):
         # rr with Omega_B = 0 needs the shifts Omega_A and 0, so one bad
         # shift belongs to one row; its lookup raises, the sweep goes on
@@ -250,6 +265,52 @@ class TestEmit:
     def test_io_error_carries_path(self):
         with pytest.raises(OSError, match="/nonexistent"):
             emit(self._result(), "csv", "/nonexistent/dir/out.csv")
+
+
+class TestRowFloats:
+    """Rows carry Python floats, whatever built the grid."""
+
+    @staticmethod
+    def _sweeps(source, w0):
+        # (result, the same sweep with its grid given as Python floats)
+        def floats(values):
+            return [float(v) for v in values]
+
+        if source == "preset":
+            result = run_preset("fig2a", points=3)
+            rows = []
+            for rho in (0.5, -0.5):
+                spec = SweepSpec(arrangement="uu", omega_b_rule="ratio",
+                                 omega_b_ratio=rho, temperature=1500.0,
+                                 omega_a_grid=floats(np.linspace(0.0, 5.0 * w0, 3)))
+                rows += run_sweep(spec, _context_for(spec)).rows
+            return result, SweepResult(rows, dict(result.metadata))
+        if source == "library":
+            spec = SweepSpec(arrangement="uo", omega_b_rule="grid",
+                             omega_a_grid=tuple(np.linspace(0.0, 3.0 * w0, 4)),
+                             omega_b_grid=tuple(np.linspace(-w0, w0, 3)))
+            same = SweepSpec(arrangement="uo", omega_b_rule="grid",
+                             omega_a_grid=floats(np.linspace(0.0, 3.0 * w0, 4)),
+                             omega_b_grid=floats(np.linspace(-w0, w0, 3)))
+            return run_sweep(spec, _context_for(spec)), run_sweep(same, _context_for(same))
+        ratio = {"sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.4}
+        grid = np.linspace(0.0, 4.0 * w0, 5)
+        config = ({**ratio, "sweep.omega_a_count": 5} if source == "count"
+                  else {**ratio, "sweep.omega_a_grid_rad_s": list(grid)})
+        same = {**ratio, "sweep.omega_a_grid_rad_s": floats(grid)}
+        return run_sweep(*parse_config(config)), run_sweep(*parse_config(same))
+
+    @pytest.mark.parametrize("source", ["preset", "count", "list", "library"])
+    def test_numeric_columns_are_floats(self, w0, tmp_path, source):
+        result, same = self._sweeps(source, w0)
+        assert result.rows and not any(r["error"] for r in result.rows)
+        for row in result.rows:
+            for column in CSV_COLUMNS[:-1]:
+                assert type(row[column]) is float, (column, type(row[column]))
+        paths = tmp_path / "grid.csv", tmp_path / "floats.csv"
+        emit(result, "csv", str(paths[0]))
+        emit(same, "csv", str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestPresets:

@@ -393,6 +393,20 @@ class TestStackedClosedForm:
             # which changes roundoff only
             assert np.all(np.abs(values[k] - alone) <= roundoff[k]), (k, values[k], alone)
 
+    @pytest.mark.parametrize("count", [1, 5, 64])
+    def test_mixed_temperature_rows_bit_identical(self, count):
+        # one row at T = 0 (log) and one at T > 0 (digamma): each function
+        # sees exactly the arguments of its own row, as in a one-row call
+        ctx = PairContext(SpinningSphere(A, bst(), 0.0),
+                          SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 300.0), R)
+        ws, sa, sb = ctx._scaled
+        shifts = list(np.linspace(0.05, 4.0, count))
+        values, roundoff = spectral._closed_kinds(ctx, shifts)
+        for k, row in enumerate([(sa, sb, 300.0), (sb, sa, 0.0)]):
+            [alone], [alone_roundoff] = spectral._closed([row], ws, shifts)
+            assert np.array_equal(values[k], alone), k
+            assert np.array_equal(roundoff[k], alone_roundoff), k
+
     @staticmethod
     def _record(monkeypatch):
         calls = []
@@ -433,6 +447,55 @@ class TestStackedClosedForm:
         calls = self._record(monkeypatch)
         aux_energy(ctx, 0.7 * w0)
         assert calls == [rows]
+        spectral.clear_cache()
+
+
+class TestShiftCache:
+    """One table per pair: equal contexts share it, clear_cache drops it."""
+
+    def test_clear_cache_drops_corrupted_entries(self, monkeypatch, w0):
+        def context():
+            return PairContext(SpinningSphere(A, bst(), 300.0),
+                               SpinningSphere(50e-9, bst(), 900.0), R)
+
+        spectral.clear_cache()
+        good = aux_energy(context(), 0.7 * w0)
+        spectral.clear_cache()
+        inner = spectral._closed
+
+        def corrupt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value + 1j, roundoff
+
+        monkeypatch.setattr(spectral, "_closed", corrupt)
+        with pytest.raises(ArithmeticError):
+            aux_energy(context(), 0.7 * w0)
+        monkeypatch.undo()
+        # an equal context looks up the same corrupted entry
+        with pytest.raises(ArithmeticError):
+            aux_energy(context(), 0.7 * w0)
+        spectral.clear_cache()
+        assert spectral.cache_info() == {"entries": 0, "hits": 0, "misses": 0,
+                                         "blocks": 0}
+        assert aux_energy(context(), 0.7 * w0) == good
+        spectral.clear_cache()
+
+    def test_quadrature_values_keyed_by_rel_tol(self, w0):
+        # gamma0 = 2.5 w0: quadrature values met the tolerance they were
+        # computed at, so another tolerance is another entry
+        ctx = PairContext(SpinningSphere(A, MaterialModel(12.2, 5.7e9, 2.5 * w0), 300.0),
+                          SpinningSphere(A, bst(), 300.0), R)
+        assert not ctx.closed_form
+        spectral.clear_cache()
+        loose = energy_BA(ctx, 0.7 * w0, rel_tol=1e-4)
+        tight = energy_BA(ctx, 0.7 * w0, rel_tol=1e-8)
+        assert loose != tight
+        assert spectral.cache_info() == {"entries": 2, "hits": 0, "misses": 2,
+                                         "blocks": 0}
+        assert energy_BA(ctx, 0.7 * w0, rel_tol=1e-4) == loose
+        assert energy_BA(ctx, 0.7 * w0, rel_tol=1e-8) == tight
+        assert spectral.cache_info() == {"entries": 2, "hits": 2, "misses": 2,
+                                         "blocks": 0}
         spectral.clear_cache()
 
 
