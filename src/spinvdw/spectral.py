@@ -529,7 +529,7 @@ def _closed(rows, omega_scale, shifts):
     m, d = mid[near], _GAUSS2 * h[near]
     lo, hi = m - d, m + d                               # row by row, as near
     # one call each of log and digamma, on the arguments of their rows
-    k = np.count_nonzero(near[:c])
+    k = np.count_nonzero(near[:c]) if c else 0
     groups = []
     if c:
         groups.append(_values(_log, wx[:c], wy[:c], lo[:k], hi[:k]))
@@ -711,18 +711,6 @@ def prefetch(ctx, terms, rate_pairs):
     _fill_closed(ctx, table, {n: x for n, x in shifts.items() if n not in table})
 
 
-def _checked(which, entry, rel_tol):
-    """The value of a cache entry, after its residue and roundoff checks."""
-    value, roundoff, imag = entry
-    value = _real(which, value, roundoff, imag)
-    if roundoff > max(DEFAULT_ABS_TOL, rel_tol * abs(value)):
-        raise ConvergenceError(
-            f"energy_{which}: rel_tol {rel_tol:.1e} is below the closed form's "
-            f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
-            value=value, estimate=roundoff)
-    return value
-
-
 def _shift_integrals(ctx, Omegas, rel_tol, kinds=_KINDS):
     """Reduced shift integrals, a list per kind with one value per Omega.
 
@@ -744,13 +732,12 @@ def _shift_integrals(ctx, Omegas, rel_tol, kinds=_KINDS):
         n = _slot(shift)
         shifts.setdefault(n, shift)
         slots.append(n)
-    if ctx.closed_form:
+    closed = ctx.closed_form
+    if closed:
         missing = {n: x for n, x in shifts.items() if n not in table}
         misses = len(kinds) * len(missing)
         if missing:
             _fill_closed(ctx, table, missing)
-        entries = [table[n] for n in slots]
-        rows = [[entry[_KINDS.index(which)] for entry in entries] for which in kinds]
     else:
         missing = [(which, n, rel) for which in kinds for n in shifts
                    if (which, n, rel) not in table]
@@ -758,11 +745,23 @@ def _shift_integrals(ctx, Omegas, rel_tol, kinds=_KINDS):
         for which, n, _ in missing:
             value, _ = _quadrature(ctx, shifts[n], rel, which)
             table[which, n, rel] = (float(value), 0.0, 0.0)
-        rows = [[table[which, n, rel] for n in slots] for which in kinds]
     _stats["misses"] += misses
     _stats["hits"] += len(kinds) * len(shifts) - misses
-    return [[_checked(which, entry, rel) for entry in row]
-            for which, row in zip(kinds, rows)]
+    out = []
+    for which in kinds:
+        k = _KINDS.index(which)
+        row = []
+        for n in slots:
+            value, roundoff, imag = table[n][k] if closed else table[which, n, rel]
+            value = _real(which, value, roundoff, imag)
+            if roundoff > max(DEFAULT_ABS_TOL, rel * abs(value)):
+                raise ConvergenceError(
+                    f"energy_{which}: rel_tol {rel:.1e} is below the closed form's "
+                    f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
+                    value=value, estimate=roundoff)
+            row.append(value)
+        out.append(row)
+    return out
 
 
 def _to_joules(ctx):
