@@ -69,7 +69,13 @@ class SweepSpec:
         # Python floats, whatever built the rates: rows, shifts and cache
         # slots then skip numpy scalar arithmetic
         for name in ("omega_a_grid", "omega_b_grid"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            try:
+                vals = tuple(float(v) for v in getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+            if any(not math.isfinite(v) for v in vals):
+                raise ConfigError(f"{name}: non-finite value")
+            object.__setattr__(self, name, vals)
         for name in ("omega_b_value", "omega_b_ratio"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.arrangement not in ("rr", "uu", "ur", "uo", "general"):
@@ -83,10 +89,6 @@ class SweepSpec:
             raise ConfigError("sweep.omega_b_grid_rad_s: empty grid")
         if not self.omega_a_grid:
             raise ConfigError("sweep.omega_a grid: empty grid")
-        for name in ("omega_a_grid", "omega_b_grid"):
-            vals = getattr(self, name)
-            if any(not math.isfinite(v) for v in vals):
-                raise ConfigError(f"{name}: non-finite value")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"output.format: must be csv or json, got {self.out_format!r}")
 

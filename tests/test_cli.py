@@ -53,6 +53,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="temperature_K"):
             parse_config({"temperature_K": "warm"})
 
+    def test_non_numeric_rate_names_grid(self):
+        with pytest.raises(ConfigError, match="omega_a_grid"):
+            parse_config({"sweep.omega_a_grid_rad_s": [1.0e10, "fast"]})
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json")
