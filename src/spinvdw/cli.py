@@ -503,8 +503,10 @@ def _run_checks(rel_tol=1e-7):
     record("general_rotation_invariance", dev < 1e-12, f"dev={dev:.2e}")
 
     # the contour closure the energies use against the quadrature, with
-    # the closure's roundoff estimate; both relative to the BA/AB values
-    for temperature, shift in ((300.0, 1.3), (0.0, 2.05)):
+    # the closure's roundoff estimate; both relative to the BA/AB values.
+    # 300 K sums the Matsubara series, 0.05 K (|z| up to 0.72) takes the
+    # digamma route and 0 K the logarithms
+    for temperature, shift in ((300.0, 1.3), (0.05, 1.3), (0.0, 2.05)):
         pair = _context_for(replace(spec, temperature=temperature))
         dev = roundoff = 0.0
         for which in ("BA", "AB"):

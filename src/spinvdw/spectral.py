@@ -9,10 +9,13 @@ with (X, Y) = (A, B) for the "BA" integral and (B, A) for "AB", where
 eta = 2 coth(theta u) Im alpha is the Hadamard spectrum at the temperature
 of Y. On the production path they are evaluated exactly by closing the
 contour in the upper half plane: the residues at the two upper poles of
-eta plus the Matsubara sum over the poles of coth, which sums in closed
-form to digamma functions (logarithms at T = 0). One evaluation stacks
+eta plus the Matsubara sum over the poles of coth. One evaluation stacks
 both integrals of a pair as rows, at a block of shifts; identical spheres
 (equal materials at equal temperatures) make the two integrals one row.
+The Matsubara sum of a row takes one of three closed forms: logarithms at
+T = 0; at T > 0, a power series with zeta-function coefficients when every
+Matsubara argument z = i x/xi1 has |z| <= 1/4 (GHz resonances at kelvin
+temperatures and above); otherwise digamma functions.
 The result carries a roundoff estimate; a tolerance below it raises
 :class:`ConvergenceError` at once. The closed form needs two distinct
 poles off the imaginary axis, 0 < gamma0 < 2 w0 for both materials;
@@ -452,7 +455,42 @@ def _log(w):
 
 _NEAR = 2e-3                    # |w_j - w_i| < _NEAR |w|: nearly coincident
 _GAUSS2 = 0.5 / math.sqrt(3.0)  # two-point Gauss-Legendre nodes, half-spacing
-_ROUNDOFF = 10.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_ROUNDOFF = 10.0 * _EPS
+
+
+def _zeta_table(count, n=10):
+    """zeta(2), ..., zeta(count + 1) in plain floats.
+
+    Euler-Maclaurin: the first n - 1 terms summed, the rest as
+    n^(1-s)/(s-1) + n^-s/2 plus the corrections through B_16, whose
+    remainder is below 1e-17 for every s >= 2 at n = 10.
+    """
+    table = []
+    for s in range(2, count + 2):
+        terms = [k ** -s for k in range(1, n)]
+        terms += [n ** (1 - s) / (s - 1), 0.5 * n ** -s]
+        rising, factorial = s, 2                # (s)_(2k-1) and (2k)!
+        for k, bernoulli in enumerate(_BERNOULLI.tolist(), 1):
+            terms.append(bernoulli / factorial * rising * n ** (1 - s - 2 * k))
+            rising *= (s + 2 * k - 1) * (s + 2 * k)
+            factorial *= (2 * k + 1) * (2 * k + 2)
+        table.append(math.fsum(terms))
+    return table
+
+
+def _series_terms(rho):
+    """Moments per pole of a zeta series whose arguments have |z| <= rho."""
+    return math.ceil(math.log(_EPS) / math.log(rho)) + 1
+
+
+# Warm rows whose Matsubara arguments all satisfy |z| <= _RHO sum their pairs
+# as a power series
+_RHO = 0.25
+_TERMS = _series_terms(_RHO)
+_ZETA = np.array(_zeta_table(2 * _TERMS - 1))          # zeta(2) ... zeta(2 _TERMS)
+_HANKEL = _ZETA[np.add.outer(np.arange(_TERMS), np.arange(_TERMS))]
+_POWERS = np.arange(_TERMS)
 
 # The kinds in the row order of the closed form's results
 _KINDS = ("BA", "AB")
@@ -472,56 +510,91 @@ def _closed(rows, omega_scale, shifts):
         J = 2 pi sum_k coth(theta q_k) S(q_k) r_k^Y
             - (2/xi1) sum_ij a_i b_j [F(w_j) - F(w_i)]/(w_j - w_i),
 
-    with theta = hbar w_s/2kT, xi1 = pi/theta, w = 1 + i x/xi1 and
+    with theta = hbar w_s/2kT, xi1 = pi/theta, w = 1 + z, z = i x/xi1 and
     F = digamma. At T = 0, coth -> sgn Re q, xi1 -> 1, w = i x and F = log.
-    Nearly coincident w_i, w_j (equal dampings of X and Y, or high T) take
-    the divided difference as two-point Gauss-Legendre quadrature of F'
-    over the segment, which cancels nothing. Everything that does not
-    depend on the shift is built once per call, and all F values of all
-    rows come from one call of each of log and digamma.
+    The residues of all rows come from one pass. The pair sum of a row
+    takes one of three routes, chosen before evaluating from its largest
+    |z|, rho = (max|p_X| + the largest shift, |p_Y|)/xi1:
+
+    - T = 0 rows take F = log;
+    - warm rows with rho > _RHO take F = digamma. In these two routes,
+      nearly coincident w_i, w_j (equal dampings of X and Y) take the divided difference as two-point Gauss-Legendre quadrature
+      of F' over the segment, which cancels nothing, and the F values of
+      all their rows come from one call of each of log and digamma;
+    - warm rows with rho <= _RHO expand psi(1 + z) = -gamma +
+      sum_k (-1)^(k+1) zeta(k+1) z^k (Abramowitz & Stegun 6.3.14), so the
+      pair sum is sum_mn (-1)^(m+n) zeta(m+n+2) A_m B_n over the moments
+      A_m = sum_i a_i z_i^m of each shift and B_n = sum_j b_j z_j^n of the
+      row, for m, n < K = ceil(log eps/log rho) + 1 with the largest rho
+      of these rows. The terms left out sum to less than
+      eps zeta(2) sum|a| sum|b|, a tenth of the roundoff estimate below,
+      and no digamma is evaluated.
 
     Returns complex J and its roundoff estimate 10 eps sum|terms|, arrays
-    of shape (rows, shifts); Im J vanishes up to roundoff. The estimate
+    of shape (rows, shifts); Im J vanishes up to roundoff. A series counts
+    sum_mn zeta(m+n+2) with the moments of |a|, |b| and |z|. The estimate
     leaves out the conditioning of J in the shift and the material
     constants, which every double-precision evaluation shares: at the
     resonant zero crossing of BA the error reaches about 1.4 times it.
     """
-    # the T = 0 rows first, so that log and digamma each take the
-    # arguments of one contiguous run of rows
-    order = sorted(range(len(rows)), key=lambda r: rows[r][2] != 0.0)
-    px, a, y, b, cold, theta, xi1, offset = ([] for _ in range(8))
-    for mat_x, mat_y, temperature in (rows[r] for r in order):
+    reach = max(map(abs, shifts))
+    built = []
+    for mat_x, mat_y, temperature in rows:
         poles_x, rx = _alpha_poles(mat_x)
         (p1, p2), ry = _alpha_poles(mat_y)
-        px.append(poles_x)
-        a.append(rx + rx)
-        y.append((p1, p2, -p1, -p2))
-        b.append(ry + ry)
-        cold.append(temperature == 0.0)
-        if cold[-1]:
-            theta.append(1.0)           # unused: coth -> sgn Re q
-            xi1.append(1.0)
-            offset.append(0.0)
+        if temperature == 0.0:
+            route, theta, xi1, rho = 0, 1.0, 1.0, 0.0       # theta unused: coth -> sgn Re q
         else:
-            theta.append(HBAR * omega_scale / (2.0 * K_B * temperature))
-            xi1.append(np.pi / theta[-1])
-            offset.append(1.0)
-    c = cold.count(True)                                # rows [0, c) are at T = 0
+            theta = HBAR * omega_scale / (2.0 * K_B * temperature)
+            xi1 = np.pi / theta
+            rho = max(abs(poles_x[0]) + reach, abs(p1)) / xi1   # the largest |z|
+            route = 1 if rho > _RHO else 2
+        built.append((route, poles_x, rx + rx, (p1, p2, -p1, -p2), ry + ry,
+                      theta, xi1, rho))
+    # rows by route: T = 0, digamma, series; log and digamma each take the
+    # arguments of one contiguous run of rows
+    order = sorted(range(len(rows)), key=lambda r: built[r][0])
+    route, px, a, y, b, theta, xi1, rho = zip(*(built[r] for r in order))
+    c = route.count(0)                                  # rows [0, c) are at T = 0
+    d = c + route.count(1)                              # rows [d, rows) sum a series
     px, y = np.array(px)[:, None, :], np.array(y)       # (rows, 1, 2), (rows, 4)
-    a, b, cold = np.array(a), np.array(b), np.array(cold)
+    a, b = np.array(a), np.array(b)
     xi1 = np.array(xi1)[:, None]
-    offset = np.array(offset)[:, None]
     q = y[:, 2:]                                        # -p_k^Y, (rows, 2)
-    coth = np.where(cold[:, None], np.sign(q.real),
-                    1.0 / np.tanh(np.array(theta)[:, None] * q))
+    coth = 1.0 / np.tanh(np.array(theta)[:, None] * q)
+    if c:
+        coth[:c] = np.sign(q[:c].real)
     weight = (2.0 * np.pi * coth * b[:, :2])[:, :, None] * a[:, None, :]
-    wy = offset + 1j * y / xi1
-    ab = ((-2.0 / xi1[:, :, None]) * a[:, :, None] * b[:, None, :])[:, None]
 
     s = np.asarray(shifts, dtype=float)[:, None]
     x = np.concatenate([px - s, px + s], axis=2)        # (rows, shifts, 4)
-    wx = offset[:, :, None] + 1j * x / xi1[:, :, None]
     residues = weight[:, None] / (q[:, None, :, None] - x[:, :, None, :])
+    parts = []
+    if d:
+        parts.append(_divided(x[:d], y[:d], a[:d], b[:d], xi1[:d], c))
+    if d < len(rows):
+        parts.append(_series(x[d:], y[d:], a[d:], b[d:], xi1[d:], max(rho[d:])))
+    pairs, pair_size = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    total = residues.sum(axis=(2, 3)) + pairs
+    roundoff = _ROUNDOFF * (np.abs(residues).sum(axis=(2, 3)) + pair_size)
+    if order != sorted(order):
+        back = np.argsort(order)
+        total, roundoff = total[back], roundoff[back]
+    return total, roundoff
+
+
+def _divided(x, y, a, b, xi1, c):
+    """Pair sums of rows that take F directly: (sum, sum of term sizes).
+
+    Rows [0, c) are at T = 0 (F = log, w = z), the rest warm (F = digamma,
+    w = 1 + z).
+    """
+    wy = 1j * y / xi1
+    ab = ((-2.0 / xi1[:, :, None]) * a[:, :, None] * b[:, None, :])[:, None]
+    wx = 1j * x / xi1[:, :, None]
+    if c < len(x):
+        wy[c:] += 1.0
+        wx[c:] += 1.0
     wi = wx[..., None]
     h = wy[:, None, None, :] - wi                       # (rows, shifts, 4, 4)
     mid = wi + 0.5 * h
@@ -533,7 +606,7 @@ def _closed(rows, omega_scale, shifts):
     groups = []
     if c:
         groups.append(_values(_log, wx[:c], wy[:c], lo[:k], hi[:k]))
-    if c < len(rows):
+    if c < len(x):
         groups.append(_values(_digamma, wx[c:], wy[c:], lo[k:], hi[k:]))
     fx, fy, dlo, dhi = groups[0] if len(groups) == 1 else map(np.concatenate, zip(*groups))
     fx, fy = fx[..., None], fy[:, None, None, :]
@@ -542,18 +615,33 @@ def _closed(rows, omega_scale, shifts):
     if m.size:
         dd[near] = 0.5 * (dlo + dhi)
     pairs = ab * dd
-    total = residues.sum(axis=(2, 3)) + pairs.sum(axis=(2, 3))
     # terms cancel by up to five orders of magnitude (near the resonant zero
     # crossing of BA, and as gamma -> 0); a digamma difference counts with
     # both of its values
     pair_size = np.where(near, np.abs(pairs),
                          np.abs(ab) * (np.abs(fy) + np.abs(fx)) / np.abs(h))
-    roundoff = _ROUNDOFF * (np.abs(residues).sum(axis=(2, 3))
-                            + pair_size.sum(axis=(2, 3)))
-    if order != sorted(order):
-        back = np.argsort(order)
-        total, roundoff = total[back], roundoff[back]
-    return total, roundoff
+    return pairs.sum(axis=(2, 3)), pair_size.sum(axis=(2, 3))
+
+
+def _series(x, y, a, b, xi1, rho):
+    """Pair sums of warm rows with every |z| <= rho <= _RHO, as a zeta series.
+
+    With t = -z the signs (-1)^(m+n) go into the moments:
+    sum_mn zeta(m+n+2) sum_i a_i t_i^m sum_j b_j t_j^n. Returns the sum
+    times -2/xi1 and the same sum over |a|, |b| and |t|.
+    """
+    terms = _series_terms(rho)
+    hankel, powers = _HANKEL[:terms, :terms], _POWERS[:terms]
+    b = b * (-2.0 / xi1)
+    tx = (x * (-1j / xi1[:, :, None]))[..., None] ** powers    # (rows, shifts, 4, terms)
+    ty = (y * (-1j / xi1))[..., None] ** powers                # (rows, 4, terms)
+    moments_y = (b[:, None, :] @ ty) @ hankel                  # (rows, 1, terms)
+    sizes_y = (np.abs(b[:, None, :]) @ np.abs(ty)) @ hankel
+    moments_x = a[:, None, None, :] @ tx                       # (rows, shifts, 1, terms)
+    sizes_x = np.abs(a[:, None, None, :]) @ np.abs(tx)
+    pairs = moments_x @ moments_y[..., None]
+    pair_size = sizes_x @ sizes_y[..., None]
+    return pairs[..., 0, 0], pair_size[..., 0, 0]
 
 
 def _values(fn, wx, wy, lo, hi):
@@ -643,9 +731,11 @@ _cache = {}
 _stats = {"hits": 0, "misses": 0, "blocks": 0}
 
 # Shifts per closed-form evaluation. It bounds the transient arrays of
-# _closed and _digamma, which hold a block of one or two kind rows (about
-# 13 kB per shift and row at T > 0) and which a sweep evaluated in one
-# piece would hold for hundreds of shifts at once.
+# _closed, which a sweep evaluated in one piece would hold for hundreds of
+# shifts at once. At 64 shifts their traced peak is about 1.5 kB per shift
+# and row for series rows, 2.1 kB for T = 0 rows and 3 kB for digamma rows
+# (BST at 0.05-0.3 K); a digamma row whose 16 pole pairs are all near, as
+# every |z| << 1 makes them, takes 14 kB for their Gauss nodes.
 _BLOCK = 64
 
 

@@ -14,14 +14,19 @@ the four canonical arrangements, as expected values.
 ``quadrature_shift_integral`` evaluates one reduced shift integral by the
 adaptive Gauss-Kronrod quadrature, directly from the material kernels, as
 the reference for the contour closure of :mod:`spinvdw.spectral`.
+
+``closure_reference`` evaluates the contour closure itself at 30 digits,
+its Matsubara pair sum through ``mpmath.psi``, as the reference for the
+double-precision routes (series and digamma) that sum it.
 """
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
 from spinvdw import rotation, spectral
-from spinvdw.response import _alpha_reduced
+from spinvdw.response import HBAR, K_B, _alpha_reduced
 from spinvdw.rotation import rotation_matrix_to_axis
 
 
@@ -115,3 +120,51 @@ def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10, abs_tol=None):
     value = spectral.integrate_spectrum(integrand, spec)
     assert abs(value.imag) <= 1e-6 * abs(value.real) + spec.abs_tol, value
     return value.real
+
+
+def closure_reference(row, omega_scale, shift, dps=30):
+    """The two parts of one warm closed-form row's shift integral, at ``dps`` digits.
+
+    ``row`` is (mat_x, mat_y, T_y) in working units, T_y > 0, as in
+    :func:`spinvdw.spectral._closed`. With the poles x_i (coefficients a_i)
+    of alpha_X(u + s) + alpha_X(u - s), the poles y_j (b_j) of
+    alpha_Y(u) - alpha_Y(-u) and the upper poles q_k = -p_k of eta_Y:
+
+        J = 2 pi sum_k coth(theta q_k) r_k^Y sum_i a_i/(q_k - x_i)
+            - (2/xi1) sum_ij a_i b_j [psi(1 + z_j) - psi(1 + z_i)]/(z_j - z_i)
+
+    with theta = hbar w_s/2kT, xi1 = pi/theta and z = i x/xi1; a pair with
+    z_i = z_j takes psi'(1 + z_i). Returns the residue sum and the
+    Matsubara pair sum, complex numbers whose sum is J.
+    """
+    mat_x, mat_y, temperature = row
+    with mpmath.workdps(dps):
+        def poles(mat):
+            wt, gamma = mpmath.mpf(mat.omega_tilde0), mpmath.mpf(mat.gamma0)
+            w0sq = wt**2 * (1 + mpmath.mpf(mat.f0) / 3)
+            wp = mpmath.sqrt(w0sq - gamma**2 / 4)
+            r = mpmath.mpf(mat.f0) * wt**2 / (6 * wp)
+            return [wp - 0.5j * gamma, -wp - 0.5j * gamma], [-r, r]
+
+        (p1, p2), ry = poles(mat_y)
+        px, rx = poles(mat_x)
+        s = mpmath.mpf(shift)
+        x, a = [p - s for p in px] + [p + s for p in px], rx + rx
+        y, b = [p1, p2, -p1, -p2], ry + ry
+        theta = mpmath.mpf(HBAR) * mpmath.mpf(omega_scale) / (2 * mpmath.mpf(K_B)
+                                                              * mpmath.mpf(temperature))
+        xi1 = mpmath.pi / theta
+        residues = pairs = mpmath.mpc(0)
+        for q, r in zip((-p1, -p2), ry):
+            residues += 2 * mpmath.pi * mpmath.coth(theta * q) * r * sum(
+                ai / (q - xi) for ai, xi in zip(a, x))
+        zx = [1j * v / xi1 for v in x]
+        zy = [1j * v / xi1 for v in y]
+        for ai, zi in zip(a, zx):
+            for bj, zj in zip(b, zy):
+                if zi == zj:
+                    dd = mpmath.psi(1, 1 + zi)
+                else:
+                    dd = (mpmath.psi(0, 1 + zj) - mpmath.psi(0, 1 + zi)) / (zj - zi)
+                pairs -= 2 / xi1 * ai * bj * dd
+        return complex(residues), complex(pairs)

@@ -375,6 +375,7 @@ class TestMainExitCodes:
         assert "FAIL" not in out and "PASS" in out
         assert "general_rotation_invariance" in out
         assert "closed_form_vs_quadrature_300K" in out
+        assert "closed_form_vs_quadrature_0.05K" in out
         assert "closed_form_vs_quadrature_0K" in out
 
     def test_check_exchange_row_swaps_distinct_contexts(self, monkeypatch):

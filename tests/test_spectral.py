@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import quadrature_shift_integral, tensor_energy
+from reference import closure_reference, quadrature_shift_integral, tensor_energy
 from spinvdw import oracle, spectral
 from spinvdw.configurations import Arrangement, delta_force, energy, rest_energy
-from spinvdw.response import (EPS0, MaterialModel, SpinningSphere, bst,
+from spinvdw.response import (EPS0, HBAR, K_B, MaterialModel, SpinningSphere, bst,
                               polarizability, resonance_frequency)
 from spinvdw.spectral import (ConvergenceError, PairContext, QuadratureSpec,
                               aux_energy, energy_AB, energy_BA,
@@ -23,6 +23,19 @@ approx = functools.partial(pytest.approx, abs=0.0)
 
 A = 60e-9
 R = 180e-9
+
+
+def _record(monkeypatch, name="_closed"):
+    """Wrap ``spectral.<name>``; returns a list of its first arguments' lengths."""
+    calls = []
+    inner = getattr(spectral, name)
+
+    def recording(first, *args):
+        calls.append(len(first))
+        return inner(first, *args)
+
+    monkeypatch.setattr(spectral, name, recording)
+    return calls
 
 
 class TestIntegrateSpectrum:
@@ -407,18 +420,6 @@ class TestStackedClosedForm:
             assert np.array_equal(values[k], alone), k
             assert np.array_equal(roundoff[k], alone_roundoff), k
 
-    @staticmethod
-    def _record(monkeypatch):
-        calls = []
-        inner = spectral._closed
-
-        def recording(rows, omega_scale, shifts):
-            calls.append(len(rows))
-            return inner(rows, omega_scale, shifts)
-
-        monkeypatch.setattr(spectral, "_closed", recording)
-        return calls
-
     @pytest.mark.parametrize("cold_call", [
         lambda ctx, w0: delta_force(ctx, Arrangement("uo"), 1.3 * w0, -0.4 * w0),
         lambda ctx, w0: aux_energy(ctx, 0.7 * w0),
@@ -429,7 +430,7 @@ class TestStackedClosedForm:
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 0.0), R)
         spectral.clear_cache()
-        calls = self._record(monkeypatch)
+        calls = _record(monkeypatch)
         cold_call(ctx, w0)
         assert calls == [2]
         spectral.clear_cache()
@@ -444,10 +445,111 @@ class TestStackedClosedForm:
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(50e-9, mat_b, t_b), R)
         spectral.clear_cache()
-        calls = self._record(monkeypatch)
+        calls = _record(monkeypatch)
         aux_energy(ctx, 0.7 * w0)
         assert calls == [rows]
         spectral.clear_cache()
+
+
+SHIFTS = (0.0, 0.5, 1.3, 3.1)     # working units
+
+
+def _temperature_at(rho, mat_x, mat_y, omega_scale, shifts=SHIFTS):
+    """T_Y at which the largest Matsubara argument |z| of a row is rho."""
+    (p_x, _), _ = spectral._alpha_poles(mat_x)
+    (p_y, _), _ = spectral._alpha_poles(mat_y)
+    reach = max(abs(p_x) + max(shifts), abs(p_y))
+    return reach / rho * HBAR * omega_scale / (2.0 * math.pi * K_B)
+
+
+class TestMatsubaraRoutes:
+    """Series, digamma and log routes of the pair sum, against mpmath."""
+
+    def test_zeta_table_matches_mpmath(self):
+        # the largest series, at |z| = _RHO, reaches the last entry
+        assert spectral._HANKEL[-1, -1] == spectral._ZETA[-1]
+        for k, value in enumerate(spectral._ZETA):
+            want = mpmath.zeta(k + 2)
+            assert abs(value - want) <= 1e-15 * want, (k + 2, value, want)
+
+    @pytest.mark.parametrize("rho, route", [
+        (1e-4, "series"), (0.1, "series"), (0.249, "series"),
+        (0.26, "digamma"), (0.7, "digamma")])
+    @pytest.mark.parametrize("pair", ["identical", "unequal"])
+    def test_matches_mpmath_closure(self, monkeypatch, pair, rho, route):
+        # each row at its own temperature with largest |z| = rho, at several
+        # shifts including 0 (where identical spheres make poles coincide);
+        # J within its roundoff estimate, and a series' pair sum within the
+        # estimate of its own terms, which would show a series cut short
+        mat_b = bst() if pair == "identical" else MaterialModel(8.0, 6.5e9, 4e8)
+        probe = PairContext(SpinningSphere(A, bst(), 1.0),
+                            SpinningSphere(50e-9, mat_b, 1.0), R)
+        ws, sa, sb = probe._scaled
+        t_b, t_a = _temperature_at(rho, sa, sb, ws), _temperature_at(rho, sb, sa, ws)
+        if pair == "identical":
+            assert t_a == t_b
+        ctx = PairContext(SpinningSphere(A, bst(), t_a),
+                          SpinningSphere(50e-9, mat_b, t_b), R)
+        digamma = _record(monkeypatch, "_digamma")
+        series = []
+        inner = spectral._series
+        monkeypatch.setattr(spectral, "_series",
+                            lambda *args: series.append(inner(*args)) or series[-1])
+        values, roundoff = spectral._closed_kinds(ctx, list(SHIFTS))
+        assert len(digamma) == (route == "digamma")
+        assert len(series) == (route == "series")
+        for k, row in enumerate([(sa, sb, t_b), (sb, sa, t_a)]):
+            for n, shift in enumerate(SHIFTS):
+                residues, pairs = closure_reference(row, ws, shift)
+                assert abs(values[k, n] - (residues + pairs)) <= roundoff[k, n], (k, shift)
+                if series:
+                    [(got, size)] = series
+                    r = min(k, len(got) - 1)    # identical spheres: one row
+                    assert abs(got[r, n] - pairs) <= spectral._ROUNDOFF * size[r, n], (k, shift)
+
+    def test_warm_sweep_sums_series(self, monkeypatch, w0):
+        # the presets' BST pair at 300 K: |z| stays below 1e-3, so neither
+        # the blocked pass nor the rows evaluate a digamma
+        ctx = PairContext(SpinningSphere(A, bst(), 300.0),
+                          SpinningSphere(A, bst(), 300.0), R)
+        arrangement = Arrangement("uu")
+        rates = [(om * w0, -0.5 * om * w0) for om in np.linspace(0.0, 5.0, 20)]
+        spectral.clear_cache()
+        closed, digamma = _record(monkeypatch), _record(monkeypatch, "_digamma")
+        spectral.prefetch(ctx, arrangement._terms, rates)
+        for oa, ob in rates:
+            energy(ctx, arrangement, oa, ob)
+        assert closed == [1] and digamma == []
+        assert spectral.cache_info()["misses"] == 0
+        spectral.clear_cache()
+
+    def test_sub_kelvin_context_calls_digamma(self, monkeypatch, w0):
+        # BST at 0.05 K: |z| reaches 0.72 at 1.3 w0
+        ctx = PairContext(SpinningSphere(A, bst(), 0.05),
+                          SpinningSphere(A, bst(), 0.05), R)
+        spectral.clear_cache()
+        closed, digamma = _record(monkeypatch), _record(monkeypatch, "_digamma")
+        aux_energy(ctx, 1.3 * w0)
+        assert closed == [1] and len(digamma) == 1
+        spectral.clear_cache()
+
+    def test_three_routes_in_one_block(self, monkeypatch):
+        # a T = 0 row, a series row and a digamma row stay one evaluation,
+        # with one call each of log and digamma, and each row matches its
+        # one-row evaluation
+        other = MaterialModel(8.0, 6.5e9, 4e8)
+        ctx = PairContext(SpinningSphere(A, bst(), 1.0),
+                          SpinningSphere(50e-9, other, 1.0), R)
+        ws, sa, sb = ctx._scaled
+        rows = [(sb, sa, _temperature_at(0.7, sb, sa, ws)), (sa, sb, 0.0),
+                (sa, sb, _temperature_at(0.1, sa, sb, ws))]
+        closed = _record(monkeypatch)
+        log, digamma = _record(monkeypatch, "_log"), _record(monkeypatch, "_digamma")
+        values, roundoff = spectral._closed(rows, ws, list(SHIFTS))
+        assert closed == [3] and len(log) == 1 and len(digamma) == 1
+        for k, row in enumerate(rows):
+            [alone], _ = spectral._closed([row], ws, list(SHIFTS))
+            assert np.all(np.abs(values[k] - alone) <= roundoff[k]), (k, values[k], alone)
 
 
 class TestShiftCache:
