@@ -478,9 +478,9 @@ class TestMatsubaraRoutes:
     @pytest.mark.parametrize("pair", ["identical", "unequal"])
     def test_matches_mpmath_closure(self, monkeypatch, pair, rho, route):
         # each row at its own temperature with largest |z| = rho, at several
-        # shifts including 0 (where identical spheres make poles coincide);
-        # J within its roundoff estimate, and a series' pair sum within the
-        # estimate of its own terms, which would show a series cut short
+        # shifts including 0 (where identical spheres make poles coincide):
+        # J within its roundoff estimate, and a series' pair sum also within
+        # the estimate of its own terms
         mat_b = bst() if pair == "identical" else MaterialModel(8.0, 6.5e9, 4e8)
         probe = PairContext(SpinningSphere(A, bst(), 1.0),
                             SpinningSphere(50e-9, mat_b, 1.0), R)
