@@ -11,6 +11,7 @@ T = 300 K). See the README for the schema.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -323,52 +324,66 @@ def _fmt(value):
     return str(value)
 
 
+def _quoted(text):
+    """A CSV text field, quoted per RFC 4180 if it holds a comma, quote or newline."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit(result, fmt, path):
     """Write a result as CSV (metadata in '#' comments) or JSON.
 
     CSV columns are fixed: omega_A_rad_s, omega_B_rad_s,
     omega_A_over_omega0, E_J, E0_J, deltaE_J, F_N, deltaF_fN, error.
     Floats carry 17 significant digits so a re-read reproduces them exactly.
+    Every row is written with one line format, built from the field types
+    of the first row (floats as %.17g, anything else as text); a text field
+    that holds a comma, quote or newline is quoted.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format: must be csv or json, got {fmt!r}")
+    if fmt == "csv":
+        rows = result.rows
+        columns = rows[0].keys() if rows else CSV_COLUMNS
+        lines = [f"# {key} = {_fmt(value)}\n" for key, value in result.metadata.items()]
+        lines.append(",".join(columns) + "\n")
+        if rows:
+            line = ",".join(f"%({c}).17g" if isinstance(v, float) else f"%({c})s"
+                            for c, v in rows[0].items()) + "\n"
+            texts = [c for c, v in rows[0].items() if isinstance(v, str)]
+            for row in rows:
+                for c in texts:
+                    if row[c]:
+                        row = {**row, c: _quoted(row[c])}
+                lines.append(line % row)
+        text = "".join(lines)
+    else:
+        text = json.dumps({"metadata": result.metadata, "rows": result.rows},
+                          indent=1) + "\n"
     try:
         with open(path, "w") as fh:
-            if fmt == "csv":
-                for key, value in result.metadata.items():
-                    fh.write(f"# {key} = {_fmt(value)}\n")
-                columns = result.rows[0].keys() if result.rows else CSV_COLUMNS
-                fh.write(",".join(columns) + "\n")
-                for row in result.rows:
-                    fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-            else:
-                json.dump({"metadata": result.metadata, "rows": result.rows},
-                          fh, indent=1)
-                fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from None
 
 
 def read_csv_rows(path):
     """Parse an emitted CSV back into row dicts (floats where possible)."""
+    import csv      # here, so that sweeps and their output do not import it
+
+    with open(path, newline="") as fh:
+        body = itertools.dropwhile(lambda line: line.startswith("#"), fh)
+        records = [record for record in csv.reader(body) if record]
     rows = []
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            parts = line.split(",")
-            row = {}
-            for key, raw in zip(header, parts):
-                try:
-                    row[key] = float(raw)
-                except ValueError:
-                    row[key] = raw
-            rows.append(row)
+    for record in records[1:]:
+        row = {}
+        for key, raw in zip(records[0], record):
+            try:
+                row[key] = float(raw)
+            except ValueError:
+                row[key] = raw
+        rows.append(row)
     return rows
 
 

@@ -13,7 +13,11 @@ function E(Omega) of :func:`spinvdw.spectral.aux_energy`:
     c_st = Tr(g P_s^A g P_t^B)   (real and >= 0).
 
 The weights depend only on the axis triple, so they are computed once per
-arrangement. For the four canonical arrangements they give
+arrangement. Since P_-s = conj P_s and g is real, c_(-s)(-t) = c_st, and E
+is even, so each weight is folded into its mirror: an arrangement carries at
+most five terms, (+,+), (+,0), (+,-), (0,+) and (0,0), and the canonical
+kinds two, three, four and four. For the four canonical arrangements the
+weights give
 
     rr (spins along the line):        4[E(dO) + 2E(0)]
     uu (spins transverse, parallel):  E(dO) + 9E(sO) + 2E(0)
@@ -66,21 +70,29 @@ _Q = np.array([_assemble(0.5, 0.5j, 0.0), _assemble(0.0, 0.0, 1.0),
                _assemble(0.5, -0.5j, 0.0)])
 
 
-def _terms(axis_a, axis_b, rhat):
-    """Non-negligible weights c_st of an axis triple as (s, t, c) tuples.
-
-    Weights below 1e-14 of their sum are roundoff of exact zeros; dropping
-    them spares the shift integrals they would multiply.
-    """
+def _weights(axis_a, axis_b, rhat):
+    """The 3x3 weights c_st of an axis triple, rows s and columns t in _SIGNS order."""
     rhat = np.asarray(rhat, dtype=float)
     g = np.eye(3) - 3.0 * np.outer(rhat, rhat)
     ra, rb = rotation_matrix_to_axis(axis_a), rotation_matrix_to_axis(axis_b)
     pa = ra @ _Q @ ra.T
     pb = rb @ _Q @ rb.T
-    c = np.einsum("ij,sjk,kl,tli->st", g, pa, g, pb).real
+    return np.einsum("ij,sjk,kl,tli->st", g, pa, g, pb).real
+
+
+def _terms(axis_a, axis_b, rhat):
+    """Non-negligible folded weights of an axis triple as (s, t, c) tuples.
+
+    Each c_st is folded into its mirror c_(-s)(-t), which weighs the same
+    shift, leaving (+,+), (+,0), (+,-), (0,+) and (0,0). Weights below
+    1e-14 of their sum are roundoff of exact zeros; dropping them spares
+    the shift integrals they would multiply.
+    """
+    c = _weights(axis_a, axis_b, rhat).ravel()
+    folded = np.append(c[:4] + c[:4:-1], c[4])      # flat index k meets its mirror 8 - k
     floor = 1e-14 * np.abs(c).sum()
-    return tuple((_SIGNS[s], _SIGNS[t], float(c[s, t]))
-                 for s in range(3) for t in range(3) if c[s, t] > floor)
+    return tuple((_SIGNS[k // 3], _SIGNS[k % 3], float(w))
+                 for k, w in enumerate(folded) if w > floor)
 
 
 _CANONICAL_TERMS = {kind: _terms(*axes) for kind, axes in _CANONICAL_AXES.items()}

@@ -670,13 +670,19 @@ def _closed_kinds(ctx, shifts):
     return values[take], roundoff[take]
 
 
-def _real(which, value, roundoff, imag):
-    """A closed-form value with its imaginary residue checked and dropped."""
-    if abs(imag) > roundoff:
-        raise ArithmeticError(
-            f"energy_{which}: imaginary residue {imag:.3e} exceeds the "
-            f"roundoff estimate {roundoff:.3e}; closed form violated")
-    return value
+def _residue_error(which, imag, roundoff):
+    """The error of a closed-form value whose imaginary residue is too large."""
+    return ArithmeticError(
+        f"energy_{which}: imaginary residue {imag:.3e} exceeds the "
+        f"roundoff estimate {roundoff:.3e}; closed form violated")
+
+
+def _roundoff_error(which, rel_tol, value, roundoff):
+    """The error of a closed-form value whose roundoff exceeds the tolerance."""
+    return ConvergenceError(
+        f"energy_{which}: rel_tol {rel_tol:.1e} is below the closed form's "
+        f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
+        value=value, estimate=roundoff)
 
 
 def _quadrature(ctx, shift, rel_tol, which):
@@ -710,8 +716,10 @@ def shift_integral(ctx, Omega, which, method, rel_tol=None):
     if method == "closed":
         values, roundoff = _closed_kinds(ctx, [shift])
         k = _KINDS.index(which)
-        value, roundoff = values[k, 0], roundoff[k, 0]
-        return float(_real(which, value.real, roundoff, value.imag)), float(roundoff)
+        value, roundoff = complex(values[k, 0]), float(roundoff[k, 0])
+        if abs(value.imag) > roundoff:
+            raise _residue_error(which, value.imag, roundoff)
+        return value.real, roundoff
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     value, errest = _quadrature(ctx, shift, rel, which)
     return float(value), float(errest)
@@ -723,11 +731,11 @@ def shift_integral(ctx, Omega, which, method, rel_tol=None):
 # them up. Single-threaded; nothing is ever evicted. Each pair has one
 # table, found once per call under the context's ``_key``, so equal
 # contexts share it (the presets share 420 values). A closed-form entry is
-# keyed by slot and holds the BA and AB (value, roundoff estimate,
-# imaginary residue) of one evaluation, checked on every lookup, so a bad
-# shift fails only the lookups that use it; a quadrature entry is keyed by
-# (kind, slot, rel_tol), met its rel_tol when computed and stores
-# (value, 0, 0).
+# keyed by slot and holds one evaluation flat, as the tuple (BA value,
+# roundoff estimate, imaginary residue, AB value, roundoff estimate,
+# imaginary residue), checked on every lookup, so a bad shift fails only
+# the lookups that use it; a quadrature entry is keyed by (kind, slot,
+# rel_tol), met its rel_tol when computed and stores (value, 0, 0).
 _cache = {}
 _stats = {"hits": 0, "misses": 0, "blocks": 0}
 
@@ -768,16 +776,16 @@ def _fill_closed(ctx, table, shifts):
 
     Both kinds of every shift are evaluated together, in blocks of at most
     ``_BLOCK`` shifts, one :func:`_closed_kinds` call each, and stored in
-    ``table``. Nothing is checked here; lookups check.
+    ``table`` as flat tuples. Nothing is checked here; lookups check.
     """
     slots = list(shifts)
     for start in range(0, len(slots), _BLOCK):
         block = slots[start:start + _BLOCK]
         values, roundoff = _closed_kinds(ctx, [shifts[n] for n in block])
         _stats["blocks"] += 1
-        ba, ab = (zip(v.real.tolist(), r.tolist(), v.imag.tolist())
-                  for v, r in zip(values, roundoff))
-        table.update(zip(block, zip(ba, ab)))
+        fields = np.empty((6, len(block)))     # rows: BA's three fields, then AB's
+        fields[0::3], fields[1::3], fields[2::3] = values.real, roundoff, values.imag
+        table.update(zip(block, zip(*fields.tolist())))
 
 
 def prefetch(ctx, terms, rate_pairs):
@@ -802,57 +810,67 @@ def prefetch(ctx, terms, rate_pairs):
     _fill_closed(ctx, table, {n: x for n, x in shifts.items() if n not in table})
 
 
-def _shift_integrals(ctx, Omegas, rel_tol, kinds=_KINDS):
-    """Reduced shift integrals, a list per kind with one value per Omega.
+def _lookup(ctx, weights, rel_tol, kinds=_KINDS):
+    """Weighted sum of reduced shift integrals, sum c (sum of ``kinds``).
 
-    Both integrals are even in Omega, so the cache key uses the slot of
-    |Omega|. Closed-form values do not depend on rel_tol, so their key is
-    the slot alone: the misses of one call are evaluated, both kinds at
-    once, in one blocked pass, and every lookup checks the stored imaginary
-    residue and roundoff estimate, the latter against
-    max(abs_tol, rel_tol |value|). Quadrature values keep rel_tol in the key
-    and met it when computed.
+    ``weights`` maps each Omega to its weight c. Both integrals are even in
+    Omega, so the cache key uses the slot of |Omega|. Closed-form values do
+    not depend on rel_tol, so their key is the slot alone, and the misses
+    of one call are evaluated, both kinds at once, in one blocked pass.
+    Quadrature values keep rel_tol in the key and met it when computed; a
+    call on quadrature entries, or for one kind, reads them through a
+    per-call table in the closed-form layout. One walk over the shifts then
+    checks both kinds' imaginary residue and roundoff estimate, the latter
+    against max(abs_tol, rel_tol |value|), and sums.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     ws = ctx._scaled[0]
     table = _cache.setdefault(ctx._key, {})
-    shifts = {}                         # the shift evaluated for each slot
-    slots = []
-    for om in Omegas:
-        shift = abs(om) / ws
-        n = _slot(shift)
-        shifts.setdefault(n, shift)
-        slots.append(n)
+    slots = [_slot(abs(om) / ws) for om in weights]
+    distinct = set(slots)
     closed = ctx.closed_form
-    if closed:
-        missing = {n: x for n, x in shifts.items() if n not in table}
-        misses = len(kinds) * len(missing)
-        if missing:
+    misses = 0
+    if not (closed and table.keys() >= distinct):
+        shifts = {}                     # the shift evaluated for each slot
+        for om, n in zip(weights, slots):
+            shifts.setdefault(n, abs(om) / ws)
+        if closed:
+            missing = {n: x for n, x in shifts.items() if n not in table}
+            misses = len(kinds) * len(missing)
             _fill_closed(ctx, table, missing)
-    else:
-        missing = [(which, n, rel) for which in kinds for n in shifts
-                   if (which, n, rel) not in table]
-        misses = len(missing)
-        for which, n, _ in missing:
-            value, _ = _quadrature(ctx, shifts[n], rel, which)
-            table[which, n, rel] = (float(value), 0.0, 0.0)
+        else:
+            missing = [(which, n) for which in kinds for n in shifts
+                       if (which, n, rel) not in table]
+            misses = len(missing)
+            for which, n in missing:
+                value, _ = _quadrature(ctx, shifts[n], rel, which)
+                table[which, n, rel] = (float(value), 0.0, 0.0)
     _stats["misses"] += misses
-    _stats["hits"] += len(kinds) * len(shifts) - misses
-    out = []
-    for which in kinds:
-        k = _KINDS.index(which)
-        row = []
-        for n in slots:
-            value, roundoff, imag = table[n][k] if closed else table[which, n, rel]
-            value = _real(which, value, roundoff, imag)
-            if roundoff > max(DEFAULT_ABS_TOL, rel * abs(value)):
-                raise ConvergenceError(
-                    f"energy_{which}: rel_tol {rel:.1e} is below the closed form's "
-                    f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
-                    value=value, estimate=roundoff)
-            row.append(value)
-        out.append(row)
-    return out
+    _stats["hits"] += len(kinds) * len(distinct) - misses
+    if not closed or kinds != _KINDS:
+        # the closed-form layout, with zeros for a kind not asked for
+        def part(which, n):
+            if which not in kinds:
+                return (0.0, 0.0, 0.0)
+            if closed:
+                k = 3 * _KINDS.index(which)
+                return table[n][k:k + 3]
+            return table[which, n, rel]
+
+        table = {n: part("BA", n) + part("AB", n) for n in distinct}
+    total = 0.0
+    for n, c in zip(slots, weights.values()):
+        ba, ba_round, ba_imag, ab, ab_round, ab_imag = table[n]
+        if abs(ba_imag) > ba_round:
+            raise _residue_error("BA", ba_imag, ba_round)
+        if ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba):
+            raise _roundoff_error("BA", rel, ba, ba_round)
+        if abs(ab_imag) > ab_round:
+            raise _residue_error("AB", ab_imag, ab_round)
+        if ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab):
+            raise _roundoff_error("AB", rel, ab, ab_round)
+        total += c * (ba + ab)
+    return total
 
 
 def _to_joules(ctx):
@@ -867,14 +885,12 @@ def energy_BA(ctx, Omega, rel_tol=None):
     with A = hbar/(512 pi^3 eps0^2). Real by symmetry; the imaginary
     residue is checked against the error estimate before being discarded.
     """
-    [[value]] = _shift_integrals(ctx, (Omega,), rel_tol, ("BA",))
-    return _to_joules(ctx) * value
+    return _to_joules(ctx) * _lookup(ctx, {Omega: 1.0}, rel_tol, ("BA",))
 
 
 def energy_AB(ctx, Omega, rel_tol=None):
     """Energy from Doppler-shifted fluctuations in A driving B (J)."""
-    [[value]] = _shift_integrals(ctx, (Omega,), rel_tol, ("AB",))
-    return _to_joules(ctx) * value
+    return _to_joules(ctx) * _lookup(ctx, {Omega: 1.0}, rel_tol, ("AB",))
 
 
 def aux_energy(ctx, Omega, rel_tol=None):
@@ -883,7 +899,7 @@ def aux_energy(ctx, Omega, rel_tol=None):
     Even in Omega; the energy of every arrangement is a weighted sum of
     values of this function (see :mod:`spinvdw.configurations`).
     """
-    return energy_AB(ctx, Omega, rel_tol) + energy_BA(ctx, Omega, rel_tol)
+    return _to_joules(ctx) * _lookup(ctx, {Omega: 1.0}, rel_tol)
 
 
 def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
@@ -899,6 +915,4 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
     for s, t, c in terms:
         shift = abs(s * Omega_A - t * Omega_B)
         weights[shift] = weights.get(shift, 0.0) + c
-    ba, ab = _shift_integrals(ctx, list(weights), rel_tol)
-    total = sum(c * (x + y) for c, x, y in zip(weights.values(), ba, ab))
-    return 2.0 * _to_joules(ctx) * total
+    return 2.0 * _to_joules(ctx) * _lookup(ctx, weights, rel_tol)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 import spinvdw
 from spinvdw import spectral
 from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepResult, SweepSpec, _context_for,
-                         _run_checks, emit, main, parse_config, read_csv_rows,
+                         _fmt, _run_checks, emit, main, parse_config, read_csv_rows,
                          run_preset, run_sweep, spec_to_config)
 from spinvdw.configurations import energy
 from spinvdw.response import resonance_frequency
@@ -231,6 +232,25 @@ class TestBlockedSweep:
             "ArithmeticError: energy_BA: imaginary residue 1.000e+00 exceeds")
         assert all(math.isfinite(r["E_J"]) for r in rows if not r["error"])
 
+    def test_inflated_roundoff_fails_only_its_row(self, w0, cold_cache, monkeypatch):
+        # as above, with the roundoff estimate of one shift above rel_tol
+        grid = [0.5 * w0, w0, 1.5 * w0, 2.0 * w0]
+        spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": grid})
+        bad = 1.5 * w0 / ctx._scaled[0]
+        inner = spectral._closed
+
+        def inflate(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value, roundoff + (np.asarray(shifts) == bad)
+
+        monkeypatch.setattr(spectral, "_closed", inflate)
+        rows = run_sweep(spec, ctx).rows
+        assert [r["omega_A_rad_s"] for r in rows if r["error"]] == [1.5 * w0]
+        assert rows[2]["error"].startswith(
+            "ConvergenceError: energy_BA: rel_tol 1.0e-08 is below the closed "
+            "form's roundoff estimate")
+        assert all(math.isfinite(r["E_J"]) for r in rows if not r["error"])
+
 
 class TestEmit:
     def _result(self):
@@ -265,6 +285,33 @@ class TestEmit:
         for jr, cr in zip(jrows, crows):
             for col in CSV_COLUMNS[:-1]:
                 assert jr[col] == cr[col]
+
+    def test_rows_written_as_fmt_fields(self, tmp_path):
+        result = self._result()
+        path = tmp_path / "out.csv"
+        emit(result, "csv", str(path))
+        lines = path.read_text().splitlines()[-len(result.rows):]
+        assert lines == [",".join(_fmt(row[c]) for c in CSV_COLUMNS)
+                         for row in result.rows]
+
+    def test_error_with_commas_round_trips(self, w0, tmp_path):
+        # gamma0 = 4 w0 needs the quadrature, which cannot reach 1e-15 at
+        # T = 0; its message lists the error estimate, the tail and the
+        # tolerance, separated by commas
+        spec, ctx = parse_config({"material.gamma0_rad_s": 4.0 * w0,
+                                  "temperature_K": 0.0, "quadrature.rel_tol": 1e-15,
+                                  "sweep.omega_a_grid_rad_s": [0.5 * w0, w0]})
+        result = run_sweep(spec, ctx)
+        message = result.rows[0]["error"]
+        assert message.startswith("ConvergenceError") and "," in message
+        path = tmp_path / "out.csv"
+        emit(result, "csv", str(path))
+        with open(path, newline="") as fh:
+            records = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        assert [len(r) for r in records] == [len(CSV_COLUMNS)] * 3
+        back = read_csv_rows(str(path))
+        assert [row["error"] for row in back] == [row["error"] for row in result.rows]
+        assert back[0]["omega_A_rad_s"] == 0.5 * w0
 
     def test_io_error_carries_path(self):
         with pytest.raises(OSError, match="/nonexistent"):

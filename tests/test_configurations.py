@@ -1,18 +1,19 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import canonical_energy, tensor_energy
 from spinvdw import spectral
-from spinvdw.configurations import (Arrangement, ArrangementKind, delta_force,
-                                    energy, force, rest_energy)
+from spinvdw.configurations import (_SIGNS, Arrangement, ArrangementKind, _weights,
+                                    delta_force, energy, force, rest_energy)
 from spinvdw.oracle import ratio_rr, ratio_uu
 from spinvdw.response import MaterialModel, SpinningSphere, resonance_frequency
 from spinvdw.rotation import rotation_matrix_to_axis
-from spinvdw.spectral import PairContext, aux_energy
+from spinvdw.spectral import PairContext, aux_energy, general_energy
 
 KINDS = ["rr", "uu", "ur", "uo"]
 RR, UU, UR, UO = (Arrangement(k) for k in KINDS)
@@ -49,13 +50,13 @@ class TestCanonicalFormulas:
         # hand the shift integrals exactly the shifts the hand formula
         # names, BA and AB in a single call
         calls = []
-        inner = spectral._shift_integrals
+        inner = spectral._lookup
 
-        def counting(ctx, Omegas, rel_tol, kinds=("BA", "AB")):
-            calls.append((list(Omegas), kinds))
-            return inner(ctx, Omegas, rel_tol, kinds)
+        def counting(ctx, weights, rel_tol, kinds=("BA", "AB")):
+            calls.append((list(weights), kinds))
+            return inner(ctx, weights, rel_tol, kinds)
 
-        monkeypatch.setattr(spectral, "_shift_integrals", counting)
+        monkeypatch.setattr(spectral, "_lookup", counting)
         energy(ctx300, Arrangement(kind), 1.3 * w0, -0.4 * w0)
         [(shifts, kinds)] = calls
         assert kinds == ("BA", "AB")
@@ -260,3 +261,24 @@ def test_delta_force_is_force_difference(ctx, kind, axes, rates):
     arr = Arrangement(kind, *axes) if kind == "general" else Arrangement(kind)
     f, f0 = force(ctx, arr, oa, ob), force(ctx, arr, 0.0, 0.0)
     assert abs(delta_force(ctx, arr, oa, ob) - (f - f0)) <= 1e-12 * (abs(f) + abs(f0))
+
+
+def test_canonical_term_counts():
+    # mirror weights folded: rr, uu, ur and uo carry 2, 3, 4 and 4 terms
+    assert [len(Arrangement(kind)._terms) for kind in KINDS] == [2, 3, 4, 4]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(axes=st.tuples(UNITS, UNITS, UNITS), rates=st.tuples(RATES, RATES))
+def test_folded_weights(ctx300, w0, axes, rates):
+    # c_st = c_(-s)(-t), so folding each weight into its mirror keeps the
+    # energy of all nine terms
+    c = _weights(*axes)
+    assert np.abs(c - c[::-1, ::-1]).max() <= 1e-15 * c.sum()
+    oa, ob = rates[0] * w0, rates[1] * w0
+    nine = tuple((_SIGNS[s], _SIGNS[t], float(c[s, t]))
+                 for s in range(3) for t in range(3))
+    want = general_energy(ctx300, nine, oa, ob)
+    got = energy(ctx300, Arrangement("general", *axes), oa, ob)
+    # E can pass through zero, so the scale is the larger of |E| and |E0|
+    assert abs(got - want) <= 1e-14 * max(abs(want), abs(rest_energy(ctx300)))

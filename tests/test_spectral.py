@@ -582,6 +582,33 @@ class TestShiftCache:
         assert aux_energy(context(), 0.7 * w0) == good
         spectral.clear_cache()
 
+    def test_warm_ab_residue_names_energy_ab(self, monkeypatch, w0):
+        # unequal spheres evaluate BA and AB as two rows; corrupt AB alone
+        ctx = PairContext(SpinningSphere(A, bst(), 300.0),
+                          SpinningSphere(50e-9, bst(), 900.0), R)
+        spectral.clear_cache()
+        good = energy_BA(ctx, 0.7 * w0)
+        spectral.clear_cache()
+        inner = spectral._closed
+
+        def corrupt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            assert len(rows) == 2
+            return value + 1j * (np.arange(2) == 1)[:, None], roundoff
+
+        monkeypatch.setattr(spectral, "_closed", corrupt)
+        spectral.prefetch(ctx, ((1.0, 0.0, 1.0),), [(0.7 * w0, 0.0)])
+        monkeypatch.undo()
+        message = r"^energy_AB: imaginary residue 1\.000e\+00 exceeds"
+        for lookup in (aux_energy, energy_AB):
+            with pytest.raises(ArithmeticError, match=message):
+                lookup(ctx, 0.7 * w0)
+        # the BA value of the same entry is intact and checked alone
+        assert energy_BA(ctx, 0.7 * w0) == good
+        assert spectral.cache_info() == {"entries": 4, "hits": 4, "misses": 0,
+                                         "blocks": 1}
+        spectral.clear_cache()
+
     def test_quadrature_values_keyed_by_rel_tol(self, w0):
         # gamma0 = 2.5 w0: quadrature values met the tolerance they were
         # computed at, so another tolerance is another entry
