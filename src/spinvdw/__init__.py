@@ -3,11 +3,12 @@
 Rotational Doppler shifts reshape the fluctuation spectra of spinning
 dielectric spheres and with them the vdW force between two of them: the
 attraction can be resonantly enhanced near twice the polaritonic frequency
-and flips to repulsion beyond it. This package computes the lab-frame
-response tensors, the nonequilibrium spectral integrals, the energies and
-forces of any arrangement of the two spin axes (four canonical ones by
-name), the dissipationless closed forms used as analytic references, and
-the static Matsubara/Hamaker baselines.
+and flips to repulsion beyond it. This package computes the rest-frame
+response of each sphere, the nonequilibrium spectral integrals of its
+Doppler-shifted sidebands, the energies and forces of any arrangement of
+the two spin axes (four canonical ones by name) through the projectors of
+each spin axis, the dissipationless closed forms used as analytic
+references, and the static Matsubara/Hamaker baselines.
 """
 
 from .baseline import (MatsubaraSpec, hamaker_constant, matsubara_static_energy,
@@ -19,8 +20,6 @@ from .oracle import LorentzPair, aux_closed, eab_closed, eba_closed, ratio_aux, 
 from .response import (MaterialModel, PoleProximityError, SpinningSphere,
                        UnitSystem, bst, hadamard, permittivity, polarizability,
                        resonance_frequency)
-from .rotation import (ResponseTensor, TensorKind, axis_rotate,
-                       noneq_fdt_hadamard, spin_transform)
 from .spectral import (ConvergenceError, PairContext, QuadratureSpec,
                        aux_energy, energy_AB, energy_BA, integrate_spectrum)
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import baseline, configurations, oracle, response, spectral
+from . import baseline, configurations, oracle, spectral
 from .configurations import Arrangement, ArrangementKind
 from .response import MaterialModel, SpinningSphere, bst, resonance_frequency
-from .rotation import rotation_matrix_to_axis
 from .spectral import ConvergenceError, PairContext
 
 __all__ = ["ConfigError", "SweepSpec", "SweepResult", "parse_config",
@@ -125,10 +124,10 @@ def _get(cfg, key, cast, default):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _material_from(cfg, prefix):
-    f0 = _get(cfg, f"{prefix}.f0", float, response.BST_F0)
-    wt0 = _get(cfg, f"{prefix}.omega_tilde0_rad_s", float, response.BST_OMEGA_TILDE0)
-    g0 = _get(cfg, f"{prefix}.gamma0_rad_s", float, response.BST_GAMMA0)
+def _material_from(cfg, prefix, default):
+    f0 = _get(cfg, f"{prefix}.f0", float, default.f0)
+    wt0 = _get(cfg, f"{prefix}.omega_tilde0_rad_s", float, default.omega_tilde0)
+    g0 = _get(cfg, f"{prefix}.gamma0_rad_s", float, default.gamma0)
     try:
         return MaterialModel(f0, wt0, g0)
     except ValueError as exc:
@@ -172,8 +171,8 @@ def parse_config(source=None):
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
 
-    mat_a = _material_from(cfg, "material")
-    mat_b = _material_from(cfg, "material_b") if any(
+    mat_a = _material_from(cfg, "material", bst())
+    mat_b = _material_from(cfg, "material_b", mat_a) if any(
         k.startswith("material_b.") for k in cfg) else mat_a
 
     radius_a = _get(cfg, "geometry.radius_a_m", float, DEFAULT_RADIUS)
@@ -509,8 +508,9 @@ def _run_checks(rel_tol=1e-7):
     dev = abs(eb / ea - 1.0)
     record("exchange_symmetry", dev < 1e-9, f"dev={dev:.2e}")
 
+    # a proper rotation (orthonormal rows, det +1) that moves every axis
     uu = Arrangement("uu")
-    m = rotation_matrix_to_axis((0.48, -0.6, 0.64), spin=0.9)
+    m = np.array([[2.0, -1.0, 2.0], [2.0, 2.0, -1.0], [-1.0, 2.0, 2.0]]) / 3.0
     turned = Arrangement("general", *(m @ v for v in (uu.axis_a, uu.axis_b, uu.rhat)))
     e_turned = configurations.energy(ctx, turned, 0.9 * w0, -0.3 * w0, rel_tol)
     e_uu = configurations.energy(ctx, uu, 0.9 * w0, -0.3 * w0, rel_tol)

@@ -2,9 +2,12 @@
 
 A sphere spinning at Omega about the unit axis n responds in the lab frame
 as xi(w + Omega) P_+ + xi(w) P_0 + xi(w - Omega) P_-, for its
-polarizability and its Hadamard spectrum alike. P_0 = n n^T, and P_+/- are
-the circular-polarisation projectors about n (the xx/xy form of
-:func:`spinvdw.rotation.spin_entries`, rotated onto n). Contracting both
+polarizability and its Hadamard spectrum alike. P_0 = n n^T, and
+
+    P_+ = (1 - n n^T - i [n]x)/2,   P_- = conj P_+
+
+are the circular-polarisation projectors about n, with [n]x the
+cross-product matrix ([n]x v = n x v). Contracting both
 spheres' tensors with the dipole kernel g = 1 - 3 rhat rhat^T makes the
 energy of every arrangement a weighted sum of the auxiliary spectral
 function E(Omega) of :func:`spinvdw.spectral.aux_energy`:
@@ -36,7 +39,6 @@ import math
 import numpy as np
 
 from . import spectral
-from .rotation import _assemble, rotation_matrix_to_axis
 
 __all__ = ["ArrangementKind", "Arrangement", "energy", "rest_energy", "force",
            "delta_energy", "delta_force"]
@@ -62,22 +64,25 @@ _CANONICAL_AXES = {
     ArrangementKind.UO: (Z_AXIS, Y_AXIS, X_AXIS),
 }
 
-# Projectors about z for the Doppler signs (+1, 0, -1): xi(w + s Omega) P_s.
-# P_s is the coefficient of xi(w + s Omega) in the tensor that spin_entries
-# and _assemble build, so the sign convention lives in rotation alone.
+# The Doppler signs s of xi(w + s Omega) P_s, in the order of _projectors
 _SIGNS = (1.0, 0.0, -1.0)
-_Q = np.array([_assemble(0.5, 0.5j, 0.0), _assemble(0.0, 0.0, 1.0),
-               _assemble(0.5, -0.5j, 0.0)])
+
+
+def _projectors(axis):
+    """P_+, P_0 and P_- of a unit spin axis n, stacked in _SIGNS order."""
+    n = np.asarray(axis, dtype=float)
+    p0 = np.outer(n, n)
+    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    plus = 0.5 * (np.eye(3) - p0 - 1j * cross)
+    return np.array([plus, p0, plus.conj()])
 
 
 def _weights(axis_a, axis_b, rhat):
     """The 3x3 weights c_st of an axis triple, rows s and columns t in _SIGNS order."""
     rhat = np.asarray(rhat, dtype=float)
     g = np.eye(3) - 3.0 * np.outer(rhat, rhat)
-    ra, rb = rotation_matrix_to_axis(axis_a), rotation_matrix_to_axis(axis_b)
-    pa = ra @ _Q @ ra.T
-    pb = rb @ _Q @ rb.T
-    return np.einsum("ij,sjk,kl,tli->st", g, pa, g, pb).real
+    return np.einsum("ij,sjk,kl,tli->st", g, _projectors(axis_a), g,
+                     _projectors(axis_b)).real
 
 
 def _terms(axis_a, axis_b, rhat):

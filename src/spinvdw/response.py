@@ -4,7 +4,8 @@ Single-oscillator Lorentz permittivity, the dipole polarizability of a small
 sphere made of that material, and the thermal Hadamard (symmetrized
 fluctuation) spectrum obtained from the equilibrium fluctuation-dissipation
 relation. Everything here is rest-frame and isotropic; the rotational
-Doppler machinery lives in :mod:`spinvdw.rotation`.
+Doppler shifts enter through the projectors of :mod:`spinvdw.configurations`
+and the shifted integrals of :mod:`spinvdw.spectral`.
 """
 
 import math

@@ -1,5 +1,22 @@
 """Independent references for the arrangement energies.
 
+The tensor view of a spinning sphere: a sphere spinning at Omega about z
+turns its isotropic rest-frame response xi(w) into the lab-frame tensor
+
+    xi_xx = xi_yy = [xi(w+Omega) + xi(w-Omega)]/2
+    xi_xy = -xi_yx = i[xi(w+Omega) - xi(w-Omega)]/2
+    xi_zz = xi(w),  all other entries zero
+
+(``spin_entries``, ``spin_tensor``), for the polarizability and the
+Hadamard spectrum alike, and ``axis_rotate`` turns it onto any axis with
+the rotation of ``rotation_matrix_to_axis``. ``noneq_fdt_hadamard`` builds
+the Hadamard tensor from the lab-frame polarizability instead, through the
+modified fluctuation-dissipation relations of the rotating frame
+(Manjavacas & Garcia de Abajo, PRL 105, 113601 (2010)). Every tensor is a
+plain complex 3x3 array. ``projector_weights`` builds the weights c_st of
+an axis triple from this view, as the reference for the projectors that
+:mod:`spinvdw.configurations` builds straight from the axes.
+
 ``tensor_energy`` is the direct 3x3 evaluation: it builds both spheres'
 lab-frame polarizability and Hadamard tensors from the spin transform,
 rotates them onto their axes, contracts them with the dipole kernel on
@@ -20,14 +37,190 @@ its Matsubara pair sum through ``mpmath.psi``, as the reference for the
 double-precision routes (series and digamma) that sum it.
 """
 
+import math
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 
-from spinvdw import rotation, spectral
+from spinvdw import spectral
 from spinvdw.response import HBAR, K_B, _alpha_reduced
-from spinvdw.rotation import rotation_matrix_to_axis
+
+
+def spin_entries(scalar_fn, Omega, omega):
+    """Doppler components (xx, xy, zz) of the spin transform; vectorized in omega."""
+    plus = scalar_fn(omega + Omega)
+    minus = scalar_fn(omega - Omega)
+    xx = 0.5 * (np.asarray(plus, dtype=complex) + minus)
+    xy = 0.5j * (np.asarray(plus, dtype=complex) - minus)
+    zz = np.asarray(scalar_fn(omega), dtype=complex)
+    return xx, xy, zz
+
+
+def _assemble(xx, xy, zz):
+    out = np.zeros(np.shape(xx) + (3, 3), dtype=complex)
+    out[..., 0, 0] = xx
+    out[..., 1, 1] = xx
+    out[..., 0, 1] = xy
+    out[..., 1, 0] = -xy
+    out[..., 2, 2] = zz
+    return out
+
+
+def spin_tensor(scalar_fn, Omega, omega):
+    """Lab-frame tensor of a sphere spinning at ``Omega`` about z, at ``omega``.
+
+    ``scalar_fn`` is the rest-frame response (alpha or eta) and must accept
+    arrays; an array ``omega`` gives a stack of tensors.
+    """
+    return _assemble(*spin_entries(scalar_fn, Omega, omega))
+
+
+def rotation_matrix_to_axis(axis, spin=0.0):
+    """A proper rotation mapping z to ``axis``.
+
+    ``spin`` adds an extra rotation about z before tilting; any value gives
+    a valid map, and results of :func:`axis_rotate` are independent of it
+    because the source tensor is axially symmetric about z.
+    """
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if abs(n - 1.0) > 1e-12:
+        raise ValueError(f"axis must be a unit vector, |axis| = {n}")
+    cs, ss = math.cos(spin), math.sin(spin)
+    r_spin = np.array([[cs, -ss, 0.0], [ss, cs, 0.0], [0.0, 0.0, 1.0]])
+    z = np.array([0.0, 0.0, 1.0])
+    c = float(np.dot(z, axis))
+    if c > 1.0 - 1e-15:
+        tilt = np.eye(3)
+    elif c < -1.0 + 1e-15:
+        tilt = np.diag([1.0, -1.0, -1.0])  # pi rotation about x
+    else:
+        k = np.cross(z, axis)
+        k /= np.linalg.norm(k)
+        kx = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        s = math.sqrt(max(0.0, 1.0 - c * c))
+        tilt = np.eye(3) + s * kx + (1.0 - c) * (kx @ kx)
+    return tilt @ r_spin
+
+
+def axis_rotate(tensor, axis, spin=0.0):
+    """Re-express a z-axis tensor for a spin axis along ``axis``: R t R^T.
+
+    R is a proper rotation mapping z to axis; the choice of R (the ``spin``
+    freedom) does not affect the result.
+    """
+    r = rotation_matrix_to_axis(axis, spin)
+    return r @ tensor @ r.T
+
+
+# The coefficients of xi(w + s Omega), s = +1, 0, -1, in spin_tensor
+_Z_PROJECTORS = np.array([_assemble(0.5, 0.5j, 0.0), _assemble(0.0, 0.0, 1.0),
+                          _assemble(0.5, -0.5j, 0.0)])
+
+
+def projector_weights(axis_a, axis_b, rhat):
+    """Weights c_st = Tr(g P_s^A g P_t^B) of an axis triple from the tensor view.
+
+    Each P_s is the coefficient of xi(w + s Omega) in the spin tensor about
+    z, rotated onto its sphere's axis; rows s and columns t in the order
+    (+1, 0, -1).
+    """
+    rhat = np.asarray(rhat, dtype=float)
+    g = np.eye(3) - 3.0 * np.outer(rhat, rhat)
+    ra, rb = rotation_matrix_to_axis(axis_a), rotation_matrix_to_axis(axis_b)
+    pa = ra @ _Z_PROJECTORS @ ra.T
+    pb = rb @ _Z_PROJECTORS @ rb.T
+    return np.einsum("ij,sjk,kl,tli->st", g, pa, g, pb).real
+
+
+def fdt_weights(omega, Omega, temperature):
+    """Thermal weights f, g of the modified fluctuation-dissipation relation.
+
+    f = [coth(hbar*(w-Omega)/2kT) + coth(hbar*(w+Omega)/2kT)]/2 and g the
+    half-difference. At T = 0 these are exact sign-function branches:
+    f = sgn(w), g = 0 for |Omega| < |w|; f = 0, g = -sgn(Omega) otherwise.
+    """
+    w = np.asarray(omega, dtype=float)
+    if temperature == 0.0:
+        sm = np.sign(w - Omega)
+        sp = np.sign(w + Omega)
+    else:
+        beta_half = HBAR / (2.0 * K_B * temperature)
+        with np.errstate(divide="ignore"):
+            sm = 1.0 / np.tanh(beta_half * (w - Omega))
+            sp = 1.0 / np.tanh(beta_half * (w + Omega))
+    return 0.5 * (sm + sp), 0.5 * (sm - sp)
+
+
+def noneq_fdt_hadamard(alpha_fn, Omega, omega, temperature,
+                       im_alpha_slope=None):
+    """Hadamard tensor of a spinning sphere from the modified FDT relations.
+
+    Builds the lab-frame polarizability tensor of the spinning sphere and
+    converts it to the fluctuation spectrum through
+
+        eta_xx = 2 f Im[alpha_xx] + 2 g Re[alpha_xy]
+        eta_xy = -2i f Re[alpha_xy] - 2i g Im[alpha_xx]
+        eta_zz = 2 coth(hbar w / 2kT) Im[alpha_zz]
+
+    with f, g from :func:`fdt_weights`. This is the independent counterpart
+    to transforming the rest-frame eta directly with :func:`spin_tensor`;
+    the two constructions agree identically (a consistency theorem of the
+    rotating-frame treatment) and tests hold them to ~1e-12.
+
+    At T > 0 the weights have poles at w = +/-Omega and w = 0 where the
+    corresponding Im alpha vanishes; exactly-on-pole evaluations are
+    regularized through the finite limit, using ``im_alpha_slope`` (the
+    analytic limit of Im alpha(w)/w at w = 0) when supplied and a central
+    difference of ``alpha_fn`` otherwise. Returns the 3x3 Hadamard tensor,
+    rotation axis along z.
+    """
+    w = float(omega)
+    a_xx, a_xy, a_zz_alpha = spin_entries(alpha_fn, Omega, w)
+
+    if temperature > 0.0:
+        beta_half = HBAR / (2.0 * K_B * temperature)
+
+        def lim_coth_im():
+            # finite limit of coth(hbar*nu/2kT)*Im alpha(nu) as nu -> 0
+            if im_alpha_slope is not None:
+                slope = im_alpha_slope
+            else:
+                h = 1e-7 * (abs(Omega) + abs(w) + 1.0)
+                slope = complex(alpha_fn(h) - alpha_fn(-h)).imag / (2.0 * h)
+            return slope / beta_half
+
+        # Near the branch points w = -/+Omega the diverging weights multiply
+        # a vanishing combination of tensor entries; the literal f,g form
+        # loses all precision there to cancellation. Inside a narrow strip
+        # use the identical regrouped pairing coth(nu)*Im alpha(nu) instead
+        # (exact limit at nu = 0).
+        strip = 1e-3 * max(abs(w), abs(Omega), 1e-300)
+        if abs(w - Omega) < strip or abs(w + Omega) < strip:
+            def term(nu):
+                if nu == 0.0:
+                    return lim_coth_im()
+                return complex(alpha_fn(nu)).imag / math.tanh(beta_half * nu)
+
+            tm, tp = term(w - Omega), term(w + Omega)
+            e_xx = tm + tp
+            e_xy = 1j * (tp - tm)
+        else:
+            f, g = fdt_weights(w, Omega, temperature)
+            e_xx = 2.0 * f * np.imag(a_xx) + 2.0 * g * np.real(a_xy)
+            e_xy = -2.0j * f * np.real(a_xy) - 2.0j * g * np.imag(a_xx)
+        if w == 0.0:
+            e_zz = 2.0 * lim_coth_im()
+        else:
+            e_zz = 2.0 * np.imag(a_zz_alpha) / math.tanh(beta_half * w)
+    else:
+        f, g = fdt_weights(w, Omega, temperature)
+        e_xx = 2.0 * f * np.imag(a_xx) + 2.0 * g * np.real(a_xy)
+        e_xy = -2.0j * f * np.real(a_xy) - 2.0j * g * np.imag(a_xx)
+        e_zz = 2.0 * np.sign(w) * np.imag(a_zz_alpha)
+
+    return _assemble(complex(e_xx), complex(e_xy), complex(e_zz))
 
 
 def tensor_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
@@ -52,14 +245,11 @@ def tensor_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
     # rotating the kernel once replaces rotating four tensors per frequency
     h = rot_b.T @ g @ rot_a
 
-    def spun(fn, shift, u):
-        return rotation._assemble(*rotation.spin_entries(fn, shift, u))
-
     def integrand(u):
-        t1 = np.einsum("nij,nij->n", h @ spun(alpha_a, shift_a, u) @ h.T,
-                       spun(eta_b, shift_b, u).conj())
-        t2 = np.einsum("nij,nij->n", h @ spun(eta_a, shift_a, u).conj() @ h.T,
-                       spun(alpha_b, shift_b, u))
+        t1 = np.einsum("nij,nij->n", h @ spin_tensor(alpha_a, shift_a, u) @ h.T,
+                       spin_tensor(eta_b, shift_b, u).conj())
+        t2 = np.einsum("nij,nij->n", h @ spin_tensor(eta_a, shift_a, u).conj() @ h.T,
+                       spin_tensor(alpha_b, shift_b, u))
         return t1 + t2
 
     spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega_A, Omega_B),

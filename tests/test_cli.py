@@ -41,6 +41,15 @@ class TestParseConfig:
         assert spec2 == spec
         assert ctx2 == ctx
 
+    def test_partial_material_b_defaults_to_material(self):
+        # material_b.* keys left out take sphere A's values, not BST's
+        _, ctx = parse_config({"material.f0": 8.0,
+                               "material.omega_tilde0_rad_s": 6.5e9,
+                               "material_b.gamma0_rad_s": 1e8})
+        mat_b = ctx.sphere_b.material
+        assert (mat_b.f0, mat_b.omega_tilde0, mat_b.gamma0) == (8.0, 6.5e9, 1e8)
+        assert ctx.sphere_a.material.gamma0 == 2.8e8
+
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ConfigError, match="ratio"):
             parse_config({"sweep.omega_b_rule": "ratio",

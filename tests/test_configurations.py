@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import canonical_energy, tensor_energy
+from reference import (canonical_energy, projector_weights, rotation_matrix_to_axis,
+                       tensor_energy)
 from spinvdw import spectral
 from spinvdw.configurations import (_SIGNS, Arrangement, ArrangementKind, _weights,
                                     delta_force, energy, force, rest_energy)
 from spinvdw.oracle import ratio_rr, ratio_uu
 from spinvdw.response import MaterialModel, SpinningSphere, resonance_frequency
-from spinvdw.rotation import rotation_matrix_to_axis
 from spinvdw.spectral import PairContext, aux_energy, general_energy
 
 KINDS = ["rr", "uu", "ur", "uo"]
@@ -261,6 +261,20 @@ def test_delta_force_is_force_difference(ctx, kind, axes, rates):
     arr = Arrangement(kind, *axes) if kind == "general" else Arrangement(kind)
     f, f0 = force(ctx, arr, oa, ob), force(ctx, arr, 0.0, 0.0)
     assert abs(delta_force(ctx, arr, oa, ob) - (f - f0)) <= 1e-12 * (abs(f) + abs(f0))
+
+
+def test_weights_match_tensor_view():
+    # the projectors built from each axis against the spin tensor's about z,
+    # rotated onto the axis: seeded random triples, and every triple of the
+    # axes +-x, +-y, +-z (-z takes the rotation's pi turn about x)
+    rng = np.random.default_rng(20)
+    triples = rng.normal(size=(300, 3, 3))
+    triples /= np.linalg.norm(triples, axis=2, keepdims=True)
+    signed = [sign * v for v in np.eye(3) for sign in (1.0, -1.0)]
+    triples = list(triples) + [(a, b, r) for a in signed for b in signed for r in signed]
+    for a, b, rhat in triples:
+        c = _weights(a, b, rhat)
+        assert np.abs(c - projector_weights(a, b, rhat)).max() <= 1e-14 * np.abs(c).sum()
 
 
 def test_canonical_term_counts():

@@ -507,6 +507,29 @@ class TestMatsubaraRoutes:
                     r = min(k, len(got) - 1)    # identical spheres: one row
                     assert abs(got[r, n] - pairs) <= spectral._ROUNDOFF * size[r, n], (k, shift)
 
+    @pytest.mark.parametrize("pair", ["identical", "unequal"])
+    def test_series_is_not_cut_short(self, monkeypatch, pair):
+        # the pair sum is about 1e-4 of the sizes of its own terms, so only a
+        # bound scaled by the sum itself sees a truncated series. At shift 0
+        # alone every Matsubara argument of a row has |z| near rho = 0.249,
+        # where the moments decay slowest: the full series is within 4e-15
+        # of the sum, one cut a term short misses it by 2-4e-14
+        mat_b = bst() if pair == "identical" else MaterialModel(8.0, 6.5e9, 4e8)
+        probe = PairContext(SpinningSphere(A, bst(), 1.0),
+                            SpinningSphere(50e-9, mat_b, 1.0), R)
+        ws, sa, sb = probe._scaled
+        series = []
+        inner = spectral._series
+        monkeypatch.setattr(spectral, "_series",
+                            lambda *args: series.append(inner(*args)) or series[-1])
+        for mat_x, mat_y in ((sa, sb), (sb, sa)):
+            row = (mat_x, mat_y, _temperature_at(0.249, mat_x, mat_y, ws, (0.0,)))
+            series.clear()
+            spectral._closed([row], ws, [0.0])
+            [(got, _)] = series
+            _, pairs = closure_reference(row, ws, 0.0)
+            assert abs(got[0, 0] - pairs) <= 1e-14 * abs(pairs), (got[0, 0], pairs)
+
     def test_warm_sweep_sums_series(self, monkeypatch, w0):
         # the presets' BST pair at 300 K: |z| stays below 1e-3, so neither
         # the blocked pass nor the rows evaluate a digamma
