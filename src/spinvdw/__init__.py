@@ -20,7 +20,6 @@ from .oracle import LorentzPair, aux_closed, eab_closed, eba_closed, ratio_aux, 
 from .response import (MaterialModel, PoleProximityError, SpinningSphere,
                        UnitSystem, bst, hadamard, permittivity, polarizability,
                        resonance_frequency)
-from .spectral import (ConvergenceError, PairContext, QuadratureSpec,
-                       aux_energy, energy_AB, energy_BA, integrate_spectrum)
+from .spectral import ConvergenceError, PairContext, aux_energy, energy_AB, energy_BA
 
 __version__ = "0.1.0"

@@ -6,7 +6,9 @@ This module provides the static anchors: the Matsubara-sum energy of the
 oscillator model itself, the Hamaker-constant route to the total static
 force, and the zero-temperature energy that a naive equilibrium
 fluctuation-dissipation assumption would give for spinning spheres, used to
-quantify the size of the nonequilibrium effects.
+quantify the size of the nonequilibrium effects. The Matsubara sums add
+terms until they fall below a tolerance; the naive energy is a closed form,
+a sum of logarithms over the poles of the polarizabilities.
 """
 
 import math
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .response import EPS0, HBAR, K_B, permittivity, resonance_frequency
-from .spectral import ConvergenceError, _alpha_reduced
+from .response import HBAR, K_B, permittivity
+from .spectral import ConvergenceError
 
 __all__ = ["MatsubaraSpec", "matsubara_static_energy", "hamaker_constant",
            "static_energy_estimate", "static_force_estimate",
@@ -128,19 +130,40 @@ def naive_fdt_energy_rr(ctx, Omega_A, Omega_B, rel_tol=None):
     Unlike the full nonequilibrium result this is not a function of
     Omega_A - Omega_B alone, which is the inconsistency that motivates the
     nonequilibrium treatment. Exact at Omega_A = Omega_B = 0.
+
+    Both products are rational with every pole in the lower half plane:
+    with sum_i a_i/(u - x_i) and sum_j b_j/(u - y_j) their factors,
+
+        int_0^inf du sum_ij a_i b_j/((u - x_i)(u - y_j)) = sum_ij a_i b_j log[-x_i, -y_j],
+
+    a divided difference of log, taken as the T = 0 pair sum of
+    :func:`spinvdw.spectral._closed` (coincident poles included). Near
+    critical damping it is the mean over the same circle. The roundoff
+    estimate of the sum is checked against ``rel_tol`` as in
+    :func:`spinvdw.spectral.energy_BA`.
     """
-    ws, mat_a, mat_b = ctx._scaled
-    units = ctx.units()
+    ws = ctx._scaled[0]
     oa, ob = Omega_A / ws, Omega_B / ws
-
-    def integrand(u):
-        # only the imaginary part enters, so the tolerance applies to it
-        sa = _alpha_reduced(mat_a, u + oa) + _alpha_reduced(mat_a, u - oa)
-        sb = _alpha_reduced(mat_b, u + ob) + _alpha_reduced(mat_b, u - ob)
-        return ((sa * sb
-                 + 8.0 * _alpha_reduced(mat_a, u) * _alpha_reduced(mat_b, u)) / 4.0).imag
-
-    spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega_A, Omega_B),
-                                         rel_tol=rel_tol, lo=0.0)
-    value = spectral.integrate_spectrum(integrand, spec)
-    return -units.energy_scale * value.real / math.pi
+    points = spectral._pole_points(*ctx._poles)
+    rows = []
+    for (pa, ra), (pb, rb) in points:
+        pa, ra, pb, rb = map(np.array, (pa, ra, pb, rb))
+        # the shifted product, then 8 a_A a_B as (4 a_A)(2 a_B) over doubled poles
+        rows.append((np.r_[pa - oa, pa + oa], np.r_[ra, ra],
+                     np.r_[pb - ob, pb + ob], np.r_[rb, rb]))
+        rows.append((np.r_[pa, pa], np.r_[2.0 * ra, 2.0 * ra], np.r_[pb, pb], np.r_[rb, rb]))
+    x, a, y, b = map(np.array, zip(*rows))
+    # _divided takes F = log at w = i x and returns -2 sum_ij a_i b_j F[w_i, w_j]:
+    # poles i x put w at -x
+    pairs, size = spectral._divided(1j * x[:, None], 1j * y, a, b,
+                                    np.ones((len(rows), 1)), len(rows))
+    scale = -0.5 / (4.0 * len(points))
+    integral = scale * complex(pairs.sum())
+    roundoff = spectral._ROUNDOFF * abs(scale) * float(size.sum())
+    rel = spectral.DEFAULT_REL_TOL if rel_tol is None else rel_tol
+    if roundoff > spectral.DEFAULT_ABS_TOL and roundoff > rel * abs(integral.imag):
+        raise ConvergenceError(
+            f"naive_fdt_energy_rr: rel_tol {rel:.1e} is below the closed form's "
+            f"roundoff estimate {roundoff:.3e} (value {integral.imag:.6e})",
+            value=integral.imag, estimate=roundoff)
+    return -ctx.units().energy_scale * integral.imag / math.pi

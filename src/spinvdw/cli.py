@@ -221,7 +221,10 @@ def parse_config(source=None):
             raise
         raise ConfigError(str(exc)) from None
 
-    ctx = _context_for(spec, mat_a, mat_b)
+    try:
+        ctx = _context_for(spec, mat_a, mat_b)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return spec, ctx
 
 
@@ -517,21 +520,28 @@ def _run_checks(rel_tol=1e-7):
     dev = abs(e_turned / e_uu - 1.0)
     record("general_rotation_invariance", dev < 1e-12, f"dev={dev:.2e}")
 
-    # the contour closure the energies use against the quadrature, with
-    # the closure's roundoff estimate; both relative to the BA/AB values.
-    # 300 K sums the Matsubara series, 0.05 K (|z| up to 0.72) takes the
-    # digamma route and 0 K the logarithms
-    for temperature, shift in ((300.0, 1.3), (0.05, 1.3), (0.0, 2.05)):
+    # each route of the closed form's Matsubara sum against an independent
+    # value. 0 K (logarithms): E/E0 of a nearly undamped rr pair against the
+    # undamped oracle, which it approaches linearly in gamma0 (measured
+    # 0.06 gamma0/w0 at 0.8 w0), with gamma0/w0 as the bound. 300 K (the
+    # zeta series) and 0.05 K (digamma, |z| = 0.31 at rest): the rest
+    # energy against the Matsubara sum of the static baseline, whose
+    # truncation is set below 1e-9 at 0.05 K
+    weak = bst(gamma_scale=1e-3)
+    pair = _context_for(replace(spec, temperature=0.0), weak)
+    w0_weak = resonance_frequency(weak)
+    ratio = (configurations.energy(pair, rr, 0.8 * w0_weak, 0.0, rel_tol)
+             / configurations.energy(pair, rr, 0.0, 0.0, rel_tol))
+    dev = abs(ratio / oracle.ratio_rr(w0_weak, 0.8 * w0_weak) - 1.0)
+    bound = weak.gamma0 / w0_weak
+    record("undamped_limit_0K", dev <= bound, f"dev={dev:.2e} (bound gamma0/w0 = {bound:.1e})")
+    for temperature in (300.0, 0.05):
         pair = _context_for(replace(spec, temperature=temperature))
-        dev = roundoff = 0.0
-        for which in ("BA", "AB"):
-            closed, est = spectral.shift_integral(pair, shift * w0, which, "closed")
-            quad, _ = spectral.shift_integral(pair, shift * w0, which, "quadrature",
-                                              rel_tol)
-            dev = max(dev, abs(closed / quad - 1.0))
-            roundoff = max(roundoff, est / abs(closed))
-        record(f"closed_form_vs_quadrature_{temperature:g}K", dev <= 10.0 * rel_tol,
-               f"dev={dev:.2e} roundoff={roundoff:.2e} (Omega = {shift} w0)")
+        e0 = configurations.energy(pair, rr, 0.0, 0.0, rel_tol)
+        mats = baseline.matsubara_static_energy(
+            pair, baseline.MatsubaraSpec(temperature, term_tol=1e-14))
+        dev = abs(e0 / mats - 1.0)
+        record(f"rest_energy_vs_matsubara_{temperature:g}K", dev <= 1e-9, f"dev={dev:.2e}")
     return checks
 
 
@@ -550,9 +560,8 @@ def build_parser():
         description="van der Waals energies and forces between spinning nanospheres")
     parser.add_argument("--config", help="JSON config with flat dotted keys")
     parser.add_argument("--rel-tol", type=float,
-                        help="relative tolerance: a closed-form value whose roundoff "
-                             "estimate exceeds it fails; the quadrature, used outside "
-                             "0 < gamma0 < 2 omega0, refines to it")
+                        help="relative tolerance: a value whose roundoff estimate "
+                             "exceeds it fails")
     parser.add_argument("--strict", action="store_true",
                         help="exit 3 if any point fails to converge")
     sub = parser.add_subparsers(dest="command", required=True)

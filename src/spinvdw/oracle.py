@@ -2,11 +2,13 @@
 
 For undamped Lorentz spheres at zero temperature the spectral integrals
 collapse to rational functions of the rotation rate. These expressions are
-kept deliberately independent of the quadrature engine so they can serve as
-analytic references for it. The model diverges at the rotational resonances
-Omega = +/-(w0A +/- w0B); evaluation inside a small exclusion radius of a
-pole is rejected rather than returning huge numbers, since the divergence
-is an artifact of neglecting dissipation.
+kept deliberately independent of the contour closure of
+:mod:`spinvdw.spectral` so they can serve as analytic references for it
+(its damped integrals approach them linearly in gamma0). The model
+diverges at the rotational resonances Omega = +/-(w0A +/- w0B);
+evaluation inside a small exclusion radius of a pole is rejected rather
+than returning huge numbers, since the divergence is an artifact of
+neglecting dissipation.
 """
 
 import math

@@ -28,15 +28,23 @@ the cached shift integrals, so it checks the production kernel of
 ``CANONICAL`` holds the hand-derived integer combinations of E(Omega) for
 the four canonical arrangements, as expected values.
 
-``quadrature_shift_integral`` evaluates one reduced shift integral by the
-adaptive Gauss-Kronrod quadrature, directly from the material kernels, as
-the reference for the contour closure of :mod:`spinvdw.spectral`.
+``integrate_spectrum`` is an adaptive Gauss-Kronrod (7/15) panel
+quadrature with breakpoints seeded at every Doppler image of the
+resonances (:func:`spinvdw.spectral.pair_quadrature_spec`) and fitted
+power-law tails beyond a finite window. It shares no arithmetic with the
+contour closure of :mod:`spinvdw.spectral`, which serves every production
+value, and is its independent reference: ``quadrature_shift_integral``
+evaluates one reduced shift integral with it, directly from the material
+kernels, and ``naive_fdt_quadrature`` the equilibrium-FDT baseline of
+:mod:`spinvdw.baseline`.
 
 ``closure_reference`` evaluates the contour closure itself at 30 digits,
-its Matsubara pair sum through ``mpmath.psi``, as the reference for the
-double-precision routes (series and digamma) that sum it.
+its Matsubara pair sum through ``mpmath.psi`` (logarithms at T = 0), as
+the reference for the double-precision routes (log, series and digamma)
+that sum it.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -44,7 +52,201 @@ import mpmath
 import numpy as np
 
 from spinvdw import spectral
-from spinvdw.response import HBAR, K_B, _alpha_reduced
+from spinvdw.response import (HBAR, K_B, _alpha_reduced, _im_alpha_over_omega_reduced,
+                              _omega_coth_kernel)
+from spinvdw.spectral import ConvergenceError
+
+
+# 7-point Gauss / 15-point Kronrod pair on [-1, 1] (QUADPACK dqk15 constants).
+_XGK_HALF = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_WGK_HALF = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_WGK_CENTER = 0.209482141084727828012999174891714
+_WG_HALF = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,  # center weight, halved below
+])
+
+_NODES = np.concatenate([-_XGK_HALF, [0.0], _XGK_HALF[::-1]])
+_WK = np.concatenate([_WGK_HALF, [_WGK_CENTER], _WGK_HALF[::-1]])
+_WG = np.zeros(15)
+_WG[[1, 3, 5]] = _WG_HALF[:3]      # Gauss nodes interleave the Kronrod set
+_WG[7] = _WG_HALF[3]
+_WG[[9, 11, 13]] = _WG_HALF[2::-1]
+
+
+def _gk15(f, a, b):
+    """Gauss-Kronrod 15 on a batch of panels; returns (integrals, errors, floors).
+
+    The error estimate is the QUADPACK rescaling of |K15 - G7|: the raw
+    difference grossly overestimates the true error on resolved panels, and
+    the (200*uu/resasc)^1.5 form restores a realistic magnitude. It never
+    drops below the panel's roundoff floor 50 eps int|f|, also returned.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = c[:, None] + h[:, None] * _NODES[None, :]
+    v = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+    kronrod = h * (v @ _WK)
+    gauss = h * (v @ _WG)
+    uu = np.abs(kronrod - gauss)
+    # kronrod/2h, without dividing by h: complex division by a subnormal
+    # half-width overflows the reciprocal and turns the estimate into nan
+    mean = 0.5 * (v @ _WK)[:, None]
+    resabs = h * (np.abs(v) @ _WK)
+    resasc = h * (np.abs(v - mean) @ _WK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * uu / resasc) ** 1.5)
+    err = np.where(resasc > 0.0, scaled, uu)
+    # roundoff floor: tolerances below it are honestly unreachable
+    floor = 50.0 * np.finfo(float).eps * resabs
+    return kronrod, np.maximum(err, floor), floor
+
+
+def _initial_edges(spec):
+    pts = {spec.lo, spec.hi}
+    inner = [b for b in spec.breakpoints if spec.lo < b < spec.hi]
+    pts.update(inner)
+    if spec.seed_width > 0:
+        span = spec.hi - spec.lo
+        for b in inner + [spec.lo, spec.hi]:
+            d = spec.seed_width
+            while d < span:
+                for s in (b - d, b + d):
+                    if spec.lo < s < spec.hi:
+                        pts.add(s)
+                d *= 8.0
+    return np.array(sorted(pts))
+
+
+def _tails(f, spec):
+    """Power-law tails beyond the window ends; returns (value, uncertainty).
+
+    Each component of f is taken to decay as C|w|^-p beyond an end W, with
+    p = log2|f(W/2)/f(W)| fitted per component, which adds f(W) W/(p - 1).
+    The uncertainty is the change of that tail when p is fitted one octave
+    further in instead; it is infinite where p <= 1 (no integrable tail).
+    """
+    value, err = 0.0j, 0.0
+    for end in (spec.lo, spec.hi):
+        if end == 0.0 or abs(abs(end) - spec.window) >= 1e-12 * spec.window:
+            continue
+        v = np.asarray(f(np.array([end, 0.5 * end, 0.25 * end])), dtype=complex)
+        for part, unit in ((v.real, 1.0), (v.imag, 1j)):
+            if part[0] == 0.0:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p, p_in = np.log2(np.abs(part[1:] / part[:2]))
+            if not (p > 1.0 and p_in > 1.0):
+                err = math.inf
+                continue
+            tail = part[0] * abs(end) / (p - 1.0)
+            value += unit * tail
+            err += abs(tail - part[0] * abs(end) / (p_in - 1.0))
+    return value, err
+
+
+def _integrate(f, spec):
+    """Adaptive panel quadrature; returns (value, error_estimate).
+
+    The estimate sums the panels' Kronrod errors and the tails'
+    uncertainty.
+    """
+    tail, tail_err = _tails(f, spec)
+    edges = _initial_edges(spec)
+    a, b = edges[:-1], edges[1:]
+    vals, errs, floors = _gk15(f, a, b)
+
+    for level in range(spec.max_levels + 1):
+        # deterministic accumulation: panels summed in left-edge order
+        order = np.argsort(a, kind="stable")
+        total = vals[order].sum() + tail
+        err = errs[order].sum() + tail_err
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if err <= tol:
+            break
+        if level == spec.max_levels or tail_err > tol:
+            raise ConvergenceError(
+                f"no convergence after {level} refinement levels "
+                f"(error estimate {err:.3e}, of which tail {tail_err:.3e}; "
+                f"tolerance {tol:.3e})",
+                value=total, estimate=err)
+        mark = errs > (tol - tail_err) / (2.0 * len(a))
+        if not mark.any():
+            mark[np.argmax(errs)] = True
+        # bisection cannot lower a panel's roundoff floor: once the panels
+        # to split are resolved down to theirs and the floors alone exceed
+        # the tolerance, no refinement reaches it
+        if (errs[mark] <= floors[mark]).all() and floors.sum() + tail_err > tol:
+            raise ConvergenceError(
+                f"roundoff floor reached at {len(a)} panels "
+                f"(error estimate {err:.3e}, tolerance {tol:.3e})",
+                value=total, estimate=err)
+        if len(a) + mark.sum() > spec.max_panels:
+            raise ConvergenceError(
+                f"panel budget exhausted at {len(a)} panels "
+                f"(error estimate {err:.3e}, tolerance {tol:.3e})",
+                value=total, estimate=err)
+        mid = 0.5 * (a[mark] + b[mark])
+        new_a = np.concatenate([a[~mark], a[mark], mid])
+        new_b = np.concatenate([b[~mark], mid, b[mark]])
+        ref_v, ref_e, ref_f = _gk15(f, np.concatenate([a[mark], mid]),
+                                    np.concatenate([mid, b[mark]]))
+        a, b = new_a, new_b
+        vals = np.concatenate([vals[~mark], ref_v])
+        errs = np.concatenate([errs[~mark], ref_e])
+        floors = np.concatenate([floors[~mark], ref_f])
+    return total, err
+
+
+def integrate_spectrum(f, spec):
+    """Integrate a spectral function over [lo, hi] with tail estimates.
+
+    Parameters
+    ----------
+    f : callable
+        Vectorized complex-valued integrand; smooth except at the listed
+        breakpoints and decaying as a power |w|^-p, p > 1, beyond the
+        window.
+    spec : QuadratureSpec
+
+    Returns
+    -------
+    complex
+
+    Raises
+    ------
+    ConvergenceError
+        If the refinement cap is reached or the tails alone exceed the
+        tolerance; carries the achieved estimate.
+    """
+    value, _ = _integrate(f, spec)
+    return value
+
+
+def _eta_reduced(mat, temperature, omega_scale):
+    """Reduced Hadamard spectrum as a vectorized closure of u = w/omega_scale."""
+    def eta(u):
+        kern = _omega_coth_kernel(u, temperature, omega_scale=omega_scale)
+        return 2.0 * kern * _im_alpha_over_omega_reduced(mat, u)
+    return eta
 
 
 def spin_entries(scalar_fn, Omega, omega):
@@ -238,8 +440,8 @@ def tensor_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
     rot_b = rotation_matrix_to_axis(arrangement.axis_b)
     alpha_a = lambda u: _alpha_reduced(mat_a, u)
     alpha_b = lambda u: _alpha_reduced(mat_b, u)
-    eta_a = spectral._eta_reduced(mat_a, ctx.sphere_a.temperature, ws)
-    eta_b = spectral._eta_reduced(mat_b, ctx.sphere_b.temperature, ws)
+    eta_a = _eta_reduced(mat_a, ctx.sphere_a.temperature, ws)
+    eta_b = _eta_reduced(mat_b, ctx.sphere_b.temperature, ws)
 
     # Tr(g R_a X R_a^T g R_b Y R_b^T) = Tr(h X h^T Y) with h = R_b^T g R_a:
     # rotating the kernel once replaces rotating four tensors per frequency
@@ -254,7 +456,7 @@ def tensor_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
 
     spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega_A, Omega_B),
                                          rel_tol=rel_tol)
-    value = spectral.integrate_spectrum(integrand, spec)
+    value = integrate_spectrum(integrand, spec)
     assert abs(value.imag) <= 1e-6 * abs(value.real), value
     return -ctx.units().energy_scale * value.real / (8.0 * np.pi)
 
@@ -284,22 +486,24 @@ def canonical_energy(ctx, kind, Omega_A, Omega_B, rel_tol=None):
                            Omega_A, Omega_B)
 
 
-def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10, abs_tol=None):
+def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10, abs_tol=None,
+                              with_error=False):
     """Reduced BA or AB shift integral (working units) by quadrature.
 
     BA = int du [alpha_A(u + s) + alpha_A(u - s)] eta_B(u) and
     AB = int du [eta_A(u + s) + eta_A(u - s)] alpha_B(u), s = |Omega|/w_s.
+    ``with_error`` also returns the quadrature's error estimate.
     """
     ws, mat_a, mat_b = ctx._scaled
     shift = abs(Omega) / ws
     if which == "BA":
-        eta_b = spectral._eta_reduced(mat_b, ctx.sphere_b.temperature, ws)
+        eta_b = _eta_reduced(mat_b, ctx.sphere_b.temperature, ws)
 
         def integrand(u):
             return (_alpha_reduced(mat_a, u + shift)
                     + _alpha_reduced(mat_a, u - shift)) * eta_b(u)
     else:
-        eta_a = spectral._eta_reduced(mat_a, ctx.sphere_a.temperature, ws)
+        eta_a = _eta_reduced(mat_a, ctx.sphere_a.temperature, ws)
 
         def integrand(u):
             return (eta_a(u + shift) + eta_a(u - shift)) * _alpha_reduced(mat_b, u)
@@ -307,25 +511,60 @@ def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10, abs_tol=None):
     spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega,), rel_tol=rel_tol)
     if abs_tol is not None:
         spec = replace(spec, abs_tol=abs_tol)
-    value = spectral.integrate_spectrum(integrand, spec)
+    value, error = _integrate(integrand, spec)
     assert abs(value.imag) <= 1e-6 * abs(value.real) + spec.abs_tol, value
-    return value.real
+    return (value.real, error) if with_error else value.real
 
 
-def closure_reference(row, omega_scale, shift, dps=30):
-    """The two parts of one warm closed-form row's shift integral, at ``dps`` digits.
+def naive_fdt_quadrature(ctx, Omega_A, Omega_B, rel_tol=1e-10):
+    """Zero-temperature equilibrium-FDT energy of the rr pair (J) by quadrature.
 
-    ``row`` is (mat_x, mat_y, T_y) in working units, T_y > 0, as in
-    :func:`spinvdw.spectral._closed`. With the poles x_i (coefficients a_i)
-    of alpha_X(u + s) + alpha_X(u - s), the poles y_j (b_j) of
+    The integral of :func:`spinvdw.baseline.naive_fdt_energy_rr` over the
+    half line, its integrand built from the material kernels.
+    """
+    ws, mat_a, mat_b = ctx._scaled
+    oa, ob = Omega_A / ws, Omega_B / ws
+
+    def integrand(u):
+        # only the imaginary part enters, so the tolerance applies to it
+        sa = _alpha_reduced(mat_a, u + oa) + _alpha_reduced(mat_a, u - oa)
+        sb = _alpha_reduced(mat_b, u + ob) + _alpha_reduced(mat_b, u - ob)
+        return ((sa * sb
+                 + 8.0 * _alpha_reduced(mat_a, u) * _alpha_reduced(mat_b, u)) / 4.0).imag
+
+    spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega_A, Omega_B),
+                                         rel_tol=rel_tol, lo=0.0)
+    value = integrate_spectrum(integrand, spec)
+    return -ctx.units().energy_scale * value.real / math.pi
+
+
+@functools.lru_cache(maxsize=None)
+def _psi(order, z, dps):
+    """psi^(order)(1 + z) at ``dps`` digits; the y poles repeat across shifts."""
+    with mpmath.workdps(dps):
+        return mpmath.psi(order, 1 + z)
+
+
+def closure_reference(row, omega_scale, shift, dps=30, total=False):
+    """The two parts of one closed-form row's shift integral, at ``dps`` digits.
+
+    ``row`` is (mat_x, mat_y, T_y) in working units, as in
+    :func:`spinvdw.spectral._closed`, for any damping but the exact
+    critical one. With the poles x_i (coefficients a_i) of
+    alpha_X(u + s) + alpha_X(u - s), the poles y_j (b_j) of
     alpha_Y(u) - alpha_Y(-u) and the upper poles q_k = -p_k of eta_Y:
 
         J = 2 pi sum_k coth(theta q_k) r_k^Y sum_i a_i/(q_k - x_i)
             - (2/xi1) sum_ij a_i b_j [psi(1 + z_j) - psi(1 + z_i)]/(z_j - z_i)
 
     with theta = hbar w_s/2kT, xi1 = pi/theta and z = i x/xi1; a pair with
-    z_i = z_j takes psi'(1 + z_i). Returns the residue sum and the
-    Matsubara pair sum, complex numbers whose sum is J.
+    z_i = z_j takes psi'(1 + z_i). At T = 0, coth -> sgn Re q, xi1 = 1 and
+    psi(1 + z) -> log z, the principal value log|z| on the cut, where the
+    upper poles of an overdamped alpha (W' = sqrt(w0^2 - gamma^2/4)
+    imaginary) put z and make sgn Re q = 0. Returns the residue sum and the
+    Matsubara pair sum, complex numbers whose sum is J, or with ``total`` J
+    itself, summed before rounding: near critical damping the two parts
+    cancel digits.
     """
     mat_x, mat_y, temperature = row
     with mpmath.workdps(dps):
@@ -341,20 +580,42 @@ def closure_reference(row, omega_scale, shift, dps=30):
         s = mpmath.mpf(shift)
         x, a = [p - s for p in px] + [p + s for p in px], rx + rx
         y, b = [p1, p2, -p1, -p2], ry + ry
-        theta = mpmath.mpf(HBAR) * mpmath.mpf(omega_scale) / (2 * mpmath.mpf(K_B)
-                                                              * mpmath.mpf(temperature))
-        xi1 = mpmath.pi / theta
+        if temperature == 0:
+            xi1 = 1
+
+            def coth(q):
+                return mpmath.sign(mpmath.re(q))
+
+            def F(order, z):
+                if order:
+                    return 1 / z
+                on_cut = mpmath.im(z) == 0 and mpmath.re(z) < 0
+                return mpmath.log(abs(z)) if on_cut else mpmath.log(z)
+        else:
+            theta = mpmath.mpf(HBAR) * mpmath.mpf(omega_scale) / (
+                2 * mpmath.mpf(K_B) * mpmath.mpf(temperature))
+            xi1 = mpmath.pi / theta
+
+            def coth(q):
+                return mpmath.coth(theta * q)
+
+            def F(order, z):
+                return _psi(order, z, dps)
+
         residues = pairs = mpmath.mpc(0)
         for q, r in zip((-p1, -p2), ry):
-            residues += 2 * mpmath.pi * mpmath.coth(theta * q) * r * sum(
+            residues += 2 * mpmath.pi * coth(q) * r * sum(
                 ai / (q - xi) for ai, xi in zip(a, x))
         zx = [1j * v / xi1 for v in x]
         zy = [1j * v / xi1 for v in y]
-        for ai, zi in zip(a, zx):
-            for bj, zj in zip(b, zy):
+        fx, fy = [F(0, z) for z in zx], [F(0, z) for z in zy]
+        for ai, zi, fi in zip(a, zx, fx):
+            for bj, zj, fj in zip(b, zy, fy):
                 if zi == zj:
-                    dd = mpmath.psi(1, 1 + zi)
+                    dd = F(1, zi)
                 else:
-                    dd = (mpmath.psi(0, 1 + zj) - mpmath.psi(0, 1 + zi)) / (zj - zi)
+                    dd = (fj - fi) / (zj - zi)
                 pairs -= 2 / xi1 * ai * bj * dd
+        if total:
+            return complex(residues + pairs)
         return complex(residues), complex(pairs)

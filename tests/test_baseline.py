@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from reference import naive_fdt_quadrature
 from spinvdw.baseline import (MatsubaraSpec, hamaker_constant,
                               matsubara_static_energy, naive_fdt_energy_rr,
                               static_energy_estimate, static_force_estimate)
 from spinvdw.configurations import Arrangement, energy, rest_energy
-from spinvdw.response import K_B, SpinningSphere, bst
+from spinvdw.response import K_B, MaterialModel, SpinningSphere, bst, resonance_frequency
 from spinvdw.spectral import ConvergenceError, PairContext
 
 # SI energies, forces and polarizabilities are far below pytest.approx's
@@ -105,6 +106,28 @@ class TestNaiveFdt:
     def test_equals_full_result_at_rest(self, ctx0):
         naive = naive_fdt_energy_rr(ctx0, 0.0, 0.0)
         assert naive == approx(rest_energy(ctx0), rel=1e-8)
+
+    @pytest.mark.parametrize("rates", [(0.0, 0.0), (1.5, 0.0), (2.0, 0.5), (1.3, -0.6)],
+                             ids=["rest", "1.5_0", "2_0.5", "1.3_-0.6"])
+    @pytest.mark.parametrize("partner", ["equal", "unequal"])
+    def test_matches_quadrature(self, w0, rates, partner):
+        # the sum of log divided differences against the quadrature of its
+        # integrand; equal materials at rest make every pole pair coincide
+        mat_b = bst() if partner == "equal" else MaterialModel(8.0, 6.5e9, 4e8)
+        ctx = PairContext(SpinningSphere(A, bst(), 0.0), SpinningSphere(50e-9, mat_b, 0.0), R)
+        oa, ob = rates[0] * w0, rates[1] * w0
+        want = naive_fdt_quadrature(ctx, oa, ob, rel_tol=1e-10)
+        assert naive_fdt_energy_rr(ctx, oa, ob) == approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("damping", [2.0, 2.0 * (1.0 - 1e-7), 5.0])
+    def test_heavy_damping_matches_quadrature(self, damping):
+        # critical damping (the mean over the circle) and poles on the
+        # imaginary axis, against an underdamped partner
+        mat = MaterialModel(12.2, 5.7e9, damping * resonance_frequency(bst()))
+        ctx = PairContext(SpinningSphere(A, mat, 0.0), SpinningSphere(A, bst(), 0.0), R)
+        w0 = resonance_frequency(mat)
+        want = naive_fdt_quadrature(ctx, 1.3 * w0, -0.4 * w0, rel_tol=1e-10)
+        assert naive_fdt_energy_rr(ctx, 1.3 * w0, -0.4 * w0) == approx(want, rel=1e-9)
 
     def test_shift_non_invariance(self, ctx0, w0):
         # the equilibrium assumption breaks the relative-velocity property

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import spinvdw
-from spinvdw import spectral
+from spinvdw import configurations, spectral
 from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepResult, SweepSpec, _context_for,
                          _fmt, _run_checks, emit, main, parse_config, read_csv_rows,
                          run_preset, run_sweep, spec_to_config)
 from spinvdw.configurations import energy
 from spinvdw.response import resonance_frequency
+from spinvdw.spectral import ConvergenceError
 
 
 class TestParseConfig:
@@ -28,6 +29,11 @@ class TestParseConfig:
         assert ctx.sphere_a.material.omega_tilde0 == 5.7e9
         assert ctx.sphere_a.material.gamma0 == 2.8e8
         assert len(spec.omega_a_grid) == 200
+
+    def test_undamped_material_is_config_error(self):
+        # gamma0 = 0 puts the poles of alpha on the real axis
+        with pytest.raises(ConfigError, match="oracle"):
+            parse_config({"material.gamma0_rad_s": 0.0})
 
     def test_round_trip(self, tmp_path):
         spec, ctx = parse_config({"temperature_K": 1500.0,
@@ -170,16 +176,15 @@ class TestBlockedSweep:
             **arrangement, "temperature_K": temperature,
             "sweep.omega_a_grid_rad_s": list(np.linspace(0.0, 4.5 * w0, 12)),
             "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.4})
-        assert ctx.closed_form
         self._assert_rows_match_unbatched(spec, ctx)
 
-    def test_quadrature_context_rows_equal_unbatched(self, w0, cold_cache):
-        # gamma0 = 2.5 w0 lies outside the closed form's domain: nothing is
-        # evaluated up front, and every row evaluates its own misses
+    @pytest.mark.parametrize("damping", [2.0, 2.5])
+    def test_overdamped_context_rows_equal_unbatched(self, w0, cold_cache, damping):
+        # gamma0 = 2 w0 (the mean over the circle) and 2.5 w0 (poles on the
+        # imaginary axis) go through the same blocked pass as any material
         spec, ctx = parse_config({
-            "material.gamma0_rad_s": 2.5 * w0,
+            "material.gamma0_rad_s": damping * w0,
             "sweep.omega_a_grid_rad_s": [0.0, 0.7 * w0, 1.9 * w0]})
-        assert not ctx.closed_form
         self._assert_rows_match_unbatched(spec, ctx)
 
     def test_one_blocked_pass_and_no_row_misses(self, w0, cold_cache, monkeypatch):
@@ -303,13 +308,18 @@ class TestEmit:
         assert lines == [",".join(_fmt(row[c]) for c in CSV_COLUMNS)
                          for row in result.rows]
 
-    def test_error_with_commas_round_trips(self, w0, tmp_path):
-        # gamma0 = 4 w0 needs the quadrature, which cannot reach 1e-15 at
-        # T = 0; its message lists the error estimate, the tail and the
-        # tolerance, separated by commas
-        spec, ctx = parse_config({"material.gamma0_rad_s": 4.0 * w0,
-                                  "temperature_K": 0.0, "quadrature.rel_tol": 1e-15,
-                                  "sweep.omega_a_grid_rad_s": [0.5 * w0, w0]})
+    def test_error_with_commas_round_trips(self, w0, tmp_path, monkeypatch):
+        # a failed row's message, with commas and quotes, goes through the
+        # error column of run_sweep, the CSV and back
+        inner = configurations.energy
+
+        def failing(ctx, arrangement, wa, wb, rel_tol=None):
+            if wa == 0.0:
+                return inner(ctx, arrangement, wa, wb, rel_tol)
+            raise ConvergenceError('error estimate 1e-3, tolerance 1e-15, "quoted"')
+
+        monkeypatch.setattr(configurations, "energy", failing)
+        spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": [0.5 * w0, w0]})
         result = run_sweep(spec, ctx)
         message = result.rows[0]["error"]
         assert message.startswith("ConvergenceError") and "," in message
@@ -430,9 +440,25 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "FAIL" not in out and "PASS" in out
         assert "general_rotation_invariance" in out
-        assert "closed_form_vs_quadrature_300K" in out
-        assert "closed_form_vs_quadrature_0.05K" in out
-        assert "closed_form_vs_quadrature_0K" in out
+        assert "undamped_limit_0K" in out
+        assert "rest_energy_vs_matsubara_300K" in out
+        assert "rest_energy_vs_matsubara_0.05K" in out
+
+    def test_check_reaches_every_route(self, monkeypatch):
+        # the log, series and digamma routes each meet a row of the check
+        calls = {}
+        for name in ("_log", "_series", "_digamma"):
+            inner = getattr(spectral, name)
+
+            def counting(*args, name=name, inner=inner):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args)
+
+            monkeypatch.setattr(spectral, name, counting)
+        spectral.clear_cache()
+        assert all(ok for _, ok, _ in _run_checks())
+        assert set(calls) == {"_log", "_series", "_digamma"}
+        spectral.clear_cache()
 
     def test_check_exchange_row_swaps_distinct_contexts(self, monkeypatch):
         # an identical pair would compare one cache entry with itself

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import closure_reference, quadrature_shift_integral, tensor_energy
+import reference
+from reference import (closure_reference, integrate_spectrum, quadrature_shift_integral,
+                       tensor_energy)
 from spinvdw import oracle, spectral
 from spinvdw.configurations import Arrangement, delta_force, energy, rest_energy
 from spinvdw.response import (EPS0, HBAR, K_B, MaterialModel, SpinningSphere, bst,
                               polarizability, resonance_frequency)
 from spinvdw.spectral import (ConvergenceError, PairContext, QuadratureSpec,
-                              aux_energy, energy_AB, energy_BA,
-                              integrate_spectrum, pair_quadrature_spec,
+                              aux_energy, energy_AB, energy_BA, pair_quadrature_spec,
                               shift_integral)
 
 # SI energies, forces and polarizabilities are far below pytest.approx's
@@ -23,6 +24,12 @@ approx = functools.partial(pytest.approx, abs=0.0)
 
 A = 60e-9
 R = 180e-9
+
+
+def _poles_row(row):
+    """A (mat_x, mat_y, T_y) row as the (poles_x, poles_y, T_y) row of spectral._closed."""
+    mat_x, mat_y, temperature = row
+    return spectral._alpha_poles(mat_x), spectral._alpha_poles(mat_y), temperature
 
 
 def _record(monkeypatch, name="_closed"):
@@ -39,6 +46,8 @@ def _record(monkeypatch, name="_closed"):
 
 
 class TestIntegrateSpectrum:
+    """The Gauss-Kronrod quadrature of tests/reference.py, the closure's reference."""
+
     def test_lorentzian_normalization(self):
         # int gamma/pi/(w^2+gamma^2) = 1; beyond the window the tail decays
         # as w^-2, an exponent the tail fit must find
@@ -112,15 +121,15 @@ class TestIntegrateSpectrum:
         # which bisection cannot lower; without the floor check the
         # refinement ran to 150k panels before the budget stopped it
         panels = []
-        inner = spectral._gk15
+        inner = reference._gk15
 
         def counting(f, a, b):
             panels.append(len(a))
             return inner(f, a, b)
 
-        monkeypatch.setattr(spectral, "_gk15", counting)
+        monkeypatch.setattr(reference, "_gk15", counting)
         with pytest.raises(ConvergenceError, match="roundoff floor") as err:
-            shift_integral(ctx0, 2.0 * w0, "BA", "quadrature", rel_tol=1e-10)
+            quadrature_shift_integral(ctx0, 2.0 * w0, "BA", rel_tol=1e-10)
         assert sum(panels) < 5000
         assert err.value.estimate > spectral.DEFAULT_ABS_TOL
         assert err.value.value is not None
@@ -185,8 +194,8 @@ class TestEnergyIntegrals:
     def test_change_of_variables_identity(self, ctx300, w0):
         # moving the Doppler shift from eta_A onto alpha_B is a pure
         # substitution; evaluate the shifted-alpha form directly
-        from spinvdw.response import _alpha_reduced, resonance_frequency
-        from spinvdw.spectral import _eta_reduced, _integrate
+        from reference import _eta_reduced, _integrate
+        from spinvdw.response import _alpha_reduced
         om = 0.8 * w0
         ws, mat_a, mat_b = ctx300._scaled
         shift = om / ws
@@ -271,7 +280,7 @@ def _split(mat):
 
 
 class TestClosedForm:
-    """The contour closure against quadrature, mpmath and its domain edge."""
+    """The contour closure against quadrature and mpmath, and its tolerance gate."""
 
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -296,7 +305,6 @@ class TestClosedForm:
         if case == "rest":
             sphere_b = sphere_a
         ctx = PairContext(sphere_a, sphere_b, R)
-        assert ctx.closed_form
         ws, sa, sb = ctx._scaled
         shift = {"any": data.draw(st.floats(0.0, 9.0)), "rest": 0.0,
                  "sum": _split(sa) + _split(sb),
@@ -306,7 +314,7 @@ class TestClosedForm:
             scale = abs(quadrature_shift_integral(ctx, 0.0, which, 5e-10))
             want = quadrature_shift_integral(ctx, shift * ws, which, 5e-10,
                                              abs_tol=5e-10 * scale)
-            got, roundoff = shift_integral(ctx, shift * ws, which, "closed")
+            got, roundoff = shift_integral(ctx, shift * ws, which)
             assert abs(got - want) <= 1e-9 * max(abs(want), scale), (which, got, want)
             # a divided difference taken by the wrong branch would cancel
             # digits, and the estimate would show it
@@ -334,7 +342,7 @@ class TestClosedForm:
             want0 = reference(mpmath.mpf(0))
             for s in ("0", "1", "2", "2.05"):
                 want = reference(mpmath.mpf(s))
-                got, _ = shift_integral(ctx0, float(s) * ws, "BA", "closed")
+                got, _ = shift_integral(ctx0, float(s) * ws, "BA")
                 assert abs(got - want) <= 1e-12 * max(abs(want), abs(want0)), (s, got, want)
 
     def test_digamma_matches_mpmath(self):
@@ -350,20 +358,20 @@ class TestClosedForm:
             assert abs(t - want_t) <= 1e-13 * abs(want_t), (w, t, want_t)
 
     @pytest.mark.parametrize("damping", [2.0, 2.5])
-    def test_overdamped_material_uses_quadrature(self, w0, damping):
-        # gamma0 >= 2 w0 merges the two poles of alpha or puts them on the
-        # imaginary axis, outside the closed form's domain
+    def test_overdamped_material_matches_quadrature(self, w0, damping):
+        # gamma0 = 2 w0 merges the two poles of alpha (the mean over the
+        # circle) and 2.5 w0 puts them on the imaginary axis; the cached
+        # energies against the quadrature of their integrands
         mat = MaterialModel(12.2, 5.7e9, damping * w0)
         ctx = PairContext(SpinningSphere(A, mat, 300.0),
                           SpinningSphere(A, bst(), 300.0), R)
-        assert not ctx.closed_form
         to_reduced = -32.0 * np.pi / ctx.units().energy_scale
         for which, fn in (("BA", energy_BA), ("AB", energy_AB)):
-            want = quadrature_shift_integral(ctx, 0.7 * w0, which, 1e-8)
-            assert fn(ctx, 0.7 * w0) * to_reduced == approx(want, rel=1e-12)
+            want = quadrature_shift_integral(ctx, 0.7 * w0, which, 1e-10)
+            assert fn(ctx, 0.7 * w0) * to_reduced == approx(want, rel=1e-9)
 
     def test_tolerance_below_roundoff_raises(self, ctx300, w0):
-        value, roundoff = shift_integral(ctx300, 1.3 * w0, "BA", "closed")
+        value, roundoff = shift_integral(ctx300, 1.3 * w0, "BA")
         with pytest.raises(ConvergenceError) as err:
             energy_BA(ctx300, 1.3 * w0, rel_tol=0.1 * roundoff / abs(value))
         assert err.value.estimate == roundoff
@@ -401,7 +409,7 @@ class TestStackedClosedForm:
         shifts = data.draw(st.lists(st.floats(0.0, 9.0), min_size=1, max_size=6))
         values, roundoff = spectral._closed_kinds(ctx, shifts)
         for k, row in enumerate([(sa, sb, t_b), (sb, sa, t_a)]):
-            [alone], _ = spectral._closed([row], ws, shifts)
+            [alone], _ = spectral._closed([_poles_row(row)], ws, shifts)
             # a row stacked with another shares its digamma recurrence depth,
             # which changes roundoff only
             assert np.all(np.abs(values[k] - alone) <= roundoff[k]), (k, values[k], alone)
@@ -416,7 +424,7 @@ class TestStackedClosedForm:
         shifts = list(np.linspace(0.05, 4.0, count))
         values, roundoff = spectral._closed_kinds(ctx, shifts)
         for k, row in enumerate([(sa, sb, 300.0), (sb, sa, 0.0)]):
-            [alone], [alone_roundoff] = spectral._closed([row], ws, shifts)
+            [alone], [alone_roundoff] = spectral._closed([_poles_row(row)], ws, shifts)
             assert np.array_equal(values[k], alone), k
             assert np.array_equal(roundoff[k], alone_roundoff), k
 
@@ -456,8 +464,8 @@ SHIFTS = (0.0, 0.5, 1.3, 3.1)     # working units
 
 def _temperature_at(rho, mat_x, mat_y, omega_scale, shifts=SHIFTS):
     """T_Y at which the largest Matsubara argument |z| of a row is rho."""
-    (p_x, _), _ = spectral._alpha_poles(mat_x)
-    (p_y, _), _ = spectral._alpha_poles(mat_y)
+    [((p_x, _), _)] = spectral._alpha_poles(mat_x)
+    [((p_y, _), _)] = spectral._alpha_poles(mat_y)
     reach = max(abs(p_x) + max(shifts), abs(p_y))
     return reach / rho * HBAR * omega_scale / (2.0 * math.pi * K_B)
 
@@ -525,7 +533,7 @@ class TestMatsubaraRoutes:
         for mat_x, mat_y in ((sa, sb), (sb, sa)):
             row = (mat_x, mat_y, _temperature_at(0.249, mat_x, mat_y, ws, (0.0,)))
             series.clear()
-            spectral._closed([row], ws, [0.0])
+            spectral._closed([_poles_row(row)], ws, [0.0])
             [(got, _)] = series
             _, pairs = closure_reference(row, ws, 0.0)
             assert abs(got[0, 0] - pairs) <= 1e-14 * abs(pairs), (got[0, 0], pairs)
@@ -568,11 +576,120 @@ class TestMatsubaraRoutes:
                 (sa, sb, _temperature_at(0.1, sa, sb, ws))]
         closed = _record(monkeypatch)
         log, digamma = _record(monkeypatch, "_log"), _record(monkeypatch, "_digamma")
-        values, roundoff = spectral._closed(rows, ws, list(SHIFTS))
+        values, roundoff = spectral._closed([_poles_row(row) for row in rows], ws,
+                                            list(SHIFTS))
         assert closed == [3] and len(log) == 1 and len(digamma) == 1
         for k, row in enumerate(rows):
-            [alone], _ = spectral._closed([row], ws, list(SHIFTS))
+            [alone], _ = spectral._closed([_poles_row(row)], ws, list(SHIFTS))
             assert np.all(np.abs(values[k] - alone) <= roundoff[k]), (k, values[k], alone)
+
+
+# gamma0/2 w0 of the damping grid: around critical damping, then overdamped
+DAMPINGS = tuple(1.0 + d for d in (0.0, -1e-9, 1e-9, -1e-7, 1e-7, -1e-5, 1e-5,
+                                   -1e-3, 1e-3)) + (1.25, 2.0, 5.0)
+GRID_SHIFTS = (0.0, 0.7, 1.3, 2.05, 3.1)     # working units
+
+
+def _damped(ratio, w0):
+    """BST's oscillator with gamma0 = ratio * 2 w0."""
+    return MaterialModel(12.2, 5.7e9, ratio * 2.0 * w0)
+
+
+class TestEveryDamping:
+    """The closure for every gamma0 > 0: critical damping and overdamped poles."""
+
+    @pytest.mark.parametrize("ratio, temperature", [
+        (2.0, 0.0), (5.0, 0.0), (1.0 - 5e-8, 0.0), (1.0 - 5e-8, 300.0)])
+    def test_heavy_damping_delta_force(self, w0, ratio, temperature):
+        # gamma0 = 4 w0 and 10 w0 at T = 0 raised ConvergenceError when a
+        # quadrature evaluated them (its tail uncertainty alone exceeded the
+        # tolerance), and 2 w0 (1 - 5e-8), just below critical damping, when
+        # the closure's residues ~ 1/W' left a roundoff of 2-3e-7 of J
+        mat = _damped(ratio, w0)
+        ctx = PairContext(SpinningSphere(A, mat, temperature),
+                          SpinningSphere(A, mat, temperature), R)
+        df = delta_force(ctx, Arrangement("rr"), 1.3 * w0, 0.0)
+        assert math.isfinite(df) and df != 0.0
+        ws = ctx._scaled[0]
+        for shift in (0.0, 1.3):
+            value, roundoff = shift_integral(ctx, shift * ws, "BA")
+            assert roundoff <= 1e-8 * abs(value), (shift, value, roundoff)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.3, 300.0, 1500.0])
+    def test_seeded_grid(self, w0, temperature):
+        # every damping of DAMPINGS as sphere A, with a partner drawn from a
+        # seeded generator (the same material, or another one), at every
+        # shift of GRID_SHIFTS: the log route at 0 K, digamma at 0.3 K (and
+        # the series where every |z| stays below 1/4), the series at 300 and
+        # 1500 K. Against the 50-digit closure, J is within its roundoff
+        # estimate; at T > 0 it is also within that estimate plus the
+        # quadrature's own estimate of the quadrature at rel_tol 1e-10; and
+        # the estimate stays below 1e-8 |J|, the default rel_tol
+        rng = np.random.default_rng(20261018)
+        for ratio in DAMPINGS:
+            mat_a = _damped(ratio, w0)
+            if rng.random() < 0.5:
+                mat_b = mat_a
+            else:
+                wt = 5.7e9 * rng.uniform(0.5, 2.0)
+                mat_b = MaterialModel(rng.uniform(4.0, 20.0), wt,
+                                      wt * math.exp(rng.uniform(math.log(1e-2), math.log(0.5))))
+            ctx = PairContext(SpinningSphere(A, mat_a, temperature),
+                              SpinningSphere(50e-9, mat_b, temperature), R)
+            ws, sa, sb = ctx._scaled
+            values, roundoff = spectral._closed_kinds(ctx, list(GRID_SHIFTS))
+            for k, (which, row) in enumerate([("BA", (sa, sb, temperature)),
+                                              ("AB", (sb, sa, temperature))]):
+                for n, shift in enumerate(GRID_SHIFTS):
+                    got, estimate = values[k, n], roundoff[k, n]
+                    where = (ratio, which, shift)
+                    assert estimate <= 1e-8 * abs(got.real), where
+                    assert abs(got.imag) <= estimate, where
+                    want = closure_reference(row, ws, shift, dps=50, total=True)
+                    assert abs(got - want) <= estimate, (where, got, want, estimate)
+                    if temperature > 0.0:
+                        gk, gk_error = quadrature_shift_integral(
+                            ctx, shift * ws, which, 1e-10, with_error=True)
+                        assert abs(got.real - gk) <= estimate + gk_error, (where, got, gk)
+
+    def test_log_takes_principal_value_on_the_cut(self):
+        # w = -2 +/- 0j: log|w| either side, where np.log gives +/- i pi
+        w = np.array([complex(-2.0, 0.0), complex(-2.0, -0.0), complex(-2.0, 1e-300),
+                      complex(3.0, 0.0)])
+        f, df = spectral._log(w)
+        assert f[0] == f[1] == math.log(2.0)
+        assert f[2] == complex(math.log(2.0), math.pi)
+        assert f[3] == math.log(3.0)
+        assert np.array_equal(df, 1.0 / w)
+
+    def test_overdamped_poles_on_the_imaginary_axis(self, w0):
+        # gamma0 = 10 w0: both poles of alpha at -i(gamma/2 -/+ |W'|), the
+        # slow one from p1 p2 = -w0^2 without cancellation; alpha itself
+        # from them equals the material kernel
+        from spinvdw.response import _alpha_reduced
+        mat = _damped(5.0, w0).scaled(w0)
+        [((p1, p2), (r1, r2))] = spectral._alpha_poles(mat)
+        assert p1.real == p2.real == 0.0 and p1.imag < 0.0 and p2.imag < 0.0
+        assert p1 * p2 == approx(-resonance_frequency(mat) ** 2, rel=1e-15)
+        u = np.array([-3.0, -0.1, 0.0, 0.4, 2.0, 30.0])
+        assert np.allclose(r1 / (u - p1) + r2 / (u - p2), _alpha_reduced(mat, u),
+                           rtol=1e-14, atol=0.0)
+
+    def test_near_critical_row_is_one_circle_pass(self, monkeypatch, w0):
+        # a row at critical damping stacks the eight points of the circle
+        # into the same pass, and the result keeps the row count
+        mat = _damped(1.0, w0)
+        ctx = PairContext(SpinningSphere(A, mat, 300.0),
+                          SpinningSphere(50e-9, bst(), 300.0), R)
+        series = _record(monkeypatch, "_series")
+        values, roundoff = spectral._closed_kinds(ctx, [0.0, 1.3])
+        assert values.shape == roundoff.shape == (2, 2)
+        assert series == [2 * len(spectral._CIRCLE)]
+
+    def test_undamped_material_rejected(self):
+        sphere = SpinningSphere(A, MaterialModel(12.2, 5.7e9, 0.0), 0.0)
+        with pytest.raises(ValueError, match="oracle"):
+            PairContext(sphere, SpinningSphere(A, bst(), 0.0), R)
 
 
 class TestShiftCache:
@@ -632,22 +749,16 @@ class TestShiftCache:
                                          "blocks": 1}
         spectral.clear_cache()
 
-    def test_quadrature_values_keyed_by_rel_tol(self, w0):
-        # gamma0 = 2.5 w0: quadrature values met the tolerance they were
-        # computed at, so another tolerance is another entry
+    def test_one_entry_serves_every_rel_tol(self, w0):
+        # gamma0 = 2.5 w0, overdamped: rel_tol only gates the roundoff
+        # estimate, so a second tolerance hits the entry of the first
         ctx = PairContext(SpinningSphere(A, MaterialModel(12.2, 5.7e9, 2.5 * w0), 300.0),
                           SpinningSphere(A, bst(), 300.0), R)
-        assert not ctx.closed_form
         spectral.clear_cache()
         loose = energy_BA(ctx, 0.7 * w0, rel_tol=1e-4)
-        tight = energy_BA(ctx, 0.7 * w0, rel_tol=1e-8)
-        assert loose != tight
-        assert spectral.cache_info() == {"entries": 2, "hits": 0, "misses": 2,
-                                         "blocks": 0}
-        assert energy_BA(ctx, 0.7 * w0, rel_tol=1e-4) == loose
-        assert energy_BA(ctx, 0.7 * w0, rel_tol=1e-8) == tight
-        assert spectral.cache_info() == {"entries": 2, "hits": 2, "misses": 2,
-                                         "blocks": 0}
+        assert energy_BA(ctx, 0.7 * w0, rel_tol=1e-8) == loose
+        assert spectral.cache_info() == {"entries": 2, "hits": 1, "misses": 1,
+                                         "blocks": 1}
         spectral.clear_cache()
 
 
