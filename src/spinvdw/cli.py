@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 
@@ -351,14 +352,14 @@ def emit(result, fmt, path):
         lines = [f"# {key} = {_fmt(value)}\n" for key, value in result.metadata.items()]
         lines.append(",".join(columns) + "\n")
         if rows:
-            line = ",".join(f"%({c}).17g" if isinstance(v, float) else f"%({c})s"
-                            for c, v in rows[0].items()) + "\n"
-            texts = [c for c, v in rows[0].items() if isinstance(v, str)]
-            for row in rows:
-                for c in texts:
-                    if row[c]:
-                        row = {**row, c: _quoted(row[c])}
-                lines.append(line % row)
+            line = ",".join("%.17g" if isinstance(v, float) else "%s"
+                            for v in rows[0].values()) + "\n"
+            texts = [i for i, v in enumerate(rows[0].values()) if isinstance(v, str)]
+            for values in map(operator.itemgetter(*columns), rows):
+                for i in texts:
+                    if values[i]:
+                        values = (*values[:i], _quoted(values[i]), *values[i + 1:])
+                lines.append(line % values)
         text = "".join(lines)
     else:
         text = json.dumps({"metadata": result.metadata, "rows": result.rows},

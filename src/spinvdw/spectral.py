@@ -549,14 +549,6 @@ def _residue_error(which, imag, roundoff):
         f"roundoff estimate {roundoff:.3e}; closed form violated")
 
 
-def _roundoff_error(which, rel_tol, value, roundoff):
-    """The error of a closed-form value whose roundoff exceeds the tolerance."""
-    return ConvergenceError(
-        f"energy_{which}: rel_tol {rel_tol:.1e} is below the closed form's "
-        f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
-        value=value, estimate=roundoff)
-
-
 def shift_integral(ctx, Omega, which):
     """One reduced shift integral and its roundoff estimate, uncached.
 
@@ -576,11 +568,10 @@ def shift_integral(ctx, Omega, which):
 # all of its shifts up front (prefetch) and its rows only look them up.
 # Single-threaded; nothing is ever evicted. Each pair has one table, found
 # once per call under the context's ``_key``, so equal contexts share it
-# (the presets share 420 values). An entry is keyed by slot and holds one
-# evaluation flat, as the tuple (BA value, roundoff estimate, imaginary
-# residue, AB value, roundoff estimate, imaginary residue), checked on
-# every lookup against that lookup's rel_tol, so a bad shift fails only the
-# lookups that use it.
+# (the presets share 420 values). An entry is keyed by slot (see
+# :func:`_weigh`) and holds one evaluation flat, (BA value, roundoff
+# estimate, imaginary residue, AB's three), checked on every lookup
+# against its rel_tol, so a bad shift fails only the lookups that use it.
 _cache = {}
 _stats = {"hits": 0, "misses": 0, "blocks": 0}
 
@@ -602,42 +593,43 @@ def cache_info():
     """Shift-cache counters since the last :func:`clear_cache`.
 
     ``entries`` cached values (a slot holds two, one per kind), ``hits``
-    and ``misses`` of the lookups (one per kind and distinct shift), and
-    ``blocks``, the stacked closed-form evaluations of both kinds at up to
-    ``_BLOCK`` shifts each.
+    and ``misses`` of the lookups (one per kind and slot), and ``blocks``,
+    the stacked closed-form evaluations of both kinds at up to ``_BLOCK``
+    shifts each.
     """
     entries = 2 * sum(map(len, _cache.values()))
     return dict(entries=entries, **_stats)
 
 
-def _slot(shift):
-    """Cache slot of a working-unit shift: |shift| quantized to 1e-12."""
-    return round(shift / 1e-12)
+def _weigh(weights, ws, terms, omega_a, omega_b):
+    """Merge the weights c of ``terms`` at (omega_a, omega_b) into ``weights``.
 
-
-def _table(ctx):
-    """The pair's shift table, made on its first use."""
-    table = _cache.get(ctx._key)
-    if table is None:
-        table = _cache[ctx._key] = {}
-    return table
-
-
-def _fill_closed(ctx, table, shifts):
-    """Evaluate the entries of ``shifts``, a slot -> shift map.
-
-    Both kinds of every shift are evaluated together, in blocks of at most
-    ``_BLOCK`` shifts, one :func:`_closed_kinds` call each, and stored in
-    ``table`` as flat tuples. Nothing is checked here; lookups check.
+    ``weights`` maps a cache slot, the shift x = |s omega_a - t omega_b|/ws
+    quantized to 1e-12 (both integrals are even in x), to [x, summed c];
+    a slot keeps the x of its first term, the shift a miss evaluates.
     """
-    slots = list(shifts)
+    for s, t, c in terms:
+        x = abs(s * omega_a - t * omega_b) / ws
+        weights.setdefault(round(x / 1e-12), [x, 0.0])[1] += c
+    return weights
+
+
+def _fill_closed(ctx, table, weights):
+    """Evaluate the slots of ``weights`` that ``table`` lacks; returns their count.
+
+    Both kinds of every such shift are evaluated together, in blocks of at
+    most ``_BLOCK`` shifts, one :func:`_closed_kinds` call each, and stored
+    in ``table`` as flat tuples. Nothing is checked here; lookups check.
+    """
+    slots = [n for n in weights if n not in table]
     for start in range(0, len(slots), _BLOCK):
         block = slots[start:start + _BLOCK]
-        values, roundoff = _closed_kinds(ctx, [shifts[n] for n in block])
+        values, roundoff = _closed_kinds(ctx, [weights[n][0] for n in block])
         _stats["blocks"] += 1
         fields = np.empty((6, len(block)))     # rows: BA's three fields, then AB's
         fields[0::3], fields[1::3], fields[2::3] = values.real, roundoff, values.imag
         table.update(zip(block, zip(*fields.tolist())))
+    return len(slots)
 
 
 def prefetch(ctx, terms, rate_pairs):
@@ -649,64 +641,74 @@ def prefetch(ctx, terms, rate_pairs):
     are evaluated in a few blocked passes, so the energies that follow are
     pure lookups.
     """
-    ws = ctx._scaled[0]
-    table = _table(ctx)
-    shifts = {_slot(0.0): 0.0}
+    weights = {0: [0.0, 0.0]}               # the slot of the rest energy
     for omega_a, omega_b in rate_pairs:
-        for s, t, _ in terms:
-            shift = abs(s * omega_a - t * omega_b) / ws
-            shifts.setdefault(_slot(shift), shift)
-    _fill_closed(ctx, table, {n: x for n, x in shifts.items() if n not in table})
+        _weigh(weights, ctx._scaled[0], terms, omega_a, omega_b)
+    _fill_closed(ctx, _cache.setdefault(ctx._key, {}), weights)
+
+
+def _checked(entry, which, rel):
+    """An entry's value of kind ``which``; its residue and roundoff estimate checked."""
+    k = 3 * _KINDS.index(which)
+    value, roundoff, imag = entry[k:k + 3]
+    if abs(imag) > roundoff:
+        raise _residue_error(which, imag, roundoff)
+    if roundoff > DEFAULT_ABS_TOL and roundoff > rel * abs(value):
+        raise ConvergenceError(
+            f"energy_{which}: rel_tol {rel:.1e} is below the closed form's "
+            f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
+            value=value, estimate=roundoff)
+    return value
 
 
 def _lookup(ctx, weights, rel_tol, kinds=_KINDS):
     """Weighted sum of reduced shift integrals, sum c (sum of ``kinds``).
 
-    ``weights`` maps each Omega to its weight c. Both integrals are even in
-    Omega, so the cache key is the slot of |Omega|, and the misses of one
-    call are evaluated, both kinds at once, in one blocked pass. A call for
-    one kind reads the entries through a per-call table with zeros for the
-    other. One walk over the shifts then checks both kinds' imaginary
-    residue and roundoff estimate, the latter against
-    max(abs_tol, rel_tol |value|), and sums.
+    ``weights`` maps each shift's slot to [shift, c] (see :func:`_weigh`).
+    One walk reads each slot's entry, checks (see :func:`_checked`) and
+    sums; a lookup for one kind reads that kind's three fields. A miss, a
+    slot's first use, stops the walk: all of the call's misses are
+    evaluated, both kinds at once, in one blocked pass, and the walk runs
+    again. A failed check is raised once the misses are filled, so each
+    kind and slot counts as one hit or one miss.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    ws = ctx._scaled[0]
-    table = _table(ctx)
-    slots = [_slot(abs(om) / ws) for om in weights]
-    distinct = set(slots)
-    misses = 0
-    if not table.keys() >= distinct:
-        missing = {}                    # the shift evaluated for each slot
-        for om, n in zip(weights, slots):
-            if n not in table:
-                missing.setdefault(n, abs(om) / ws)
-        misses = len(kinds) * len(missing)
-        _fill_closed(ctx, table, missing)
-    _stats["misses"] += misses
-    _stats["hits"] += len(kinds) * len(distinct) - misses
-    if kinds == ("BA",):
-        table = {n: table[n][:3] + (0.0, 0.0, 0.0) for n in distinct}
-    elif kinds == ("AB",):
-        table = {n: (0.0, 0.0, 0.0) + table[n][3:] for n in distinct}
-    total = 0.0
-    for n, c in zip(slots, weights.values()):
-        ba, ba_round, ba_imag, ab, ab_round, ab_imag = table[n]
-        if abs(ba_imag) > ba_round:
-            raise _residue_error("BA", ba_imag, ba_round)
-        if ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba):
-            raise _roundoff_error("BA", rel, ba, ba_round)
-        if abs(ab_imag) > ab_round:
-            raise _residue_error("AB", ab_imag, ab_round)
-        if ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab):
-            raise _roundoff_error("AB", rel, ab, ab_round)
-        total += c * (ba + ab)
-    return total
+    table = _cache.get(ctx._key)
+    if table is None:                   # no throwaway dict on every call
+        table = _cache[ctx._key] = {}
+    _stats["hits"] += len(kinds) * len(weights)
+    both = len(kinds) == 2
+    while True:
+        total = 0.0
+        try:
+            for n, (_, c) in weights.items():
+                ba, ba_round, ba_imag, ab, ab_round, ab_imag = entry = table[n]
+                if both and not (abs(ba_imag) > ba_round or abs(ab_imag) > ab_round
+                                 or ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba)
+                                 or ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab)):
+                    total += c * (ba + ab)      # the common case, checked inline
+                else:
+                    total += c * sum(_checked(entry, which, rel) for which in kinds)
+            return total
+        except KeyError:
+            pass
+        except (ArithmeticError, ConvergenceError):
+            if all(n in table for n in weights):    # else fill the misses first
+                raise
+        misses = len(kinds) * _fill_closed(ctx, table, weights)
+        _stats["hits"] -= misses
+        _stats["misses"] += misses
 
 
 def _to_joules(ctx):
     """Factor from a reduced shift integral to its energy (J)."""
     return -ctx._units.energy_scale / (32.0 * np.pi)
+
+
+def _single(ctx, Omega, rel_tol, kinds=_KINDS):
+    """Energy (J) of the integrals ``kinds`` at the one shift |Omega|."""
+    weights = _weigh({}, ctx._scaled[0], ((1.0, 0.0, 1.0),), Omega, 0.0)
+    return _to_joules(ctx) * _lookup(ctx, weights, rel_tol, kinds)
 
 
 def energy_BA(ctx, Omega, rel_tol=None):
@@ -716,12 +718,12 @@ def energy_BA(ctx, Omega, rel_tol=None):
     with A = hbar/(512 pi^3 eps0^2). Real by symmetry; the imaginary
     residue is checked against the error estimate before being discarded.
     """
-    return _to_joules(ctx) * _lookup(ctx, {Omega: 1.0}, rel_tol, ("BA",))
+    return _single(ctx, Omega, rel_tol, ("BA",))
 
 
 def energy_AB(ctx, Omega, rel_tol=None):
     """Energy from Doppler-shifted fluctuations in A driving B (J)."""
-    return _to_joules(ctx) * _lookup(ctx, {Omega: 1.0}, rel_tol, ("AB",))
+    return _single(ctx, Omega, rel_tol, ("AB",))
 
 
 def aux_energy(ctx, Omega, rel_tol=None):
@@ -730,7 +732,7 @@ def aux_energy(ctx, Omega, rel_tol=None):
     Even in Omega; the energy of every arrangement is a weighted sum of
     values of this function (see :mod:`spinvdw.configurations`).
     """
-    return _to_joules(ctx) * _lookup(ctx, {Omega: 1.0}, rel_tol)
+    return _single(ctx, Omega, rel_tol)
 
 
 def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
@@ -738,12 +740,9 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
 
     ``terms`` holds the arrangement's ``(s, t, c)`` weights (see
     :mod:`spinvdw.configurations`); the energy is
-    2 sum c E(|s Omega_A - t Omega_B|). Terms with equal shifts are merged,
-    and the BA and AB integrals of all distinct shifts are looked up, and
-    their misses evaluated, in one call.
+    2 sum c E(|s Omega_A - t Omega_B|). One pass over the terms merges
+    their weights by cache slot, and one walk over the slots looks up the
+    BA and AB integrals of all of them, evaluating any misses first.
     """
-    weights = {}
-    for s, t, c in terms:
-        shift = abs(s * Omega_A - t * Omega_B)
-        weights[shift] = weights.get(shift, 0.0) + c
+    weights = _weigh({}, ctx._scaled[0], terms, Omega_A, Omega_B)
     return 2.0 * _to_joules(ctx) * _lookup(ctx, weights, rel_tol)

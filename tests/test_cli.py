@@ -10,9 +10,9 @@ import pytest
 
 import spinvdw
 from spinvdw import configurations, spectral
-from spinvdw.cli import (CSV_COLUMNS, ConfigError, SweepResult, SweepSpec, _context_for,
-                         _fmt, _run_checks, emit, main, parse_config, read_csv_rows,
-                         run_preset, run_sweep, spec_to_config)
+from spinvdw.cli import (CSV_COLUMNS, PRESETS, ConfigError, SweepResult, SweepSpec,
+                         _context_for, _fmt, _run_checks, emit, main, parse_config,
+                         read_csv_rows, run_preset, run_sweep, spec_to_config)
 from spinvdw.configurations import energy
 from spinvdw.response import resonance_frequency
 from spinvdw.spectral import ConvergenceError
@@ -212,6 +212,13 @@ class TestBlockedSweep:
         assert spectral.cache_info() == {"entries": 0, "hits": 0, "misses": 0,
                                          "blocks": 0}
 
+    def test_cold_six_preset_pass_counters(self, cold_cache):
+        # every row of the six presets is a lookup after its sweep's prefetch
+        for name in PRESETS:
+            run_preset(name)
+        assert spectral.cache_info() == {"entries": 2224, "hits": 7992, "misses": 0,
+                                         "blocks": 20}
+
     def test_equal_contexts_share_entries(self, w0, cold_cache):
         # a second, distinct but equal context finds every shift in place
         config = {"arrangement": "uu", "sweep.omega_a_count": 30,
@@ -307,6 +314,17 @@ class TestEmit:
         lines = path.read_text().splitlines()[-len(result.rows):]
         assert lines == [",".join(_fmt(row[c]) for c in CSV_COLUMNS)
                          for row in result.rows]
+
+    def test_signed_zero_keeps_its_sign(self, tmp_path):
+        # a counter-rotating sweep starts at Omega_B = -0.0, which equals
+        # 0.0 and must still be written as -0
+        result = run_preset("fig2a", points=2)
+        co, counter = result.rows[0]["omega_B_rad_s"], result.rows[2]["omega_B_rad_s"]
+        assert co == counter == 0.0 and math.copysign(1.0, counter) < 0
+        path = tmp_path / "out.csv"
+        emit(result, "csv", str(path))
+        lines = path.read_text().splitlines()[-4:]
+        assert lines[0].split(",")[1] == "0" and lines[2].split(",")[1] == "-0"
 
     def test_error_with_commas_round_trips(self, w0, tmp_path, monkeypatch):
         # a failed row's message, with commas and quotes, goes through the

@@ -749,6 +749,73 @@ class TestShiftCache:
                                          "blocks": 1}
         spectral.clear_cache()
 
+    def test_shifts_in_one_slot_share_one_entry(self, monkeypatch, ctx300, w0):
+        # adjacent doubles are distinct shifts but one slot: the first
+        # term's shift is evaluated once and the weights are summed
+        ws = ctx300._scaled[0]
+        wa = 0.7 * w0
+        wb = math.nextafter(wa, math.inf)
+        assert wa / ws != wb / ws and round(wa / ws / 1e-12) == round(wb / ws / 1e-12)
+        spectral.clear_cache()
+        shifts = []
+        inner = spectral._closed
+
+        def recording(rows, omega_scale, block):
+            shifts.append(list(block))
+            return inner(rows, omega_scale, block)
+
+        monkeypatch.setattr(spectral, "_closed", recording)
+        terms = ((1.0, 0.0, 0.25), (0.0, 1.0, 0.5))     # E(|Omega_A|), E(|Omega_B|)
+        e = spectral.general_energy(ctx300, terms, wa, -wb)
+        assert shifts == [[wa / ws]]
+        assert spectral.cache_info() == {"entries": 2, "hits": 0, "misses": 2,
+                                         "blocks": 1}
+        assert e == approx(1.5 * aux_energy(ctx300, wa), rel=1e-15)
+        assert spectral.cache_info()["hits"] == 2
+        spectral.clear_cache()
+
+    def test_miss_after_hit_in_one_call(self, ctx300, w0):
+        # the walk meets a hit, then a miss: the miss is evaluated and the
+        # walk runs again, counting one hit and one miss per kind
+        spectral.clear_cache()
+        first = aux_energy(ctx300, 0.7 * w0)
+        terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
+        e = spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0)
+        assert spectral.cache_info() == {"entries": 4, "hits": 2, "misses": 4,
+                                         "blocks": 2}
+        assert e == approx(first + aux_energy(ctx300, 1.1 * w0), rel=1e-15)
+        spectral.clear_cache()
+
+    def test_failed_hit_before_miss_fills_the_miss(self, monkeypatch, ctx300, w0):
+        # a bad entry met before a miss still raises, after the miss is
+        # evaluated and counted as a miss
+        spectral.clear_cache()
+        inner = spectral._closed
+
+        def corrupt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value + 1j, roundoff
+
+        monkeypatch.setattr(spectral, "_closed", corrupt)
+        spectral.prefetch(ctx300, ((1.0, 0.0, 1.0),), [(0.7 * w0, 0.0)])
+        monkeypatch.undo()
+        terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
+        with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
+            spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0)
+        assert spectral.cache_info() == {"entries": 6, "hits": 2, "misses": 2,
+                                         "blocks": 2}
+        spectral.clear_cache()
+
+    @pytest.mark.parametrize("t_b", [300.0, 900.0], ids=["one_row", "two_rows"])
+    def test_kinds_sum_to_aux(self, w0, t_b):
+        ctx = PairContext(SpinningSphere(A, bst(), 300.0),
+                          SpinningSphere(50e-9, bst(), t_b), R)
+        spectral.clear_cache()
+        for omega in (0.0, 0.7 * w0, -2.3 * w0):
+            total = aux_energy(ctx, omega)
+            assert energy_BA(ctx, omega) + energy_AB(ctx, omega) == approx(total, rel=1e-15)
+        spectral.clear_cache()
+
     def test_one_entry_serves_every_rel_tol(self, w0):
         # gamma0 = 2.5 w0, overdamped: rel_tol only gates the roundoff
         # estimate, so a second tolerance hits the entry of the first
