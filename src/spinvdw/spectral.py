@@ -118,7 +118,8 @@ class PairContext:
     arguments of the energy functions, so one context serves every
     arrangement and rotation state. What the integrals derive from the
     spheres (the unit system, the materials in working units, the poles of
-    their polarizabilities and the cache key) is computed once, here.
+    their polarizabilities, the factor to joules, and the cache key and
+    its table) is computed once, here.
 
     Parameters
     ----------
@@ -146,15 +147,20 @@ class PairContext:
         ws = resonance_frequency(ma)
         a3 = self.sphere_a.radius**3 * self.sphere_b.radius**3
         scaled = (ma.scaled(ws), mb.scaled(ws))
+        units = UnitSystem(ws, HBAR * ws * a3 / self.separation**6)
+        key = (ma.f0, ma.omega_tilde0, ma.gamma0,
+               mb.f0, mb.omega_tilde0, mb.gamma0,
+               self.sphere_a.radius, self.sphere_b.radius,
+               self.sphere_a.temperature, self.sphere_b.temperature,
+               self.separation)
         derived = {
-            "_units": UnitSystem(ws, HBAR * ws * a3 / self.separation**6),
+            "_units": units,
             "_scaled": (ws, *scaled),
             "_poles": tuple(map(_alpha_poles, scaled)),
-            "_key": (ma.f0, ma.omega_tilde0, ma.gamma0,
-                     mb.f0, mb.omega_tilde0, mb.gamma0,
-                     self.sphere_a.radius, self.sphere_b.radius,
-                     self.sphere_a.temperature, self.sphere_b.temperature,
-                     self.separation),
+            # a reduced shift integral times this is its energy (J)
+            "_joules": -units.energy_scale / (32.0 * np.pi),
+            "_key": key,
+            "_table": _cache.setdefault(key, {}),   # shared by equal contexts
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -566,12 +572,15 @@ def shift_integral(ctx, Omega, which):
 # Sweeps revisit the same few shifts (E(0) on every row, sums and
 # differences of the grid rates), so most lookups hit; a sweep evaluates
 # all of its shifts up front (prefetch) and its rows only look them up.
-# Single-threaded; nothing is ever evicted. Each pair has one table, found
-# once per call under the context's ``_key``, so equal contexts share it
-# (the presets share 420 values). An entry is keyed by slot (see
-# :func:`_weigh`) and holds one evaluation flat, (BA value, roundoff
-# estimate, imaginary residue, AB's three), checked on every lookup
-# against its rel_tol, so a bad shift fails only the lookups that use it.
+# Single-threaded; nothing is ever evicted. ``_cache`` maps a context's
+# ``_key`` to that pair's table, which the context registers and holds as
+# ``_table``, so equal contexts share it (the presets share 420 values).
+# An entry is keyed by slot (see :func:`_weigh`) and holds one evaluation
+# as a flat list, (BA value, roundoff estimate, imaginary residue, AB's
+# three, passed). Lookups check the fields they read against their
+# rel_tol, so a bad shift fails only the lookups that use it; ``passed``
+# is a rel_tol at which a lookup of both kinds has passed all four checks
+# (NaN until one has), and such lookups at a rel_tol >= it skip them.
 _cache = {}
 _stats = {"hits": 0, "misses": 0, "blocks": 0}
 
@@ -585,17 +594,23 @@ _BLOCK = 64
 
 
 def clear_cache():
-    _cache.clear()
+    """Drop every cached entry and zero the counters.
+
+    Each table is emptied in place, so a live context keeps a valid table,
+    still shared with the contexts equal to it.
+    """
+    for table in _cache.values():
+        table.clear()
     _stats.update(hits=0, misses=0, blocks=0)
 
 
 def cache_info():
     """Shift-cache counters since the last :func:`clear_cache`.
 
-    ``entries`` cached values (a slot holds two, one per kind), ``hits``
-    and ``misses`` of the lookups (one per kind and slot), and ``blocks``,
-    the stacked closed-form evaluations of both kinds at up to ``_BLOCK``
-    shifts each.
+    ``entries`` cached values over the tables of every context built (a
+    slot holds two, one per kind), ``hits`` and ``misses`` of the lookups
+    (one per kind and slot), and ``blocks``, the stacked closed-form
+    evaluations of both kinds at up to ``_BLOCK`` shifts each.
     """
     entries = 2 * sum(map(len, _cache.values()))
     return dict(entries=entries, **_stats)
@@ -610,26 +625,33 @@ def _weigh(weights, ws, terms, omega_a, omega_b):
     """
     for s, t, c in terms:
         x = abs(s * omega_a - t * omega_b) / ws
-        weights.setdefault(round(x / 1e-12), [x, 0.0])[1] += c
+        n = round(x / 1e-12)
+        slot = weights.get(n)
+        if slot is None:
+            weights[n] = [x, c]
+        else:
+            slot[1] += c
     return weights
 
 
-def _fill_closed(ctx, table, weights):
-    """Evaluate the slots of ``weights`` that ``table`` lacks; returns their count.
+def _fill_closed(ctx, table, shifts):
+    """Evaluate the (slot, shift) pairs of ``shifts`` whose slot ``table`` lacks.
 
-    Both kinds of every such shift are evaluated together, in blocks of at
-    most ``_BLOCK`` shifts, one :func:`_closed_kinds` call each, and stored
-    in ``table`` as flat tuples. Nothing is checked here; lookups check.
+    Returns their count. Both kinds of every such shift are evaluated
+    together, in blocks of at most ``_BLOCK`` shifts, one
+    :func:`_closed_kinds` call each, and stored in ``table`` as flat lists
+    not yet passed (NaN). Nothing is checked here; lookups check.
     """
-    slots = [n for n in weights if n not in table]
-    for start in range(0, len(slots), _BLOCK):
-        block = slots[start:start + _BLOCK]
-        values, roundoff = _closed_kinds(ctx, [weights[n][0] for n in block])
+    missing = [(n, x) for n, x in shifts if n not in table]
+    for start in range(0, len(missing), _BLOCK):
+        slots, block = zip(*missing[start:start + _BLOCK])
+        values, roundoff = _closed_kinds(ctx, list(block))
         _stats["blocks"] += 1
-        fields = np.empty((6, len(block)))     # rows: BA's three fields, then AB's
-        fields[0::3], fields[1::3], fields[2::3] = values.real, roundoff, values.imag
-        table.update(zip(block, zip(*fields.tolist())))
-    return len(slots)
+        fields = np.empty((len(block), 7))   # per slot: BA's three fields, AB's, passed
+        fields[:, 0:6:3], fields[:, 1:6:3] = values.real.T, roundoff.T
+        fields[:, 2:6:3], fields[:, 6] = values.imag.T, math.nan
+        table.update(zip(slots, fields.tolist()))
+    return len(missing)
 
 
 def prefetch(ctx, terms, rate_pairs):
@@ -641,10 +663,13 @@ def prefetch(ctx, terms, rate_pairs):
     are evaluated in a few blocked passes, so the energies that follow are
     pure lookups.
     """
-    weights = {0: [0.0, 0.0]}               # the slot of the rest energy
+    ws = ctx._scaled[0]
+    shifts = {0: 0.0}                       # the slot of the rest energy
     for omega_a, omega_b in rate_pairs:
-        _weigh(weights, ctx._scaled[0], terms, omega_a, omega_b)
-    _fill_closed(ctx, _cache.setdefault(ctx._key, {}), weights)
+        for s, t, _ in terms:               # the slots of _weigh, first shift kept
+            x = abs(s * omega_a - t * omega_b) / ws
+            shifts.setdefault(round(x / 1e-12), x)
+    _fill_closed(ctx, ctx._table, shifts.items())
 
 
 def _checked(entry, which, rel):
@@ -665,28 +690,33 @@ def _lookup(ctx, weights, rel_tol, kinds=_KINDS):
     """Weighted sum of reduced shift integrals, sum c (sum of ``kinds``).
 
     ``weights`` maps each shift's slot to [shift, c] (see :func:`_weigh`).
-    One walk reads each slot's entry, checks (see :func:`_checked`) and
-    sums; a lookup for one kind reads that kind's three fields. A miss, a
-    slot's first use, stops the walk: all of the call's misses are
-    evaluated, both kinds at once, in one blocked pass, and the walk runs
-    again. A failed check is raised once the misses are filled, so each
-    kind and slot counts as one hit or one miss.
+    One walk reads each slot's entry in the context's table, checks (see
+    :func:`_checked`) and sums; a lookup for one kind reads that kind's
+    three fields. A lookup of both kinds records the rel_tol at which an
+    entry passes all four checks and skips them when its own rel_tol is no
+    smaller. That is exact: the residue checks do not depend on rel_tol,
+    and a roundoff check that passes at one rel_tol passes at every larger
+    one. A miss, a slot's first use, stops the walk: all of the call's
+    misses are evaluated, both kinds at once, in one blocked pass, and the
+    walk runs again. A failed check is raised once the misses are filled,
+    so each kind and slot counts as one hit or one miss.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    table = _cache.get(ctx._key)
-    if table is None:                   # no throwaway dict on every call
-        table = _cache[ctx._key] = {}
+    table = ctx._table
     _stats["hits"] += len(kinds) * len(weights)
     both = len(kinds) == 2
     while True:
         total = 0.0
         try:
             for n, (_, c) in weights.items():
-                ba, ba_round, ba_imag, ab, ab_round, ab_imag = entry = table[n]
-                if both and not (abs(ba_imag) > ba_round or abs(ab_imag) > ab_round
-                                 or ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba)
-                                 or ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab)):
-                    total += c * (ba + ab)      # the common case, checked inline
+                ba, ba_round, ba_imag, ab, ab_round, ab_imag, passed = entry = table[n]
+                if both and rel >= passed:      # passed at a rel_tol <= rel
+                    total += c * (ba + ab)
+                elif both and not (abs(ba_imag) > ba_round or abs(ab_imag) > ab_round
+                                   or ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba)
+                                   or ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab)):
+                    total += c * (ba + ab)      # checked inline; the first pass at rel
+                    entry[6] = rel
                 else:
                     total += c * sum(_checked(entry, which, rel) for which in kinds)
             return total
@@ -695,20 +725,16 @@ def _lookup(ctx, weights, rel_tol, kinds=_KINDS):
         except (ArithmeticError, ConvergenceError):
             if all(n in table for n in weights):    # else fill the misses first
                 raise
-        misses = len(kinds) * _fill_closed(ctx, table, weights)
+        misses = len(kinds) * _fill_closed(
+            ctx, table, ((n, x) for n, (x, _) in weights.items()))
         _stats["hits"] -= misses
         _stats["misses"] += misses
-
-
-def _to_joules(ctx):
-    """Factor from a reduced shift integral to its energy (J)."""
-    return -ctx._units.energy_scale / (32.0 * np.pi)
 
 
 def _single(ctx, Omega, rel_tol, kinds=_KINDS):
     """Energy (J) of the integrals ``kinds`` at the one shift |Omega|."""
     weights = _weigh({}, ctx._scaled[0], ((1.0, 0.0, 1.0),), Omega, 0.0)
-    return _to_joules(ctx) * _lookup(ctx, weights, rel_tol, kinds)
+    return ctx._joules * _lookup(ctx, weights, rel_tol, kinds)
 
 
 def energy_BA(ctx, Omega, rel_tol=None):
@@ -745,4 +771,4 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
     BA and AB integrals of all of them, evaluating any misses first.
     """
     weights = _weigh({}, ctx._scaled[0], terms, Omega_A, Omega_B)
-    return 2.0 * _to_joules(ctx) * _lookup(ctx, weights, rel_tol)
+    return 2.0 * ctx._joules * _lookup(ctx, weights, rel_tol)

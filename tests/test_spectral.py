@@ -828,6 +828,133 @@ class TestShiftCache:
                                          "blocks": 1}
         spectral.clear_cache()
 
+    def test_context_holds_its_table(self, ctx300, w0):
+        # a session context keeps a valid, emptied table across clear_cache,
+        # and shares it with an equal context built afterwards
+        spectral.clear_cache()
+        aux_energy(ctx300, 0.7 * w0)
+        assert ctx300._table and ctx300._table is spectral._cache[ctx300._key]
+        spectral.clear_cache()
+        assert len(ctx300._table) == 0
+        twin = PairContext(SpinningSphere(A, bst(), 300.0),
+                           SpinningSphere(A, bst(), 300.0), R)
+        assert twin._table is ctx300._table
+        filled = aux_energy(twin, 0.7 * w0)
+        assert aux_energy(ctx300, 0.7 * w0) == filled
+        assert spectral.cache_info() == {"entries": 2, "hits": 2, "misses": 2,
+                                         "blocks": 1}
+        spectral.clear_cache()
+
+    def test_swapped_context_registers_its_table(self, w0):
+        ctx = PairContext(SpinningSphere(A, bst(), 300.0),
+                          SpinningSphere(50e-9, bst(), 900.0), R)
+        spectral.clear_cache()
+        aux_energy(ctx, 0.7 * w0)
+        swapped = ctx.swapped()
+        assert swapped._table is spectral._cache[swapped._key]
+        assert swapped._table is not ctx._table and not swapped._table
+        aux_energy(swapped, 0.7 * w0)
+        assert spectral.cache_info() == {"entries": 4, "hits": 0, "misses": 4,
+                                         "blocks": 2}
+        spectral.clear_cache()
+
+
+def _outcome(call, rel):
+    """A lookup's value, or the type and message of what it raised."""
+    try:
+        return call(rel)
+    except (ArithmeticError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _rel_tols(seed):
+    """Seeded rel_tols in [1e-17, 1e-2], with repeats, a descending run, NaN and inf."""
+    draws = list(10.0 ** np.random.default_rng(seed).uniform(-17.0, -2.0, 40))
+    return (draws[:15] + [draws[3], draws[3], draws[14]]
+            + sorted(draws[15:25], reverse=True) + [math.nan, draws[3], math.inf]
+            + draws[25:])
+
+
+class TestPassedTolerance:
+    """Lookups of both kinds skip the checks of an entry passed at a smaller rel_tol."""
+
+    @pytest.mark.parametrize("t_a, mat_b, t_b, seed", [
+        (300.0, bst(), 300.0, 1),
+        (0.0, MaterialModel(8.0, 6.5e9, 4e8), 900.0, 2),
+    ], ids=["bst_300K", "unequal_0K_900K"])
+    def test_warm_lookups_match_cold(self, w0, t_a, mat_b, t_b, seed):
+        # lookup by lookup, a warm table gives what a cold one gives; the
+        # roundoff estimates sit between 3e-15 and 2e-13 of the values, so
+        # the draws pass and fail the same entries in turn
+        ctx = PairContext(SpinningSphere(A, bst(), t_a),
+                          SpinningSphere(50e-9, mat_b, t_b), R)
+        rates = (1.3 * w0, -0.4 * w0)
+        calls = [functools.partial(energy, ctx, Arrangement(kind), *rates)
+                 for kind in ("rr", "uu", "ur", "uo")]
+        calls += [lambda rel: delta_force(ctx, Arrangement("uo"), *rates, rel),
+                  lambda rel: aux_energy(ctx, 2.0 * w0, rel),
+                  lambda rel: energy_BA(ctx, 0.7 * w0, rel)]
+        spectral.clear_cache()
+        table = ctx._table
+        seen = set()
+        for rel in _rel_tols(seed):
+            for call in calls:
+                warm = dict(table)
+                table.clear()
+                cold = _outcome(call, rel)
+                table.clear()
+                table.update(warm)
+                got = _outcome(call, rel)
+                assert got == cold, (rel, got, cold)
+                seen.add(got[0] if isinstance(got, tuple) else float)
+        assert seen == {float, ConvergenceError}
+        assert any(entry[6] < 1e-8 for entry in table.values())
+        spectral.clear_cache()
+
+    def test_tight_lookup_after_loose_pass_raises(self, ctx300, w0):
+        spectral.clear_cache()
+        aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2)
+        [entry] = ctx300._table.values()
+        assert entry[6] == 1e-2
+        with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below"):
+            aux_energy(ctx300, 2.0 * w0, rel_tol=1e-17)
+        assert entry[6] == 1e-2
+        spectral.clear_cache()
+
+    def test_single_kind_lookups_leave_it_unset(self, w0):
+        ctx = PairContext(SpinningSphere(A, bst(), 0.0),
+                          SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0), R)
+        spectral.clear_cache()
+        energy_BA(ctx, 0.7 * w0)
+        energy_AB(ctx, 0.7 * w0, rel_tol=1e-2)
+        [entry] = ctx._table.values()
+        assert math.isnan(entry[6])
+        aux_energy(ctx, 0.7 * w0, rel_tol=1e-3)
+        assert entry[6] == 1e-3
+        spectral.clear_cache()
+
+    @pytest.mark.parametrize("rel_tol", [1e-2, math.inf])
+    def test_corrupted_residue_raises_after_passed_slots(self, monkeypatch, ctx300,
+                                                         w0, rel_tol):
+        # the passed slot 0.7 w0 is summed without checks; the corrupted
+        # slot 1.1 w0 has passed nothing, at any rel_tol, and raises each time
+        spectral.clear_cache()
+        aux_energy(ctx300, 0.7 * w0, rel_tol=1e-8)
+        inner = spectral._closed
+
+        def corrupt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value + 1j, roundoff
+
+        monkeypatch.setattr(spectral, "_closed", corrupt)
+        terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
+                spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0, rel_tol)
+        passed = [entry[6] for entry in ctx300._table.values()]
+        assert passed[0] == 1e-8 and math.isnan(passed[1])
+        spectral.clear_cache()
+
 
 class TestPairContext:
     def test_geometry_validation(self, material):
