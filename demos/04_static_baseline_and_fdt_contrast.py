@@ -14,9 +14,8 @@ Run:  python demos/04_static_baseline_and_fdt_contrast.py
 """
 
 from spinvdw import bst, resonance_frequency
-from spinvdw.baseline import (MatsubaraSpec, hamaker_constant,
-                              matsubara_static_energy, naive_fdt_energy_rr,
-                              static_force_estimate)
+from spinvdw.baseline import (hamaker_constant, matsubara_static_energy,
+                              naive_fdt_energy_rr, static_force_estimate)
 from spinvdw.configurations import Arrangement, energy
 from spinvdw.response import SpinningSphere
 from spinvdw.spectral import PairContext
@@ -25,12 +24,11 @@ material = bst()
 w0 = resonance_frequency(material)
 a, R = 60e-9, 180e-9
 
-spec = MatsubaraSpec(temperature=300.0)
 ctx = PairContext(SpinningSphere(a, material, 300.0),
                   SpinningSphere(a, material, 300.0), R)
 
-e_osc = matsubara_static_energy(ctx, spec)
-h_osc = hamaker_constant(material, spec)
+e_osc = matsubara_static_energy(ctx)          # at the spheres' 300 K
+h_osc = hamaker_constant(material, 300.0)
 print("static references at a = 60 nm, R = 180 nm, T = 300 K")
 print(f"  oscillator-model Matsubara energy : {e_osc:.3e} J "
       f"(force {6 * e_osc / R * 1e15:.4f} fN)")

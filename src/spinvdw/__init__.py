@@ -11,9 +11,8 @@ each spin axis, the dissipationless closed forms used as analytic
 references, and the static Matsubara/Hamaker baselines.
 """
 
-from .baseline import (MatsubaraSpec, hamaker_constant, matsubara_static_energy,
-                       naive_fdt_energy_rr, static_energy_estimate,
-                       static_force_estimate)
+from .baseline import (hamaker_constant, matsubara_static_energy, naive_fdt_energy_rr,
+                       static_energy_estimate, static_force_estimate)
 from .configurations import (Arrangement, ArrangementKind, delta_force, energy,
                              force, rest_energy)
 from .oracle import LorentzPair, aux_closed, eab_closed, eba_closed, ratio_aux, ratio_rr, ratio_uu

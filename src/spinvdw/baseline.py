@@ -6,104 +6,103 @@ This module provides the static anchors: the Matsubara-sum energy of the
 oscillator model itself, the Hamaker-constant route to the total static
 force, and the zero-temperature energy that a naive equilibrium
 fluctuation-dissipation assumption would give for spinning spheres, used to
-quantify the size of the nonequilibrium effects. The Matsubara sums add
-terms until they fall below a tolerance; the naive energy is a closed form,
-a sum of logarithms over the poles of the polarizabilities.
+quantify the size of the nonequilibrium effects. All three are closed
+forms: partial fractions over the poles of the polarizabilities turn each
+Matsubara sum into digamma divided differences and the naive energy into
+logarithmic ones, the pair sums of :mod:`spinvdw.spectral`.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .response import HBAR, K_B, permittivity
-from .spectral import ConvergenceError
+from .response import HBAR, K_B, MaterialModel, resonance_frequency
 
-__all__ = ["MatsubaraSpec", "matsubara_static_energy", "hamaker_constant",
+__all__ = ["matsubara_static_energy", "hamaker_constant",
            "static_energy_estimate", "static_force_estimate",
            "naive_fdt_energy_rr"]
 
 
-@dataclass(frozen=True)
-class MatsubaraSpec:
-    """Controls for imaginary-frequency sums.
+def _pair_sum(what, poles, rows, xi1=0.0, rest=0.0, rel_tol=None):
+    """rest + sum_{n>=1} f(i n xi1), or int_0^inf dxi f(i xi) at xi1 = 0.
 
-    The n-sum form requires T > 0; the T -> 0 integral limit is out of
-    scope here. Terms are added until one falls below ``term_tol`` of the
-    running sum or ``max_terms`` is hit (an error).
+    f(u) = sum over rows (x, a, y, b) of sum_ij a_i b_j/((u - x_i)(u - y_j)),
+    every pole in the lower half plane, frequencies in working units.
+    Partial fractions make the sum
+
+        -(1/xi1^2) sum_ij a_i b_j [psi(1 + w_j) - psi(1 + z_i)]/(w_j - z_i)
+
+    with z = i x/xi1, w = i y/xi1 (Abramowitz & Stegun 6.3.16), and the
+    integral -sum_ij a_i b_j [log(i y_j) - log(i x_i)]/(i y_j - i x_i):
+    the pair sums of :func:`spinvdw.spectral._divided`, or of its zeta
+    series when every |z|, |w| <= ``_RHO``. ``poles`` are the
+    :func:`spinvdw.spectral._alpha_poles` of X and Y and ``rows`` maps the
+    poles of the two at one of their :func:`spinvdw.spectral._pole_points`
+    to its rows; the value is the real part of the mean over the points.
+    Its roundoff estimate, the n = 0 term ``rest`` included, is checked
+    against ``rel_tol``.
     """
-
-    temperature: float
-    max_terms: int = 10**7
-    term_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (self.temperature > 0):
-            raise ValueError("Matsubara sum needs temperature > 0")
-        if not (self.max_terms >= 1 and self.term_tol > 0):
-            raise ValueError("max_terms >= 1 and term_tol > 0 required")
-
-    def frequency(self, n):
-        """xi_n = 2 pi n k_B T / hbar (rad/s)."""
-        return 2.0 * math.pi * n * K_B * self.temperature / HBAR
-
-
-def _primed_sum(term, spec, what):
-    """Sum_n' term(n) with the n = 0 term halved and tolerance truncation."""
-    total = 0.5 * term(0)
-    # batch the n >= 1 terms; for GHz resonances xi_1 already dwarfs the
-    # oscillator frequency, so this usually stops in the first batch
-    n0, batch = 1, 64
-    while n0 <= spec.max_terms:
-        ns = np.arange(n0, min(n0 + batch, spec.max_terms + 1))
-        vals = term(ns)
-        csum = total + np.cumsum(vals)
-        small = np.abs(vals) <= spec.term_tol * np.abs(csum)
-        if small.any():
-            stop = int(np.argmax(small))
-            return float(csum[stop])
-        total = float(csum[-1])
-        n0 += len(ns)
-        batch = min(batch * 2, 1 << 20)
-    raise ConvergenceError(
-        f"{what}: Matsubara sum not converged after {spec.max_terms} terms",
-        value=total, estimate=abs(float(vals[-1])))
+    points = spectral._pole_points(*poles)
+    x, a, y, b = map(np.array, zip(*(row for point in points for row in rows(*point))))
+    warm = xi1 > 0.0
+    step = xi1 if warm else 1.0             # at T = 0, w = i x takes log
+    column = np.full((len(x), 1), step)
+    rho = max(np.abs(x).max(), np.abs(y).max()) / xi1 if warm else math.inf
+    if rho <= spectral._RHO:
+        pairs, size = spectral._series(x[:, None], y, a, b, column, rho)
+    else:
+        pairs, size = spectral._divided(x[:, None], y, a, b, column, 0 if warm else len(x))
+    scale = 0.5 / (len(points) * step)
+    value = rest + scale * float(pairs.sum().real)
+    roundoff = spectral._ROUNDOFF * (abs(rest) + scale * float(size.sum()))
+    spectral._gate(what, value, roundoff,
+                   spectral.DEFAULT_REL_TOL if rel_tol is None else rel_tol)
+    return value
 
 
-def matsubara_static_energy(ctx, spec):
+def _product(poles_x, poles_y):
+    """The one row of alpha_X alpha_Y."""
+    return [(*poles_x, *poles_y)]
+
+
+def matsubara_static_energy(ctx):
     """Static vdW energy of the oscillator-model pair via a Matsubara sum (J).
 
     E = -(6 k_B T a_A^3 a_B^3 / R^6) Sum_n' D_A(i xi_n) D_B(i xi_n), with
     D = (eps - eps0)/(eps + 2 eps0) the Clausius-Mossotti factor evaluated
-    on the imaginary axis.
+    on the imaginary axis, which is the reduced polarizability alpha, and
+    D(0) = f0/(3 + f0). The sum needs both spheres at one temperature
+    T > 0 (ValueError otherwise).
     """
-    mat_a, mat_b = ctx.sphere_a.material, ctx.sphere_b.material
-
-    def term(n):
-        xi = spec.frequency(n)
-        ea = np.real(permittivity(mat_a, 1j * xi))
-        eb = np.real(permittivity(mat_b, 1j * xi))
-        return ((ea - 1.0) / (ea + 2.0)) * ((eb - 1.0) / (eb + 2.0))
-
-    s = _primed_sum(term, spec, "matsubara_static_energy")
+    t_a, t_b = ctx.sphere_a.temperature, ctx.sphere_b.temperature
+    if not t_a == t_b > 0.0:
+        raise ValueError("the static Matsubara sum needs equal temperatures "
+                         f"T > 0, got {t_a} and {t_b} K")
+    f_a, f_b = ctx.sphere_a.material.f0, ctx.sphere_b.material.f0
+    xi1 = 2.0 * math.pi * K_B * t_a / (HBAR * ctx._scaled[0])
+    rest = 0.5 * (f_a / (3.0 + f_a)) * (f_b / (3.0 + f_b))
+    s = _pair_sum("matsubara_static_energy", ctx._poles, _product, xi1, rest)
     geom = ctx.sphere_a.radius**3 * ctx.sphere_b.radius**3 / ctx.separation**6
-    return -6.0 * K_B * spec.temperature * geom * s
+    return -6.0 * K_B * t_a * geom * s
 
 
-def hamaker_constant(material, spec):
-    """Hamaker constant of two half-spaces of this material (J).
+def hamaker_constant(material, temperature):
+    """Hamaker constant of two half-spaces of this material at T > 0 (J).
 
     H = (3/2) k_B T Sum_n' [(eps(i xi_n) - eps0)/(eps(i xi_n) + eps0)]^2
-    (non-retarded, single round trip). Always positive.
+    (non-retarded, single round trip). Always positive. The factor is
+    exactly the reduced polarizability of the material with 1.5 f0.
     """
-    def term(n):
-        xi = spec.frequency(n)
-        e = np.real(permittivity(material, 1j * xi))
-        return ((e - 1.0) / (e + 1.0))**2
-
-    s = _primed_sum(term, spec, "hamaker_constant")
-    return 1.5 * K_B * spec.temperature * s
+    if not temperature > 0.0:
+        raise ValueError(f"the Hamaker sum needs temperature > 0, got {temperature} K")
+    mirror = MaterialModel(1.5 * material.f0, material.omega_tilde0, material.gamma0)
+    ws = resonance_frequency(mirror)
+    poles = spectral._alpha_poles(mirror.scaled(ws))
+    xi1 = 2.0 * math.pi * K_B * temperature / (HBAR * ws)
+    d0 = material.f0 / (2.0 + material.f0)
+    s = _pair_sum("hamaker_constant", (poles, poles), _product, xi1, 0.5 * d0 * d0)
+    return 1.5 * K_B * temperature * s
 
 
 def static_energy_estimate(hamaker, radius, separation):
@@ -131,39 +130,22 @@ def naive_fdt_energy_rr(ctx, Omega_A, Omega_B, rel_tol=None):
     Omega_A - Omega_B alone, which is the inconsistency that motivates the
     nonequilibrium treatment. Exact at Omega_A = Omega_B = 0.
 
-    Both products are rational with every pole in the lower half plane:
-    with sum_i a_i/(u - x_i) and sum_j b_j/(u - y_j) their factors,
-
-        int_0^inf du sum_ij a_i b_j/((u - x_i)(u - y_j)) = sum_ij a_i b_j log[-x_i, -y_j],
-
-    a divided difference of log, taken as the T = 0 pair sum of
-    :func:`spinvdw.spectral._closed` (coincident poles included). Near
-    critical damping it is the mean over the same circle. The roundoff
-    estimate of the sum is checked against ``rel_tol`` as in
+    Both products are rational with every pole in the lower half plane, so
+    the integral turns onto the imaginary axis, int_0^inf dw f(w) =
+    i int_0^inf dxi f(i xi), whose real part is the T = 0 pair sum of log
+    divided differences (coincident poles included). Near critical damping
+    it is the mean over the circle of :func:`spinvdw.spectral._closed`.
+    The roundoff estimate of the sum is checked against ``rel_tol`` as in
     :func:`spinvdw.spectral.energy_BA`.
     """
     ws = ctx._scaled[0]
     oa, ob = Omega_A / ws, Omega_B / ws
-    points = spectral._pole_points(*ctx._poles)
-    rows = []
-    for (pa, ra), (pb, rb) in points:
-        pa, ra, pb, rb = map(np.array, (pa, ra, pb, rb))
+
+    def rows(poles_a, poles_b):
+        (pa, ra), (pb, rb) = (map(np.array, p) for p in (poles_a, poles_b))
         # the shifted product, then 8 a_A a_B as (4 a_A)(2 a_B) over doubled poles
-        rows.append((np.r_[pa - oa, pa + oa], np.r_[ra, ra],
-                     np.r_[pb - ob, pb + ob], np.r_[rb, rb]))
-        rows.append((np.r_[pa, pa], np.r_[2.0 * ra, 2.0 * ra], np.r_[pb, pb], np.r_[rb, rb]))
-    x, a, y, b = map(np.array, zip(*rows))
-    # _divided takes F = log at w = i x and returns -2 sum_ij a_i b_j F[w_i, w_j]:
-    # poles i x put w at -x
-    pairs, size = spectral._divided(1j * x[:, None], 1j * y, a, b,
-                                    np.ones((len(rows), 1)), len(rows))
-    scale = -0.5 / (4.0 * len(points))
-    integral = scale * complex(pairs.sum())
-    roundoff = spectral._ROUNDOFF * abs(scale) * float(size.sum())
-    rel = spectral.DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    if roundoff > spectral.DEFAULT_ABS_TOL and roundoff > rel * abs(integral.imag):
-        raise ConvergenceError(
-            f"naive_fdt_energy_rr: rel_tol {rel:.1e} is below the closed form's "
-            f"roundoff estimate {roundoff:.3e} (value {integral.imag:.6e})",
-            value=integral.imag, estimate=roundoff)
-    return -ctx.units().energy_scale * integral.imag / math.pi
+        return [(np.r_[pa - oa, pa + oa], np.r_[ra, ra], np.r_[pb - ob, pb + ob], np.r_[rb, rb]),
+                (np.r_[pa, pa], np.r_[2.0 * ra, 2.0 * ra], np.r_[pb, pb], np.r_[rb, rb])]
+
+    s = _pair_sum("naive_fdt_energy_rr", ctx._poles, rows, rel_tol=rel_tol)
+    return -ctx.units().energy_scale * s / (4.0 * math.pi)

@@ -92,6 +92,8 @@ class SweepSpec:
             raise ConfigError("sweep.omega_a grid: empty grid")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"output.format: must be csv or json, got {self.out_format!r}")
+        if not self.rel_tol > 0.0:      # NaN too; inf stays valid
+            raise ConfigError(f"quadrature.rel_tol: must be > 0, got {self.rel_tol}")
 
     def grid_points(self):
         """The (Omega_A, Omega_B) pairs of this sweep, in grid order."""
@@ -431,7 +433,7 @@ def run_preset(name, rel_tol=None, points=None):
     ``baseline_static`` returns a key/value table instead of a sweep.
     """
     if name == "baseline_static":
-        return _baseline_result()
+        return _baseline_result(_context_for(SweepSpec(omega_a_grid=(0.0,))))
     specs = _preset_specs(name)
     rows, metadata = [], {}
     for spec in specs:
@@ -447,29 +449,33 @@ def run_preset(name, rel_tol=None, points=None):
     return SweepResult(rows, metadata)
 
 
-def _baseline_result(temperature=DEFAULT_TEMPERATURE, hamaker_ref=5e-20):
-    """Static baseline quantities as a key/value table."""
-    spec = SweepSpec(omega_a_grid=(0.0,), temperature=temperature)
-    ctx = _context_for(spec)
-    mspec = baseline.MatsubaraSpec(temperature)
-    h_model = baseline.hamaker_constant(ctx.sphere_a.material, mspec)
-    e_matsubara = baseline.matsubara_static_energy(ctx, mspec)
-    f_ref = baseline.static_force_estimate(hamaker_ref, spec.radius_a,
-                                           spec.separation)
+def _baseline_result(ctx, hamaker_ref=5e-20):
+    """Static baseline quantities of a context as a key/value table.
+
+    The model Hamaker constant is sphere A's material's, and the reference
+    estimates take sphere A's radius. The Matsubara sums need T > 0.
+    """
+    temperature = ctx.sphere_a.temperature
+    radius, separation = ctx.sphere_a.radius, ctx.separation
+    try:
+        h_model = baseline.hamaker_constant(ctx.sphere_a.material, temperature)
+        e_matsubara = baseline.matsubara_static_energy(ctx)
+    except ValueError as exc:
+        raise ConfigError(f"temperature_K: {exc}") from None
+    f_ref = baseline.static_force_estimate(hamaker_ref, radius, separation)
     rows = [
         {"quantity": "matsubara_static_energy_J", "value": e_matsubara},
         {"quantity": "hamaker_constant_model_J", "value": h_model},
         {"quantity": "hamaker_constant_reference_J", "value": hamaker_ref},
         {"quantity": "static_energy_reference_J",
-         "value": baseline.static_energy_estimate(hamaker_ref, spec.radius_a,
-                                                  spec.separation)},
+         "value": baseline.static_energy_estimate(hamaker_ref, radius, separation)},
         {"quantity": "static_force_reference_N", "value": f_ref},
         {"quantity": "static_force_reference_fN", "value": f_ref * 1e15},
     ]
     metadata = {"artifact": "spinvdw", "version": VERSION,
                 "preset": "baseline_static",
                 "temperature_K": temperature,
-                "radius_m": spec.radius_a, "separation_m": spec.separation}
+                "radius_m": radius, "separation_m": separation}
     return SweepResult(rows, metadata)
 
 
@@ -526,8 +532,8 @@ def _run_checks(rel_tol=1e-7):
     # undamped oracle, which it approaches linearly in gamma0 (measured
     # 0.06 gamma0/w0 at 0.8 w0), with gamma0/w0 as the bound. 300 K (the
     # zeta series) and 0.05 K (digamma, |z| = 0.31 at rest): the rest
-    # energy against the Matsubara sum of the static baseline, whose
-    # truncation is set below 1e-9 at 0.05 K
+    # energy against the Matsubara sum of the static baseline, which shares
+    # the pair sums but none of the closure's residues at the poles of eta
     weak = bst(gamma_scale=1e-3)
     pair = _context_for(replace(spec, temperature=0.0), weak)
     w0_weak = resonance_frequency(weak)
@@ -539,10 +545,8 @@ def _run_checks(rel_tol=1e-7):
     for temperature in (300.0, 0.05):
         pair = _context_for(replace(spec, temperature=temperature))
         e0 = configurations.energy(pair, rr, 0.0, 0.0, rel_tol)
-        mats = baseline.matsubara_static_energy(
-            pair, baseline.MatsubaraSpec(temperature, term_tol=1e-14))
-        dev = abs(e0 / mats - 1.0)
-        record(f"rest_energy_vs_matsubara_{temperature:g}K", dev <= 1e-9, f"dev={dev:.2e}")
+        dev = abs(e0 / baseline.matsubara_static_energy(pair) - 1.0)
+        record(f"rest_energy_vs_matsubara_{temperature:g}K", dev <= 1e-12, f"dev={dev:.2e}")
     return checks
 
 
@@ -664,7 +668,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "baseline":
-        result = _baseline_result(spec.temperature, args.hamaker)
+        result = _baseline_result(ctx, args.hamaker)
         if args.out:
             emit(result, args.fmt, args.out)
             print(f"wrote {args.out}")

@@ -57,8 +57,7 @@ class ConvergenceError(RuntimeError):
     """A spectral value cannot meet its tolerance.
 
     Raised when the roundoff estimate of a closed-form value exceeds the
-    tolerance, and when a Matsubara sum of :mod:`spinvdw.baseline` hits its
-    term cap. Carries the value and its estimate.
+    tolerance. Carries the value and its estimate.
     """
 
     def __init__(self, message, value=None, estimate=None):
@@ -672,17 +671,24 @@ def prefetch(ctx, terms, rate_pairs):
     _fill_closed(ctx, ctx._table, shifts.items())
 
 
+def _gate(what, value, roundoff, rel):
+    """Raise unless ``rel`` is > 0 (ValueError) and the roundoff estimate meets it."""
+    if not rel > 0.0:
+        raise ValueError(f"{what}: rel_tol must be > 0, got {rel}")
+    if roundoff > DEFAULT_ABS_TOL and roundoff > rel * abs(value):
+        raise ConvergenceError(
+            f"{what}: rel_tol {rel:.1e} is below the closed form's "
+            f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
+            value=value, estimate=roundoff)
+
+
 def _checked(entry, which, rel):
     """An entry's value of kind ``which``; its residue and roundoff estimate checked."""
     k = 3 * _KINDS.index(which)
     value, roundoff, imag = entry[k:k + 3]
     if abs(imag) > roundoff:
         raise _residue_error(which, imag, roundoff)
-    if roundoff > DEFAULT_ABS_TOL and roundoff > rel * abs(value):
-        raise ConvergenceError(
-            f"energy_{which}: rel_tol {rel:.1e} is below the closed form's "
-            f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
-            value=value, estimate=roundoff)
+    _gate(f"energy_{which}", value, roundoff, rel)
     return value
 
 
@@ -699,7 +705,9 @@ def _lookup(ctx, weights, rel_tol, kinds=_KINDS):
     one. A miss, a slot's first use, stops the walk: all of the call's
     misses are evaluated, both kinds at once, in one blocked pass, and the
     walk runs again. A failed check is raised once the misses are filled,
-    so each kind and slot counts as one hit or one miss.
+    so each kind and slot counts as one hit or one miss. A rel_tol that is
+    not > 0 (NaN included) raises ValueError from the first check it
+    meets, so it is never recorded and never meets the skip.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     table = ctx._table
@@ -712,9 +720,10 @@ def _lookup(ctx, weights, rel_tol, kinds=_KINDS):
                 ba, ba_round, ba_imag, ab, ab_round, ab_imag, passed = entry = table[n]
                 if both and rel >= passed:      # passed at a rel_tol <= rel
                     total += c * (ba + ab)
-                elif both and not (abs(ba_imag) > ba_round or abs(ab_imag) > ab_round
-                                   or ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba)
-                                   or ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab)):
+                elif both and rel > 0.0 and not (
+                        abs(ba_imag) > ba_round or abs(ab_imag) > ab_round
+                        or ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba)
+                        or ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab)):
                     total += c * (ba + ab)      # checked inline; the first pass at rel
                     entry[6] = rel
                 else:

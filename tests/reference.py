@@ -41,7 +41,9 @@ kernels, and ``naive_fdt_quadrature`` the equilibrium-FDT baseline of
 ``closure_reference`` evaluates the contour closure itself at 30 digits,
 its Matsubara pair sum through ``mpmath.psi`` (logarithms at T = 0), as
 the reference for the double-precision routes (log, series and digamma)
-that sum it.
+that sum it. ``static_sum_reference`` adds up the static Matsubara sums of
+:mod:`spinvdw.baseline` term by term with ``mpmath.nsum``, straight from
+the permittivity.
 """
 
 import functools
@@ -619,3 +621,27 @@ def closure_reference(row, omega_scale, shift, dps=30, total=False):
         if total:
             return complex(residues + pairs)
         return complex(residues), complex(pairs)
+
+
+def static_sum_reference(materials, temperature, denominator, dps=30):
+    """Sum_n' prod over ``materials`` of (eps(i xi_n) - 1)/(eps(i xi_n) + denominator).
+
+    The n = 0 term is halved, xi_n = 2 pi n k_B T/hbar and eps is the
+    Lorentz permittivity on the imaginary axis, 1 + f0 wt0^2/(wt0^2 +
+    xi^2 + gamma0 xi). ``denominator`` 2 gives the Clausius-Mossotti factor
+    of :func:`spinvdw.baseline.matsubara_static_energy`, 1 the factor of
+    :func:`spinvdw.baseline.hamaker_constant`. The tail is summed by
+    ``mpmath.nsum`` at ``dps`` digits.
+    """
+    with mpmath.workdps(dps):
+        xi1 = 2 * mpmath.pi * mpmath.mpf(K_B) * mpmath.mpf(temperature) / mpmath.mpf(HBAR)
+
+        def factor(mat, xi):
+            wt2 = mpmath.mpf(mat.omega_tilde0) ** 2
+            eps = 1 + mpmath.mpf(mat.f0) * wt2 / (wt2 + xi * xi + mpmath.mpf(mat.gamma0) * xi)
+            return (eps - 1) / (eps + denominator)
+
+        def term(n):
+            return mpmath.fprod([factor(mat, n * xi1) for mat in materials])
+
+        return float(term(0) / 2 + mpmath.nsum(term, [1, mpmath.inf]))

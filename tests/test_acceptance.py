@@ -292,8 +292,7 @@ def test_criterion_8_transverse_force_curves(w0, gamma0, material, ctx1500):
     classical = -3.0 * K_B * 1500.0 * (alpha0 * A**3)**2 / R**6
     classical_err = abs(12.0 * aux(0.0) / classical - 1.0)
     f0 = 6.0 * res_half.rows[0]["E0_J"] / R
-    f0_mats = 6.0 * baseline.matsubara_static_energy(
-        ctx1500, baseline.MatsubaraSpec(1500.0)) / R
+    f0_mats = 6.0 * baseline.matsubara_static_energy(ctx1500) / R
     f0_err = abs(f0 / f0_mats - 1.0)
 
     rows = res_half.rows + res_equal.rows

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinvdw
-from spinvdw import configurations, spectral
+from spinvdw import baseline, configurations, spectral
 from spinvdw.cli import (CSV_COLUMNS, PRESETS, ConfigError, SweepResult, SweepSpec,
                          _context_for, _fmt, _run_checks, emit, main, parse_config,
                          read_csv_rows, run_preset, run_sweep, spec_to_config)
@@ -461,6 +461,48 @@ class TestMainExitCodes:
         assert "undamped_limit_0K" in out
         assert "rest_energy_vs_matsubara_300K" in out
         assert "rest_energy_vs_matsubara_0.05K" in out
+
+    @pytest.mark.parametrize("rel_tol", ["nan", "0", "-1"])
+    def test_rel_tol_not_positive_is_2(self, capsys, rel_tol):
+        assert main(["--rel-tol", rel_tol, "energy", "--omega-a", "2"]) == 2
+        assert "config error: quadrature.rel_tol: must be > 0" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="quadrature.rel_tol"):
+            run_preset("fig1_300K", rel_tol=float(rel_tol), points=2)
+        with pytest.raises(ConfigError, match="quadrature.rel_tol"):
+            parse_config({"quadrature.rel_tol": float(rel_tol)})
+
+    def test_rel_tol_inf_stays_valid(self):
+        assert SweepSpec(omega_a_grid=(0.0,), rel_tol=math.inf).rel_tol == math.inf
+
+    def test_baseline_uses_config_context(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"material.f0": 8.0, "geometry.separation_m": 3e-7,
+                                   "geometry.radius_a_m": 5e-8, "temperature_K": 30.0}))
+        out = tmp_path / "base.json"
+        assert main(["--config", str(cfg), "baseline", "--out", str(out),
+                     "--format", "json"]) == 0
+        got = json.loads(out.read_text())
+        table = {r["quantity"]: r["value"] for r in got["rows"]}
+        _, ctx = parse_config(str(cfg))
+        material = ctx.sphere_a.material
+        assert material.f0 == 8.0 and ctx.separation == 3e-7
+        assert table["matsubara_static_energy_J"] == baseline.matsubara_static_energy(ctx)
+        assert table["hamaker_constant_model_J"] == baseline.hamaker_constant(material, 30.0)
+        assert table["static_force_reference_N"] == baseline.static_force_estimate(
+            5e-20, 5e-8, 3e-7)
+        assert got["metadata"]["temperature_K"] == 30.0
+        assert got["metadata"]["radius_m"] == 5e-8
+        assert got["metadata"]["separation_m"] == 3e-7
+        default = {r["quantity"]: r["value"] for r in run_preset("baseline_static").rows}
+        assert all(table[k] != default[k] for k in table
+                   if k != "hamaker_constant_reference_J")
+
+    def test_baseline_at_zero_temperature_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temperature_K": 0.0}))
+        assert main(["--config", str(cfg), "baseline"]) == 2
+        assert "config error: temperature_K: the Hamaker sum needs temperature > 0" in (
+            capsys.readouterr().err)
 
     def test_check_reaches_every_route(self, monkeypatch):
         # the log, series and digamma routes each meet a row of the check

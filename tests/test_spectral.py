@@ -863,7 +863,7 @@ def _outcome(call, rel):
     """A lookup's value, or the type and message of what it raised."""
     try:
         return call(rel)
-    except (ArithmeticError, ConvergenceError) as exc:
+    except (ArithmeticError, ConvergenceError, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -907,7 +907,7 @@ class TestPassedTolerance:
                 got = _outcome(call, rel)
                 assert got == cold, (rel, got, cold)
                 seen.add(got[0] if isinstance(got, tuple) else float)
-        assert seen == {float, ConvergenceError}
+        assert seen == {float, ConvergenceError, ValueError}     # ValueError: the NaN
         assert any(entry[6] < 1e-8 for entry in table.values())
         spectral.clear_cache()
 
@@ -931,6 +931,25 @@ class TestPassedTolerance:
         assert math.isnan(entry[6])
         aux_energy(ctx, 0.7 * w0, rel_tol=1e-3)
         assert entry[6] == 1e-3
+        spectral.clear_cache()
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0])
+    def test_rel_tol_not_positive_raises_and_is_not_recorded(self, ctx300, w0, rel_tol):
+        # raised by the checks, cold and warm, and never recorded as passed,
+        # so it never meets the skip
+        spectral.clear_cache()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
+                aux_energy(ctx300, 2.0 * w0, rel_tol)
+        [entry] = ctx300._table.values()
+        assert math.isnan(entry[6])
+        aux_energy(ctx300, 2.0 * w0)
+        assert entry[6] == spectral.DEFAULT_REL_TOL
+        with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
+            aux_energy(ctx300, 2.0 * w0, rel_tol)
+        with pytest.raises(ValueError, match="^energy_AB: rel_tol must be > 0"):
+            energy_AB(ctx300, 2.0 * w0, rel_tol)
+        assert entry[6] == spectral.DEFAULT_REL_TOL
         spectral.clear_cache()
 
     @pytest.mark.parametrize("rel_tol", [1e-2, math.inf])
