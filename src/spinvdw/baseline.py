@@ -47,12 +47,16 @@ def _pair_sum(what, poles, rows, xi1=0.0, rest=0.0, rel_tol=None):
     x, a, y, b = map(np.array, zip(*(row for point in points for row in rows(*point))))
     warm = xi1 > 0.0
     step = xi1 if warm else 1.0             # at T = 0, w = i x takes log
-    column = np.full((len(x), 1), step)
     rho = max(np.abs(x).max(), np.abs(y).max()) / xi1 if warm else math.inf
+    f = -2.0 / step
     if rho <= spectral._RHO:
-        pairs, size = spectral._series(x[:, None], y, a, b, column, rho)
+        pairs = spectral._series(np.stack([y, x], axis=1) * (-1j / step), a, b * f, rho)
+        size = spectral._series_size(rho) * np.abs(a).sum(1) * np.abs(b * f).sum(1)
     else:
-        pairs, size = spectral._divided(x[:, None], y, a, b, column, 0 if warm else len(x))
+        scale, offset = 1j / step, float(warm)
+        pairs, size = spectral._divided((x * scale + offset)[:, None], y * scale + offset,
+                                        (f * a)[:, None, :, None] * b[:, None, None, :],
+                                        spectral._digamma if warm else spectral._log)
     scale = 0.5 / (len(points) * step)
     value = rest + scale * float(pairs.sum().real)
     roundoff = spectral._ROUNDOFF * (abs(rest) + scale * float(size.sum()))

@@ -551,8 +551,8 @@ def _run_checks(rel_tol=1e-7):
 
 
 def _point_args(sub):
-    sub.add_argument("--arrangement", default="rr",
-                     choices=["rr", "uu", "ur", "uo"])
+    sub.add_argument("--arrangement", choices=["rr", "uu", "ur", "uo"],
+                     help="overrides the config's arrangement (default rr)")
     sub.add_argument("--omega-a", type=float, default=0.0, metavar="X",
                      help="Omega_A in units of the polaritonic resonance omega0")
     sub.add_argument("--omega-b", type=float, default=0.0, metavar="X",
@@ -620,7 +620,7 @@ def _dispatch(args):
     w0 = resonance_frequency(ctx.sphere_a.material)
 
     if args.command in ("energy", "force"):
-        arrangement = Arrangement(args.arrangement)
+        arrangement = Arrangement(args.arrangement) if args.arrangement else spec.make_arrangement()
         wa, wb = args.omega_a * w0, args.omega_b * w0
         # the energy change first: its one lookup evaluates every shift
         # that E and E0 then look up

@@ -12,21 +12,19 @@ rational up to coth, and the integrals are evaluated exactly by closing the
 contour in the upper half plane: the residues at the two upper poles of
 eta plus the Matsubara sum over the poles of coth. One evaluation stacks
 both integrals of a pair as rows, at a block of shifts; identical spheres
-(equal materials at equal temperatures) make the two integrals one row.
-The Matsubara sum of a row takes one of three closed forms: logarithms at
-T = 0; at T > 0, a power series with zeta-function coefficients when every
-Matsubara argument z = i x/xi1 has |z| <= 1/4 (GHz resonances at kelvin
-temperatures and above); otherwise digamma functions.
+(equal materials at equal temperatures) make them one row. The Matsubara
+sum of a row is logarithms at T = 0, and at T > 0 a zeta-function power
+series when every argument z = i x/xi1 has |z| <= 1/4 (GHz resonances at
+kelvin temperatures and above), else digamma functions.
 
 The closure serves every damping gamma0 > 0. Below critical damping
 (gamma0 < 2 w0) the two poles of alpha lie off the imaginary axis; above
-it they lie on it, and at T = 0 the logarithms take their principal value
-there. Near critical damping, where the two poles merge and their residues
+it they lie on it, where the logarithms of T = 0 take their principal
+value. Near critical damping, where the poles merge and their residues
 diverge, a row is the mean of the closure over a small circle in the
-squared pole splitting (see :func:`_closed`). gamma0 = 0 puts the poles on
-the real axis and is rejected; :mod:`spinvdw.oracle` covers that limit.
-The result carries a roundoff estimate; a tolerance below it raises
-:class:`ConvergenceError` at once.
+squared pole splitting. gamma0 = 0 puts the poles on the real axis and is
+rejected; :mod:`spinvdw.oracle` covers it. The result carries a roundoff
+estimate; a tolerance below it raises :class:`ConvergenceError` at once.
 
 All integration happens in nondimensional units (frequencies in units of
 sphere A's resonance, polarizabilities in units of 4*pi*eps0*a^3); SI
@@ -238,13 +236,12 @@ def _alpha_poles(mat):
 
 
 def _pole_points(sets_x, sets_y):
-    """The poles of two materials at each point an integral of them is taken at.
+    """(poles and residues of X, of Y) at each point of an integral of the two.
 
-    ``sets_x`` and ``sets_y`` are :func:`_alpha_poles` of the two. A list of
-    (poles and residues of X, of Y): one point, or the points of
-    ``_CIRCLE`` when either material is near critical damping. Two such
-    materials take the same point together: J is analytic in both W'^2, so
-    its mean along the one circle through both is still its centre value.
+    ``sets_x`` and ``sets_y`` are their :func:`_alpha_poles`: one point, or
+    the points of ``_CIRCLE`` when either is near critical damping. Two such
+    take each point together: J is analytic in both W'^2, so its mean along
+    the one circle through both is still its centre value.
     """
     n = max(len(sets_x), len(sets_y))
     return list(zip(sets_x * (n // len(sets_x)), sets_y * (n // len(sets_y))))
@@ -348,24 +345,33 @@ def _series_terms(rho):
 _RHO = 0.25
 _TERMS = _series_terms(_RHO)
 _ZETA = np.array(_zeta_table(2 * _TERMS - 1))          # zeta(2) ... zeta(2 _TERMS)
-_HANKEL = _ZETA[np.add.outer(np.arange(_TERMS), np.arange(_TERMS))]
+# complex, as the moments it contracts, so that no call casts it
+_HANKEL = _ZETA[np.add.outer(np.arange(_TERMS), np.arange(_TERMS))].astype(complex)
 _POWERS = np.arange(_TERMS)
+
+
+def _series_size(rho):
+    """sum_mn zeta(m+n+2) |A_m| |B_n| <= zeta(2)/(1 - rho)^2 sum|a| sum|b| at |z| <= rho."""
+    return float(_ZETA[0]) / (1.0 - rho) ** 2
+
 
 # The kinds in the row order of the closed form's results
 _KINDS = ("BA", "AB")
+
+_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])       # x = (p1, p2, p1, p2) of X + signs * s
 
 
 def _closed(rows, omega_scale, shifts):
     """Shift integrals of alpha_X against eta_Y by contour closure.
 
     Each row (poles_x, poles_y, T_y), the :func:`_alpha_poles` of X and Y,
-    is one kind of integral, and all rows are evaluated at all ``shifts``
-    (in working units) together. With
-    alpha = sum_k r_k/(u - p_k), S(u) = alpha_X(u + s) + alpha_X(u - s) has
-    poles x_i with coefficients a_i, and alpha_Y(u) - alpha_Y(-u) has poles
-    y_j with coefficients b_j. Closing the contour in the upper half plane
-    picks up the two upper poles q = -p_k of eta_Y and the poles of coth at
-    the Matsubara frequencies i n xi1, whose sum is a digamma difference:
+    is one kind of integral; all rows are evaluated at all ``shifts`` (in
+    working units) together. With alpha = sum_k r_k/(u - p_k),
+    S(u) = alpha_X(u + s) + alpha_X(u - s) has poles x_i with coefficients
+    a_i, and alpha_Y(u) - alpha_Y(-u) has poles y_j with coefficients b_j.
+    Closing the contour in the upper half plane picks up the two upper
+    poles q = -p_k of eta_Y and the poles of coth at the Matsubara
+    frequencies i n xi1, whose sum is a digamma difference:
 
         J = 2 pi sum_k coth(theta q_k) S(q_k) r_k^Y
             - (2/xi1) sum_ij a_i b_j [F(w_j) - F(w_i)]/(w_j - w_i),
@@ -373,124 +379,129 @@ def _closed(rows, omega_scale, shifts):
     with theta = hbar w_s/2kT, xi1 = pi/theta, w = 1 + z, z = i x/xi1 and
     F = digamma. At T = 0, coth -> sgn Re q, xi1 -> 1, w = i x and F = log,
     whose principal value on the cut serves the upper poles of an
-    overdamped eta_Y, where sgn Re q = 0 (see :func:`_log`). The residues of all rows come from one pass. The pair sum of a row
-    takes one of three routes, chosen before evaluating from its largest
-    |z|, rho = (max|p_X| + the largest shift, max|p_Y|)/xi1:
+    overdamped eta_Y, where sgn Re q = 0 (see :func:`_log`). The pair sum
+    of a row takes one of three routes, chosen from its largest |z|,
+    rho = (max|p_X| + the largest shift, max|p_Y|)/xi1: F = log at T = 0
+    and digamma at rho > _RHO (:func:`_divided`, one call of F per route);
+    at rho <= _RHO, psi(1 + z) = -gamma + sum_k (-1)^(k+1) zeta(k+1) z^k
+    (Abramowitz & Stegun 6.3.14) makes it the series of :func:`_series`, of
+    K = ceil(log eps/log rho) + 1 moments per pole at the largest rho of its
+    rows, whose left-out terms sum to less than eps zeta(2) sum|a| sum|b|.
+    A row with a material near critical damping is the mean of the closure
+    over ``_CIRCLE`` (see there), its points evaluated as rows of the pass.
 
-    - T = 0 rows take F = log;
-    - warm rows with rho > _RHO take F = digamma. In these two routes,
-      nearly coincident w_i, w_j (equal dampings of X and Y) take the
-      divided difference as two-point Gauss-Legendre quadrature of F'
-      over the segment, which cancels nothing, and the F values of all
-      their rows come from one call of each of log and digamma;
-    - warm rows with rho <= _RHO expand psi(1 + z) = -gamma +
-      sum_k (-1)^(k+1) zeta(k+1) z^k (Abramowitz & Stegun 6.3.14), so the
-      pair sum is sum_mn (-1)^(m+n) zeta(m+n+2) A_m B_n over the moments
-      A_m = sum_i a_i z_i^m of each shift and B_n = sum_j b_j z_j^n of the
-      row, for m, n < K = ceil(log eps/log rho) + 1 with the largest rho
-      of these rows. The terms left out sum to less than
-      eps zeta(2) sum|a| sum|b|, a tenth of the roundoff estimate below,
-      and no digamma is evaluated.
+    What does not depend on the shifts is assembled in Python and passed
+    to numpy as one packed complex array, nine lines of four per point of
+    a row, so that a block costs the same few numpy calls whatever its
+    rows, routes and size. Line 0 holds the poles of S at s = 0,
+    (p1, p2, p1, p2) of X, to which the shifts add once, as (-s, -s, s, s);
+    lines 1 and 2 the residue weights 2 pi coth(theta q_k) b_k a_i, with
+    coth from numpy's tanh; line 3 q1, q2, the scale from x to the
+    argument of F (-i/xi1 for a series, giving t = -z; i/xi1 otherwise)
+    and a series' bound on the sizes of its pair terms (0 otherwise);
+    line 4 the y_j at that scale, plus 1 in a digamma row; lines 5 to 8 a
+    series' a_i and b_j (-2/xi1), or the products -2/xi1 a_i b_j, i by j.
+    Each value takes the floating-point operations, in their order, of an
+    evaluation that builds these arrays in numpy, except that the complex
+    residues near critical damping take Python's complex products, which
+    round once more than numpy's fused ones.
 
-    A row with a material near critical damping is the mean of the
-    closure over ``_CIRCLE`` (see there), its eight points evaluated as
-    rows of the same pass.
-
-    Returns complex J and its roundoff estimate 10 eps sum|terms|, arrays
-    of shape (rows, shifts); Im J vanishes up to roundoff. A series counts
-    sum_mn zeta(m+n+2) with the moments of |a|, |b| and |z|; a mean over
-    the circle takes the mean of its points' estimates. The estimate leaves
-    out the conditioning of J in the shift and the material constants,
-    which every double-precision evaluation shares. Near the rotational
-    resonance s ~ 2W' that conditioning dominates: against a 40-digit
-    evaluation of the same closure, warm rows within 2W' +/- 3 gamma erred
-    by up to 3.2 times the estimate for BST (gamma0/wt0 = 0.049) and 861
-    times at gamma0/wt0 = 1e-4, a relative error of 1.7e-7.
+    Returns complex J and its roundoff estimate 10 eps sum|terms| (a
+    series' pair terms by :func:`_series_size`, a circle's as the mean of
+    its points'), arrays of shape (rows, shifts); Im J vanishes up to
+    roundoff. The estimate leaves out the conditioning of J in the shift
+    and the material constants. Near the rotational resonance s ~ 2W' that
+    dominates: against a 40-digit evaluation of the same closure, warm rows
+    within 2W' +/- 3 gamma erred by up to 3.2 times the estimate for BST
+    (gamma0/wt0 = 0.049) and 861 times at gamma0/wt0 = 1e-4 (1.7e-7 of J).
     """
     reach = max(map(abs, shifts))
-    points = [_pole_points(poles_x, poles_y) for poles_x, poles_y, _ in rows]
-    built = []
-    for (_, _, temperature), row_points in zip(rows, points):
-        for (poles_x, rx), ((p1, p2), ry) in row_points:
-            if temperature == 0.0:
-                route, theta, xi1, rho = 0, 1.0, 1.0, 0.0   # theta unused: coth -> sgn Re q
-            else:
-                theta = HBAR * omega_scale / (2.0 * K_B * temperature)
-                xi1 = np.pi / theta
+    points = [(_pole_points(px, py), t and HBAR * omega_scale / (2.0 * K_B * t))
+              for px, py, t in rows]            # theta = 0 at T = 0: coth -> sgn Re q
+    coth = iter((1.0 / np.tanh([theta * -p for row_points, theta in points if theta
+                                for _, (poles_y, _) in row_points for p in poles_y])).tolist())
+    flat, runs, rhos = [], {}, []
+    for row_points, theta in points:
+        xi1 = np.pi / theta if theta else 1.0
+        for ((x1, x2), (r1, r2)), ((p1, p2), (b1, b2)) in row_points:
+            q1, q2 = -p1, -p2
+            route = rho = 0
+            if theta:
                 # the largest |z|; the poles differ in modulus above critical damping
-                rho = max(max(map(abs, poles_x)) + reach, abs(p1), abs(p2)) / xi1
+                rho = max(max(abs(x1), abs(x2)) + reach, abs(p1), abs(p2)) / xi1
                 route = 1 if rho > _RHO else 2
-            built.append((route, poles_x, rx + rx, (p1, p2, -p1, -p2), ry + ry,
-                          theta, xi1, rho))
-    # rows by route: T = 0, digamma, series; log and digamma each take the
-    # arguments of one contiguous run of rows
-    order = sorted(range(len(built)), key=lambda r: built[r][0])
-    route, px, a, y, b, theta, xi1, rho = zip(*(built[r] for r in order))
-    c = route.count(0)                                  # rows [0, c) are at T = 0
-    d = c + route.count(1)                              # rows [d, rows) sum a series
-    px, y = np.array(px)[:, None, :], np.array(y)       # (rows, 1, 2), (rows, 4)
-    a, b = np.array(a), np.array(b)
-    xi1 = np.array(xi1)[:, None]
-    q = y[:, 2:]                                        # -p_k^Y, (rows, 2)
-    coth = 1.0 / np.tanh(np.array(theta)[:, None] * q)
-    if c:
-        coth[:c] = np.sign(q[:c].real)
-    weight = (2.0 * np.pi * coth * b[:, :2])[:, :, None] * a[:, None, :]
+                k1, k2 = next(coth), next(coth)
+            else:
+                k1, k2 = (q1.real > 0.0) - (q1.real < 0.0), (q2.real > 0.0) - (q2.real < 0.0)
+            runs.setdefault(route, []).append(len(rhos))
+            rhos.append(rho)
+            w1, w2 = 2.0 * np.pi * k1 * b1, 2.0 * np.pi * k2 * b2
+            u11, u12, u21, u22 = w1 * r1, w1 * r2, w2 * r1, w2 * r2
+            f, m = -2.0 / xi1, (-1j if route == 2 else 1j) / xi1
+            flat += (x1, x2, x1, x2, u11, u12, u11, u12, u21, u22, u21, u22, q1, q2, m)
+            if route == 2:
+                b1, b2 = b1 * f, b2 * f
+                size = _series_size(rho) * 4.0 * (abs(r1) + abs(r2)) * (abs(b1) + abs(b2))
+                flat += (size, p1 * m, p2 * m, q1 * m, q2 * m, r1, r2, r1, r2, b1, b2, b1, b2,
+                         *(0.0,) * 8)
+            else:
+                v11, v12, v21, v22 = f * r1 * b1, f * r1 * b2, f * r2 * b1, f * r2 * b2
+                flat += (0.0, p1 * m + route, p2 * m + route, q1 * m + route, q2 * m + route,
+                         *(v11, v12, v11, v12, v21, v22, v21, v22) * 2)
+    n = len(rhos)
+    packed = np.array(flat, dtype=complex).reshape(n, 9, 4)
 
-    s = np.asarray(shifts, dtype=float)[:, None]
-    x = np.concatenate([px - s, px + s], axis=2)        # (rows, shifts, 4)
-    residues = weight[:, None] / (q[:, None, :, None] - x[:, :, None, :])
-    parts = []
-    if d:
-        parts.append(_divided(x[:d], y[:d], a[:d], b[:d], xi1[:d], c))
-    if d < len(built):
-        parts.append(_series(x[d:], y[d:], a[d:], b[d:], xi1[d:], max(rho[d:])))
-    pairs, pair_size = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    total = residues.sum(axis=(2, 3)) + pairs
-    roundoff = _ROUNDOFF * (np.abs(residues).sum(axis=(2, 3)) + pair_size)
-    if order != sorted(order):
-        back = np.argsort(order)
-        total, roundoff = total[back], roundoff[back]
-    if len(built) > len(rows):
-        # each row's mean over its points
-        sizes = np.array([len(row_points) for row_points in points])
+    x = packed[:, None, 0] + np.multiply.outer(shifts, _SIGNS)    # (rows, shifts, 4)
+    residues = packed[:, None, 1:3] / (packed[:, None, 3, :2, None] - x[:, :, None])
+    total = residues.sum(axis=(2, 3))
+    size = np.abs(residues).sum(axis=(2, 3)) + packed[:, 3, 3, None].real
+    w = x * packed[:, 3, 2, None, None]
+    for route, run in runs.items():
+        # the points of a route, as a slice where they are contiguous
+        rho = max(rhos[point] for point in run)
+        if run[-1] - run[0] == len(run) - 1:
+            run = slice(run[0], run[-1] + 1)
+        if route == 2:
+            t = np.concatenate((packed[run, None, 4], w[run]), axis=1)
+            total[run] += _series(t, packed[run, 5], packed[run, 6], rho)
+        else:
+            wx = w[run] + 1.0 if route else w[run]      # w = 1 + z for digamma
+            pairs, pair_size = _divided(wx, packed[run, 4], packed[run, None, 5:],
+                                        (_log, _digamma)[route])
+            total[run] += pairs
+            size[run] += pair_size
+    roundoff = _ROUNDOFF * size
+    if n > len(rows):                                   # each row's mean over its points
+        sizes = np.array([max(len(px), len(py)) for px, py, _ in rows])
         starts = np.cumsum(sizes) - sizes
         total = np.add.reduceat(total, starts) / sizes[:, None]
         roundoff = np.add.reduceat(roundoff, starts) / sizes[:, None]
     return total, roundoff
 
 
-def _divided(x, y, a, b, xi1, c):
-    """Pair sums of rows that take F directly: (sum, sum of term sizes).
+def _divided(wx, wy, ab, fn):
+    """Pair sums of rows that take F = ``fn`` directly: (sum, sum of term sizes).
 
-    Rows [0, c) are at T = 0 (F = log, w = z), the rest warm (F = digamma,
-    w = 1 + z).
+    ``wx`` (rows, shifts, poles) and ``wy`` (rows, poles) are the arguments
+    w of the poles of X at each shift and of Y, and ``ab`` (rows, 1, poles,
+    poles) the products -2/xi1 a_i b_j. F is log at T = 0 (w = z) and
+    digamma otherwise (w = 1 + z). Nearly coincident w_i, w_j (equal
+    dampings of X and Y) take the divided difference as two-point
+    Gauss-Legendre quadrature of F' over the segment, which cancels
+    nothing; one call of ``fn`` gives F at every w and F' at those nodes.
     """
-    wy = 1j * y / xi1
-    ab = ((-2.0 / xi1[:, :, None]) * a[:, :, None] * b[:, None, :])[:, None]
-    wx = 1j * x / xi1[:, :, None]
-    if c < len(x):
-        wy[c:] += 1.0
-        wx[c:] += 1.0
     wi = wx[..., None]
-    h = wy[:, None, None, :] - wi                       # (rows, shifts, 4, 4)
+    h = wy[:, None, None, :] - wi                       # (rows, shifts, poles, poles)
     mid = wi + 0.5 * h
     near = np.abs(h) < _NEAR * np.abs(mid)
     m, d = mid[near], _GAUSS2 * h[near]
-    lo, hi = m - d, m + d                               # row by row, as near
-    # one call each of log and digamma, on the arguments of their rows
-    k = np.count_nonzero(near[:c]) if c else 0
-    groups = []
-    if c:
-        groups.append(_values(_log, wx[:c], wy[:c], lo[:k], hi[:k]))
-    if c < len(x):
-        groups.append(_values(_digamma, wx[c:], wy[c:], lo[k:], hi[k:]))
-    fx, fy, dlo, dhi = groups[0] if len(groups) == 1 else map(np.concatenate, zip(*groups))
-    fx, fy = fx[..., None], fy[:, None, None, :]
+    f, df = fn(np.concatenate([wx.ravel(), wy.ravel(), m - d, m + d]))
+    i, j, k = wx.size, wx.size + wy.size, wx.size + wy.size + m.size
+    fx, fy = f[:i].reshape(wx.shape)[..., None], f[i:j].reshape(wy.shape)[:, None, None, :]
     h = np.where(near, 1.0, h)
     dd = (fy - fx) / h
     if m.size:
-        dd[near] = 0.5 * (dlo + dhi)
+        dd[near] = 0.5 * (df[j:k] + df[k:])
     pairs = ab * dd
     # terms cancel by up to five orders of magnitude (near the resonant zero
     # crossing of BA, and as gamma -> 0); a digamma difference counts with
@@ -500,51 +511,38 @@ def _divided(x, y, a, b, xi1, c):
     return pairs.sum(axis=(2, 3)), pair_size.sum(axis=(2, 3))
 
 
-def _series(x, y, a, b, xi1, rho):
+def _series(t, a, b, rho):
     """Pair sums of warm rows with every |z| <= rho <= _RHO, as a zeta series.
 
-    With t = -z the signs (-1)^(m+n) go into the moments:
-    sum_mn zeta(m+n+2) sum_i a_i t_i^m sum_j b_j t_j^n. Returns the sum
-    times -2/xi1 and the same sum over |a|, |b| and |t|.
+    With t = -z the signs (-1)^(m+n) go into the moments: the sums, shape
+    (rows, shifts), are sum_mn zeta(m+n+2) sum_i a_i t_i^m sum_j b_j t_j^n
+    over the coefficients ``a`` and ``b`` (rows, poles; b times -2/xi1). ``t``
+    (rows, 1 + shifts, poles) holds the t of Y and then of X at each shift,
+    so that one call raises all of them to their powers.
     """
     terms = _series_terms(rho)
-    hankel, powers = _HANKEL[:terms, :terms], _POWERS[:terms]
-    b = b * (-2.0 / xi1)
-    tx = (x * (-1j / xi1[:, :, None]))[..., None] ** powers    # (rows, shifts, 4, terms)
-    ty = (y * (-1j / xi1))[..., None] ** powers                # (rows, 4, terms)
-    moments_y = (b[:, None, :] @ ty) @ hankel                  # (rows, 1, terms)
-    sizes_y = (np.abs(b[:, None, :]) @ np.abs(ty)) @ hankel
-    moments_x = a[:, None, None, :] @ tx                       # (rows, shifts, 1, terms)
-    sizes_x = np.abs(a[:, None, None, :]) @ np.abs(tx)
-    pairs = moments_x @ moments_y[..., None]
-    pair_size = sizes_x @ sizes_y[..., None]
-    return pairs[..., 0, 0], pair_size[..., 0, 0]
-
-
-def _values(fn, wx, wy, lo, hi):
-    """F = fn at wx and wy, and F' at lo and hi, from one call of fn."""
-    f, df = fn(np.concatenate([wx.ravel(), wy.ravel(), lo, hi]))
-    i, j, k = wx.size, wx.size + wy.size, wx.size + wy.size + lo.size
-    return f[:i].reshape(wx.shape), f[i:j].reshape(wy.shape), df[j:k], df[k:]
+    powers = t[..., None] ** _POWERS[:terms]           # (rows, 1 + shifts, poles, terms)
+    moments_y = (b[:, None, None, :] @ powers[:, :1]) @ _HANKEL[:terms, :terms]
+    moments_x = a[:, None, None, :] @ powers[:, 1:]    # (rows, shifts, 1, terms)
+    return (moments_x @ moments_y[:, :, 0, :, None])[..., 0, 0]
 
 
 def _closed_kinds(ctx, shifts):
     """Closed-form BA and AB integrals of a context at working-unit shifts.
 
     BA integrates alpha_A against eta_B at T_B, and AB alpha_B against
-    eta_A at T_A. Equal scaled materials at equal temperatures make the two
-    the same integral, evaluated as one row. Returns (complex values,
-    roundoff), arrays of shape (2, shifts) with rows in ``_KINDS`` order,
-    from one evaluation of :func:`_closed`.
+    eta_A at T_A; equal scaled materials at equal temperatures make them one
+    row. Returns (complex values, roundoff) of shape (2, shifts), rows in
+    ``_KINDS`` order, from one evaluation of :func:`_closed`.
     """
     ws, mat_a, mat_b = ctx._scaled
     poles_a, poles_b = ctx._poles
     t_a, t_b = ctx.sphere_a.temperature, ctx.sphere_b.temperature
     ba = (poles_a, poles_b, t_b)
-    rows = (ba,) if (mat_a, t_b) == (mat_b, t_a) else (ba, (poles_b, poles_a, t_a))
-    values, roundoff = _closed(rows, ws, shifts)
-    take = [0, len(rows) - 1]
-    return values[take], roundoff[take]
+    if (mat_a, t_b) == (mat_b, t_a):
+        values, roundoff = _closed((ba,), ws, shifts)
+        return np.concatenate((values, values)), np.concatenate((roundoff, roundoff))
+    return _closed((ba, (poles_b, poles_a, t_a)), ws, shifts)
 
 
 def _residue_error(which, imag, roundoff):
@@ -575,21 +573,22 @@ def shift_integral(ctx, Omega, which):
 # ``_key`` to that pair's table, which the context registers and holds as
 # ``_table``, so equal contexts share it (the presets share 420 values).
 # An entry is keyed by slot (see :func:`_weigh`) and holds one evaluation
-# as a flat list, (BA value, roundoff estimate, imaginary residue, AB's
-# three, passed). Lookups check the fields they read against their
-# rel_tol, so a bad shift fails only the lookups that use it; ``passed``
-# is a rel_tol at which a lookup of both kinds has passed all four checks
-# (NaN until one has), and such lookups at a rel_tol >= it skip them.
+# as a flat list: the BA and AB values, their roundoff estimates, their
+# imaginary residues, and ``passed``, a rel_tol at which a lookup of both
+# kinds passed all four checks (NaN until one has). Lookups check the
+# fields they read, so a bad shift fails only the lookups that use it, and
+# skip the checks of an entry passed at a rel_tol no larger than theirs.
 _cache = {}
 _stats = {"hits": 0, "misses": 0, "blocks": 0}
 
 # Shifts per closed-form evaluation. It bounds the transient arrays of
 # _closed, which a sweep evaluated in one piece would hold for hundreds of
-# shifts at once. At 64 shifts their traced peak is about 1.5 kB per shift
-# and row for series rows, 2.1 kB for T = 0 rows and 3 kB for digamma rows
+# shifts at once. At 64 shifts their traced peak is about 1.6 kB per shift
+# and row for series rows, 2.1 kB for T = 0 rows and 3.1 kB for digamma rows
 # (BST at 0.05-0.3 K); a digamma row whose 16 pole pairs are all near, as
 # every |z| << 1 makes them, takes 14 kB for their Gauss nodes.
 _BLOCK = 64
+_UNPASSED = np.full((1, _BLOCK), math.nan)
 
 
 def clear_cache():
@@ -636,20 +635,17 @@ def _weigh(weights, ws, terms, omega_a, omega_b):
 def _fill_closed(ctx, table, shifts):
     """Evaluate the (slot, shift) pairs of ``shifts`` whose slot ``table`` lacks.
 
-    Returns their count. Both kinds of every such shift are evaluated
-    together, in blocks of at most ``_BLOCK`` shifts, one
-    :func:`_closed_kinds` call each, and stored in ``table`` as flat lists
-    not yet passed (NaN). Nothing is checked here; lookups check.
+    Returns their count. Both kinds of every such shift are evaluated in
+    blocks of at most ``_BLOCK`` shifts, one :func:`_closed_kinds` call
+    each, and stored in ``table`` not yet passed. Lookups check them.
     """
     missing = [(n, x) for n, x in shifts if n not in table]
     for start in range(0, len(missing), _BLOCK):
         slots, block = zip(*missing[start:start + _BLOCK])
-        values, roundoff = _closed_kinds(ctx, list(block))
+        values, roundoff = _closed_kinds(ctx, block)
         _stats["blocks"] += 1
-        fields = np.empty((len(block), 7))   # per slot: BA's three fields, AB's, passed
-        fields[:, 0:6:3], fields[:, 1:6:3] = values.real.T, roundoff.T
-        fields[:, 2:6:3], fields[:, 6] = values.imag.T, math.nan
-        table.update(zip(slots, fields.tolist()))
+        fields = np.concatenate((values.real, roundoff, values.imag, _UNPASSED[:, :len(block)]))
+        table.update(zip(slots, fields.T.tolist()))
     return len(missing)
 
 
@@ -684,8 +680,8 @@ def _gate(what, value, roundoff, rel):
 
 def _checked(entry, which, rel):
     """An entry's value of kind ``which``; its residue and roundoff estimate checked."""
-    k = 3 * _KINDS.index(which)
-    value, roundoff, imag = entry[k:k + 3]
+    k = _KINDS.index(which)
+    value, roundoff, imag = entry[k:6:2]
     if abs(imag) > roundoff:
         raise _residue_error(which, imag, roundoff)
     _gate(f"energy_{which}", value, roundoff, rel)
@@ -717,7 +713,7 @@ def _lookup(ctx, weights, rel_tol, kinds=_KINDS):
         total = 0.0
         try:
             for n, (_, c) in weights.items():
-                ba, ba_round, ba_imag, ab, ab_round, ab_imag, passed = entry = table[n]
+                ba, ab, ba_round, ab_round, ba_imag, ab_imag, passed = entry = table[n]
                 if both and rel >= passed:      # passed at a rel_tol <= rel
                     total += c * (ba + ab)
                 elif both and rel > 0.0 and not (

@@ -13,7 +13,7 @@ from spinvdw import baseline, configurations, spectral
 from spinvdw.cli import (CSV_COLUMNS, PRESETS, ConfigError, SweepResult, SweepSpec,
                          _context_for, _fmt, _run_checks, emit, main, parse_config,
                          read_csv_rows, run_preset, run_sweep, spec_to_config)
-from spinvdw.configurations import energy
+from spinvdw.configurations import Arrangement, energy
 from spinvdw.response import resonance_frequency
 from spinvdw.spectral import ConvergenceError
 
@@ -452,6 +452,40 @@ class TestMainExitCodes:
                      "--omega-a", "1.0", "--omega-b", "1.0"]) == 0
         out = capsys.readouterr().out
         assert "deltaE_J = 0.0000000000e+00" in out
+
+    @pytest.mark.parametrize("command, line", [("energy", "E_J      = {:.10e}"),
+                                               ("force", "F_N       = {:.10e}")],
+                             ids=["energy", "force"])
+    def test_point_command_takes_config_arrangement(self, tmp_path, capsys, command, line):
+        # a uu config gives uu values; --arrangement, when given, wins
+        cfg = tmp_path / "uu.json"
+        cfg.write_text(json.dumps({"arrangement": "uu"}))
+        point = [command, "--omega-a", "1.3", "--omega-b", "0.4"]
+        outputs = []
+        for argv in (["--config", str(cfg), *point],
+                     ["--config", str(cfg), *point, "--arrangement", "rr"], point):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        spec, ctx = parse_config(str(cfg))
+        w0 = resonance_frequency(ctx.sphere_a.material)
+        scale = 1.0 if command == "energy" else 6.0 / ctx.separation
+        for kind, out in zip(("uu", "rr", "rr"), outputs):
+            e = energy(ctx, Arrangement(kind), 1.3 * w0, 0.4 * w0)
+            assert line.format(scale * e) in out, (kind, out)
+        assert outputs[0] != outputs[1] == outputs[2]
+
+    def test_point_command_takes_config_general_axes(self, tmp_path, capsys):
+        cfg = tmp_path / "general.json"
+        cfg.write_text(json.dumps(GENERAL_AXES))
+        assert main(["--config", str(cfg), "energy", "--omega-a", "1.3",
+                     "--omega-b", "0.4"]) == 0
+        out = capsys.readouterr().out
+        spec, ctx = parse_config(str(cfg))
+        w0 = resonance_frequency(ctx.sphere_a.material)
+        general = Arrangement("general", *spec.axes)
+        for arrangement, shown in ((general, True), (Arrangement("rr"), False)):
+            e = energy(ctx, arrangement, 1.3 * w0, 0.4 * w0)
+            assert (f"E_J      = {e:.10e}" in out) == shown, (arrangement, out)
 
     def test_check_command(self, capsys):
         assert main(["check"]) == 0

@@ -502,7 +502,7 @@ class TestMatsubaraRoutes:
         series = []
         inner = spectral._series
         monkeypatch.setattr(spectral, "_series",
-                            lambda *args: series.append(inner(*args)) or series[-1])
+                            lambda *args: series.append((args, inner(*args))) or series[-1][1])
         values, roundoff = spectral._closed_kinds(ctx, list(SHIFTS))
         assert len(digamma) == (route == "digamma")
         assert len(series) == (route == "series")
@@ -511,9 +511,10 @@ class TestMatsubaraRoutes:
                 residues, pairs = closure_reference(row, ws, shift)
                 assert abs(values[k, n] - (residues + pairs)) <= roundoff[k, n], (k, shift)
                 if series:
-                    [(got, size)] = series
+                    [((_, a, b, rho), got)] = series
                     r = min(k, len(got) - 1)    # identical spheres: one row
-                    assert abs(got[r, n] - pairs) <= spectral._ROUNDOFF * size[r, n], (k, shift)
+                    size = spectral._series_size(rho) * np.abs(a[r]).sum() * np.abs(b[r]).sum()
+                    assert abs(got[r, n] - pairs) <= spectral._ROUNDOFF * size, (k, shift)
 
     @pytest.mark.parametrize("pair", ["identical", "unequal"])
     def test_series_is_not_cut_short(self, monkeypatch, pair):
@@ -534,9 +535,26 @@ class TestMatsubaraRoutes:
             row = (mat_x, mat_y, _temperature_at(0.249, mat_x, mat_y, ws, (0.0,)))
             series.clear()
             spectral._closed([_poles_row(row)], ws, [0.0])
-            [(got, _)] = series
+            [got] = series
             _, pairs = closure_reference(row, ws, 0.0)
             assert abs(got[0, 0] - pairs) <= 1e-14 * abs(pairs), (got[0, 0], pairs)
+
+    def test_series_bound_enters_the_estimate(self, monkeypatch):
+        # a series row's estimate counts its pair terms by _series_size, at
+        # rho = 0.249 up to a few percent of the estimate
+        probe = PairContext(SpinningSphere(A, bst(), 1.0), SpinningSphere(A, bst(), 1.0), R)
+        ws, sa, _ = probe._scaled
+        row = _poles_row((sa, sa, _temperature_at(0.249, sa, sa, ws)))
+        series, size_of = [], spectral._series_size
+        inner = spectral._series
+        monkeypatch.setattr(spectral, "_series", lambda *args: series.append(args) or inner(*args))
+        _, counted = spectral._closed([row], ws, list(SHIFTS))
+        monkeypatch.setattr(spectral, "_series_size", lambda rho: 0.0)
+        _, uncounted = spectral._closed([row], ws, list(SHIFTS))
+        [(_, a, b, rho), _] = series
+        bound = spectral._ROUNDOFF * size_of(rho) * np.abs(a[0]).sum() * np.abs(b[0]).sum()
+        assert np.allclose(counted[0] - uncounted[0], bound, rtol=1e-9, atol=0.0)
+        assert bound > 0.01 * counted.min()
 
     def test_warm_sweep_sums_series(self, monkeypatch, w0):
         # the presets' BST pair at 300 K: |z| stays below 1e-3, so neither
@@ -582,6 +600,57 @@ class TestMatsubaraRoutes:
         for k, row in enumerate(rows):
             [alone], _ = spectral._closed([_poles_row(row)], ws, list(SHIFTS))
             assert np.all(np.abs(values[k] - alone) <= roundoff[k]), (k, values[k], alone)
+
+
+def _scan_material(rng, damping="typical"):
+    """A single-oscillator material drawn as the material_scan benchmark draws
+    them (gamma0/wt0 log-uniform in 0.03-0.1), or at gamma0/wt0 = 1e-3
+    ("small"), or overdamped (gamma0 = 2.5-10 w0)."""
+    f0 = math.exp(rng.uniform(math.log(4.0), math.log(20.0)))
+    wt0 = 4e9 * math.exp(rng.uniform(0.0, math.log(2.0)))
+    if damping == "small":
+        gamma0 = 1e-3 * wt0
+    elif damping == "over":
+        gamma0 = rng.uniform(2.5, 10.0) * wt0 * math.sqrt(1.0 + f0 / 3.0)
+    else:
+        gamma0 = wt0 * math.exp(rng.uniform(math.log(0.03), math.log(0.1)))
+    return MaterialModel(f0, wt0, gamma0)
+
+
+class TestSeededColdBlocks:
+    """Cold blocks as the material_scan benchmark evaluates them, seeded.
+
+    A numpy generator draws them, so the draws stay where they are when a
+    literal in the package changes, unlike derandomized hypothesis examples.
+    """
+
+    def test_blocks_match_closure_and_one_row_evaluations(self):
+        # equal and unequal materials, T_A and T_B independently 0 or
+        # log-uniform in 1-2000 K (the log and series routes), blocks of 1, 2,
+        # 3 and 5 shifts with 0 among them and one of 64: every row and shift
+        # within its roundoff estimate of the 30-digit closure, and each row
+        # of the stacked evaluation within it of its one-row evaluation
+        rng = np.random.default_rng(20261019)
+        dampings = ["typical"] * 6 + ["small"] * 2 + ["over"] * 2
+        blocks = [1, 2, 3, 5] * len(dampings)
+        blocks[rng.integers(len(blocks))] = 64
+        for k, damping in enumerate(dampings):
+            mat_a = _scan_material(rng, damping)
+            mat_b = mat_a if rng.random() < 0.5 else _scan_material(rng)
+            t_a, t_b = (0.0 if rng.random() < 0.3 else math.exp(rng.uniform(0.0, math.log(2000.0)))
+                        for _ in range(2))
+            ctx = PairContext(SpinningSphere(A, mat_a, t_a), SpinningSphere(50e-9, mat_b, t_b), R)
+            ws, sa, sb = ctx._scaled
+            for count in blocks[4 * k:4 * k + 4]:
+                shifts = [0.0, *rng.uniform(0.0, 9.0, count - 1).tolist()]
+                values, roundoff = spectral._closed_kinds(ctx, shifts)
+                for kind, row in enumerate([(sa, sb, t_b), (sb, sa, t_a)]):
+                    [alone], _ = spectral._closed([_poles_row(row)], ws, shifts)
+                    assert np.all(np.abs(values[kind] - alone) <= roundoff[kind]), (k, kind)
+                    for n, shift in enumerate(shifts):
+                        want = closure_reference(row, ws, shift, total=True)
+                        assert abs(values[kind, n] - want) <= roundoff[kind, n], (
+                            k, damping, kind, (t_a, t_b), shift, values[kind, n], want)
 
 
 # gamma0/2 w0 of the damping grid: around critical damping, then overdamped

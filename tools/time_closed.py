@@ -1,0 +1,151 @@
+"""Time the closed-form block (layer L2) and cold energies (layer L3).
+
+Times one cold ``spectral._closed`` evaluation per route of its rows (log
+at T = 0, the zeta series at 300 K, digamma at 0.05 K, and a T = 0 row
+stacked with a 300 K row) at 1, 4 and 64 shifts in (0.05, 3.9) w0, with
+one row (the BST pair) and with two (BST and a second material), and one
+cold ``configurations.delta_force`` per canonical arrangement (BST pair at
+300 K, Omega = (1.3, -0.4) w0; ``uo`` also at T = 0 and for unequal
+materials at 300 and 900 K). Each of 21 rounds makes 20 calls of every
+case in turn (and of both packages with ``--against``, alternating which
+goes first), and the JSON printed holds each case's median over the
+rounds of its mean time per call, in microseconds.
+
+    python tools/time_closed.py                      # this checkout's src/spinvdw
+    python tools/time_closed.py --against OLD/src    # and another checkout's, interleaved
+    python tools/time_closed.py --smoke              # a few repeats; exit 0
+
+``--against`` names a directory that holds a ``spinvdw`` package, such as
+the ``src`` of ``git archive`` of an earlier commit; it is loaded under
+another name, so both packages share one process and one host state.
+"""
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SHIFT_COUNTS = (1, 4, 64)
+ROUNDS, NUMBER = 21, 20   # rounds, and calls per case and round (2 and 2 with --smoke)
+A, B, R = 60e-9, 50e-9, 180e-9
+OMEGA = (1.3, -0.4)       # (Omega_A, Omega_B) of the energies, in w0
+
+
+def load(src, name):
+    """The spinvdw package under ``src`` as the module ``name``."""
+    path = os.path.join(src, "spinvdw", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, path, submodule_search_locations=[os.path.dirname(path)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def shifts(count):
+    return [1.3] if count == 1 else np.linspace(0.05, 3.9, count).tolist()
+
+
+def cases(package):
+    """(name, call) of every case, for one package."""
+    spectral, configurations = package.spectral, package.configurations
+    response = package.response
+    bst = response.bst()
+    other = response.MaterialModel(8.0, 6.5e9, 4e8)
+
+    def context(mat_b, t_a, t_b):
+        return spectral.PairContext(response.SpinningSphere(A, bst, t_a),
+                                    response.SpinningSphere(B, mat_b, t_b), R)
+
+    def block(ctx, rows, count):
+        (poles_a, poles_b), ws = ctx._poles, ctx._scaled[0]
+        t_a, t_b = ctx.sphere_a.temperature, ctx.sphere_b.temperature
+        both = [(poles_a, poles_b, t_b), (poles_b, poles_a, t_a)][:rows]
+        grid = shifts(count)
+        return lambda: spectral._closed(both, ws, grid)
+
+    out = []
+    for route, t_a, t_b in (("log", 0.0, 0.0), ("series", 300.0, 300.0),
+                            ("digamma", 0.05, 0.05), ("log+series", 300.0, 0.0)):
+        for rows in (1, 2):
+            if route == "log+series" and rows == 1:
+                continue
+            ctx = context(bst if route != "log+series" and rows == 1 else other, t_a, t_b)
+            for count in SHIFT_COUNTS:
+                out.append((f"closed {route}, {rows} row{'s' * (rows > 1)}, {count} shift"
+                            f"{'s' * (count > 1)}", block(ctx, rows, count)))
+    w0 = response.resonance_frequency(bst)
+    energies = [(kind, context(bst, 300.0, 300.0)) for kind in ("rr", "uu", "ur", "uo")]
+    energies += [("uo at T = 0", context(bst, 0.0, 0.0)),
+                 ("uo, unequal materials at 300 and 900 K", context(other, 300.0, 900.0))]
+    for name, ctx in energies:
+        arrangement = configurations.Arrangement(name[:2])
+
+        def cold(ctx=ctx, arrangement=arrangement):
+            spectral.clear_cache()
+            start = time.perf_counter()
+            configurations.delta_force(ctx, arrangement, OMEGA[0] * w0, OMEGA[1] * w0)
+            return time.perf_counter() - start
+
+        out.append((f"delta_force {name}", cold))
+    return out
+
+
+def measure(call, number):
+    """Mean seconds per call of ``number`` calls; a call may time itself."""
+    total = 0.0
+    for _ in range(number):
+        start = time.perf_counter()
+        took = call()
+        total += took if isinstance(took, float) else time.perf_counter() - start
+    return total / number
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="SRC",
+                        help="directory of another spinvdw package to time alongside")
+    parser.add_argument("--smoke", action="store_true", help="2 rounds of 2 calls")
+    args = parser.parse_args(argv)
+    rounds, number = (2, 2) if args.smoke else (ROUNDS, NUMBER)
+
+    sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
+    import spinvdw
+    packages = {"working": spinvdw}
+    if args.against:
+        packages["against"] = load(args.against, "spinvdw_against")
+    table = {label: cases(package) for label, package in packages.items()}
+    times = {label: {name: [] for name, _ in entries} for label, entries in table.items()}
+    for k in range(rounds):
+        labels = list(table) if k % 2 == 0 else list(table)[::-1]
+        for index in range(len(table["working"])):
+            for label in labels:
+                name, call = table[label][index]
+                times[label][name].append(measure(call, number))
+    result = {
+        "unit": "us per call, median over rounds",
+        "rounds": rounds, "calls_per_round": number,
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "cpu_count": os.cpu_count(), "machine": platform.machine()},
+        "packages": {label: os.path.dirname(os.path.dirname(package.__file__))
+                     for label, package in packages.items()},
+        "timings": {name: {label: round(1e6 * statistics.median(times[label][name]), 2)
+                           for label in table}
+                    for name, _ in table["working"]},
+    }
+    if args.against:
+        for row in result["timings"].values():
+            row["ratio"] = round(row["working"] / row["against"], 3)
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
