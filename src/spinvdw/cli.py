@@ -15,6 +15,8 @@ import itertools
 import json
 import math
 import operator
+import os
+import stat
 import sys
 from dataclasses import dataclass, replace
 
@@ -345,6 +347,21 @@ def emit(result, fmt, path):
     Every row is written with one line format, built from the field types
     of the first row (floats as %.17g, anything else as text); a text field
     that holds a comma, quote or newline is quoted.
+
+    An existing regular file with one link, which the user may write, is
+    replaced: it is unlinked and ``path`` is created anew, owned by the
+    user, with the old file's permission bits (narrowed by the umask; its
+    group and ACLs are not kept). Any other path (a symlink, a file with
+    more links, a FIFO or device such as /dev/stdout) is written in place,
+    as is a file that cannot be unlinked; a write-protected file still
+    fails as "cannot write". The reason is ext4's ``auto_da_alloc``:
+    rewriting a non-empty file through O_TRUNC makes it allocate the
+    blocks and start writeback at close, and so does renaming a temporary
+    file over the path; a new file pays neither (timings in
+    BENCH_emit.json). Neither way makes the data durable, and no fsync is
+    made; the unlink gives up that heuristic's protection of the old
+    contents in a crash, which regenerable output does not need. A reader
+    that holds the old file open keeps reading the old bytes.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format: must be csv or json, got {fmt!r}")
@@ -366,8 +383,17 @@ def emit(result, fmt, path):
     else:
         text = json.dumps({"metadata": result.metadata, "rows": result.rows},
                           indent=1) + "\n"
+    mode = 0o666                # open()'s own mode for a file it creates
     try:
-        with open(path, "w") as fh:
+        info = os.lstat(path)
+        if (stat.S_ISREG(info.st_mode) and info.st_nlink == 1
+                and os.access(path, os.W_OK)):
+            os.unlink(path)
+            mode = info.st_mode & 0o777
+    except OSError:
+        pass        # absent (open creates it), or not ours to unlink: written in place
+    try:
+        with open(path, "w", opener=lambda name, flags: os.open(name, flags, mode)) as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from None

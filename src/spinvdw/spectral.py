@@ -255,8 +255,8 @@ _STIRLING = np.stack([_BERNOULLI[::-1] / np.arange(16, 1, -2),
                       _BERNOULLI[::-1]], axis=1)[:, :, None]
 
 
-def _digamma(w):
-    """Complex digamma psi(w) and trigamma psi'(w) of a 1-d array.
+def _digamma(w, start=0):
+    """Complex digamma psi(w) of a 1-d array, and trigamma psi'(w) of w[start:].
 
     Reflection maps Re w < 1/2 onto 1 - w, the upward recurrence lifts |w|
     to at least 10, and the Stirling series through B_16 finishes. Accurate
@@ -271,7 +271,8 @@ def _digamma(w):
     recur = z[..., None] + np.arange(steps)
     np.divide(1.0, recur, out=recur)
     psi = -recur.sum(axis=-1)
-    tri = np.multiply(recur, recur, out=recur).sum(axis=-1)
+    tail = recur[start:]
+    tri = np.multiply(tail, tail, out=tail).sum(axis=-1)
     z = z + steps
     inv = 1.0 / z
     inv2 = inv * inv
@@ -282,7 +283,8 @@ def _digamma(w):
         np.multiply(series, inv2, out=series)
         np.add(series, c, out=series)
     psi += np.log(z) - 0.5 * inv - inv2 * series[0]
-    tri += inv + 0.5 * inv2 + inv * inv2 * series[1]
+    inv_n, inv2_n = inv[start:], inv2[start:]
+    tri += inv_n + 0.5 * inv2_n + inv_n * inv2_n * series[1, start:]
     if flip.any():
         # psi(w) = psi(1 - w) - pi cot(pi w), psi'(w) = pi^2/sin^2(pi w) - psi'(1 - w),
         # through e = exp(2 pi i w sgn Im w), |e| <= 1, which stays exact
@@ -291,12 +293,13 @@ def _digamma(w):
         sgn = np.where(frac.imag < 0.0, -1.0, 1.0)
         e = np.exp(2j * np.pi * sgn * frac)
         psi = np.where(flip, psi + 1j * np.pi * sgn * (1.0 + e) / (1.0 - e), psi)
-        tri = np.where(flip, -tri - 4.0 * np.pi**2 * e / (1.0 - e) ** 2, tri)
+        e = e[start:]
+        tri = np.where(flip[start:], -tri - 4.0 * np.pi**2 * e / (1.0 - e) ** 2, tri)
     return psi, tri
 
 
-def _log(w):
-    """log(w) and its derivative, the T = 0 limit of the digamma terms.
+def _log(w, start=0):
+    """log(w), and its derivative at w[start:]: the T = 0 limit of the digamma terms.
 
     On the cut, w real and negative, log takes its principal value log|w|,
     the mean of its limits from either side. The upper poles of an
@@ -305,7 +308,7 @@ def _log(w):
     """
     f = np.log(w)
     f.imag[w.imag == 0.0] = 0.0       # changes nothing for w > 0
-    return f, 1.0 / w
+    return f, 1.0 / w[start:]
 
 
 _NEAR = 2e-3                    # |w_j - w_i| < _NEAR |w|: nearly coincident
@@ -488,20 +491,21 @@ def _divided(wx, wy, ab, fn):
     digamma otherwise (w = 1 + z). Nearly coincident w_i, w_j (equal
     dampings of X and Y) take the divided difference as two-point
     Gauss-Legendre quadrature of F' over the segment, which cancels
-    nothing; one call of ``fn`` gives F at every w and F' at those nodes.
+    nothing; one call of ``fn`` gives F at every w and F' at those nodes,
+    which come last in its arguments.
     """
     wi = wx[..., None]
     h = wy[:, None, None, :] - wi                       # (rows, shifts, poles, poles)
     mid = wi + 0.5 * h
     near = np.abs(h) < _NEAR * np.abs(mid)
     m, d = mid[near], _GAUSS2 * h[near]
-    f, df = fn(np.concatenate([wx.ravel(), wy.ravel(), m - d, m + d]))
-    i, j, k = wx.size, wx.size + wy.size, wx.size + wy.size + m.size
+    i, j = wx.size, wx.size + wy.size
+    f, df = fn(np.concatenate([wx.ravel(), wy.ravel(), m - d, m + d]), j)
     fx, fy = f[:i].reshape(wx.shape)[..., None], f[i:j].reshape(wy.shape)[:, None, None, :]
     h = np.where(near, 1.0, h)
     dd = (fy - fx) / h
     if m.size:
-        dd[near] = 0.5 * (df[j:k] + df[k:])
+        dd[near] = 0.5 * (df[:m.size] + df[m.size:])
     pairs = ab * dd
     # terms cancel by up to five orders of magnitude (near the resonant zero
     # crossing of BA, and as gamma -> 0); a digamma difference counts with

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -349,6 +350,92 @@ class TestEmit:
         back = read_csv_rows(str(path))
         assert [row["error"] for row in back] == [row["error"] for row in result.rows]
         assert back[0]["omega_A_rad_s"] == 0.5 * w0
+
+    @staticmethod
+    def _fresh(result, tmp_path):
+        emit(result, "csv", str(tmp_path / "fresh.csv"))
+        return (tmp_path / "fresh.csv").read_bytes()
+
+    def test_overwrite_is_a_new_file_with_fresh_bytes(self, tmp_path):
+        # the old file, held open so that its inode cannot be reused, keeps
+        # its bytes for the reader; the path gets a new inode with the bytes
+        # of a fresh write
+        result = self._result()
+        path = tmp_path / "out.csv"
+        old = b"# stale\n" + b"1,2,3\n" * 5000
+        path.write_bytes(old)
+        with open(path, "rb") as reader:
+            emit(result, "csv", str(path))
+            assert os.fstat(reader.fileno()).st_ino != path.stat().st_ino
+            assert reader.read() == old
+        assert path.read_bytes() == self._fresh(result, tmp_path)
+
+    def test_symlink_stays_and_its_target_is_written(self, tmp_path):
+        result = self._result()
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("stale\n")
+        link.symlink_to(target)
+        emit(result, "csv", str(link))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self._fresh(result, tmp_path)
+
+    def test_hard_linked_file_is_written_in_place(self, tmp_path):
+        result = self._result()
+        path, other = tmp_path / "out.csv", tmp_path / "other.csv"
+        path.write_text("stale\n")
+        os.link(path, other)
+        inode = path.stat().st_ino
+        emit(result, "csv", str(path))
+        assert path.stat().st_ino == inode and path.stat().st_nlink == 2
+        assert path.read_bytes() == other.read_bytes() == self._fresh(result, tmp_path)
+
+    def test_file_the_user_may_not_write_is_not_replaced(self, tmp_path, monkeypatch):
+        # a write-protected file fails as before rather than being replaced;
+        # a superuser may write it in place, so os.access then answers as
+        # for a user and the in-place write goes through
+        result = self._result()
+        path = tmp_path / "out.csv"
+        path.write_text("stale\n")
+        path.chmod(0o444)
+        inode = path.stat().st_ino
+        if os.access(path, os.W_OK):
+            monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+            emit(result, "csv", str(path))
+            assert path.read_bytes() == self._fresh(result, tmp_path)
+        else:
+            with pytest.raises(OSError, match="cannot write"):
+                emit(result, "csv", str(path))
+            assert path.read_text() == "stale\n"
+        assert path.stat().st_ino == inode and path.stat().st_mode & 0o777 == 0o444
+
+    @pytest.mark.parametrize("before, umask, after",
+                             [(0o600, 0o022, 0o600), (0o664, 0o022, 0o644)])
+    def test_replacement_keeps_the_mode_narrowed_by_the_umask(self, tmp_path,
+                                                              before, umask, after):
+        path = tmp_path / "out.csv"
+        path.write_text("stale\n")
+        path.chmod(before)
+        old = os.umask(umask)
+        try:
+            with open(path) as reader:      # held open, so the inode is not reused
+                emit(self._result(), "csv", str(path))
+                assert os.fstat(reader.fileno()).st_ino != path.stat().st_ino
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == after
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        result = self._result()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        emit(result, "csv", str(fifo))
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert fifo.is_fifo()
+        assert got == [self._fresh(result, tmp_path)]
 
     def test_io_error_carries_path(self):
         with pytest.raises(OSError, match="/nonexistent"):
