@@ -11,6 +11,7 @@ T = 300 K). See the README for the schema.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -81,6 +82,8 @@ class SweepSpec:
             object.__setattr__(self, name, vals)
         for name in ("omega_b_value", "omega_b_ratio"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        if not math.isfinite(self.omega_b_value):
+            raise ConfigError(f"sweep.omega_b_value_rad_s: non-finite value {self.omega_b_value}")
         if self.arrangement not in ("rr", "uu", "ur", "uo", "general"):
             raise ConfigError(f"arrangement: unknown value {self.arrangement!r}")
         if self.omega_b_rule not in ("fixed", "ratio", "grid"):
@@ -277,13 +280,15 @@ def run_sweep(spec, ctx):
     """Evaluate every grid point of a sweep; failures go to the error column.
 
     Every shift integral the sweep needs is evaluated first, in a few
-    blocked passes, so the zero-rotation reference F(0,0), computed once
-    and shared by all rows, and the rows, in grid order, are lookups.
+    blocked passes, and checked at the sweep's rel_tol, so the
+    zero-rotation reference F(0,0), computed once and shared by all rows,
+    and the rows, in grid order, are lookups of passed values; a row that
+    reads a value which failed its checks raises them into its error column.
     """
     arrangement = spec.make_arrangement()
     w0 = resonance_frequency(ctx.sphere_a.material)
     points = spec.grid_points()
-    spectral.prefetch(ctx, arrangement._terms, points)
+    spectral.prefetch(ctx, arrangement._terms, points, spec.rel_tol)
     try:
         e0 = configurations.energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
         f0 = 6.0 * e0 / ctx.separation
@@ -452,6 +457,17 @@ PRESETS = ("fig1_300K", "fig1_1500K", "fig2a", "fig2b", "fig2c",
            "baseline_static")
 
 
+@functools.cache
+def _preset_context(temperature):
+    """The presets' BST pair at ``temperature``, kept for the life of the process.
+
+    The shift cache keeps only the tables of live contexts; holding these
+    lets the presets at one temperature share theirs, as fig1_1500K and
+    the fig2 sweeps do.
+    """
+    return _context_for(SweepSpec(omega_a_grid=(0.0,), temperature=temperature))
+
+
 def run_preset(name, rel_tol=None, points=None):
     """Run a named preset and return its result.
 
@@ -468,7 +484,7 @@ def run_preset(name, rel_tol=None, points=None):
             spec = replace(spec, omega_a_grid=grid)
         if rel_tol is not None:
             spec = replace(spec, rel_tol=rel_tol)
-        result = run_sweep(spec, _context_for(spec))
+        result = run_sweep(spec, _preset_context(spec.temperature))
         rows.extend(result.rows)
         metadata = result.metadata
     metadata["preset"] = name
@@ -647,6 +663,9 @@ def _dispatch(args):
 
     if args.command in ("energy", "force"):
         arrangement = Arrangement(args.arrangement) if args.arrangement else spec.make_arrangement()
+        for flag, rate in (("--omega-a", args.omega_a), ("--omega-b", args.omega_b)):
+            if not math.isfinite(rate):
+                raise ConfigError(f"{flag}: non-finite value {rate}")
         wa, wb = args.omega_a * w0, args.omega_b * w0
         # the energy change first: its one lookup evaluates every shift
         # that E and E0 then look up

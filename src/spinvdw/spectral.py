@@ -33,6 +33,7 @@ joules appear only in the returned values.
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,8 @@ class PairContext:
             # a reduced shift integral times this is its energy (J)
             "_joules": -units.energy_scale / (32.0 * np.pi),
             "_key": key,
-            "_table": _cache.setdefault(key, {}),   # shared by equal contexts
+            "_owner": (owner := _cache.setdefault(key, _Table())),
+            "_table": owner.entries,                # shared by equal live contexts
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -573,17 +575,28 @@ def shift_integral(ctx, Omega, which):
 # Sweeps revisit the same few shifts (E(0) on every row, sums and
 # differences of the grid rates), so most lookups hit; a sweep evaluates
 # all of its shifts up front (prefetch) and its rows only look them up.
-# Single-threaded; nothing is ever evicted. ``_cache`` maps a context's
-# ``_key`` to that pair's table, which the context registers and holds as
-# ``_table``, so equal contexts share it (the presets share 420 values).
-# An entry is keyed by slot (see :func:`_weigh`) and holds one evaluation
-# as a flat list: the BA and AB values, their roundoff estimates, their
-# imaginary residues, and ``passed``, a rel_tol at which a lookup of both
-# kinds passed all four checks (NaN until one has). Lookups check the
-# fields they read, so a bad shift fails only the lookups that use it, and
-# skip the checks of an entry passed at a rel_tol no larger than theirs.
-_cache = {}
+# Single-threaded. ``_cache`` maps a context's ``_key`` weakly to the
+# ``_Table`` that the context holds, and whose entries it holds as ``_table``:
+# equal live contexts share one table (the presets share 420 values), and
+# a pair's table goes with its last context. An entry is keyed by slot, the
+# shift x = |s Omega_A - t Omega_B|/ws quantized to 1e-12 (both integrals
+# are even in x), and holds the evaluation of the slot's first shift as a
+# flat list: the BA and AB values, their roundoff estimates, their imaginary
+# residues, and ``passed``, a rel_tol at which all four checks passed (NaN
+# until they have), first set as the entry is stored. Lookups of both kinds
+# sum entries passed at a rel_tol no larger than theirs unchecked; others
+# check the fields they read, so a bad shift fails only the lookups using it.
+_cache = weakref.WeakValueDictionary()
 _stats = {"hits": 0, "misses": 0, "blocks": 0}
+
+
+class _Table:
+    # a plain dict, the fastest to look up in, cannot be weakly referenced
+    __slots__ = ("entries", "__weakref__")
+
+    def __init__(self):
+        self.entries = {}
+
 
 # Shifts per closed-form evaluation. It bounds the transient arrays of
 # _closed, which a sweep evaluated in one piece would hold for hundreds of
@@ -602,73 +615,77 @@ def clear_cache():
     still shared with the contexts equal to it.
     """
     for table in _cache.values():
-        table.clear()
+        table.entries.clear()
     _stats.update(hits=0, misses=0, blocks=0)
 
 
 def cache_info():
     """Shift-cache counters since the last :func:`clear_cache`.
 
-    ``entries`` cached values over the tables of every context built (a
-    slot holds two, one per kind), ``hits`` and ``misses`` of the lookups
-    (one per kind and slot), and ``blocks``, the stacked closed-form
-    evaluations of both kinds at up to ``_BLOCK`` shifts each.
+    ``entries`` cached values over the tables of the live contexts (a slot
+    holds two, one per kind), ``hits`` and ``misses`` of the lookups (one
+    per kind and slot), and ``blocks``, the stacked closed-form evaluations
+    of both kinds at up to ``_BLOCK`` shifts each.
     """
-    entries = 2 * sum(map(len, _cache.values()))
+    entries = 2 * sum(len(table.entries) for table in _cache.values())
     return dict(entries=entries, **_stats)
 
 
-def _weigh(weights, ws, terms, omega_a, omega_b):
-    """Merge the weights c of ``terms`` at (omega_a, omega_b) into ``weights``.
-
-    ``weights`` maps a cache slot, the shift x = |s omega_a - t omega_b|/ws
-    quantized to 1e-12 (both integrals are even in x), to [x, summed c];
-    a slot keeps the x of its first term, the shift a miss evaluates.
-    """
-    for s, t, c in terms:
-        x = abs(s * omega_a - t * omega_b) / ws
-        n = round(x / 1e-12)
-        slot = weights.get(n)
-        if slot is None:
-            weights[n] = [x, c]
-        else:
-            slot[1] += c
-    return weights
+def _rate_error(omega_a, omega_b):
+    name, rate = ("Omega_B", omega_b) if math.isfinite(omega_a) else ("Omega_A", omega_a)
+    return ValueError(f"{name} = {rate} rad/s: rotation rates must be finite")
 
 
-def _fill_closed(ctx, table, shifts):
-    """Evaluate the (slot, shift) pairs of ``shifts`` whose slot ``table`` lacks.
+def _slots(ws, terms, rate_pairs, slots):
+    """Add the slot and first shift of every term at every rate pair to ``slots``."""
+    for omega_a, omega_b in rate_pairs:
+        try:
+            for s, t, _ in terms:
+                x = abs(s * omega_a - t * omega_b) / ws
+                slots.setdefault(round(x / 1e-12), x)
+        except (ValueError, OverflowError):     # round() of NaN or infinity
+            raise _rate_error(omega_a, omega_b) from None
+    return slots
+
+
+def _fill_closed(ctx, table, slots, rel):
+    """Evaluate the shifts of the slot -> shift map ``slots`` that ``table`` lacks.
 
     Returns their count. Both kinds of every such shift are evaluated in
     blocks of at most ``_BLOCK`` shifts, one :func:`_closed_kinds` call
-    each, and stored in ``table`` not yet passed. Lookups check them.
+    each, and an entry is stored passed at ``rel`` if it meets the four
+    checks of :func:`_checked` there, else not passed, for its lookups to
+    raise. A ``rel`` that is not > 0 passes nothing.
     """
-    missing = [(n, x) for n, x in shifts if n not in table]
+    missing = [(n, x) for n, x in slots.items() if n not in table]
     for start in range(0, len(missing), _BLOCK):
-        slots, block = zip(*missing[start:start + _BLOCK])
-        values, roundoff = _closed_kinds(ctx, block)
+        block, shifts = zip(*missing[start:start + _BLOCK])
+        values, roundoff = _closed_kinds(ctx, shifts)
         _stats["blocks"] += 1
-        fields = np.concatenate((values.real, roundoff, values.imag, _UNPASSED[:, :len(block)]))
-        table.update(zip(slots, fields.T.tolist()))
+        entries = np.concatenate((values.real, roundoff, values.imag,
+                                  _UNPASSED[:, :len(shifts)])).T.tolist()
+        for entry in entries:
+            ba, ab, ba_round, ab_round, ba_imag, ab_imag, _ = entry
+            if rel > 0.0 and not (abs(ba_imag) > ba_round or abs(ab_imag) > ab_round
+                                  or ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba)
+                                  or ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab)):
+                entry[6] = rel
+        table.update(zip(block, entries))
     return len(missing)
 
 
-def prefetch(ctx, terms, rate_pairs):
+def prefetch(ctx, terms, rate_pairs, rel_tol=None):
     """Evaluate every shift integral that energies at ``rate_pairs`` will need.
 
     ``terms`` are an arrangement's ``(s, t, c)`` weights (see
     :func:`general_energy`) and ``rate_pairs`` its (Omega_A, Omega_B)
     points; the distinct |s Omega_A - t Omega_B| and 0 (the rest energy)
-    are evaluated in a few blocked passes, so the energies that follow are
-    pure lookups.
+    are evaluated in a few blocked passes and checked at ``rel_tol``, so
+    the energies that follow at that tolerance are pure lookups. A value
+    that fails its checks raises in those energies, not here.
     """
-    ws = ctx._scaled[0]
-    shifts = {0: 0.0}                       # the slot of the rest energy
-    for omega_a, omega_b in rate_pairs:
-        for s, t, _ in terms:               # the slots of _weigh, first shift kept
-            x = abs(s * omega_a - t * omega_b) / ws
-            shifts.setdefault(round(x / 1e-12), x)
-    _fill_closed(ctx, ctx._table, shifts.items())
+    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
+    _fill_closed(ctx, ctx._table, _slots(ctx._scaled[0], terms, rate_pairs, {0: 0.0}), rel)
 
 
 def _gate(what, value, roundoff, rel):
@@ -692,58 +709,53 @@ def _checked(entry, which, rel):
     return value
 
 
-def _lookup(ctx, weights, rel_tol, kinds=_KINDS):
-    """Weighted sum of reduced shift integrals, sum c (sum of ``kinds``).
+def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None, kinds=_KINDS):
+    """Interaction energy of any arrangement from its projector weights (J).
 
-    ``weights`` maps each shift's slot to [shift, c] (see :func:`_weigh`).
-    One walk reads each slot's entry in the context's table, checks (see
-    :func:`_checked`) and sums; a lookup for one kind reads that kind's
-    three fields. A lookup of both kinds records the rel_tol at which an
-    entry passes all four checks and skips them when its own rel_tol is no
-    smaller. That is exact: the residue checks do not depend on rel_tol,
-    and a roundoff check that passes at one rel_tol passes at every larger
-    one. A miss, a slot's first use, stops the walk: all of the call's
-    misses are evaluated, both kinds at once, in one blocked pass, and the
-    walk runs again. A failed check is raised once the misses are filled,
-    so each kind and slot counts as one hit or one miss. A rel_tol that is
-    not > 0 (NaN included) raises ValueError from the first check it
-    meets, so it is never recorded and never meets the skip.
+    ``terms`` holds the arrangement's ``(s, t, c)`` weights (see
+    :mod:`spinvdw.configurations`); the energy is
+    2 sum c E(|s Omega_A - t Omega_B|) over the integrals ``kinds`` of E
+    (both by default). One pass over the terms merges their weights by
+    cache slot, in first-seen order; one walk over the slots sums c (BA +
+    AB) of each entry passed at ``rel_tol`` or below. The first other slot
+    evaluates all of the call's misses in one blocked pass (one hit or one
+    miss per kind and slot) before any check raises; an entry not passed is
+    checked (:func:`_checked`) and, by a lookup of both kinds, recorded as
+    passed. That is exact: the residue checks do not depend on rel_tol, and
+    a roundoff check that passes at one rel_tol passes at every larger one.
+    A rel_tol that is not > 0 (NaN too) or a non-finite rate raises ValueError.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    table = ctx._table
+    ws, table = ctx._scaled[0], ctx._table
+    weights = {}
+    try:
+        for s, t, c in terms:
+            n = round(abs(s * Omega_A - t * Omega_B) / ws / 1e-12)
+            weights[n] = weights[n] + c if n in weights else c
+    except (ValueError, OverflowError):         # round() of NaN or infinity
+        raise _rate_error(Omega_A, Omega_B) from None
     _stats["hits"] += len(kinds) * len(weights)
-    both = len(kinds) == 2
-    while True:
-        total = 0.0
-        try:
-            for n, (_, c) in weights.items():
-                ba, ab, ba_round, ab_round, ba_imag, ab_imag, passed = entry = table[n]
-                if both and rel >= passed:      # passed at a rel_tol <= rel
-                    total += c * (ba + ab)
-                elif both and rel > 0.0 and not (
-                        abs(ba_imag) > ba_round or abs(ab_imag) > ab_round
-                        or ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba)
-                        or ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab)):
-                    total += c * (ba + ab)      # checked inline; the first pass at rel
+    skip = rel if kinds is _KINDS else math.nan  # lookups of one kind always check
+    total, filled = 0.0, False
+    for n in weights:
+        entry = table.get(n)
+        if entry is None or not skip >= entry[6]:
+            if not filled:
+                misses = len(kinds) * _fill_closed(
+                    ctx, table, _slots(ws, terms, ((Omega_A, Omega_B),), {}), rel)
+                _stats["hits"] -= misses
+                _stats["misses"] += misses
+                filled, entry = True, table[n]
+            if not skip >= entry[6]:
+                total += weights[n] * sum(_checked(entry, which, rel) for which in kinds)
+                if kinds is _KINDS:
                     entry[6] = rel
-                else:
-                    total += c * sum(_checked(entry, which, rel) for which in kinds)
-            return total
-        except KeyError:
-            pass
-        except (ArithmeticError, ConvergenceError):
-            if all(n in table for n in weights):    # else fill the misses first
-                raise
-        misses = len(kinds) * _fill_closed(
-            ctx, table, ((n, x) for n, (x, _) in weights.items()))
-        _stats["hits"] -= misses
-        _stats["misses"] += misses
+                continue
+        total += weights[n] * (entry[0] + entry[1])
+    return 2.0 * ctx._joules * total
 
 
-def _single(ctx, Omega, rel_tol, kinds=_KINDS):
-    """Energy (J) of the integrals ``kinds`` at the one shift |Omega|."""
-    weights = _weigh({}, ctx._scaled[0], ((1.0, 0.0, 1.0),), Omega, 0.0)
-    return ctx._joules * _lookup(ctx, weights, rel_tol, kinds)
+_SINGLE = ((1.0, 0.0, 0.5),)    # the shift |Omega|, at 2 c = 1
 
 
 def energy_BA(ctx, Omega, rel_tol=None):
@@ -753,12 +765,12 @@ def energy_BA(ctx, Omega, rel_tol=None):
     with A = hbar/(512 pi^3 eps0^2). Real by symmetry; the imaginary
     residue is checked against the error estimate before being discarded.
     """
-    return _single(ctx, Omega, rel_tol, ("BA",))
+    return general_energy(ctx, _SINGLE, Omega, 0.0, rel_tol, ("BA",))
 
 
 def energy_AB(ctx, Omega, rel_tol=None):
     """Energy from Doppler-shifted fluctuations in A driving B (J)."""
-    return _single(ctx, Omega, rel_tol, ("AB",))
+    return general_energy(ctx, _SINGLE, Omega, 0.0, rel_tol, ("AB",))
 
 
 def aux_energy(ctx, Omega, rel_tol=None):
@@ -767,17 +779,4 @@ def aux_energy(ctx, Omega, rel_tol=None):
     Even in Omega; the energy of every arrangement is a weighted sum of
     values of this function (see :mod:`spinvdw.configurations`).
     """
-    return _single(ctx, Omega, rel_tol)
-
-
-def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
-    """Interaction energy of any arrangement from its projector weights (J).
-
-    ``terms`` holds the arrangement's ``(s, t, c)`` weights (see
-    :mod:`spinvdw.configurations`); the energy is
-    2 sum c E(|s Omega_A - t Omega_B|). One pass over the terms merges
-    their weights by cache slot, and one walk over the slots looks up the
-    BA and AB integrals of all of them, evaluating any misses first.
-    """
-    weights = _weigh({}, ctx._scaled[0], terms, Omega_A, Omega_B)
-    return 2.0 * ctx._joules * _lookup(ctx, weights, rel_tol)
+    return general_energy(ctx, _SINGLE, Omega, 0.0, rel_tol)

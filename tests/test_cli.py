@@ -74,6 +74,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="omega_a_grid"):
             parse_config({"sweep.omega_a_grid_rad_s": [1.0e10, "fast"]})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fixed_rate_names_key(self, value):
+        with pytest.raises(ConfigError, match="sweep.omega_b_value_rad_s: non-finite"):
+            parse_config({"sweep.omega_b_value_rad_s": value})
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json")
@@ -139,6 +144,33 @@ GENERAL_AXES = {"arrangement": "general",
                 "arrangement.axis_a": [0.0, 0.6, 0.8],
                 "arrangement.axis_b": [0.48, -0.6, 0.64],
                 "arrangement.rhat": [1.0, 0.0, 0.0]}
+
+
+def _merged(ctx, terms, omega_a, omega_b):
+    """Slot -> summed c of ``terms``, in first-seen order."""
+    weights = {}
+    for s, t, c in terms:
+        n = round(abs(s * omega_a - t * omega_b) / ctx._scaled[0] / 1e-12)
+        weights[n] = weights[n] + c if n in weights else c
+    return weights
+
+
+def _merged_energy(ctx, terms, omega_a, omega_b):
+    """2 sum C (BA + AB) over the merged slots, from the context's table."""
+    total = 0.0
+    for n, c in _merged(ctx, terms, omega_a, omega_b).items():
+        ba, ab = ctx._table[n][:2]
+        total += c * (ba + ab)
+    return 2.0 * ctx._joules * total
+
+
+def _unmerged_energy(ctx, terms, omega_a, omega_b):
+    """The same sum taken term by term, which rounds repeated slots differently."""
+    total = 0.0
+    for s, t, c in terms:
+        ba, ab = ctx._table[round(abs(s * omega_a - t * omega_b) / ctx._scaled[0] / 1e-12)][:2]
+        total += c * (ba + ab)
+    return 2.0 * ctx._joules * total
 
 
 @pytest.fixture
@@ -234,6 +266,79 @@ class TestBlockedSweep:
         again = spectral.cache_info()
         assert again["blocks"] == info["blocks"] and again["misses"] == 0
         assert again["entries"] == info["entries"] and again["hits"] > info["hits"]
+
+    @pytest.mark.parametrize("config", [
+        {"arrangement": "uu", "temperature_K": 1500.0, "sweep.omega_b_ratio": 1.0},
+        {**GENERAL_AXES, "temperature_K": 0.0, "sweep.omega_b_ratio": 1.0},
+        {"arrangement": "uu", "temperature_K": 1500.0, "sweep.omega_b_ratio": -1.0},
+    ], ids=["fig2c_co", "general_equal_rates", "fig2c_counter"])
+    def test_repeated_slots_keep_their_bits(self, w0, cold_cache, config):
+        # rows whose terms share a slot sum the merged weight once: by the
+        # sweep, by a one-point call on the sweep's entries, and by a cold
+        # one-point call, each as the slot-merged sum of the entries it read
+        spec, ctx = parse_config({**config, "sweep.omega_b_rule": "ratio",
+                                  "sweep.omega_a_grid_rad_s":
+                                      list(np.linspace(0.0, 5.0 * w0, 41))})
+        arrangement = spec.make_arrangement()
+        rows = run_sweep(spec, ctx).rows
+        unmerged = 0
+        for row in rows:
+            rates = row["omega_A_rad_s"], row["omega_B_rad_s"]
+            assert len(_merged(ctx, arrangement._terms, *rates)) < len(arrangement._terms)
+            assert row["E_J"] == _merged_energy(ctx, arrangement._terms, *rates)
+            assert energy(ctx, arrangement, *rates, spec.rel_tol) == row["E_J"]
+            unmerged += row["E_J"] != _unmerged_energy(ctx, arrangement._terms, *rates)
+        assert unmerged                     # merging is what these rows check
+        for row in rows[::8]:
+            rates = row["omega_A_rad_s"], row["omega_B_rad_s"]
+            spectral.clear_cache()
+            cold = energy(ctx, arrangement, *rates, spec.rel_tol)
+            assert cold == _merged_energy(ctx, arrangement._terms, *rates)
+            assert energy(ctx, arrangement, *rates, spec.rel_tol) == cold
+
+    def test_delta_energy_rest_term_keeps_its_bits(self, w0, cold_cache):
+        # the rest term -sum c sits in slot 0 with (0, 0), and with every
+        # other term whose shift vanishes
+        _, ctx = parse_config({"temperature_K": 300.0})
+        for kind in ("rr", "uu", "ur", "uo"):
+            arrangement = Arrangement(kind)
+            terms = arrangement._terms + ((0.0, 0.0, -sum(c for _, _, c in arrangement._terms)),)
+            for rates in [(1.3 * w0, -0.4 * w0), (0.7 * w0, 0.7 * w0), (0.0, 0.9 * w0),
+                          (0.8 * w0, -0.8 * w0), (0.0, 0.0)]:
+                spectral.clear_cache()
+                cold = configurations.delta_energy(ctx, arrangement, *rates)
+                assert cold == _merged_energy(ctx, terms, *rates) + 0.0
+                assert configurations.delta_energy(ctx, arrangement, *rates) == cold
+
+    @pytest.mark.parametrize("materials, rel_tol", [
+        ({"material.gamma0_rad_s": 3.2e10}, 3e-14),
+        ({"material_b.f0": 8.0, "material_b.gamma0_rad_s": 4e8}, 1e-14),
+    ], ids=["overdamped", "unequal_materials"])
+    def test_failing_rel_tol_fills_error_column_as_lookups_do(self, w0, cold_cache,
+                                                              materials, rel_tol):
+        # the prefetch checks each entry once; the rows that read a failed
+        # one raise what a lookup that checks every entry raises
+        spec, ctx = parse_config({**materials, "arrangement": "uo",
+                                  "sweep.omega_a_grid_rad_s":
+                                      list(np.linspace(0.0, 4.5 * w0, 60)),
+                                  "sweep.omega_b_rule": "ratio",
+                                  "sweep.omega_b_ratio": -0.4,
+                                  "quadrature.rel_tol": rel_tol})
+        arrangement = spec.make_arrangement()
+        rows = run_sweep(spec, ctx).rows
+        for entry in ctx._table.values():
+            entry[6] = math.nan             # every lookup below checks
+        e0 = energy(ctx, arrangement, 0.0, 0.0, rel_tol)
+        for row in rows:
+            try:
+                want, e = "", energy(ctx, arrangement, row["omega_A_rad_s"],
+                                     row["omega_B_rad_s"], rel_tol)
+            except (ConvergenceError, ArithmeticError) as exc:
+                want = type(exc).__name__ + ": " + str(exc)
+            assert row["error"] == want
+            if not want:
+                assert (row["E_J"], row["E0_J"]) == (e, e0)
+        assert {bool(r["error"]) for r in rows} == {True, False}
 
     def test_bad_shift_fails_only_its_rows(self, w0, cold_cache, monkeypatch):
         # rr with Omega_B = 0 needs the shifts Omega_A and 0, so one bad
@@ -591,6 +696,23 @@ class TestMainExitCodes:
             run_preset("fig1_300K", rel_tol=float(rel_tol), points=2)
         with pytest.raises(ConfigError, match="quadrature.rel_tol"):
             parse_config({"quadrature.rel_tol": float(rel_tol)})
+
+    @pytest.mark.parametrize("args", [["energy", "--omega-a", "nan"],
+                                      ["force", "--omega-a", "inf"],
+                                      ["energy", "--omega-a", "1", "--omega-b=-inf"]])
+    def test_non_finite_rate_is_2(self, capsys, args):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --omega-") and "non-finite" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_fixed_rate_sweep_is_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sweep.omega_a_grid_rad_s": [1e10], '
+                       f'"sweep.omega_b_value_rad_s": {value}}}')
+        assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: sweep.omega_b_value_rad_s: non-finite")
 
     def test_rel_tol_inf_stays_valid(self):
         assert SweepSpec(omega_a_grid=(0.0,), rel_tol=math.inf).rel_tol == math.inf

@@ -50,17 +50,20 @@ class TestCanonicalFormulas:
         # hand the shift integrals exactly the shifts the hand formula
         # names, BA and AB in a single call
         calls = []
-        inner = spectral._lookup
+        inner = spectral._closed_kinds
 
-        def counting(ctx, weights, rel_tol, kinds=("BA", "AB")):
-            calls.append((list(weights), kinds))
-            return inner(ctx, weights, rel_tol, kinds)
+        def counting(ctx, shifts):
+            calls.append(list(shifts))
+            return inner(ctx, shifts)
 
-        monkeypatch.setattr(spectral, "_lookup", counting)
+        monkeypatch.setattr(spectral, "_closed_kinds", counting)
+        spectral.clear_cache()
         energy(ctx300, Arrangement(kind), 1.3 * w0, -0.4 * w0)
-        [(shifts, kinds)] = calls
-        assert kinds == ("BA", "AB")
+        [shifts] = calls
         assert len(shifts) == len(set(shifts)) == count
+        assert spectral.cache_info() == {"entries": 2 * count, "hits": 0,
+                                         "misses": 2 * count, "blocks": 1}
+        spectral.clear_cache()
 
 
 class TestRR:

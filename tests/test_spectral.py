@@ -1,4 +1,5 @@
 import functools
+import gc
 import math
 
 import mpmath
@@ -769,6 +770,7 @@ class TestShiftCache:
             return PairContext(SpinningSphere(A, bst(), 300.0),
                                SpinningSphere(50e-9, bst(), 900.0), R)
 
+        held = context()        # keeps the pair's table registered
         spectral.clear_cache()
         good = aux_energy(context(), 0.7 * w0)
         spectral.clear_cache()
@@ -789,6 +791,7 @@ class TestShiftCache:
         assert spectral.cache_info() == {"entries": 0, "hits": 0, "misses": 0,
                                          "blocks": 0}
         assert aux_energy(context(), 0.7 * w0) == good
+        assert held._table
         spectral.clear_cache()
 
     def test_warm_ab_residue_names_energy_ab(self, monkeypatch, w0):
@@ -845,7 +848,7 @@ class TestShiftCache:
 
     def test_miss_after_hit_in_one_call(self, ctx300, w0):
         # the walk meets a hit, then a miss: the miss is evaluated and the
-        # walk runs again, counting one hit and one miss per kind
+        # walk goes on, counting one hit and one miss per kind
         spectral.clear_cache()
         first = aux_energy(ctx300, 0.7 * w0)
         terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
@@ -902,7 +905,7 @@ class TestShiftCache:
         # and shares it with an equal context built afterwards
         spectral.clear_cache()
         aux_energy(ctx300, 0.7 * w0)
-        assert ctx300._table and ctx300._table is spectral._cache[ctx300._key]
+        assert ctx300._table and ctx300._table is spectral._cache[ctx300._key].entries
         spectral.clear_cache()
         assert len(ctx300._table) == 0
         twin = PairContext(SpinningSphere(A, bst(), 300.0),
@@ -914,13 +917,44 @@ class TestShiftCache:
                                          "blocks": 1}
         spectral.clear_cache()
 
+    def test_registry_drops_the_tables_of_dropped_contexts(self, ctx300, w0):
+        # 300 distinct pairs built, used and dropped leave no table behind,
+        # while a live context keeps its table and shares it with its twin
+        before = set(spectral._cache)
+        for k in range(300):
+            ctx = PairContext(SpinningSphere(A, bst(), 300.0 + k),
+                              SpinningSphere(50e-9, bst(), 300.0), R)
+            aux_energy(ctx, 0.7 * w0)
+        del ctx
+        gc.collect()
+        assert set(spectral._cache) == before
+        twin = PairContext(ctx300.sphere_a, ctx300.sphere_b, ctx300.separation)
+        assert twin._table is ctx300._table is spectral._cache[ctx300._key].entries
+        spectral.clear_cache()
+
+    @pytest.mark.parametrize("rates, name", [
+        ((math.nan, 0.0), "Omega_A = nan"), ((1e10, math.inf), "Omega_B = inf"),
+        ((-math.inf, math.nan), "Omega_A = -inf")])
+    def test_non_finite_rate_names_it(self, ctx300, rates, name):
+        message = f"^{name} rad/s: rotation rates must be finite"
+        for arrangement in (Arrangement("rr"), Arrangement("uo")):
+            with pytest.raises(ValueError, match=message):
+                energy(ctx300, arrangement, *rates)
+            with pytest.raises(ValueError, match=message):
+                delta_force(ctx300, arrangement, *rates)
+            with pytest.raises(ValueError, match=message):
+                spectral.prefetch(ctx300, arrangement._terms, [(0.0, 0.0), rates])
+        if name.startswith("Omega_A"):
+            with pytest.raises(ValueError, match=message):
+                aux_energy(ctx300, rates[0])
+
     def test_swapped_context_registers_its_table(self, w0):
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(50e-9, bst(), 900.0), R)
         spectral.clear_cache()
         aux_energy(ctx, 0.7 * w0)
         swapped = ctx.swapped()
-        assert swapped._table is spectral._cache[swapped._key]
+        assert swapped._table is spectral._cache[swapped._key].entries
         assert swapped._table is not ctx._table and not swapped._table
         aux_energy(swapped, 0.7 * w0)
         assert spectral.cache_info() == {"entries": 4, "hits": 0, "misses": 4,
@@ -994,9 +1028,11 @@ class TestPassedTolerance:
         ctx = PairContext(SpinningSphere(A, bst(), 0.0),
                           SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0), R)
         spectral.clear_cache()
+        # a prefetch at a rel_tol that passes nothing stores the entry unpassed
+        spectral.prefetch(ctx, ((1.0, 0.0, 1.0),), [(0.7 * w0, 0.0)], rel_tol=math.nan)
+        [entry] = (entry for n, entry in ctx._table.items() if n)
         energy_BA(ctx, 0.7 * w0)
         energy_AB(ctx, 0.7 * w0, rel_tol=1e-2)
-        [entry] = ctx._table.values()
         assert math.isnan(entry[6])
         aux_energy(ctx, 0.7 * w0, rel_tol=1e-3)
         assert entry[6] == 1e-3

@@ -1,15 +1,19 @@
-"""Time the closed-form block (layer L2) and cold energies (layer L3).
+"""Time the closed-form block (layer L2), cold energies (L3) and a sweep's rows (L4).
 
 Times one cold ``spectral._closed`` evaluation per route of its rows (log
 at T = 0, the zeta series at 300 K, digamma at 0.05 K, and a T = 0 row
 stacked with a 300 K row) at 1, 4 and 64 shifts in (0.05, 3.9) w0, with
-one row (the BST pair) and with two (BST and a second material), and one
+one row (the BST pair) and with two (BST and a second material), one
 cold ``configurations.delta_force`` per canonical arrangement (BST pair at
 300 K, Omega = (1.3, -0.4) w0; ``uo`` also at T = 0 and for unequal
-materials at 300 and 900 K). Each of 21 rounds makes 20 calls of every
-case in turn (and of both packages with ``--against``, alternating which
-goes first), and the JSON printed holds each case's median over the
-rounds of its mean time per call, in microseconds.
+materials at 300 and 900 K), and the rows of the ``fig2a`` preset from a
+cold cache as ``cli.run_sweep`` makes them: per sweep, ``spectral.prefetch``,
+then the zero-rotation energy and each row's ``configurations.energy``
+once. Each of 21 rounds makes 20 calls of every case in turn (and of both
+packages with ``--against``, alternating which goes first), and the JSON
+printed holds each case's median and quartiles over the rounds of its
+mean time per call, in microseconds; with ``--against``, also their
+ratio and the rounds in which this checkout was faster.
 
     python tools/time_closed.py                      # this checkout's src/spinvdw
     python tools/time_closed.py --against OLD/src    # and another checkout's, interleaved
@@ -21,6 +25,7 @@ another name, so both packages share one process and one host state.
 """
 
 import argparse
+import importlib
 import importlib.util
 import json
 import os
@@ -95,6 +100,23 @@ def cases(package):
             return time.perf_counter() - start
 
         out.append((f"delta_force {name}", cold))
+
+    cli = importlib.import_module(package.__name__ + ".cli")
+    sweeps = [(spec.make_arrangement(), spec.grid_points(), spec.rel_tol)
+              for spec in cli._preset_specs("fig2a")]
+    fig2a = cli._context_for(cli._preset_specs("fig2a")[0])
+
+    def rows():
+        spectral.clear_cache()
+        start = time.perf_counter()
+        for arrangement, points, rel_tol in sweeps:
+            spectral.prefetch(fig2a, arrangement._terms, points)
+            configurations.energy(fig2a, arrangement, 0.0, 0.0, rel_tol)
+            for omega_a, omega_b in points:
+                configurations.energy(fig2a, arrangement, omega_a, omega_b, rel_tol)
+        return time.perf_counter() - start
+
+    out.append(("fig2a rows from a cold cache", rows))
     return out
 
 
@@ -129,20 +151,25 @@ def main(argv=None):
             for label in labels:
                 name, call = table[label][index]
                 times[label][name].append(measure(call, number))
+    def summary(seconds):
+        q1, median, q3 = (round(1e6 * q, 2) for q in statistics.quantiles(seconds, n=4))
+        return {"median": median, "quartiles": [q1, q3]}
+
     result = {
-        "unit": "us per call, median over rounds",
+        "unit": "us per call, median and quartiles over rounds",
         "rounds": rounds, "calls_per_round": number,
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "cpu_count": os.cpu_count(), "machine": platform.machine()},
         "packages": {label: os.path.dirname(os.path.dirname(package.__file__))
                      for label, package in packages.items()},
-        "timings": {name: {label: round(1e6 * statistics.median(times[label][name]), 2)
-                           for label in table}
+        "timings": {name: {label: summary(times[label][name]) for label in table}
                     for name, _ in table["working"]},
     }
     if args.against:
-        for row in result["timings"].values():
-            row["ratio"] = round(row["working"] / row["against"], 3)
+        for name, row in result["timings"].items():
+            row["ratio"] = round(row["working"]["median"] / row["against"]["median"], 3)
+            wins = sum(w < a for w, a in zip(times["working"][name], times["against"][name]))
+            row["working_faster"] = f"{wins}/{rounds}"
     print(json.dumps(result, indent=1))
     return 0
 
