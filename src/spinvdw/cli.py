@@ -15,7 +15,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import stat
 import sys
@@ -343,6 +342,13 @@ def _quoted(text):
     return text
 
 
+def _constant(column):
+    """Whether every value equals the first with its sign bit; NaN never does."""
+    first = column[0]
+    return (first == first and column.count(first) == len(column)
+            and (first != 0.0 or len({math.copysign(1.0, v) for v in column}) == 1))
+
+
 def emit(result, fmt, path):
     """Write a result as CSV (metadata in '#' comments) or JSON.
 
@@ -351,7 +357,9 @@ def emit(result, fmt, path):
     Floats carry 17 significant digits so a re-read reproduces them exactly.
     Every row is written with one line format, built from the field types
     of the first row (floats as %.17g, anything else as text); a text field
-    that holds a comma, quote or newline is quoted.
+    that holds a comma, quote or newline is quoted. A float column that
+    holds one value on every row (``E0_J`` of a sweep) is formatted once,
+    as a literal of that format.
 
     An existing regular file with one link, which the user may write, is
     replaced: it is unlinked and ``path`` is created anew, owned by the
@@ -376,14 +384,18 @@ def emit(result, fmt, path):
         lines = [f"# {key} = {_fmt(value)}\n" for key, value in result.metadata.items()]
         lines.append(",".join(columns) + "\n")
         if rows:
-            line = ",".join("%.17g" if isinstance(v, float) else "%s"
-                            for v in rows[0].values()) + "\n"
-            texts = [i for i, v in enumerate(rows[0].values()) if isinstance(v, str)]
-            for values in map(operator.itemgetter(*columns), rows):
-                for i in texts:
-                    if values[i]:
-                        values = (*values[:i], _quoted(values[i]), *values[i + 1:])
-                lines.append(line % values)
+            fields, varying = [], []
+            for key, first in rows[0].items():
+                column = [row[key] for row in rows]
+                if isinstance(first, float) and _constant(column):
+                    fields.append(format(first, ".17g"))
+                    continue
+                if isinstance(first, str):
+                    column = [_quoted(text) if text else text for text in column]
+                fields.append("%.17g" if isinstance(first, float) else "%s")
+                varying.append(column)
+            line = ",".join(fields) + "\n"
+            lines += [line % values for values in (zip(*varying) if varying else [()] * len(rows))]
         text = "".join(lines)
     else:
         text = json.dumps({"metadata": result.metadata, "rows": result.rows},
@@ -596,9 +608,10 @@ def _point_args(sub):
     sub.add_argument("--arrangement", choices=["rr", "uu", "ur", "uo"],
                      help="overrides the config's arrangement (default rr)")
     sub.add_argument("--omega-a", type=float, default=0.0, metavar="X",
-                     help="Omega_A in units of the polaritonic resonance omega0")
+                     help="Omega_A in units of the polaritonic resonance omega0 "
+                          "(a negative value with an exponent takes '=': --omega-a=-5e-1)")
     sub.add_argument("--omega-b", type=float, default=0.0, metavar="X",
-                     help="Omega_B in units of omega0")
+                     help="Omega_B in units of omega0 (likewise --omega-b=-5e-1)")
 
 
 def build_parser():
@@ -627,9 +640,10 @@ def build_parser():
 
     p_oracle = sub.add_parser("oracle", help="dissipationless closed-form ratios")
     p_oracle.add_argument("--omega-a", type=float, required=True,
-                          help="Omega_A in units of omega0")
+                          help="Omega_A in units of omega0 (a negative value with "
+                               "an exponent takes '=': --omega-a=-5e-1)")
     p_oracle.add_argument("--omega-b", type=float, default=0.0,
-                          help="Omega_B in units of omega0")
+                          help="Omega_B in units of omega0 (likewise --omega-b=-5e-1)")
 
     p_base = sub.add_parser("baseline", help="static baseline quantities")
     p_base.add_argument("--hamaker", type=float, default=5e-20,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "HBAR", "K_B", "EPS0",
+    "HBAR", "K_B", "EPS0", "C_LIGHT",
     "PoleProximityError", "MaterialModel", "SpinningSphere", "UnitSystem",
     "bst", "permittivity", "polarizability", "hadamard",
     "resonance_frequency", "im_polarizability_over_omega",
@@ -24,6 +24,7 @@ __all__ = [
 HBAR = 1.0545718176461565e-34   # J s
 K_B = 1.380649e-23              # J/K (exact)
 EPS0 = 8.8541878188e-12         # F/m
+C_LIGHT = 299792458.0           # m/s (exact)
 
 # Barium strontium titanate, polaritonic resonance only (GHz range).
 BST_F0 = 12.2

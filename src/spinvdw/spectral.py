@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .response import HBAR, K_B, UnitSystem, resonance_frequency
+from .response import C_LIGHT, HBAR, K_B, UnitSystem, resonance_frequency
 
 __all__ = [
     "ConvergenceError", "QuadratureSpec", "PairContext",
@@ -49,7 +49,10 @@ __all__ = [
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12   # in working (nondimensional) energy units
-MAX_SEPARATION = 1e-2     # non-retarded regime sanity bound (m)
+# The largest R w/c of the non-retarded regime, w the fastest frequency of
+# the spheres: the leading retardation correction, of order (w R/c)^2, stays
+# within 1% (Casimir & Polder, Phys. Rev. 73, 360 (1948))
+MAX_RETARDATION = 0.1
 
 
 class ConvergenceError(RuntimeError):
@@ -124,8 +127,9 @@ class PairContext:
     sphere_a, sphere_b : response.SpinningSphere
     separation : float
         Center-to-center distance R (m); must exceed the summed radii
-        (dipole approximation) and stay below ~1 cm (non-retarded regime).
-        Both materials need gamma0 > 0.
+        (dipole approximation) and keep R w/c <= ``MAX_RETARDATION`` = 0.1,
+        with w the largest resonance or damping rate of the two materials
+        (non-retarded regime; 2.3 mm for BST). Both materials need gamma0 > 0.
     """
 
     sphere_a: object
@@ -135,14 +139,18 @@ class PairContext:
     def __post_init__(self):
         if self.separation <= self.sphere_a.radius + self.sphere_b.radius:
             raise ValueError("separation must exceed the summed radii")
-        if self.separation > MAX_SEPARATION:
-            raise ValueError(
-                f"separation {self.separation} m is outside the non-retarded regime")
         ma, mb = self.sphere_a.material, self.sphere_b.material
         if not (ma.gamma0 > 0 and mb.gamma0 > 0):
             raise ValueError("gamma0 = 0 puts the poles of alpha on the real axis; "
                              "the undamped limit is spinvdw.oracle")
         ws = resonance_frequency(ma)
+        reach = self.separation * max(ws, resonance_frequency(mb),
+                                      ma.gamma0, mb.gamma0) / C_LIGHT
+        if not reach <= MAX_RETARDATION:        # NaN too
+            raise ValueError(
+                f"separation {self.separation} m is outside the non-retarded regime: "
+                f"R w/c = {reach:.3g} exceeds {MAX_RETARDATION}, w the largest "
+                f"resonance or damping rate of the spheres")
         a3 = self.sphere_a.radius**3 * self.sphere_b.radius**3
         scaled = (ma.scaled(ws), mb.scaled(ws))
         units = UnitSystem(ws, HBAR * ws * a3 / self.separation**6)
@@ -580,14 +588,17 @@ def shift_integral(ctx, Omega, which):
 # equal live contexts share one table (the presets share 420 values), and
 # a pair's table goes with its last context. An entry is keyed by slot, the
 # shift x = |s Omega_A - t Omega_B|/ws quantized to 1e-12 (both integrals
-# are even in x), and holds the evaluation of the slot's first shift as a
-# flat list: the BA and AB values, their roundoff estimates, their imaginary
-# residues, and ``passed``, a rel_tol at which all four checks passed (NaN
-# until they have), first set as the entry is stored. Lookups of both kinds
+# are even in x; the rest term, s = t = 0, takes slot 0 directly), and
+# holds the evaluation of the slot's first shift as a flat list: the BA and
+# AB values, their roundoff estimates, their imaginary residues, and
+# ``passed``, a rel_tol at which all four checks passed (NaN until they
+# have), first set as the entry is stored. Lookups of both kinds
 # sum entries passed at a rel_tol no larger than theirs unchecked; others
 # check the fields they read, so a bad shift fails only the lookups using it.
+# ``_stats`` counts what the cache decides, misses and blocks; a hit count
+# would only restate the lookups the callers asked for.
 _cache = weakref.WeakValueDictionary()
-_stats = {"hits": 0, "misses": 0, "blocks": 0}
+_stats = {"misses": 0, "blocks": 0}
 
 
 class _Table:
@@ -616,16 +627,17 @@ def clear_cache():
     """
     for table in _cache.values():
         table.entries.clear()
-    _stats.update(hits=0, misses=0, blocks=0)
+    _stats.update(misses=0, blocks=0)
 
 
 def cache_info():
     """Shift-cache counters since the last :func:`clear_cache`.
 
     ``entries`` cached values over the tables of the live contexts (a slot
-    holds two, one per kind), ``hits`` and ``misses`` of the lookups (one
-    per kind and slot), and ``blocks``, the stacked closed-form evaluations
-    of both kinds at up to ``_BLOCK`` shifts each.
+    holds two, one per kind), ``misses``, the values that lookups found
+    missing and evaluated (one per kind and slot), and ``blocks``, the
+    stacked closed-form evaluations of both kinds at up to ``_BLOCK``
+    shifts each. Hits are not counted: every lookup that is not a miss is one.
     """
     entries = 2 * sum(len(table.entries) for table in _cache.values())
     return dict(entries=entries, **_stats)
@@ -641,8 +653,11 @@ def _slots(ws, terms, rate_pairs, slots):
     for omega_a, omega_b in rate_pairs:
         try:
             for s, t, _ in terms:
-                x = abs(s * omega_a - t * omega_b) / ws
-                slots.setdefault(round(x / 1e-12), x)
+                if s or t:
+                    x = abs(s * omega_a - t * omega_b) / ws
+                    slots.setdefault(round(x / 1e-12), x)
+                else:
+                    slots.setdefault(0, 0.0)
         except (ValueError, OverflowError):     # round() of NaN or infinity
             raise _rate_error(omega_a, omega_b) from None
     return slots
@@ -716,42 +731,42 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None, kinds=_KINDS):
     :mod:`spinvdw.configurations`); the energy is
     2 sum c E(|s Omega_A - t Omega_B|) over the integrals ``kinds`` of E
     (both by default). One pass over the terms merges their weights by
-    cache slot, in first-seen order; one walk over the slots sums c (BA +
-    AB) of each entry passed at ``rel_tol`` or below. The first other slot
-    evaluates all of the call's misses in one blocked pass (one hit or one
+    cache slot, in first-seen order, a term with s = t = 0 taking slot 0
+    with no arithmetic; one walk over the slots sums c (BA + AB) of each
+    entry passed at ``rel_tol`` or below. The first other slot
+    evaluates all of the call's misses in one blocked pass (counted as one
     miss per kind and slot) before any check raises; an entry not passed is
     checked (:func:`_checked`) and, by a lookup of both kinds, recorded as
     passed. That is exact: the residue checks do not depend on rel_tol, and
     a roundoff check that passes at one rel_tol passes at every larger one.
-    A rel_tol that is not > 0 (NaN too) or a non-finite rate raises ValueError.
+    A rel_tol that is not > 0 (NaN too) raises ValueError, as does a
+    non-finite rate in a term with s or t nonzero; every arrangement has
+    such terms, since c_00 <= 4 of the weights' sum of 6.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     ws, table = ctx._scaled[0], ctx._table
     weights = {}
     try:
         for s, t, c in terms:
-            n = round(abs(s * Omega_A - t * Omega_B) / ws / 1e-12)
+            n = round(abs(s * Omega_A - t * Omega_B) / ws / 1e-12) if s or t else 0
             weights[n] = weights[n] + c if n in weights else c
     except (ValueError, OverflowError):         # round() of NaN or infinity
         raise _rate_error(Omega_A, Omega_B) from None
-    _stats["hits"] += len(kinds) * len(weights)
     skip = rel if kinds is _KINDS else math.nan  # lookups of one kind always check
     total, filled = 0.0, False
-    for n in weights:
+    for n, c in weights.items():
         entry = table.get(n)
         if entry is None or not skip >= entry[6]:
             if not filled:
-                misses = len(kinds) * _fill_closed(
+                _stats["misses"] += len(kinds) * _fill_closed(
                     ctx, table, _slots(ws, terms, ((Omega_A, Omega_B),), {}), rel)
-                _stats["hits"] -= misses
-                _stats["misses"] += misses
                 filled, entry = True, table[n]
             if not skip >= entry[6]:
-                total += weights[n] * sum(_checked(entry, which, rel) for which in kinds)
+                total += c * sum(_checked(entry, which, rel) for which in kinds)
                 if kinds is _KINDS:
                     entry[6] = rel
                 continue
-        total += weights[n] * (entry[0] + entry[1])
+        total += c * (entry[0] + entry[1])
     return 2.0 * ctx._joules * total
 
 

@@ -61,8 +61,8 @@ class TestCanonicalFormulas:
         energy(ctx300, Arrangement(kind), 1.3 * w0, -0.4 * w0)
         [shifts] = calls
         assert len(shifts) == len(set(shifts)) == count
-        assert spectral.cache_info() == {"entries": 2 * count, "hits": 0,
-                                         "misses": 2 * count, "blocks": 1}
+        assert spectral.cache_info() == {"entries": 2 * count, "misses": 2 * count,
+                                         "blocks": 1}
         spectral.clear_cache()
 
 

@@ -12,7 +12,8 @@ import reference
 from reference import (closure_reference, integrate_spectrum, quadrature_shift_integral,
                        tensor_energy)
 from spinvdw import oracle, spectral
-from spinvdw.configurations import Arrangement, delta_force, energy, rest_energy
+from spinvdw.configurations import (Arrangement, delta_energy, delta_force, energy,
+                                    rest_energy)
 from spinvdw.response import (EPS0, HBAR, K_B, MaterialModel, SpinningSphere, bst,
                               polarizability, resonance_frequency)
 from spinvdw.spectral import (ConvergenceError, PairContext, QuadratureSpec,
@@ -788,8 +789,7 @@ class TestShiftCache:
         with pytest.raises(ArithmeticError):
             aux_energy(context(), 0.7 * w0)
         spectral.clear_cache()
-        assert spectral.cache_info() == {"entries": 0, "hits": 0, "misses": 0,
-                                         "blocks": 0}
+        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
         assert aux_energy(context(), 0.7 * w0) == good
         assert held._table
         spectral.clear_cache()
@@ -817,8 +817,7 @@ class TestShiftCache:
                 lookup(ctx, 0.7 * w0)
         # the BA value of the same entry is intact and checked alone
         assert energy_BA(ctx, 0.7 * w0) == good
-        assert spectral.cache_info() == {"entries": 4, "hits": 4, "misses": 0,
-                                         "blocks": 1}
+        assert spectral.cache_info() == {"entries": 4, "misses": 0, "blocks": 1}
         spectral.clear_cache()
 
     def test_shifts_in_one_slot_share_one_entry(self, monkeypatch, ctx300, w0):
@@ -840,21 +839,19 @@ class TestShiftCache:
         terms = ((1.0, 0.0, 0.25), (0.0, 1.0, 0.5))     # E(|Omega_A|), E(|Omega_B|)
         e = spectral.general_energy(ctx300, terms, wa, -wb)
         assert shifts == [[wa / ws]]
-        assert spectral.cache_info() == {"entries": 2, "hits": 0, "misses": 2,
-                                         "blocks": 1}
+        assert spectral.cache_info() == {"entries": 2, "misses": 2, "blocks": 1}
         assert e == approx(1.5 * aux_energy(ctx300, wa), rel=1e-15)
-        assert spectral.cache_info()["hits"] == 2
+        assert spectral.cache_info() == {"entries": 2, "misses": 2, "blocks": 1}
         spectral.clear_cache()
 
     def test_miss_after_hit_in_one_call(self, ctx300, w0):
         # the walk meets a hit, then a miss: the miss is evaluated and the
-        # walk goes on, counting one hit and one miss per kind
+        # walk goes on, counting one miss per kind
         spectral.clear_cache()
         first = aux_energy(ctx300, 0.7 * w0)
         terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
         e = spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0)
-        assert spectral.cache_info() == {"entries": 4, "hits": 2, "misses": 4,
-                                         "blocks": 2}
+        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
         assert e == approx(first + aux_energy(ctx300, 1.1 * w0), rel=1e-15)
         spectral.clear_cache()
 
@@ -874,8 +871,7 @@ class TestShiftCache:
         terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
         with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
             spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0)
-        assert spectral.cache_info() == {"entries": 6, "hits": 2, "misses": 2,
-                                         "blocks": 2}
+        assert spectral.cache_info() == {"entries": 6, "misses": 2, "blocks": 2}
         spectral.clear_cache()
 
     @pytest.mark.parametrize("t_b", [300.0, 900.0], ids=["one_row", "two_rows"])
@@ -896,8 +892,7 @@ class TestShiftCache:
         spectral.clear_cache()
         loose = energy_BA(ctx, 0.7 * w0, rel_tol=1e-4)
         assert energy_BA(ctx, 0.7 * w0, rel_tol=1e-8) == loose
-        assert spectral.cache_info() == {"entries": 2, "hits": 1, "misses": 1,
-                                         "blocks": 1}
+        assert spectral.cache_info() == {"entries": 2, "misses": 1, "blocks": 1}
         spectral.clear_cache()
 
     def test_context_holds_its_table(self, ctx300, w0):
@@ -913,8 +908,7 @@ class TestShiftCache:
         assert twin._table is ctx300._table
         filled = aux_energy(twin, 0.7 * w0)
         assert aux_energy(ctx300, 0.7 * w0) == filled
-        assert spectral.cache_info() == {"entries": 2, "hits": 2, "misses": 2,
-                                         "blocks": 1}
+        assert spectral.cache_info() == {"entries": 2, "misses": 2, "blocks": 1}
         spectral.clear_cache()
 
     def test_registry_drops_the_tables_of_dropped_contexts(self, ctx300, w0):
@@ -936,17 +930,61 @@ class TestShiftCache:
         ((math.nan, 0.0), "Omega_A = nan"), ((1e10, math.inf), "Omega_B = inf"),
         ((-math.inf, math.nan), "Omega_A = -inf")])
     def test_non_finite_rate_names_it(self, ctx300, rates, name):
+        # the rest term (s = t = 0) reads no rate; the other terms, which
+        # every arrangement has, name the non-finite one
         message = f"^{name} rad/s: rotation rates must be finite"
-        for arrangement in (Arrangement("rr"), Arrangement("uo")):
+        general = Arrangement("general", (0.6, 0.0, 0.8), (0.0, 0.6, 0.8), (1.0, 0.0, 0.0))
+        for arrangement in [Arrangement(kind) for kind in ("rr", "uu", "ur", "uo")] + [general]:
             with pytest.raises(ValueError, match=message):
                 energy(ctx300, arrangement, *rates)
+            with pytest.raises(ValueError, match=message):
+                delta_energy(ctx300, arrangement, *rates)
             with pytest.raises(ValueError, match=message):
                 delta_force(ctx300, arrangement, *rates)
             with pytest.raises(ValueError, match=message):
                 spectral.prefetch(ctx300, arrangement._terms, [(0.0, 0.0), rates])
+        with pytest.raises(ValueError, match=message):      # the rest term first
+            spectral.general_energy(ctx300, ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)), *rates)
         if name.startswith("Omega_A"):
             with pytest.raises(ValueError, match=message):
                 aux_energy(ctx300, rates[0])
+
+    def test_rest_term_is_one_entry_in_slot_zero(self, monkeypatch, ctx300, w0):
+        # on a cold table the rest term is evaluated once, at shift 0.0, into
+        # slot 0: the entry of a shift that cancels to 0, with the same bits
+        blocks = []
+        inner = spectral._closed_kinds
+
+        def recording(ctx, shifts):
+            blocks.append(list(shifts))
+            return inner(ctx, shifts)
+
+        monkeypatch.setattr(spectral, "_closed_kinds", recording)
+        rates = (0.9 * w0, 0.2 * w0)
+        rr, uo = Arrangement("rr"), Arrangement("uo")
+        for call in (lambda: energy(ctx300, rr, *rates),
+                     lambda: delta_energy(ctx300, uo, *rates),
+                     lambda: spectral.prefetch(ctx300, rr._terms, [rates])):
+            spectral.clear_cache()
+            call()
+            [shifts] = blocks
+            assert shifts.count(0.0) == 1 and 0 in ctx300._table
+            blocks.clear()
+        spectral.clear_cache()
+        rest = spectral.general_energy(ctx300, ((0.0, 0.0, 1.0),), *rates)
+        assert list(ctx300._table) == [0] and blocks == [[0.0]]
+        spectral.clear_cache()
+        assert spectral.general_energy(ctx300, ((1.0, 1.0, 1.0),), 0.5 * w0, 0.5 * w0) == rest
+        spectral.clear_cache()
+
+    def test_cache_info_counts_entries_misses_and_blocks(self, ctx300, w0):
+        # a hit is a lookup that is not a miss; only what the cache decides counts
+        spectral.clear_cache()
+        uu = Arrangement("uu")          # E(dO) + 9 E(sO) + 2 E(0): three slots
+        for _ in range(2):
+            energy(ctx300, uu, 1.3 * w0, -0.4 * w0)
+            assert spectral.cache_info() == {"entries": 6, "misses": 6, "blocks": 1}
+        spectral.clear_cache()
 
     def test_swapped_context_registers_its_table(self, w0):
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
@@ -957,8 +995,7 @@ class TestShiftCache:
         assert swapped._table is spectral._cache[swapped._key].entries
         assert swapped._table is not ctx._table and not swapped._table
         aux_energy(swapped, 0.7 * w0)
-        assert spectral.cache_info() == {"entries": 4, "hits": 0, "misses": 4,
-                                         "blocks": 2}
+        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
         spectral.clear_cache()
 
 
@@ -1087,3 +1124,14 @@ class TestPairContext:
             PairContext(sphere, sphere, 100e-9)     # overlapping
         with pytest.raises(ValueError):
             PairContext(sphere, sphere, 0.05)       # retarded regime
+
+    def test_non_retarded_bound_follows_the_material(self, material):
+        # R w/c <= 0.1, w the largest resonance or damping rate: 2.3 mm for BST
+        sphere = SpinningSphere(A, material, 300.0)
+        assert PairContext(sphere, sphere, 1e-3).separation == 1e-3
+        fast = SpinningSphere(A, MaterialModel(12.2, 5.7e12, 2.8e11), 300.0)
+        for pair, separation, reach in (((sphere, sphere), 1e-2, "0.428"),
+                                        ((sphere, fast), 5e-3, "214"),
+                                        ((sphere, sphere), math.nan, "nan")):
+            with pytest.raises(ValueError, match=rf"non-retarded regime: R w/c = {reach} "):
+                PairContext(*pair, separation)

@@ -1,4 +1,4 @@
-"""Time the closed-form block (layer L2), cold energies (L3) and a sweep's rows (L4).
+"""Time the closed-form block (L2), cold and warm energies (L3) and a sweep's rows (L4).
 
 Times one cold ``spectral._closed`` evaluation per route of its rows (log
 at T = 0, the zeta series at 300 K, digamma at 0.05 K, and a T = 0 row
@@ -6,7 +6,11 @@ stacked with a 300 K row) at 1, 4 and 64 shifts in (0.05, 3.9) w0, with
 one row (the BST pair) and with two (BST and a second material), one
 cold ``configurations.delta_force`` per canonical arrangement (BST pair at
 300 K, Omega = (1.3, -0.4) w0; ``uo`` also at T = 0 and for unequal
-materials at 300 and 900 K), and the rows of the ``fig2a`` preset from a
+materials at 300 and 900 K), warm ``configurations.energy`` calls of the
+same BST pair and rates for each canonical arrangement and the general
+axes (0.6, 0, 0.8), (0, 0.6, 0.8), x (each call of such a case makes one
+untimed call, which fills the cache after the cold cases clear it, then
+times 100 warm ones), and the rows of the ``fig2a`` preset from a
 cold cache as ``cli.run_sweep`` makes them: per sweep, ``spectral.prefetch``,
 then the zero-rotation energy and each row's ``configurations.energy``
 once. Each of 21 rounds makes 20 calls of every case in turn (and of both
@@ -39,6 +43,7 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 SHIFT_COUNTS = (1, 4, 64)
 ROUNDS, NUMBER = 21, 20   # rounds, and calls per case and round (2 and 2 with --smoke)
+WARM = 100                # timed energies per call of a warm case
 A, B, R = 60e-9, 50e-9, 180e-9
 OMEGA = (1.3, -0.4)       # (Omega_A, Omega_B) of the energies, in w0
 
@@ -100,6 +105,22 @@ def cases(package):
             return time.perf_counter() - start
 
         out.append((f"delta_force {name}", cold))
+
+    bst300 = context(bst, 300.0, 300.0)
+    warm_cases = [(kind, configurations.Arrangement(kind)) for kind in ("rr", "uu", "ur", "uo")]
+    warm_cases.append(("general", configurations.Arrangement(
+        "general", (0.6, 0.0, 0.8), (0.0, 0.6, 0.8), (1.0, 0.0, 0.0))))
+    for name, arrangement in warm_cases:
+
+        def warm(arrangement=arrangement):
+            rates = OMEGA[0] * w0, OMEGA[1] * w0
+            configurations.energy(bst300, arrangement, *rates)
+            start = time.perf_counter()
+            for _ in range(WARM):
+                configurations.energy(bst300, arrangement, *rates)
+            return (time.perf_counter() - start) / WARM
+
+        out.append((f"warm energy {name}", warm))
 
     cli = importlib.import_module(package.__name__ + ".cli")
     sweeps = [(spec.make_arrangement(), spec.grid_points(), spec.rel_tol)
