@@ -359,7 +359,8 @@ def emit(result, fmt, path):
     of the first row (floats as %.17g, anything else as text); a text field
     that holds a comma, quote or newline is quoted. A float column that
     holds one value on every row (``E0_J`` of a sweep) is formatted once,
-    as a literal of that format.
+    as a literal of that format. JSON, which has no NaN (RFC 8259), writes
+    a non-finite float (the values of a failed row) as null.
 
     An existing regular file with one link, which the user may write, is
     replaced: it is unlinked and ``path`` is created anew, owned by the
@@ -398,8 +399,10 @@ def emit(result, fmt, path):
             lines += [line % values for values in (zip(*varying) if varying else [()] * len(rows))]
         text = "".join(lines)
     else:
-        text = json.dumps({"metadata": result.metadata, "rows": result.rows},
-                          indent=1) + "\n"
+        safe = [{key: None if isinstance(value, float) and not math.isfinite(value) else value
+                 for key, value in fields.items()} for fields in (result.metadata, *result.rows)]
+        text = json.dumps({"metadata": safe[0], "rows": safe[1:]}, indent=1,
+                          allow_nan=False) + "\n"
     mode = 0o666                # open()'s own mode for a file it creates
     try:
         info = os.lstat(path)

@@ -15,6 +15,15 @@ function E(Omega) of :func:`spinvdw.spectral.aux_energy`:
     E = 2 sum_{s,t in {+,0,-}} c_st E(s Omega_A - t Omega_B),
     c_st = Tr(g P_s^A g P_t^B)   (real and >= 0).
 
+With Q = 1 - n n^T and N = [n]x, P_s = (Q - i s N)/2 for s = +-1, and
+Tr(g Q_A g N_B) = Tr(g N_A g Q_B) = 0 (symmetric times antisymmetric), so
+c_st = (T_QQ - s t T_NN)/4 with T_XY = Tr(g X_A g Y_B). In the dot products
+p = a.b, u = a.rhat and v = b.rhat of the axes a, b, and q = p - 3uv = a^T g b,
+g g = 1 + 3 rhat rhat^T and [a]x [b]x = b a^T - p give
+
+    T_QQ = 4 - 3u^2 - 3v^2 + q^2,   T_NN = 4p - 6uv,
+    c_00 = q^2,   c_0t = (1 + 3u^2 - q^2)/2,   c_s0 = (1 + 3v^2 - q^2)/2.
+
 The weights depend only on the axis triple, so they are computed once per
 arrangement. Since P_-s = conj P_s and g is real, c_(-s)(-t) = c_st, and E
 is even, so each weight is folded into its mirror: an arrangement carries at
@@ -35,8 +44,6 @@ anywhere.
 
 import enum
 import math
-
-import numpy as np
 
 from . import spectral
 
@@ -64,40 +71,26 @@ _CANONICAL_AXES = {
     ArrangementKind.UO: (Z_AXIS, Y_AXIS, X_AXIS),
 }
 
-# The Doppler signs s of xi(w + s Omega) P_s, in the order of _projectors
-_SIGNS = (1.0, 0.0, -1.0)
-
-
-def _projectors(axis):
-    """P_+, P_0 and P_- of a unit spin axis n, stacked in _SIGNS order."""
-    n = np.asarray(axis, dtype=float)
-    p0 = np.outer(n, n)
-    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    plus = 0.5 * (np.eye(3) - p0 - 1j * cross)
-    return np.array([plus, p0, plus.conj()])
-
-
-def _weights(axis_a, axis_b, rhat):
-    """The 3x3 weights c_st of an axis triple, rows s and columns t in _SIGNS order."""
-    rhat = np.asarray(rhat, dtype=float)
-    g = np.eye(3) - 3.0 * np.outer(rhat, rhat)
-    return np.einsum("ij,sjk,kl,tli->st", g, _projectors(axis_a), g,
-                     _projectors(axis_b)).real
-
 
 def _terms(axis_a, axis_b, rhat):
     """Non-negligible folded weights of an axis triple as (s, t, c) tuples.
 
     Each c_st is folded into its mirror c_(-s)(-t), which weighs the same
-    shift, leaving (+,+), (+,0), (+,-), (0,+) and (0,0). Weights below
-    1e-14 of their sum are roundoff of exact zeros; dropping them spares
-    the shift integrals they would multiply.
+    shift, leaving (+,+), (+,0), (+,-), (0,+) and (0,0) (see the module
+    docstring). Weights below 1e-14 of their sum, 6, are roundoff of exact
+    zeros; dropping them spares the shift integrals they would multiply.
     """
-    c = _weights(axis_a, axis_b, rhat).ravel()
-    folded = np.append(c[:4] + c[:4:-1], c[4])      # flat index k meets its mirror 8 - k
-    floor = 1e-14 * np.abs(c).sum()
-    return tuple((_SIGNS[k // 3], _SIGNS[k % 3], float(w))
-                 for k, w in enumerate(folded) if w > floor)
+    (a1, a2, a3), (b1, b2, b3), (r1, r2, r3) = axis_a, axis_b, rhat
+    p = a1 * b1 + a2 * b2 + a3 * b3
+    u = a1 * r1 + a2 * r2 + a3 * r3
+    v = b1 * r1 + b2 * r2 + b3 * r3
+    q = p - 3.0 * u * v
+    t_qq = 4.0 - 3.0 * u * u - 3.0 * v * v + q * q
+    t_nn = 4.0 * p - 6.0 * u * v
+    folded = ((1.0, 1.0, 0.5 * (t_qq - t_nn)), (1.0, 0.0, 1.0 + 3.0 * v * v - q * q),
+              (1.0, -1.0, 0.5 * (t_qq + t_nn)), (0.0, 1.0, 1.0 + 3.0 * u * u - q * q),
+              (0.0, 0.0, q * q))
+    return tuple(term for term in folded if term[2] > 6e-14)
 
 
 _CANONICAL_TERMS = {kind: _terms(*axes) for kind, axes in _CANONICAL_AXES.items()}

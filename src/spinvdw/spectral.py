@@ -119,8 +119,8 @@ class PairContext:
     arguments of the energy functions, so one context serves every
     arrangement and rotation state. What the integrals derive from the
     spheres (the unit system, the materials in working units, the poles of
-    their polarizabilities, the factor to joules, and the cache key and
-    its table) is computed once, here.
+    their polarizabilities and the closed form's rows of them, the factor to
+    joules, and the cache key and its table) is computed once, here.
 
     Parameters
     ----------
@@ -154,15 +154,19 @@ class PairContext:
         a3 = self.sphere_a.radius**3 * self.sphere_b.radius**3
         scaled = (ma.scaled(ws), mb.scaled(ws))
         units = UnitSystem(ws, HBAR * ws * a3 / self.separation**6)
+        t_a, t_b = self.sphere_a.temperature, self.sphere_b.temperature
         key = (ma.f0, ma.omega_tilde0, ma.gamma0,
                mb.f0, mb.omega_tilde0, mb.gamma0,
-               self.sphere_a.radius, self.sphere_b.radius,
-               self.sphere_a.temperature, self.sphere_b.temperature,
-               self.separation)
+               self.sphere_a.radius, self.sphere_b.radius, t_a, t_b, self.separation)
+        poles = tuple(map(_alpha_poles, scaled))
+        ba = (*poles, t_b)
         derived = {
             "_units": units,
             "_scaled": (ws, *scaled),
-            "_poles": tuple(map(_alpha_poles, scaled)),
+            "_poles": poles,
+            # the rows of _closed for BA and AB, one if equal spheres make them one
+            "_rows": (ba,) if (scaled[0], t_b) == (scaled[1], t_a) else (
+                ba, (poles[1], poles[0], t_a)),
             # a reduced shift integral times this is its energy (J)
             "_joules": -units.energy_scale / (32.0 * np.pi),
             "_key": key,
@@ -546,17 +550,13 @@ def _closed_kinds(ctx, shifts):
 
     BA integrates alpha_A against eta_B at T_B, and AB alpha_B against
     eta_A at T_A; equal scaled materials at equal temperatures make them one
-    row. Returns (complex values, roundoff) of shape (2, shifts), rows in
-    ``_KINDS`` order, from one evaluation of :func:`_closed`.
+    row of ``ctx._rows``. Returns (complex values, roundoff) of shape
+    (2, shifts), rows in ``_KINDS`` order, from one evaluation of :func:`_closed`.
     """
-    ws, mat_a, mat_b = ctx._scaled
-    poles_a, poles_b = ctx._poles
-    t_a, t_b = ctx.sphere_a.temperature, ctx.sphere_b.temperature
-    ba = (poles_a, poles_b, t_b)
-    if (mat_a, t_b) == (mat_b, t_a):
-        values, roundoff = _closed((ba,), ws, shifts)
-        return np.concatenate((values, values)), np.concatenate((roundoff, roundoff))
-    return _closed((ba, (poles_b, poles_a, t_a)), ws, shifts)
+    values, roundoff = _closed(ctx._rows, ctx._scaled[0], shifts)
+    if len(ctx._rows) == 1:                 # one row serves both kinds
+        values, roundoff = np.concatenate((values, values)), np.concatenate((roundoff, roundoff))
+    return values, roundoff
 
 
 def _residue_error(which, imag, roundoff):
@@ -609,13 +609,13 @@ class _Table:
         self.entries = {}
 
 
-# Shifts per closed-form evaluation. It bounds the transient arrays of
-# _closed, which a sweep evaluated in one piece would hold for hundreds of
-# shifts at once. At 64 shifts their traced peak is about 1.6 kB per shift
-# and row for series rows, 2.1 kB for T = 0 rows and 3.1 kB for digamma rows
-# (BST at 0.05-0.3 K); a digamma row whose 16 pole pairs are all near, as
-# every |z| << 1 makes them, takes 14 kB for their Gauss nodes.
-_BLOCK = 64
+# Points per closed-form evaluation: its shifts times a shift's points, one per
+# kind row and closure point (8 near critical damping), so 64 shifts at the
+# most points a shift has. It bounds the transient arrays of _closed, whose
+# traced peak at the cap is about 1.0 MB for series rows, 1.9 MB for T = 0
+# rows and 2.2 MB for digamma rows (BST at 300, 0 and 0.05 K), and 5.1 MB for
+# a digamma row whose pole pairs are all near (shifts near 0).
+_BLOCK = 1024
 _UNPASSED = np.full((1, _BLOCK), math.nan)
 
 
@@ -636,8 +636,9 @@ def cache_info():
     ``entries`` cached values over the tables of the live contexts (a slot
     holds two, one per kind), ``misses``, the values that lookups found
     missing and evaluated (one per kind and slot), and ``blocks``, the
-    stacked closed-form evaluations of both kinds at up to ``_BLOCK``
-    shifts each. Hits are not counted: every lookup that is not a miss is one.
+    stacked closed-form evaluations of both kinds, each of at most ``_BLOCK``
+    points (every shift of a sweep of identical spheres in one). Hits are not
+    counted: every lookup that is not a miss is one.
     """
     entries = 2 * sum(len(table.entries) for table in _cache.values())
     return dict(entries=entries, **_stats)
@@ -667,14 +668,15 @@ def _fill_closed(ctx, table, slots, rel):
     """Evaluate the shifts of the slot -> shift map ``slots`` that ``table`` lacks.
 
     Returns their count. Both kinds of every such shift are evaluated in
-    blocks of at most ``_BLOCK`` shifts, one :func:`_closed_kinds` call
+    blocks of at most ``_BLOCK`` points, one :func:`_closed_kinds` call
     each, and an entry is stored passed at ``rel`` if it meets the four
     checks of :func:`_checked` there, else not passed, for its lookups to
     raise. A ``rel`` that is not > 0 passes nothing.
     """
     missing = [(n, x) for n, x in slots.items() if n not in table]
-    for start in range(0, len(missing), _BLOCK):
-        block, shifts = zip(*missing[start:start + _BLOCK])
+    step = _BLOCK // (len(ctx._rows) * max(map(len, ctx._poles)))
+    for start in range(0, len(missing), step):
+        block, shifts = zip(*missing[start:start + step])
         values, roundoff = _closed_kinds(ctx, shifts)
         _stats["blocks"] += 1
         entries = np.concatenate((values.real, roundoff, values.imag,

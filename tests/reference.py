@@ -14,8 +14,9 @@ the Hadamard tensor from the lab-frame polarizability instead, through the
 modified fluctuation-dissipation relations of the rotating frame
 (Manjavacas & Garcia de Abajo, PRL 105, 113601 (2010)). Every tensor is a
 plain complex 3x3 array. ``projector_weights`` builds the weights c_st of
-an axis triple from this view, as the reference for the projectors that
-:mod:`spinvdw.configurations` builds straight from the axes.
+an axis triple from this view, as the reference for the closed-form
+weights that :mod:`spinvdw.configurations` computes from the axes' dot
+products.
 
 ``tensor_energy`` is the direct 3x3 evaluation: it builds both spheres'
 lab-frame polarizability and Hadamard tensors from the spin transform,

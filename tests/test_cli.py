@@ -220,35 +220,63 @@ class TestBlockedSweep:
             "sweep.omega_a_grid_rad_s": [0.0, 0.7 * w0, 1.9 * w0]})
         self._assert_rows_match_unbatched(spec, ctx)
 
-    def test_one_blocked_pass_and_no_row_misses(self, w0, cold_cache, monkeypatch):
-        spec, ctx = parse_config({**GENERAL_AXES, "sweep.omega_a_count": 60,
-                                  "sweep.omega_b_rule": "ratio",
-                                  "sweep.omega_b_ratio": 0.3})
-        sizes = []
+    @staticmethod
+    def _record_points(monkeypatch):
+        """The points of each _closed call: shifts times the points of each row."""
+        points = []
         inner = spectral._closed
 
         def recording(rows, omega_scale, shifts):
-            sizes.append(len(shifts))
+            per_shift = sum(max(len(poles_x), len(poles_y)) for poles_x, poles_y, _ in rows)
+            points.append(per_shift * len(shifts))
             return inner(rows, omega_scale, shifts)
 
         monkeypatch.setattr(spectral, "_closed", recording)
+        return points
+
+    def test_one_blocked_pass_and_no_row_misses(self, w0, cold_cache, monkeypatch):
+        # identical spheres, one row of one point per shift: the sweep's 207
+        # shifts, more than 64, in one evaluation
+        spec, ctx = parse_config({**GENERAL_AXES, "sweep.omega_a_count": 60,
+                                  "sweep.omega_b_rule": "ratio",
+                                  "sweep.omega_b_ratio": 0.3})
+        points = self._record_points(monkeypatch)
         result = run_sweep(spec, ctx)
         assert not any(r["error"] for r in result.rows)
         info = spectral.cache_info()
         distinct = info["entries"] // 2          # the same shifts for BA and AB
-        assert distinct > 64                     # more than one block
+        assert 64 < distinct <= spectral._BLOCK
         # both kinds in each evaluation, every shift evaluated once
-        assert info["blocks"] == len(sizes) == math.ceil(distinct / 64)
-        assert max(sizes) == 64 and sum(sizes) == distinct
+        assert info["blocks"] == 1 and points == [distinct]
         assert info["misses"] == 0
         spectral.clear_cache()
         assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
 
+    def test_near_critical_pair_blocks_bounded_by_points(self, w0, cold_cache, monkeypatch):
+        # unequal materials, A within the circle of critical damping: 2 rows
+        # of 8 points per shift, so a block holds 64 shifts, and the sweep's
+        # shifts take several blocks of at most _BLOCK points
+        spec, ctx = parse_config({
+            "arrangement": "uu", "material.gamma0_rad_s": 2.0 * w0,
+            "material_b.f0": 8.0, "material_b.omega_tilde0_rad_s": 6.5e9,
+            "material_b.gamma0_rad_s": 4e8, "sweep.omega_a_count": 50,
+            "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.4})
+        assert len(ctx._rows) == 2 and max(map(len, ctx._poles)) == 8
+        points = self._record_points(monkeypatch)
+        run_sweep(spec, ctx)
+        distinct = spectral.cache_info()["entries"] // 2
+        assert distinct > 64
+        assert spectral.cache_info()["blocks"] == len(points) == math.ceil(distinct / 64)
+        assert sum(points) == 16 * distinct and max(points) == spectral._BLOCK
+        self._assert_rows_match_unbatched(spec, ctx)
+        assert max(points) == spectral._BLOCK   # no unbatched row's call above it
+
     def test_cold_six_preset_pass_counters(self, cold_cache):
-        # every row of the six presets is a lookup after its sweep's prefetch
+        # every row of the six presets is a lookup after its sweep's prefetch,
+        # and each sweep's shifts fit in one block
         for name in PRESETS:
             run_preset(name)
-        assert spectral.cache_info() == {"entries": 2224, "misses": 0, "blocks": 20}
+        assert spectral.cache_info() == {"entries": 2224, "misses": 0, "blocks": 5}
 
     def test_equal_contexts_share_entries(self, w0, cold_cache):
         # a second, distinct but equal context finds every shift in place
@@ -408,6 +436,30 @@ class TestEmit:
         for jr, cr in zip(jrows, crows):
             for col in CSV_COLUMNS[:-1]:
                 assert jr[col] == cr[col]
+
+    def test_json_of_failed_rows_is_strict(self, tmp_path):
+        # a tolerance no value meets fails the reference and every row: JSON
+        # writes their NaN fields as null, which a strict parser accepts,
+        # while the CSV keeps its nan
+        spec, ctx = parse_config({"quadrature.rel_tol": 1e-17,
+                                  "sweep.omega_a_grid_rad_s": [0.0, 1.5e10, 2.9e10]})
+        result = run_sweep(spec, ctx)
+        assert all(row["error"] for row in result.rows)
+        jpath, cpath = tmp_path / "out.json", tmp_path / "out.csv"
+        emit(result, "json", str(jpath))
+        emit(result, "csv", str(cpath))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        got = json.loads(jpath.read_text(), parse_constant=reject)
+        assert got["metadata"]["rel_tol"] == 1e-17
+        for jrow, row, crow in zip(got["rows"], result.rows, read_csv_rows(str(cpath))):
+            for key, value in row.items():
+                if isinstance(value, float) and math.isnan(value):
+                    assert jrow[key] is None and math.isnan(crow[key])
+                else:
+                    assert jrow[key] == value
 
     def test_rows_written_as_fmt_fields(self, tmp_path):
         result = self._result()

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from reference import (canonical_energy, projector_weights, rotation_matrix_to_axis,
                        tensor_energy)
 from spinvdw import spectral
-from spinvdw.configurations import (_SIGNS, Arrangement, ArrangementKind, _weights,
-                                    delta_force, energy, force, rest_energy)
+from spinvdw.configurations import (Arrangement, ArrangementKind, _terms, delta_force,
+                                    energy, force, rest_energy)
 from spinvdw.oracle import ratio_rr, ratio_uu
 from spinvdw.response import MaterialModel, SpinningSphere, resonance_frequency
 from spinvdw.spectral import PairContext, aux_energy, general_energy
 
 KINDS = ["rr", "uu", "ur", "uo"]
 RR, UU, UR, UO = (Arrangement(k) for k in KINDS)
+SIGNS = (1.0, 0.0, -1.0)        # the rows and columns of projector_weights
 
 # Energies are ~1e-23 J: pytest.approx's default absolute tolerance of
 # 1e-12 would accept any two of them.
@@ -266,18 +267,28 @@ def test_delta_force_is_force_difference(ctx, kind, axes, rates):
     assert abs(delta_force(ctx, arr, oa, ob) - (f - f0)) <= 1e-12 * (abs(f) + abs(f0))
 
 
+def _folded_reference(axis_a, axis_b, rhat):
+    """projector_weights folded as _terms folds them: (s, t) -> c_st + c_(-s)(-t)."""
+    c = projector_weights(axis_a, axis_b, rhat)
+    return {(SIGNS[i], SIGNS[j]): c[i, j] + c[2 - i, 2 - j] if (i, j) != (1, 1) else c[i, j]
+            for i, j in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))}
+
+
 def test_weights_match_tensor_view():
-    # the projectors built from each axis against the spin tensor's about z,
-    # rotated onto the axis: seeded random triples, and every triple of the
-    # axes +-x, +-y, +-z (-z takes the rotation's pi turn about x)
+    # the closed-form weights of each axis triple against the spin tensor's
+    # projectors about z, rotated onto the axes: seeded random triples, and
+    # every triple of the axes +-x, +-y, +-z (-z takes the rotation's pi turn
+    # about x); a dropped weight must be roundoff of a zero
     rng = np.random.default_rng(20)
     triples = rng.normal(size=(300, 3, 3))
     triples /= np.linalg.norm(triples, axis=2, keepdims=True)
     signed = [sign * v for v in np.eye(3) for sign in (1.0, -1.0)]
     triples = list(triples) + [(a, b, r) for a in signed for b in signed for r in signed]
     for a, b, rhat in triples:
-        c = _weights(a, b, rhat)
-        assert np.abs(c - projector_weights(a, b, rhat)).max() <= 1e-14 * np.abs(c).sum()
+        want = _folded_reference(a, b, rhat)
+        got = {(s, t): c for s, t, c in _terms(*(tuple(map(float, v)) for v in (a, b, rhat)))}
+        assert set(got) <= set(want)
+        assert max(abs(got.get(k, 0.0) - c) for k, c in want.items()) <= 1e-14 * 6.0
 
 
 def test_canonical_term_counts():
@@ -289,11 +300,11 @@ def test_canonical_term_counts():
 @given(axes=st.tuples(UNITS, UNITS, UNITS), rates=st.tuples(RATES, RATES))
 def test_folded_weights(ctx300, w0, axes, rates):
     # c_st = c_(-s)(-t), so folding each weight into its mirror keeps the
-    # energy of all nine terms
-    c = _weights(*axes)
+    # energy of all nine terms of the tensor view's weights
+    c = projector_weights(*axes)
     assert np.abs(c - c[::-1, ::-1]).max() <= 1e-15 * c.sum()
     oa, ob = rates[0] * w0, rates[1] * w0
-    nine = tuple((_SIGNS[s], _SIGNS[t], float(c[s, t]))
+    nine = tuple((SIGNS[s], SIGNS[t], float(c[s, t]))
                  for s in range(3) for t in range(3))
     want = general_energy(ctx300, nine, oa, ob)
     got = energy(ctx300, Arrangement("general", *axes), oa, ob)

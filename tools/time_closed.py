@@ -1,19 +1,27 @@
-"""Time the closed-form block (L2), cold and warm energies (L3) and a sweep's rows (L4).
+"""Time the closed-form block (L2), cold and warm energies (L3) and sweeps (L4).
 
 Times one cold ``spectral._closed`` evaluation per route of its rows (log
 at T = 0, the zeta series at 300 K, digamma at 0.05 K, and a T = 0 row
 stacked with a 300 K row) at 1, 4 and 64 shifts in (0.05, 3.9) w0, with
 one row (the BST pair) and with two (BST and a second material), one
+cold ``spectral._closed_kinds`` of the BST pair at 300 K at 97 and at 303
+shifts (a general-axis sweep's and three times that), the construction of
+``Arrangement("general", ...)`` (100 per call), one
 cold ``configurations.delta_force`` per canonical arrangement (BST pair at
 300 K, Omega = (1.3, -0.4) w0; ``uo`` also at T = 0 and for unequal
 materials at 300 and 900 K), warm ``configurations.energy`` calls of the
 same BST pair and rates for each canonical arrangement and the general
 axes (0.6, 0, 0.8), (0, 0.6, 0.8), x (each call of such a case makes one
 untimed call, which fills the cache after the cold cases clear it, then
-times 100 warm ones), and the rows of the ``fig2a`` preset from a
+times 100 warm ones), the rows of the ``fig2a`` preset from a
 cold cache as ``cli.run_sweep`` makes them: per sweep, ``spectral.prefetch``,
 then the zero-rotation energy and each row's ``configurations.energy``
-once. Each of 21 rounds makes 20 calls of every case in turn (and of both
+once, and four general-axis sweeps from a cold cache, each from
+``cli.parse_config`` through ``cli.run_sweep`` to ``cli.emit`` of a CSV
+into a temporary directory (seeded axes at 0, 300, 1500 and 300 K, 25
+rates up to 4.5 w0, Omega_B a fixed ratio of Omega_A, shaped like the
+benchmark's ``general_axes`` workload). Each of 21 rounds makes 20 calls
+of every case in turn (and of both
 packages with ``--against``, alternating which goes first), and the JSON
 printed holds each case's median and quartiles over the rounds of its
 mean time per call, in microseconds; with ``--against``, also their
@@ -34,8 +42,10 @@ import importlib.util
 import json
 import os
 import platform
+import random
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -63,8 +73,8 @@ def shifts(count):
     return [1.3] if count == 1 else np.linspace(0.05, 3.9, count).tolist()
 
 
-def cases(package):
-    """(name, call) of every case, for one package."""
+def cases(package, scratch):
+    """(name, call) of every case, for one package; sweeps write into ``scratch``."""
     spectral, configurations = package.spectral, package.configurations
     response = package.response
     bst = response.bst()
@@ -91,6 +101,21 @@ def cases(package):
             for count in SHIFT_COUNTS:
                 out.append((f"closed {route}, {rows} row{'s' * (rows > 1)}, {count} shift"
                             f"{'s' * (count > 1)}", block(ctx, rows, count)))
+    bst300 = context(bst, 300.0, 300.0)
+    for count in (97, 303):
+        grid = shifts(count)
+        out.append((f"closed_kinds series, 1 row, {count} shifts",
+                     lambda grid=grid: spectral._closed_kinds(bst300, grid)))
+    general_axes = ((0.6, 0.0, 0.8), (0.0, 0.6, 0.8), (1.0, 0.0, 0.0))
+
+    def arrangements():
+        start = time.perf_counter()
+        for _ in range(WARM):
+            configurations.Arrangement("general", *general_axes)
+        return (time.perf_counter() - start) / WARM
+
+    out.append(("Arrangement general", arrangements))
+
     w0 = response.resonance_frequency(bst)
     energies = [(kind, context(bst, 300.0, 300.0)) for kind in ("rr", "uu", "ur", "uo")]
     energies += [("uo at T = 0", context(bst, 0.0, 0.0)),
@@ -106,10 +131,8 @@ def cases(package):
 
         out.append((f"delta_force {name}", cold))
 
-    bst300 = context(bst, 300.0, 300.0)
     warm_cases = [(kind, configurations.Arrangement(kind)) for kind in ("rr", "uu", "ur", "uo")]
-    warm_cases.append(("general", configurations.Arrangement(
-        "general", (0.6, 0.0, 0.8), (0.0, 0.6, 0.8), (1.0, 0.0, 0.0))))
+    warm_cases.append(("general", configurations.Arrangement("general", *general_axes)))
     for name, arrangement in warm_cases:
 
         def warm(arrangement=arrangement):
@@ -138,7 +161,37 @@ def cases(package):
         return time.perf_counter() - start
 
     out.append(("fig2a rows from a cold cache", rows))
+
+    configs = general_configs(w0)
+
+    def general_sweeps():
+        spectral.clear_cache()
+        start = time.perf_counter()
+        for k, config in enumerate(configs):
+            spec, ctx = cli.parse_config(config)
+            path = os.path.join(scratch, f"{package.__name__}_general_{k}.csv")
+            cli.emit(cli.run_sweep(spec, ctx), "csv", path)
+        return time.perf_counter() - start
+
+    out.append(("general-axis sweeps, parse_config to emit", general_sweeps))
     return out
+
+
+def general_configs(w0, seed=5):
+    """Four general-axis sweep configs: seeded axes, 0/300/1500/300 K, 25 rates."""
+    rng = random.Random(seed)
+
+    def unit():
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        norm = sum(c * c for c in v) ** 0.5
+        return [c / norm for c in v]
+
+    grid = [4.5 * w0 * k / 24 for k in range(25)]
+    return [{"arrangement": "general", "arrangement.axis_a": unit(),
+             "arrangement.axis_b": unit(), "arrangement.rhat": unit(),
+             "temperature_K": t, "sweep.omega_a_grid_rad_s": grid,
+             "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": ratio}
+            for t, ratio in zip((0.0, 300.0, 1500.0, 300.0), (0.55, -0.35, 0.75, -0.95))]
 
 
 def measure(call, number):
@@ -164,14 +217,16 @@ def main(argv=None):
     packages = {"working": spinvdw}
     if args.against:
         packages["against"] = load(args.against, "spinvdw_against")
-    table = {label: cases(package) for label, package in packages.items()}
-    times = {label: {name: [] for name, _ in entries} for label, entries in table.items()}
-    for k in range(rounds):
-        labels = list(table) if k % 2 == 0 else list(table)[::-1]
-        for index in range(len(table["working"])):
-            for label in labels:
-                name, call = table[label][index]
-                times[label][name].append(measure(call, number))
+    with tempfile.TemporaryDirectory() as scratch:
+        table = {label: cases(package, scratch) for label, package in packages.items()}
+        times = {label: {name: [] for name, _ in entries} for label, entries in table.items()}
+        for k in range(rounds):
+            labels = list(table) if k % 2 == 0 else list(table)[::-1]
+            for index in range(len(table["working"])):
+                for label in labels:
+                    name, call = table[label][index]
+                    times[label][name].append(measure(call, number))
+
     def summary(seconds):
         q1, median, q3 = (round(1e6 * q, 2) for q in statistics.quantiles(seconds, n=4))
         return {"median": median, "quartiles": [q1, q3]}
