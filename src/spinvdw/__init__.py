@@ -6,8 +6,8 @@ attraction can be resonantly enhanced near twice the polaritonic frequency
 and flips to repulsion beyond it. This package computes the rest-frame
 response of each sphere, the nonequilibrium spectral integrals of its
 Doppler-shifted sidebands, the energies and forces of any arrangement of
-the two spin axes (four canonical ones by name) through the projectors of
-each spin axis, the dissipationless closed forms used as analytic
+the two spin axes (four canonical ones by name) as weighted sums of one
+spectral function, the dissipationless closed forms used as analytic
 references, and the static Matsubara/Hamaker baselines.
 """
 

@@ -11,7 +11,6 @@ T = 300 K). See the README for the schema.
 """
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -279,15 +278,15 @@ def run_sweep(spec, ctx):
     """Evaluate every grid point of a sweep; failures go to the error column.
 
     Every shift integral the sweep needs is evaluated first, in a few
-    blocked passes, and checked at the sweep's rel_tol, so the
-    zero-rotation reference F(0,0), computed once and shared by all rows,
-    and the rows, in grid order, are lookups of passed values; a row that
-    reads a value which failed its checks raises them into its error column.
+    blocked passes into the table of ``ctx``, so the zero-rotation
+    reference F(0,0), computed once and shared by all rows, and the rows,
+    in grid order, are lookups; a row that reads a value which fails its
+    checks at the sweep's rel_tol raises them into its error column.
     """
     arrangement = spec.make_arrangement()
     w0 = resonance_frequency(ctx.sphere_a.material)
     points = spec.grid_points()
-    spectral.prefetch(ctx, arrangement._terms, points, spec.rel_tol)
+    spectral.prefetch(ctx, arrangement._terms, points)
     try:
         e0 = configurations.energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
         f0 = 6.0 * e0 / ctx.separation
@@ -472,26 +471,19 @@ PRESETS = ("fig1_300K", "fig1_1500K", "fig2a", "fig2b", "fig2c",
            "baseline_static")
 
 
-@functools.cache
-def _preset_context(temperature):
-    """The presets' BST pair at ``temperature``, kept for the life of the process.
-
-    The shift cache keeps only the tables of live contexts; holding these
-    lets the presets at one temperature share theirs, as fig1_1500K and
-    the fig2 sweeps do.
-    """
-    return _context_for(SweepSpec(omega_a_grid=(0.0,), temperature=temperature))
-
-
 def run_preset(name, rel_tol=None, points=None):
     """Run a named preset and return its result.
 
     ``points`` overrides the grid length (for quick runs and tests);
-    ``baseline_static`` returns a key/value table instead of a sweep.
+    ``baseline_static`` returns a key/value table instead of a sweep. Its
+    sweeps share a new context, so what ran before does not change its rows.
     """
+    if points is not None and points < 1:
+        raise ConfigError(f"--points: must be >= 1, got {points}")
     if name == "baseline_static":
         return _baseline_result(_context_for(SweepSpec(omega_a_grid=(0.0,))))
     specs = _preset_specs(name)
+    ctx = _context_for(specs[0])        # the sweeps of a preset share their pair
     rows, metadata = [], {}
     for spec in specs:
         if points is not None:
@@ -499,7 +491,7 @@ def run_preset(name, rel_tol=None, points=None):
             spec = replace(spec, omega_a_grid=grid)
         if rel_tol is not None:
             spec = replace(spec, rel_tol=rel_tol)
-        result = run_sweep(spec, _preset_context(spec.temperature))
+        result = run_sweep(spec, ctx)
         rows.extend(result.rows)
         metadata = result.metadata
     metadata["preset"] = name
@@ -639,7 +631,7 @@ def build_parser():
     p_sweep.add_argument("--out", help="output path (default from config)")
     p_sweep.add_argument("--format", choices=["csv", "json"], dest="fmt")
     p_sweep.add_argument("--points", type=int,
-                         help="override preset grid length")
+                         help="override preset grid length (>= 1)")
 
     p_oracle = sub.add_parser("oracle", help="dissipationless closed-form ratios")
     p_oracle.add_argument("--omega-a", type=float, required=True,
@@ -672,6 +664,14 @@ def main(argv=None):
         return 3
 
 
+def _rates(args, w0):
+    """(Omega_A, Omega_B) in rad/s from ``--omega-a``/``--omega-b``, which must be finite."""
+    for flag, rate in (("--omega-a", args.omega_a), ("--omega-b", args.omega_b)):
+        if not math.isfinite(rate):
+            raise ConfigError(f"{flag}: non-finite value {rate}")
+    return args.omega_a * w0, args.omega_b * w0
+
+
 def _dispatch(args):
     spec, ctx = parse_config(args.config)
     if args.rel_tol is not None:
@@ -680,10 +680,7 @@ def _dispatch(args):
 
     if args.command in ("energy", "force"):
         arrangement = Arrangement(args.arrangement) if args.arrangement else spec.make_arrangement()
-        for flag, rate in (("--omega-a", args.omega_a), ("--omega-b", args.omega_b)):
-            if not math.isfinite(rate):
-                raise ConfigError(f"{flag}: non-finite value {rate}")
-        wa, wb = args.omega_a * w0, args.omega_b * w0
+        wa, wb = _rates(args, w0)
         # the energy change first: its one lookup evaluates every shift
         # that E and E0 then look up
         de = configurations.delta_energy(ctx, arrangement, wa, wb, spec.rel_tol)
@@ -723,13 +720,15 @@ def _dispatch(args):
 
     if args.command == "oracle":
         pair = oracle.LorentzPair(1.0e-33, 1.0e-33, w0, w0, ctx.separation)
-        wa, wb = args.omega_a * w0, args.omega_b * w0
+        wa, wb = _rates(args, w0)
         print(f"ratio_aux(Omega_A - Omega_B) = {oracle.ratio_aux(pair, wa - wb):.12g}")
         print(f"ratio_rr                     = {oracle.ratio_rr(w0, wa - wb):.12g}")
         print(f"ratio_uu                     = {oracle.ratio_uu(w0, wa, wb):.12g}")
         return 0
 
     if args.command == "baseline":
+        if not 0.0 < args.hamaker < math.inf:
+            raise ConfigError(f"--hamaker: must be finite and > 0, got {args.hamaker}")
         result = _baseline_result(ctx, args.hamaker)
         if args.out:
             emit(result, args.fmt, args.out)

@@ -134,8 +134,8 @@ def energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
     """Interaction energy for any arrangement (J).
 
     Evaluates the arrangement's weights with
-    :func:`spinvdw.spectral.general_energy`, one cached auxiliary integral
-    per distinct shift |s Omega_A - t Omega_B|.
+    :func:`spinvdw.spectral.general_energy`: one auxiliary integral per
+    distinct shift |s Omega_A - t Omega_B|, cached in the table of ``ctx``.
     """
     return spectral.general_energy(ctx, arrangement._terms, Omega_A, Omega_B, rel_tol)
 

@@ -4,7 +4,7 @@ Single-oscillator Lorentz permittivity, the dipole polarizability of a small
 sphere made of that material, and the thermal Hadamard (symmetrized
 fluctuation) spectrum obtained from the equilibrium fluctuation-dissipation
 relation. Everything here is rest-frame and isotropic; the rotational
-Doppler shifts enter through the projectors of :mod:`spinvdw.configurations`
+Doppler shifts enter through the weights of :mod:`spinvdw.configurations`
 and the shifted integrals of :mod:`spinvdw.spectral`.
 """
 

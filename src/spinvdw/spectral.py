@@ -120,7 +120,8 @@ class PairContext:
     arrangement and rotation state. What the integrals derive from the
     spheres (the unit system, the materials in working units, the poles of
     their polarizabilities and the closed form's rows of them, the factor to
-    joules, and the cache key and its table) is computed once, here.
+    joules, and the table of its cached shift integrals, which no other
+    context shares, not even an equal one) is computed once, here.
 
     Parameters
     ----------
@@ -155,9 +156,8 @@ class PairContext:
         scaled = (ma.scaled(ws), mb.scaled(ws))
         units = UnitSystem(ws, HBAR * ws * a3 / self.separation**6)
         t_a, t_b = self.sphere_a.temperature, self.sphere_b.temperature
-        key = (ma.f0, ma.omega_tilde0, ma.gamma0,
-               mb.f0, mb.omega_tilde0, mb.gamma0,
-               self.sphere_a.radius, self.sphere_b.radius, t_a, t_b, self.separation)
+        owner = _Table()
+        _tables.add(owner)
         poles = tuple(map(_alpha_poles, scaled))
         ba = (*poles, t_b)
         derived = {
@@ -169,9 +169,8 @@ class PairContext:
                 ba, (poles[1], poles[0], t_a)),
             # a reduced shift integral times this is its energy (J)
             "_joules": -units.energy_scale / (32.0 * np.pi),
-            "_key": key,
-            "_owner": (owner := _cache.setdefault(key, _Table())),
-            "_table": owner.entries,                # shared by equal live contexts
+            "_owner": owner,
+            "_table": owner.entries,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -583,21 +582,18 @@ def shift_integral(ctx, Omega, which):
 # Sweeps revisit the same few shifts (E(0) on every row, sums and
 # differences of the grid rates), so most lookups hit; a sweep evaluates
 # all of its shifts up front (prefetch) and its rows only look them up.
-# Single-threaded. ``_cache`` maps a context's ``_key`` weakly to the
-# ``_Table`` that the context holds, and whose entries it holds as ``_table``:
-# equal live contexts share one table (the presets share 420 values), and
-# a pair's table goes with its last context. An entry is keyed by slot, the
+# Single-threaded. Each context owns a ``_Table`` and holds its entries as
+# ``_table``; ``_tables`` refers to the tables weakly, only so that
+# clear_cache and cache_info reach them. An entry is keyed by slot, the
 # shift x = |s Omega_A - t Omega_B|/ws quantized to 1e-12 (both integrals
 # are even in x; the rest term, s = t = 0, takes slot 0 directly), and
 # holds the evaluation of the slot's first shift as a flat list: the BA and
-# AB values, their roundoff estimates, their imaginary residues, and
-# ``passed``, a rel_tol at which all four checks passed (NaN until they
-# have), first set as the entry is stored. Lookups of both kinds
-# sum entries passed at a rel_tol no larger than theirs unchecked; others
-# check the fields they read, so a bad shift fails only the lookups using it.
-# ``_stats`` counts what the cache decides, misses and blocks; a hit count
-# would only restate the lookups the callers asked for.
-_cache = weakref.WeakValueDictionary()
+# AB values, their roundoff estimates, their imaginary residues, and the
+# smallest rel_tol at which all four checks pass (see _fill_closed). A
+# lookup at a smaller rel_tol checks the entry, so a bad shift fails only
+# the lookups using it. ``_stats`` counts what the cache decides, misses
+# and blocks; a hit count would only restate the lookups the callers made.
+_tables = weakref.WeakSet()
 _stats = {"misses": 0, "blocks": 0}
 
 
@@ -616,16 +612,16 @@ class _Table:
 # rows and 2.2 MB for digamma rows (BST at 300, 0 and 0.05 K), and 5.1 MB for
 # a digamma row whose pole pairs are all near (shifts near 0).
 _BLOCK = 1024
-_UNPASSED = np.full((1, _BLOCK), math.nan)
+_TINY = np.finfo(float).tiny
+_WIDEN = 1.0 + 4.0 * _EPS
 
 
 def clear_cache():
     """Drop every cached entry and zero the counters.
 
-    Each table is emptied in place, so a live context keeps a valid table,
-    still shared with the contexts equal to it.
+    Each table is emptied in place, so a live context keeps a valid table.
     """
-    for table in _cache.values():
+    for table in _tables:
         table.entries.clear()
     _stats.update(misses=0, blocks=0)
 
@@ -640,7 +636,7 @@ def cache_info():
     points (every shift of a sweep of identical spheres in one). Hits are not
     counted: every lookup that is not a miss is one.
     """
-    entries = 2 * sum(len(table.entries) for table in _cache.values())
+    entries = 2 * sum(len(table.entries) for table in _tables)
     return dict(entries=entries, **_stats)
 
 
@@ -664,14 +660,18 @@ def _slots(ws, terms, rate_pairs, slots):
     return slots
 
 
-def _fill_closed(ctx, table, slots, rel):
+def _fill_closed(ctx, table, slots):
     """Evaluate the shifts of the slot -> shift map ``slots`` that ``table`` lacks.
 
     Returns their count. Both kinds of every such shift are evaluated in
     blocks of at most ``_BLOCK`` points, one :func:`_closed_kinds` call
-    each, and an entry is stored passed at ``rel`` if it meets the four
-    checks of :func:`_checked` there, else not passed, for its lookups to
-    raise. A ``rel`` that is not > 0 passes nothing.
+    each. An entry stores the smallest rel_tol at which both kinds pass the
+    checks of :func:`_checked` (NaN if a residue check fails, or a value or
+    estimate is NaN, so that its lookups always check): the larger of
+    the kinds' roundoff/|value| times 1 + 4 eps, which covers the rounding
+    of the quotient and of the check's product, a kind whose estimate is at
+    most ``DEFAULT_ABS_TOL`` needing only the smallest normal float (so
+    that a rel_tol of 0, -1 or NaN still meets the checks).
     """
     missing = [(n, x) for n, x in slots.items() if n not in table]
     step = _BLOCK // (len(ctx._rows) * max(map(len, ctx._poles)))
@@ -679,30 +679,27 @@ def _fill_closed(ctx, table, slots, rel):
         block, shifts = zip(*missing[start:start + step])
         values, roundoff = _closed_kinds(ctx, shifts)
         _stats["blocks"] += 1
-        entries = np.concatenate((values.real, roundoff, values.imag,
-                                  _UNPASSED[:, :len(shifts)])).T.tolist()
-        for entry in entries:
-            ba, ab, ba_round, ab_round, ba_imag, ab_imag, _ = entry
-            if rel > 0.0 and not (abs(ba_imag) > ba_round or abs(ab_imag) > ab_round
-                                  or ba_round > DEFAULT_ABS_TOL and ba_round > rel * abs(ba)
-                                  or ab_round > DEFAULT_ABS_TOL and ab_round > rel * abs(ab)):
-                entry[6] = rel
+        real, imag = values.real, values.imag
+        need = roundoff / abs(real)
+        need[roundoff <= DEFAULT_ABS_TOL] = _TINY
+        need[abs(imag) > roundoff] = np.nan
+        tolerance = _WIDEN * np.maximum(need[:1], need[1:])
+        entries = np.concatenate((real, roundoff, imag, tolerance)).T.tolist()
         table.update(zip(block, entries))
     return len(missing)
 
 
-def prefetch(ctx, terms, rate_pairs, rel_tol=None):
+def prefetch(ctx, terms, rate_pairs):
     """Evaluate every shift integral that energies at ``rate_pairs`` will need.
 
     ``terms`` are an arrangement's ``(s, t, c)`` weights (see
     :func:`general_energy`) and ``rate_pairs`` its (Omega_A, Omega_B)
     points; the distinct |s Omega_A - t Omega_B| and 0 (the rest energy)
-    are evaluated in a few blocked passes and checked at ``rel_tol``, so
-    the energies that follow at that tolerance are pure lookups. A value
-    that fails its checks raises in those energies, not here.
+    are evaluated in a few blocked passes, so the energies that follow are
+    pure lookups. A value that fails its checks raises in those energies,
+    not here.
     """
-    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    _fill_closed(ctx, ctx._table, _slots(ctx._scaled[0], terms, rate_pairs, {0: 0.0}), rel)
+    _fill_closed(ctx, ctx._table, _slots(ctx._scaled[0], terms, rate_pairs, {0: 0.0}))
 
 
 def _gate(what, value, roundoff, rel):
@@ -726,24 +723,22 @@ def _checked(entry, which, rel):
     return value
 
 
-def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None, kinds=_KINDS):
-    """Interaction energy of any arrangement from its projector weights (J).
+def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
+    """Interaction energy of any arrangement from its weights (J).
 
     ``terms`` holds the arrangement's ``(s, t, c)`` weights (see
     :mod:`spinvdw.configurations`); the energy is
-    2 sum c E(|s Omega_A - t Omega_B|) over the integrals ``kinds`` of E
-    (both by default). One pass over the terms merges their weights by
-    cache slot, in first-seen order, a term with s = t = 0 taking slot 0
-    with no arithmetic; one walk over the slots sums c (BA + AB) of each
-    entry passed at ``rel_tol`` or below. The first other slot
-    evaluates all of the call's misses in one blocked pass (counted as one
-    miss per kind and slot) before any check raises; an entry not passed is
-    checked (:func:`_checked`) and, by a lookup of both kinds, recorded as
-    passed. That is exact: the residue checks do not depend on rel_tol, and
-    a roundoff check that passes at one rel_tol passes at every larger one.
-    A rel_tol that is not > 0 (NaN too) raises ValueError, as does a
-    non-finite rate in a term with s or t nonzero; every arrangement has
-    such terms, since c_00 <= 4 of the weights' sum of 6.
+    2 sum c E(|s Omega_A - t Omega_B|), E the sum of the BA and AB
+    integrals. One pass over the terms merges their weights by cache
+    slot, in first-seen order, a term with s = t = 0 taking slot 0 with no
+    arithmetic; one walk over the slots sums c (BA + AB) of each entry
+    whose stored tolerance is at most ``rel_tol``. The first other slot
+    evaluates all of the call's misses in one blocked pass (one miss per
+    kind and slot) before any check raises; an entry that does not pass
+    is checked (:func:`_checked`), which raises what it fails. A rel_tol
+    that is not > 0 (NaN too) raises ValueError, as does a non-finite rate
+    in a term with s or t nonzero; every arrangement has such terms, since
+    c_00 <= 4 of the weights' sum of 6.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     ws, table = ctx._scaled[0], ctx._table
@@ -754,25 +749,28 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None, kinds=_KINDS):
             weights[n] = weights[n] + c if n in weights else c
     except (ValueError, OverflowError):         # round() of NaN or infinity
         raise _rate_error(Omega_A, Omega_B) from None
-    skip = rel if kinds is _KINDS else math.nan  # lookups of one kind always check
     total, filled = 0.0, False
     for n, c in weights.items():
         entry = table.get(n)
-        if entry is None or not skip >= entry[6]:
+        if entry is None or not rel >= entry[6]:
             if not filled:
-                _stats["misses"] += len(kinds) * _fill_closed(
-                    ctx, table, _slots(ws, terms, ((Omega_A, Omega_B),), {}), rel)
+                _stats["misses"] += 2 * _fill_closed(
+                    ctx, table, _slots(ws, terms, ((Omega_A, Omega_B),), {}))
                 filled, entry = True, table[n]
-            if not skip >= entry[6]:
-                total += c * sum(_checked(entry, which, rel) for which in kinds)
-                if kinds is _KINDS:
-                    entry[6] = rel
+            if not rel >= entry[6]:
+                total += c * (_checked(entry, "BA", rel) + _checked(entry, "AB", rel))
                 continue
         total += c * (entry[0] + entry[1])
     return 2.0 * ctx._joules * total
 
 
-_SINGLE = ((1.0, 0.0, 0.5),)    # the shift |Omega|, at 2 c = 1
+def _single(ctx, Omega, which, rel_tol):
+    """The energy of one shift integral (J): uncached, checked and gated."""
+    if not math.isfinite(Omega):
+        raise _rate_error(Omega, 0.0)
+    value, roundoff = shift_integral(ctx, Omega, which)
+    _gate(f"energy_{which}", value, roundoff, DEFAULT_REL_TOL if rel_tol is None else rel_tol)
+    return ctx._joules * value
 
 
 def energy_BA(ctx, Omega, rel_tol=None):
@@ -781,13 +779,14 @@ def energy_BA(ctx, Omega, rel_tol=None):
     -A/R^6 * integral dw [alpha_A(w+Omega) + alpha_A(w-Omega)] eta_B(w)
     with A = hbar/(512 pi^3 eps0^2). Real by symmetry; the imaginary
     residue is checked against the error estimate before being discarded.
+    Uncached: one :func:`shift_integral`, gated at ``rel_tol``.
     """
-    return general_energy(ctx, _SINGLE, Omega, 0.0, rel_tol, ("BA",))
+    return _single(ctx, Omega, "BA", rel_tol)
 
 
 def energy_AB(ctx, Omega, rel_tol=None):
-    """Energy from Doppler-shifted fluctuations in A driving B (J)."""
-    return general_energy(ctx, _SINGLE, Omega, 0.0, rel_tol, ("AB",))
+    """Energy from Doppler-shifted fluctuations in A driving B (J); uncached, as energy_BA."""
+    return _single(ctx, Omega, "AB", rel_tol)
 
 
 def aux_energy(ctx, Omega, rel_tol=None):
@@ -796,4 +795,4 @@ def aux_energy(ctx, Omega, rel_tol=None):
     Even in Omega; the energy of every arrangement is a weighted sum of
     values of this function (see :mod:`spinvdw.configurations`).
     """
-    return general_energy(ctx, _SINGLE, Omega, 0.0, rel_tol)
+    return general_energy(ctx, ((1.0, 0.0, 0.5),), Omega, 0.0, rel_tol)     # 2 c = 1

@@ -271,25 +271,39 @@ class TestBlockedSweep:
         self._assert_rows_match_unbatched(spec, ctx)
         assert max(points) == spectral._BLOCK   # no unbatched row's call above it
 
-    def test_cold_six_preset_pass_counters(self, cold_cache):
+    def test_cold_six_preset_pass_counters(self, cold_cache, monkeypatch):
         # every row of the six presets is a lookup after its sweep's prefetch,
-        # and each sweep's shifts fit in one block
+        # and each preset's shifts fit in one block: the second sweep of a
+        # fig2 preset (counter-rotating) needs the shifts of the first. Each
+        # preset evaluates into a context of its own, which it drops
+        shifts = []
+        inner = spectral._closed_kinds
+
+        def recording(ctx, block):
+            shifts.append(len(block))
+            return inner(ctx, block)
+
+        monkeypatch.setattr(spectral, "_closed_kinds", recording)
         for name in PRESETS:
             run_preset(name)
-        assert spectral.cache_info() == {"entries": 2224, "misses": 0, "blocks": 5}
+        assert shifts == [200, 200, 333, 389, 200] and 2 * sum(shifts) == 2644
+        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 5}
 
-    def test_equal_contexts_share_entries(self, w0, cold_cache):
-        # a second, distinct but equal context finds every shift in place
+    def test_equal_contexts_keep_their_own_entries(self, w0, cold_cache):
+        # a second, distinct but equal context, built while the first is
+        # live, evaluates its own entries and gives the same rows
         config = {"arrangement": "uu", "sweep.omega_a_count": 30,
                   "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.5}
         spec, ctx = parse_config(config)
         first = run_sweep(spec, ctx).rows
         info = spectral.cache_info()
-        assert info["blocks"] > 0 and info["misses"] == 0
+        assert info["blocks"] == 1 and info["misses"] == 0
         _, other = parse_config(config)
-        assert other is not ctx and other == ctx
+        assert other is not ctx and other == ctx and not other._table
         assert run_sweep(spec, other).rows == first
-        assert spectral.cache_info() == info        # no new entry, miss or block
+        assert other._table == ctx._table
+        assert spectral.cache_info() == {"entries": 2 * info["entries"], "misses": 0,
+                                         "blocks": 2}
 
     @pytest.mark.parametrize("config", [
         {"arrangement": "uu", "temperature_K": 1500.0, "sweep.omega_b_ratio": 1.0},
@@ -340,8 +354,8 @@ class TestBlockedSweep:
     ], ids=["overdamped", "unequal_materials"])
     def test_failing_rel_tol_fills_error_column_as_lookups_do(self, w0, cold_cache,
                                                               materials, rel_tol):
-        # the prefetch checks each entry once; the rows that read a failed
-        # one raise what a lookup that checks every entry raises
+        # the rows that read an entry which fails at rel_tol raise what a
+        # lookup that checks every entry raises
         spec, ctx = parse_config({**materials, "arrangement": "uo",
                                   "sweep.omega_a_grid_rad_s":
                                       list(np.linspace(0.0, 4.5 * w0, 60)),
@@ -691,6 +705,32 @@ class TestPresets:
             assert result.rows and not any(r["error"] for r in result.rows)
             assert result.metadata["preset"] == name
 
+    def test_rows_do_not_depend_on_what_ran_before(self, tmp_path):
+        # each preset alone from a cold cache, after every other preset, and
+        # in the reversed order of all six: the same rows and CSV bytes
+        def run(names):
+            out = {}
+            for name in names:
+                result = run_preset(name)
+                path = tmp_path / f"{name}.csv"
+                emit(result, "csv", str(path))
+                out[name] = (result.rows, path.read_bytes())
+            return out
+
+        alone = {}
+        for name in PRESETS:
+            spectral.clear_cache()
+            alone.update(run([name]))
+        for name in PRESETS:
+            others = [other for other in PRESETS if other != name]
+            assert run(others + [name])[name] == alone[name], name
+        assert run(PRESETS[::-1]) == alone
+
+    def test_points_below_one_is_config_error(self):
+        for points in (0, -1):
+            with pytest.raises(ConfigError, match=f"^--points: must be >= 1, got {points}$"):
+                run_preset("fig1_300K", points=points)
+
     def test_baseline_static_table(self):
         result = run_preset("baseline_static")
         table = {r["quantity"]: r["value"] for r in result.rows}
@@ -790,7 +830,9 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("args", [["energy", "--omega-a", "nan"],
                                       ["force", "--omega-a", "inf"],
-                                      ["energy", "--omega-a", "1", "--omega-b=-inf"]])
+                                      ["energy", "--omega-a", "1", "--omega-b=-inf"],
+                                      ["oracle", "--omega-a", "nan"],
+                                      ["oracle", "--omega-a", "1", "--omega-b=-inf"]])
     def test_non_finite_rate_is_2(self, capsys, args):
         assert main(args) == 2
         err = capsys.readouterr().err
@@ -804,6 +846,20 @@ class TestMainExitCodes:
         assert main(["--config", str(cfg), "sweep", "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: sweep.omega_b_value_rad_s: non-finite")
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_is_2(self, tmp_path, capsys, points):
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--preset", "fig1_300K", "--points", points,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: --points: must be >= 1, got {points}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_hamaker_not_finite_positive_is_2(self, capsys, value):
+        assert main(["baseline", f"--hamaker={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --hamaker: must be finite and > 0, got ")
 
     def test_rel_tol_inf_stays_valid(self):
         assert SweepSpec(omega_a_grid=(0.0,), rel_tol=math.inf).rel_tol == math.inf
@@ -866,7 +922,7 @@ class TestMainExitCodes:
         monkeypatch.setattr(spectral, "aux_energy", recording)
         rows = {name: (ok, info) for name, ok, info in _run_checks()}
         pair, swapped = contexts
-        assert swapped == pair.swapped() and swapped._key != pair._key
+        assert swapped == pair.swapped() and swapped != pair
         ok, info = rows["exchange_symmetry"]
         assert ok and float(info.removeprefix("dev=")) <= 1e-9
 

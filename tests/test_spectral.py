@@ -377,7 +377,7 @@ class TestClosedForm:
         with pytest.raises(ConvergenceError) as err:
             energy_BA(ctx300, 1.3 * w0, rel_tol=0.1 * roundoff / abs(value))
         assert err.value.estimate == roundoff
-        # the cached value still serves a tolerance above the estimate
+        # a tolerance above the estimate is served
         to_reduced = -32.0 * np.pi / ctx300.units().energy_scale
         looser = energy_BA(ctx300, 1.3 * w0, rel_tol=10.0 * roundoff / abs(value))
         assert looser * to_reduced == approx(value, rel=1e-15)
@@ -430,19 +430,20 @@ class TestStackedClosedForm:
             assert np.array_equal(values[k], alone), k
             assert np.array_equal(roundoff[k], alone_roundoff), k
 
-    @pytest.mark.parametrize("cold_call", [
-        lambda ctx, w0: delta_force(ctx, Arrangement("uo"), 1.3 * w0, -0.4 * w0),
-        lambda ctx, w0: aux_energy(ctx, 0.7 * w0),
-        lambda ctx, w0: rest_energy(ctx),
-        lambda ctx, w0: energy_BA(ctx, 0.7 * w0) + energy_AB(ctx, 0.7 * w0),
+    @pytest.mark.parametrize("cold_call, evaluations", [
+        (lambda ctx, w0: delta_force(ctx, Arrangement("uo"), 1.3 * w0, -0.4 * w0), 1),
+        (lambda ctx, w0: aux_energy(ctx, 0.7 * w0), 1),
+        (lambda ctx, w0: rest_energy(ctx), 1),
+        # the single-kind energies are uncached: one evaluation each
+        (lambda ctx, w0: energy_BA(ctx, 0.7 * w0) + energy_AB(ctx, 0.7 * w0), 2),
     ], ids=["delta_force", "aux_energy", "rest_energy", "BA_then_AB"])
-    def test_one_evaluation_per_cold_call(self, monkeypatch, w0, cold_call):
+    def test_one_evaluation_per_cold_call(self, monkeypatch, w0, cold_call, evaluations):
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 0.0), R)
         spectral.clear_cache()
         calls = _record(monkeypatch)
         cold_call(ctx, w0)
-        assert calls == [2]
+        assert calls == [2] * evaluations
         spectral.clear_cache()
 
     @pytest.mark.parametrize("mat_b, t_b, rows", [
@@ -764,17 +765,16 @@ class TestEveryDamping:
 
 
 class TestShiftCache:
-    """One table per pair: equal contexts share it, clear_cache drops it."""
+    """One table per context, which clear_cache empties."""
 
     def test_clear_cache_drops_corrupted_entries(self, monkeypatch, w0):
         def context():
             return PairContext(SpinningSphere(A, bst(), 300.0),
                                SpinningSphere(50e-9, bst(), 900.0), R)
 
-        held = context()        # keeps the pair's table registered
         spectral.clear_cache()
         good = aux_energy(context(), 0.7 * w0)
-        spectral.clear_cache()
+        corrupted = context()
         inner = spectral._closed
 
         def corrupt(rows, omega_scale, shifts):
@@ -783,15 +783,15 @@ class TestShiftCache:
 
         monkeypatch.setattr(spectral, "_closed", corrupt)
         with pytest.raises(ArithmeticError):
-            aux_energy(context(), 0.7 * w0)
+            aux_energy(corrupted, 0.7 * w0)
         monkeypatch.undo()
-        # an equal context looks up the same corrupted entry
+        # the corrupted entry stays in its context's table, and only there
         with pytest.raises(ArithmeticError):
-            aux_energy(context(), 0.7 * w0)
+            aux_energy(corrupted, 0.7 * w0)
+        assert aux_energy(context(), 0.7 * w0) == good
         spectral.clear_cache()
         assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
-        assert aux_energy(context(), 0.7 * w0) == good
-        assert held._table
+        assert aux_energy(corrupted, 0.7 * w0) == good
         spectral.clear_cache()
 
     def test_warm_ab_residue_names_energy_ab(self, monkeypatch, w0):
@@ -812,11 +812,11 @@ class TestShiftCache:
         spectral.prefetch(ctx, ((1.0, 0.0, 1.0),), [(0.7 * w0, 0.0)])
         monkeypatch.undo()
         message = r"^energy_AB: imaginary residue 1\.000e\+00 exceeds"
-        for lookup in (aux_energy, energy_AB):
-            with pytest.raises(ArithmeticError, match=message):
-                lookup(ctx, 0.7 * w0)
-        # the BA value of the same entry is intact and checked alone
+        with pytest.raises(ArithmeticError, match=message):
+            aux_energy(ctx, 0.7 * w0)
+        # the single-kind energies evaluate afresh and never read the entry
         assert energy_BA(ctx, 0.7 * w0) == good
+        assert math.isfinite(energy_AB(ctx, 0.7 * w0))
         assert spectral.cache_info() == {"entries": 4, "misses": 0, "blocks": 1}
         spectral.clear_cache()
 
@@ -890,40 +890,42 @@ class TestShiftCache:
         ctx = PairContext(SpinningSphere(A, MaterialModel(12.2, 5.7e9, 2.5 * w0), 300.0),
                           SpinningSphere(A, bst(), 300.0), R)
         spectral.clear_cache()
-        loose = energy_BA(ctx, 0.7 * w0, rel_tol=1e-4)
-        assert energy_BA(ctx, 0.7 * w0, rel_tol=1e-8) == loose
-        assert spectral.cache_info() == {"entries": 2, "misses": 1, "blocks": 1}
+        loose = aux_energy(ctx, 0.7 * w0, rel_tol=1e-4)
+        assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-8) == loose
+        assert spectral.cache_info() == {"entries": 2, "misses": 2, "blocks": 1}
         spectral.clear_cache()
 
     def test_context_holds_its_table(self, ctx300, w0):
-        # a session context keeps a valid, emptied table across clear_cache,
-        # and shares it with an equal context built afterwards
+        # a session context keeps a valid, emptied table across clear_cache;
+        # an equal context built afterwards owns another, and fills it
         spectral.clear_cache()
         aux_energy(ctx300, 0.7 * w0)
-        assert ctx300._table and ctx300._table is spectral._cache[ctx300._key].entries
+        assert ctx300._table and ctx300._table is ctx300._owner.entries
+        assert ctx300._owner in spectral._tables
         spectral.clear_cache()
         assert len(ctx300._table) == 0
         twin = PairContext(SpinningSphere(A, bst(), 300.0),
                            SpinningSphere(A, bst(), 300.0), R)
-        assert twin._table is ctx300._table
+        assert twin == ctx300 and twin._table is not ctx300._table
         filled = aux_energy(twin, 0.7 * w0)
         assert aux_energy(ctx300, 0.7 * w0) == filled
-        assert spectral.cache_info() == {"entries": 2, "misses": 2, "blocks": 1}
+        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
         spectral.clear_cache()
 
     def test_registry_drops_the_tables_of_dropped_contexts(self, ctx300, w0):
-        # 300 distinct pairs built, used and dropped leave no table behind,
-        # while a live context keeps its table and shares it with its twin
-        before = set(spectral._cache)
+        # 300 pairs built, used and dropped leave no table behind, while a
+        # live context keeps its table; an equal context adds its own
+        gc.collect()
+        before = set(spectral._tables)
         for k in range(300):
-            ctx = PairContext(SpinningSphere(A, bst(), 300.0 + k),
+            ctx = PairContext(SpinningSphere(A, bst(), 300.0 + k % 2),
                               SpinningSphere(50e-9, bst(), 300.0), R)
             aux_energy(ctx, 0.7 * w0)
         del ctx
         gc.collect()
-        assert set(spectral._cache) == before
+        assert set(spectral._tables) == before and ctx300._owner in before
         twin = PairContext(ctx300.sphere_a, ctx300.sphere_b, ctx300.separation)
-        assert twin._table is ctx300._table is spectral._cache[ctx300._key].entries
+        assert set(spectral._tables) == before | {twin._owner}
         spectral.clear_cache()
 
     @pytest.mark.parametrize("rates, name", [
@@ -992,7 +994,7 @@ class TestShiftCache:
         spectral.clear_cache()
         aux_energy(ctx, 0.7 * w0)
         swapped = ctx.swapped()
-        assert swapped._table is spectral._cache[swapped._key].entries
+        assert swapped._owner in spectral._tables
         assert swapped._table is not ctx._table and not swapped._table
         aux_energy(swapped, 0.7 * w0)
         assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
@@ -1015,8 +1017,17 @@ def _rel_tols(seed):
             + draws[25:])
 
 
+def _tolerance(entry):
+    """The smallest rel_tol at which both kinds of an entry pass, as _fill_closed has it."""
+    if abs(entry[4]) > entry[2] or abs(entry[5]) > entry[3]:
+        return math.nan
+    need = [roundoff / abs(value) if roundoff > spectral.DEFAULT_ABS_TOL else spectral._TINY
+            for value, roundoff in (entry[0:3:2], entry[1:4:2])]
+    return max(need) * (1.0 + 4.0 * np.finfo(float).eps)
+
+
 class TestPassedTolerance:
-    """Lookups of both kinds skip the checks of an entry passed at a smaller rel_tol."""
+    """Lookups skip the checks of an entry that passes at their rel_tol."""
 
     @pytest.mark.parametrize("t_a, mat_b, t_b, seed", [
         (300.0, bst(), 300.0, 1),
@@ -1051,47 +1062,104 @@ class TestPassedTolerance:
         assert any(entry[6] < 1e-8 for entry in table.values())
         spectral.clear_cache()
 
-    def test_tight_lookup_after_loose_pass_raises(self, ctx300, w0):
+    @pytest.mark.parametrize("context", [
+        "ctx300", "ctx0",
+        lambda: PairContext(SpinningSphere(A, bst(), 0.0),
+                            SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0), R),
+    ], ids=["bst_300K", "bst_0K", "unequal_0K_900K"])
+    def test_entry_records_the_tolerance_it_passes(self, request, w0, context):
+        # whatever rel_tol filled the table, each entry holds the smallest
+        # rel_tol at which both of its kinds pass, and passes exactly there
+        ctx = request.getfixturevalue(context) if isinstance(context, str) else context()
+        grid = [(k * 0.3 * w0, -0.4 * k * 0.3 * w0) for k in range(15)]
+        uo = Arrangement("uo")
         spectral.clear_cache()
-        aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2)
-        [entry] = ctx300._table.values()
-        assert entry[6] == 1e-2
-        with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below"):
-            aux_energy(ctx300, 2.0 * w0, rel_tol=1e-17)
-        assert entry[6] == 1e-2
+        with pytest.raises(ValueError):
+            energy(ctx, uo, *grid[3], math.nan)
+        spectral.prefetch(ctx, uo._terms, grid)
+        for entry in ctx._table.values():
+            tol = entry[6]
+            assert tol == _tolerance(entry) > 0.0
+            for k, which in enumerate(spectral._KINDS):
+                assert spectral._checked(entry, which, tol) == entry[k]
+            if max(entry[2:4]) > spectral.DEFAULT_ABS_TOL:
+                with pytest.raises(ConvergenceError):     # one kind or the other
+                    for which in spectral._KINDS:
+                        spectral._checked(entry, which, tol * (1.0 - 1e-6))
         spectral.clear_cache()
 
-    def test_single_kind_lookups_leave_it_unset(self, w0):
+    def test_tight_lookup_after_loose_pass_raises(self, ctx300, w0):
+        spectral.clear_cache()
+        loose = aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2)
+        [entry] = ctx300._table.values()
+        assert entry[6] == _tolerance(entry) < 1e-12
+        with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below"):
+            aux_energy(ctx300, 2.0 * w0, rel_tol=1e-17)
+        # checked just below the entry's tolerance, summed unchecked at it
+        assert aux_energy(ctx300, 2.0 * w0, rel_tol=math.nextafter(entry[6], 0.0)) == loose
+        assert aux_energy(ctx300, 2.0 * w0, rel_tol=entry[6]) == loose
+        assert entry[6] == _tolerance(entry)
+        spectral.clear_cache()
+
+    def test_single_kind_lookups_leave_it_unset(self, monkeypatch, w0):
+        # the single-kind energies are uncached: they leave the table as it
+        # is and raise the errors of the lookups, in the same order
         ctx = PairContext(SpinningSphere(A, bst(), 0.0),
                           SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0), R)
         spectral.clear_cache()
-        # a prefetch at a rel_tol that passes nothing stores the entry unpassed
-        spectral.prefetch(ctx, ((1.0, 0.0, 1.0),), [(0.7 * w0, 0.0)], rel_tol=math.nan)
-        [entry] = (entry for n, entry in ctx._table.items() if n)
-        energy_BA(ctx, 0.7 * w0)
-        energy_AB(ctx, 0.7 * w0, rel_tol=1e-2)
-        assert math.isnan(entry[6])
-        aux_energy(ctx, 0.7 * w0, rel_tol=1e-3)
-        assert entry[6] == 1e-3
+        for which, lookup in (("BA", energy_BA), ("AB", energy_AB)):
+            value, roundoff = shift_integral(ctx, 0.7 * w0, which)
+            assert lookup(ctx, 0.7 * w0) == ctx._joules * value
+            assert lookup(ctx, -0.7 * w0, rel_tol=1e-2) == ctx._joules * value
+            with pytest.raises(ValueError, match="^Omega_A = nan rad/s"):
+                lookup(ctx, math.nan)
+            with pytest.raises(ValueError, match=f"^energy_{which}: rel_tol must be > 0"):
+                lookup(ctx, 0.7 * w0, rel_tol=0.0)
+        with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17"):
+            energy_BA(ctx, 2.0 * w0, rel_tol=1e-17)
+        # AB at T_A = 0 has a roundoff estimate below DEFAULT_ABS_TOL, which passes
+        value, roundoff = shift_integral(ctx, 2.0 * w0, "AB")
+        assert roundoff < spectral.DEFAULT_ABS_TOL
+        assert energy_AB(ctx, 2.0 * w0, rel_tol=1e-17) == ctx._joules * value
+        assert not ctx._table
+        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
+        inner = spectral._closed
+
+        def corrupt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value + 1j, roundoff
+
+        monkeypatch.setattr(spectral, "_closed", corrupt)
+        for which, lookup in (("BA", energy_BA), ("AB", energy_AB)):
+            with pytest.raises(ArithmeticError, match=f"^energy_{which}: imaginary residue"):
+                lookup(ctx, 0.7 * w0, rel_tol=math.nan)     # the residue first
         spectral.clear_cache()
 
     @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0])
-    def test_rel_tol_not_positive_raises_and_is_not_recorded(self, ctx300, w0, rel_tol):
-        # raised by the checks, cold and warm, and never recorded as passed,
-        # so it never meets the skip
-        spectral.clear_cache()
-        for _ in range(2):
+    def test_rel_tol_not_positive_raises_and_is_not_recorded(self, ctx300, ctx0, w0,
+                                                             rel_tol):
+        # raised by the checks, cold and warm, and never the entry's
+        # tolerance, so it never meets the skip; at 0 K the roundoff
+        # estimates sit below DEFAULT_ABS_TOL, so the entry passes every
+        # rel_tol > 0 and records the smallest normal float
+        for ctx in (ctx300, ctx0):
+            spectral.clear_cache()
+            for _ in range(2):
+                with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
+                    aux_energy(ctx, 2.0 * w0, rel_tol)
+            [entry] = ctx._table.values()
+            assert entry[6] == _tolerance(entry) > 0.0
+            if ctx is ctx0:
+                assert max(entry[2:4]) <= spectral.DEFAULT_ABS_TOL
+                assert entry[6] == spectral._TINY * (1.0 + 4.0 * np.finfo(float).eps)
+            aux_energy(ctx, 2.0 * w0)
             with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
-                aux_energy(ctx300, 2.0 * w0, rel_tol)
-        [entry] = ctx300._table.values()
-        assert math.isnan(entry[6])
-        aux_energy(ctx300, 2.0 * w0)
-        assert entry[6] == spectral.DEFAULT_REL_TOL
-        with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
-            aux_energy(ctx300, 2.0 * w0, rel_tol)
-        with pytest.raises(ValueError, match="^energy_AB: rel_tol must be > 0"):
-            energy_AB(ctx300, 2.0 * w0, rel_tol)
-        assert entry[6] == spectral.DEFAULT_REL_TOL
+                aux_energy(ctx, 2.0 * w0, rel_tol)
+            with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
+                energy(ctx, Arrangement("rr"), 2.0 * w0, 0.0, rel_tol)
+            with pytest.raises(ValueError, match="^energy_AB: rel_tol must be > 0"):
+                energy_AB(ctx, 2.0 * w0, rel_tol)
+            assert entry[6] == _tolerance(entry)
         spectral.clear_cache()
 
     @pytest.mark.parametrize("rel_tol", [1e-2, math.inf])
@@ -1113,7 +1181,7 @@ class TestPassedTolerance:
             with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
                 spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0, rel_tol)
         passed = [entry[6] for entry in ctx300._table.values()]
-        assert passed[0] == 1e-8 and math.isnan(passed[1])
+        assert passed[0] < 1e-8 and math.isnan(passed[1])
         spectral.clear_cache()
 
 

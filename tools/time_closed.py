@@ -16,11 +16,13 @@ untimed call, which fills the cache after the cold cases clear it, then
 times 100 warm ones), the rows of the ``fig2a`` preset from a
 cold cache as ``cli.run_sweep`` makes them: per sweep, ``spectral.prefetch``,
 then the zero-rotation energy and each row's ``configurations.energy``
-once, and four general-axis sweeps from a cold cache, each from
+once, four general-axis sweeps from a cold cache, each from
 ``cli.parse_config`` through ``cli.run_sweep`` to ``cli.emit`` of a CSV
 into a temporary directory (seeded axes at 0, 300, 1500 and 300 K, 25
 rates up to 4.5 w0, Omega_B a fixed ratio of Omega_A, shaped like the
-benchmark's ``general_axes`` workload). Each of 21 rounds makes 20 calls
+benchmark's ``general_axes`` workload), and ``cli.run_preset`` of each of
+the six presets in turn from a cold cache (the benchmark's ``fig_presets``
+pass without its CSVs). Each of 21 rounds makes 20 calls
 of every case in turn (and of both
 packages with ``--against``, alternating which goes first), and the JSON
 printed holds each case's median and quartiles over the rounds of its
@@ -174,6 +176,15 @@ def cases(package, scratch):
         return time.perf_counter() - start
 
     out.append(("general-axis sweeps, parse_config to emit", general_sweeps))
+
+    def presets():
+        spectral.clear_cache()
+        start = time.perf_counter()
+        for name in cli.PRESETS:
+            cli.run_preset(name)
+        return time.perf_counter() - start
+
+    out.append(("six presets by run_preset from a cold cache", presets))
     return out
 
 
