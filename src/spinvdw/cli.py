@@ -200,12 +200,13 @@ def parse_config(source=None):
     axes = ()
     arrangement = _get(cfg, "arrangement", str, "rr")
     if arrangement == "general":
-        try:
-            axes = tuple(tuple(float(c) for c in cfg[k]) for k in
-                         ("arrangement.axis_a", "arrangement.axis_b",
-                          "arrangement.rhat"))
-        except KeyError as exc:
-            raise ConfigError(f"general arrangement needs {exc.args[0]}") from None
+        for key in ("arrangement.axis_a", "arrangement.axis_b", "arrangement.rhat"):
+            if key not in cfg:
+                raise ConfigError(f"general arrangement needs {key}")
+            try:
+                axes += (configurations._unit_vector(cfg[key], key),)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     try:
         spec = SweepSpec(
@@ -242,51 +243,20 @@ def _context_for(spec, mat_a=None, mat_b=None):
     return PairContext(sphere_a, sphere_b, spec.separation)
 
 
-def spec_to_config(spec, ctx):
-    """Flat-key config dict that re-parses to the same spec (round trip)."""
-    ma, mb = ctx.sphere_a.material, ctx.sphere_b.material
-    cfg = {
-        "material.f0": ma.f0,
-        "material.omega_tilde0_rad_s": ma.omega_tilde0,
-        "material.gamma0_rad_s": ma.gamma0,
-        "geometry.radius_a_m": spec.radius_a,
-        "geometry.radius_b_m": spec.radius_b,
-        "geometry.separation_m": spec.separation,
-        "temperature_K": spec.temperature,
-        "arrangement": spec.arrangement,
-        "sweep.omega_a_grid_rad_s": list(spec.omega_a_grid),
-        "sweep.omega_b_rule": spec.omega_b_rule,
-        "sweep.omega_b_value_rad_s": spec.omega_b_value,
-        "sweep.omega_b_ratio": spec.omega_b_ratio,
-        "sweep.omega_b_grid_rad_s": list(spec.omega_b_grid),
-        "quadrature.rel_tol": spec.rel_tol,
-        "output.path": spec.out_path,
-        "output.format": spec.out_format,
-    }
-    if mb != ma:
-        cfg.update({"material_b.f0": mb.f0,
-                    "material_b.omega_tilde0_rad_s": mb.omega_tilde0,
-                    "material_b.gamma0_rad_s": mb.gamma0})
-    if spec.arrangement == "general":
-        cfg.update({"arrangement.axis_a": list(spec.axes[0]),
-                    "arrangement.axis_b": list(spec.axes[1]),
-                    "arrangement.rhat": list(spec.axes[2])})
-    return cfg
-
-
 def run_sweep(spec, ctx):
     """Evaluate every grid point of a sweep; failures go to the error column.
 
     Every shift integral the sweep needs is evaluated first, in a few
-    blocked passes into the table of ``ctx``, so the zero-rotation
-    reference F(0,0), computed once and shared by all rows, and the rows,
-    in grid order, are lookups; a row that reads a value which fails its
-    checks at the sweep's rel_tol raises them into its error column.
+    blocked passes into the table of ``ctx`` at the sweep's rel_tol, and
+    checked there, so the zero-rotation reference F(0,0), computed once and
+    shared by all rows, and the rows, in grid order, are lookups; a row
+    that reads a value which failed its checks raises that failure into its
+    error column.
     """
     arrangement = spec.make_arrangement()
     w0 = resonance_frequency(ctx.sphere_a.material)
     points = spec.grid_points()
-    spectral.prefetch(ctx, arrangement._terms, points)
+    spectral.prefetch(ctx, arrangement._terms, points, spec.rel_tol)
     try:
         e0 = configurations.energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
         f0 = 6.0 * e0 / ctx.separation
@@ -665,10 +635,10 @@ def main(argv=None):
 
 
 def _rates(args, w0):
-    """(Omega_A, Omega_B) in rad/s from ``--omega-a``/``--omega-b``, which must be finite."""
+    """(Omega_A, Omega_B) in rad/s from ``--omega-a``/``--omega-b``; both must be finite."""
     for flag, rate in (("--omega-a", args.omega_a), ("--omega-b", args.omega_b)):
-        if not math.isfinite(rate):
-            raise ConfigError(f"{flag}: non-finite value {rate}")
+        if not math.isfinite(rate * w0):
+            raise ConfigError(f"{flag}: non-finite value {rate} omega0 = {rate * w0} rad/s")
     return args.omega_a * w0, args.omega_b * w0
 
 

@@ -97,10 +97,13 @@ _CANONICAL_TERMS = {kind: _terms(*axes) for kind, axes in _CANONICAL_AXES.items(
 
 
 def _unit_vector(v, name):
-    v = tuple(float(c) for c in v)
-    if len(v) != 3 or abs(math.sqrt(sum(c * c for c in v)) - 1.0) > 1e-12:
-        raise ValueError(f"{name} must be a unit 3-vector, got {v}")
-    return v
+    try:
+        u = tuple(float(c) for c in v)
+    except (TypeError, ValueError):
+        u = ()
+    if len(u) != 3 or not abs(math.sqrt(sum(c * c for c in u)) - 1.0) <= 1e-12:    # NaN too
+        raise ValueError(f"{name} must be a unit 3-vector, got {v!r}")
+    return u
 
 
 class Arrangement:
@@ -135,7 +138,8 @@ def energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
 
     Evaluates the arrangement's weights with
     :func:`spinvdw.spectral.general_energy`: one auxiliary integral per
-    distinct shift |s Omega_A - t Omega_B|, cached in the table of ``ctx``.
+    distinct shift |s Omega_A - t Omega_B|, cached in the table of ``ctx``
+    at ``rel_tol``, and checked there once, when it is evaluated.
     """
     return spectral.general_energy(ctx, arrangement._terms, Omega_A, Omega_B, rel_tol)
 

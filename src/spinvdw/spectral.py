@@ -120,8 +120,8 @@ class PairContext:
     arrangement and rotation state. What the integrals derive from the
     spheres (the unit system, the materials in working units, the poles of
     their polarizabilities and the closed form's rows of them, the factor to
-    joules, and the table of its cached shift integrals, which no other
-    context shares, not even an equal one) is computed once, here.
+    joules, and its tables of cached shift integrals, one per rel_tol, which
+    no other context shares, not even an equal one) is computed once, here.
 
     Parameters
     ----------
@@ -558,11 +558,24 @@ def _closed_kinds(ctx, shifts):
     return values, roundoff
 
 
-def _residue_error(which, imag, roundoff):
-    """The error of a closed-form value whose imaginary residue is too large."""
-    return ArithmeticError(
-        f"energy_{which}: imaginary residue {imag:.3e} exceeds the "
-        f"roundoff estimate {roundoff:.3e}; closed form violated")
+def _gate(what, value, roundoff, rel):
+    """Raise unless ``rel`` is > 0 (ValueError) and the roundoff estimate meets it."""
+    if not rel > 0.0:
+        raise ValueError(f"{what}: rel_tol must be > 0, got {rel}")
+    if roundoff > DEFAULT_ABS_TOL and roundoff > rel * abs(value):
+        raise ConvergenceError(
+            f"{what}: rel_tol {rel:.1e} is below the closed form's "
+            f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
+            value=value, estimate=roundoff)
+
+
+def _check(which, value, roundoff, imag, rel):
+    """Raise what a closed-form value of kind ``which`` fails: its residue, then rel_tol."""
+    if abs(imag) > roundoff:
+        raise ArithmeticError(
+            f"energy_{which}: imaginary residue {imag:.3e} exceeds the "
+            f"roundoff estimate {roundoff:.3e}; closed form violated")
+    _gate(f"energy_{which}", value, roundoff, rel)
 
 
 def shift_integral(ctx, Omega, which):
@@ -574,31 +587,31 @@ def shift_integral(ctx, Omega, which):
     values, roundoff = _closed_kinds(ctx, [abs(Omega) / ctx._scaled[0]])
     k = _KINDS.index(which)
     value, roundoff = complex(values[k, 0]), float(roundoff[k, 0])
-    if abs(value.imag) > roundoff:
-        raise _residue_error(which, value.imag, roundoff)
+    _check(which, value.real, roundoff, value.imag, math.inf)      # inf: no gate
     return value.real, roundoff
 
 
 # Sweeps revisit the same few shifts (E(0) on every row, sums and
 # differences of the grid rates), so most lookups hit; a sweep evaluates
 # all of its shifts up front (prefetch) and its rows only look them up.
-# Single-threaded. Each context owns a ``_Table`` and holds its entries as
-# ``_table``; ``_tables`` refers to the tables weakly, only so that
-# clear_cache and cache_info reach them. An entry is keyed by slot, the
+# Single-threaded. Each context owns a ``_Table`` and holds its tables as
+# ``_table``, one per rel_tol; ``_tables`` refers to them weakly, only so
+# that clear_cache and cache_info reach them. A table is keyed by slot, the
 # shift x = |s Omega_A - t Omega_B|/ws quantized to 1e-12 (both integrals
-# are even in x; the rest term, s = t = 0, takes slot 0 directly), and
-# holds the evaluation of the slot's first shift as a flat list: the BA and
-# AB values, their roundoff estimates, their imaginary residues, and the
-# smallest rel_tol at which all four checks pass (see _fill_closed). A
-# lookup at a smaller rel_tol checks the entry, so a bad shift fails only
-# the lookups using it. ``_stats`` counts what the cache decides, misses
-# and blocks; a hit count would only restate the lookups the callers made.
+# are even in x; the rest term, s = t = 0, takes slot 0 directly), and holds
+# for each slot one float: BA + AB at the slot's first shift, checked at the
+# table's rel_tol as it is stored (see _fill_closed), or NaN if a check
+# failed. What a failed slot failed is kept aside, for its lookups to raise,
+# so a bad shift fails only the lookups using it. ``_stats`` counts what the
+# cache decides, misses and blocks; a hit count would only restate the
+# lookups the callers made.
 _tables = weakref.WeakSet()
 _stats = {"misses": 0, "blocks": 0}
 
 
 class _Table:
-    # a plain dict, the fastest to look up in, cannot be weakly referenced
+    # a plain dict, the fastest to look up in, cannot be weakly referenced;
+    # ``entries`` maps rel_tol -> (slot -> value, slot -> failure)
     __slots__ = ("entries", "__weakref__")
 
     def __init__(self):
@@ -612,8 +625,6 @@ class _Table:
 # rows and 2.2 MB for digamma rows (BST at 300, 0 and 0.05 K), and 5.1 MB for
 # a digamma row whose pole pairs are all near (shifts near 0).
 _BLOCK = 1024
-_TINY = np.finfo(float).tiny
-_WIDEN = 1.0 + 4.0 * _EPS
 
 
 def clear_cache():
@@ -629,20 +640,24 @@ def clear_cache():
 def cache_info():
     """Shift-cache counters since the last :func:`clear_cache`.
 
-    ``entries`` cached values over the tables of the live contexts (a slot
-    holds two, one per kind), ``misses``, the values that lookups found
-    missing and evaluated (one per kind and slot), and ``blocks``, the
-    stacked closed-form evaluations of both kinds, each of at most ``_BLOCK``
-    points (every shift of a sweep of identical spheres in one). Hits are not
-    counted: every lookup that is not a miss is one.
+    ``entries`` counts the cached slots over the tables of the live contexts
+    twice, once per kind of the sum it holds, ``misses`` the values that
+    lookups found missing and evaluated (one per kind and slot), and
+    ``blocks`` the stacked closed-form evaluations of both kinds, each of at
+    most ``_BLOCK`` points (every shift of a sweep of identical spheres in
+    one). Hits are not counted: every lookup that is not a miss is one.
     """
-    entries = 2 * sum(len(table.entries) for table in _tables)
+    entries = 2 * sum(len(values) for table in _tables for values, _ in table.entries.values())
     return dict(entries=entries, **_stats)
 
 
 def _rate_error(omega_a, omega_b):
-    name, rate = ("Omega_B", omega_b) if math.isfinite(omega_a) else ("Omega_A", omega_a)
-    return ValueError(f"{name} = {rate} rad/s: rotation rates must be finite")
+    """The error of rates that give no slot: a non-finite rate, else both rates."""
+    for name, rate in (("Omega_A", omega_a), ("Omega_B", omega_b)):
+        if not math.isfinite(rate):
+            return ValueError(f"{name} = {rate} rad/s: rotation rates must be finite")
+    return ValueError(f"Omega_A = {omega_a} rad/s, Omega_B = {omega_b} rad/s: "
+                      f"a shift |s Omega_A - t Omega_B| overflows")
 
 
 def _slots(ws, terms, rate_pairs, slots):
@@ -660,19 +675,26 @@ def _slots(ws, terms, rate_pairs, slots):
     return slots
 
 
-def _fill_closed(ctx, table, slots):
-    """Evaluate the shifts of the slot -> shift map ``slots`` that ``table`` lacks.
+def _table_at(ctx, rel):
+    """The (values, failures) table of ``ctx`` at rel_tol ``rel``, made on first use."""
+    if not rel > 0.0:
+        raise ValueError(f"energy_BA: rel_tol must be > 0, got {rel}")
+    return ctx._table.setdefault(rel, ({}, {}))
+
+
+def _fill_closed(ctx, rel, slots):
+    """Evaluate the shifts of the slot -> shift map ``slots`` that the table at ``rel`` lacks.
 
     Returns their count. Both kinds of every such shift are evaluated in
     blocks of at most ``_BLOCK`` points, one :func:`_closed_kinds` call
-    each. An entry stores the smallest rel_tol at which both kinds pass the
-    checks of :func:`_checked` (NaN if a residue check fails, or a value or
-    estimate is NaN, so that its lookups always check): the larger of
-    the kinds' roundoff/|value| times 1 + 4 eps, which covers the rounding
-    of the quotient and of the check's product, a kind whose estimate is at
-    most ``DEFAULT_ABS_TOL`` needing only the smallest normal float (so
-    that a rel_tol of 0, -1 or NaN still meets the checks).
+    each, and checked at ``rel`` by one array comparison per block, as
+    :func:`_check` checks one value: a kind fails if its imaginary residue
+    exceeds its roundoff estimate, or if the estimate exceeds both
+    ``DEFAULT_ABS_TOL`` and rel |value| (a NaN fails neither). A slot
+    stores BA + AB if both kinds pass, else NaN; its first failing kind, BA
+    before AB, is kept aside as the arguments of :func:`_check`.
     """
+    table, failures = _table_at(ctx, rel)
     missing = [(n, x) for n, x in slots.items() if n not in table]
     step = _BLOCK // (len(ctx._rows) * max(map(len, ctx._poles)))
     for start in range(0, len(missing), step):
@@ -680,47 +702,30 @@ def _fill_closed(ctx, table, slots):
         values, roundoff = _closed_kinds(ctx, shifts)
         _stats["blocks"] += 1
         real, imag = values.real, values.imag
-        need = roundoff / abs(real)
-        need[roundoff <= DEFAULT_ABS_TOL] = _TINY
-        need[abs(imag) > roundoff] = np.nan
-        tolerance = _WIDEN * np.maximum(need[:1], need[1:])
-        entries = np.concatenate((real, roundoff, imag, tolerance)).T.tolist()
-        table.update(zip(block, entries))
+        # rel_tol inf passes every estimate (inf times a zero value would warn)
+        bound = np.maximum(DEFAULT_ABS_TOL, rel * abs(real)) if rel < math.inf else math.inf
+        fails = (abs(imag) > roundoff) | (roundoff > bound)
+        sums = (real[0] + real[1]).tolist()
+        for j in np.flatnonzero(fails[0] | fails[1]).tolist():
+            k = 0 if fails[0, j] else 1
+            failures[block[j]] = (_KINDS[k], *(float(a[k, j]) for a in (real, roundoff, imag)))
+            sums[j] = math.nan
+        table.update(zip(block, sums))
     return len(missing)
 
 
-def prefetch(ctx, terms, rate_pairs):
+def prefetch(ctx, terms, rate_pairs, rel_tol=None):
     """Evaluate every shift integral that energies at ``rate_pairs`` will need.
 
     ``terms`` are an arrangement's ``(s, t, c)`` weights (see
     :func:`general_energy`) and ``rate_pairs`` its (Omega_A, Omega_B)
     points; the distinct |s Omega_A - t Omega_B| and 0 (the rest energy)
-    are evaluated in a few blocked passes, so the energies that follow are
-    pure lookups. A value that fails its checks raises in those energies,
-    not here.
+    are evaluated in a few blocked passes into the table at ``rel_tol``, so
+    the energies that follow at that tolerance are pure lookups. A value
+    that fails its checks raises in those energies, not here.
     """
-    _fill_closed(ctx, ctx._table, _slots(ctx._scaled[0], terms, rate_pairs, {0: 0.0}))
-
-
-def _gate(what, value, roundoff, rel):
-    """Raise unless ``rel`` is > 0 (ValueError) and the roundoff estimate meets it."""
-    if not rel > 0.0:
-        raise ValueError(f"{what}: rel_tol must be > 0, got {rel}")
-    if roundoff > DEFAULT_ABS_TOL and roundoff > rel * abs(value):
-        raise ConvergenceError(
-            f"{what}: rel_tol {rel:.1e} is below the closed form's "
-            f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
-            value=value, estimate=roundoff)
-
-
-def _checked(entry, which, rel):
-    """An entry's value of kind ``which``; its residue and roundoff estimate checked."""
-    k = _KINDS.index(which)
-    value, roundoff, imag = entry[k:6:2]
-    if abs(imag) > roundoff:
-        raise _residue_error(which, imag, roundoff)
-    _gate(f"energy_{which}", value, roundoff, rel)
-    return value
+    slots = _slots(ctx._scaled[0], terms, rate_pairs, {0: 0.0})
+    _fill_closed(ctx, DEFAULT_REL_TOL if rel_tol is None else rel_tol, slots)
 
 
 def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
@@ -731,17 +736,18 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
     2 sum c E(|s Omega_A - t Omega_B|), E the sum of the BA and AB
     integrals. One pass over the terms merges their weights by cache
     slot, in first-seen order, a term with s = t = 0 taking slot 0 with no
-    arithmetic; one walk over the slots sums c (BA + AB) of each entry
-    whose stored tolerance is at most ``rel_tol``. The first other slot
-    evaluates all of the call's misses in one blocked pass (one miss per
-    kind and slot) before any check raises; an entry that does not pass
-    is checked (:func:`_checked`), which raises what it fails. A rel_tol
-    that is not > 0 (NaN too) raises ValueError, as does a non-finite rate
-    in a term with s or t nonzero; every arrangement has such terms, since
-    c_00 <= 4 of the weights' sum of 6.
+    arithmetic; one walk over the slots sums c (BA + AB) from the context's
+    table at ``rel_tol``, where the first missing slot evaluates all of the
+    call's misses in one blocked pass (one miss per kind and slot). A slot
+    that failed its checks holds NaN, so a NaN sum raises what the first
+    such slot of the walk failed (its residue, then its rel_tol); a NaN sum
+    without one is returned. A rel_tol that is not > 0 (NaN too) raises
+    ValueError, as does a non-finite rate in a term with s or t nonzero
+    (every arrangement has such terms, since c_00 <= 4 of the weights' sum
+    of 6) or a finite one whose shift overflows its slot.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    ws, table = ctx._scaled[0], ctx._table
+    ws = ctx._scaled[0]
     weights = {}
     try:
         for s, t, c in terms:
@@ -749,18 +755,19 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
             weights[n] = weights[n] + c if n in weights else c
     except (ValueError, OverflowError):         # round() of NaN or infinity
         raise _rate_error(Omega_A, Omega_B) from None
-    total, filled = 0.0, False
+    table, failures = ctx._table.get(rel) or _table_at(ctx, rel)
+    total = 0.0
     for n, c in weights.items():
-        entry = table.get(n)
-        if entry is None or not rel >= entry[6]:
-            if not filled:
-                _stats["misses"] += 2 * _fill_closed(
-                    ctx, table, _slots(ws, terms, ((Omega_A, Omega_B),), {}))
-                filled, entry = True, table[n]
-            if not rel >= entry[6]:
-                total += c * (_checked(entry, "BA", rel) + _checked(entry, "AB", rel))
-                continue
-        total += c * (entry[0] + entry[1])
+        value = table.get(n)
+        if value is None:           # after one fill, every slot of the call is present
+            _stats["misses"] += 2 * _fill_closed(
+                ctx, rel, _slots(ws, terms, ((Omega_A, Omega_B),), {}))
+            value = table[n]
+        total += c * value
+    if total != total:
+        for n in weights:
+            if n in failures:
+                _check(*failures[n], rel)
     return 2.0 * ctx._joules * total
 
 

@@ -13,10 +13,42 @@ import spinvdw
 from spinvdw import baseline, configurations, spectral
 from spinvdw.cli import (CSV_COLUMNS, PRESETS, ConfigError, SweepResult, SweepSpec,
                          _context_for, _fmt, _run_checks, emit, main, parse_config,
-                         read_csv_rows, run_preset, run_sweep, spec_to_config)
+                         read_csv_rows, run_preset, run_sweep)
 from spinvdw.configurations import Arrangement, energy
 from spinvdw.response import resonance_frequency
 from spinvdw.spectral import ConvergenceError
+
+
+def spec_to_config(spec, ctx):
+    """Flat-key config dict that re-parses to the same spec (round trip)."""
+    ma, mb = ctx.sphere_a.material, ctx.sphere_b.material
+    cfg = {
+        "material.f0": ma.f0,
+        "material.omega_tilde0_rad_s": ma.omega_tilde0,
+        "material.gamma0_rad_s": ma.gamma0,
+        "geometry.radius_a_m": spec.radius_a,
+        "geometry.radius_b_m": spec.radius_b,
+        "geometry.separation_m": spec.separation,
+        "temperature_K": spec.temperature,
+        "arrangement": spec.arrangement,
+        "sweep.omega_a_grid_rad_s": list(spec.omega_a_grid),
+        "sweep.omega_b_rule": spec.omega_b_rule,
+        "sweep.omega_b_value_rad_s": spec.omega_b_value,
+        "sweep.omega_b_ratio": spec.omega_b_ratio,
+        "sweep.omega_b_grid_rad_s": list(spec.omega_b_grid),
+        "quadrature.rel_tol": spec.rel_tol,
+        "output.path": spec.out_path,
+        "output.format": spec.out_format,
+    }
+    if mb != ma:
+        cfg.update({"material_b.f0": mb.f0,
+                    "material_b.omega_tilde0_rad_s": mb.omega_tilde0,
+                    "material_b.gamma0_rad_s": mb.gamma0})
+    if spec.arrangement == "general":
+        cfg.update({"arrangement.axis_a": list(spec.axes[0]),
+                    "arrangement.axis_b": list(spec.axes[1]),
+                    "arrangement.rhat": list(spec.axes[2])})
+    return cfg
 
 
 class TestParseConfig:
@@ -106,6 +138,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="axis"):
             parse_config({"arrangement": "general"})
 
+    @pytest.mark.parametrize("key", ["arrangement.axis_a", "arrangement.rhat"])
+    @pytest.mark.parametrize("value", [[1, 0], [1, 1, 0], "abc", 5, [math.nan, 0, 0]],
+                             ids=["two", "not_unit", "text", "number", "nan"])
+    def test_malformed_general_axis_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be a unit 3-vector, got "):
+            parse_config({**GENERAL_AXES, key: value})
+
 
 class TestSweep:
     def test_single_point_at_rest(self):
@@ -156,20 +195,20 @@ def _merged(ctx, terms, omega_a, omega_b):
 
 
 def _merged_energy(ctx, terms, omega_a, omega_b):
-    """2 sum C (BA + AB) over the merged slots, from the context's table."""
+    """2 sum C (BA + AB) over the merged slots, from the context's default table."""
+    values = ctx._table[spectral.DEFAULT_REL_TOL][0]
     total = 0.0
     for n, c in _merged(ctx, terms, omega_a, omega_b).items():
-        ba, ab = ctx._table[n][:2]
-        total += c * (ba + ab)
+        total += c * values[n]
     return 2.0 * ctx._joules * total
 
 
 def _unmerged_energy(ctx, terms, omega_a, omega_b):
     """The same sum taken term by term, which rounds repeated slots differently."""
+    values = ctx._table[spectral.DEFAULT_REL_TOL][0]
     total = 0.0
     for s, t, c in terms:
-        ba, ab = ctx._table[round(abs(s * omega_a - t * omega_b) / ctx._scaled[0] / 1e-12)][:2]
-        total += c * (ba + ab)
+        total += c * values[round(abs(s * omega_a - t * omega_b) / ctx._scaled[0] / 1e-12)]
     return 2.0 * ctx._joules * total
 
 
@@ -354,8 +393,10 @@ class TestBlockedSweep:
     ], ids=["overdamped", "unequal_materials"])
     def test_failing_rel_tol_fills_error_column_as_lookups_do(self, w0, cold_cache,
                                                               materials, rel_tol):
-        # the rows that read an entry which fails at rel_tol raise what a
-        # lookup that checks every entry raises
+        # the rows that read a slot which fails at rel_tol raise what a
+        # lookup raises that checks the sweep's one evaluation value by
+        # value, in the walk's order, where the sweep checked each block
+        # as one array comparison
         spec, ctx = parse_config({**materials, "arrangement": "uo",
                                   "sweep.omega_a_grid_rad_s":
                                       list(np.linspace(0.0, 4.5 * w0, 60)),
@@ -364,13 +405,26 @@ class TestBlockedSweep:
                                   "quadrature.rel_tol": rel_tol})
         arrangement = spec.make_arrangement()
         rows = run_sweep(spec, ctx).rows
-        for entry in ctx._table.values():
-            entry[6] = math.nan             # every lookup below checks
-        e0 = energy(ctx, arrangement, 0.0, 0.0, rel_tol)
+        assert spectral.cache_info()["blocks"] == 1
+        slots = spectral._slots(ctx._scaled[0], arrangement._terms, spec.grid_points(),
+                                {0: 0.0})
+        values, roundoff = spectral._closed_kinds(ctx, list(slots.values()))
+        evaluated = dict(zip(slots, zip(values.real.T.tolist(), roundoff.T.tolist(),
+                                        values.imag.T.tolist())))
+
+        def lookup(omega_a, omega_b):
+            total = 0.0
+            for n, c in _merged(ctx, arrangement._terms, omega_a, omega_b).items():
+                real, estimate, imag = evaluated[n]
+                for k, which in enumerate(spectral._KINDS):
+                    spectral._check(which, real[k], estimate[k], imag[k], rel_tol)
+                total += c * (real[0] + real[1])
+            return 2.0 * ctx._joules * total
+
+        e0 = lookup(0.0, 0.0)
         for row in rows:
             try:
-                want, e = "", energy(ctx, arrangement, row["omega_A_rad_s"],
-                                     row["omega_B_rad_s"], rel_tol)
+                want, e = "", lookup(row["omega_A_rad_s"], row["omega_B_rad_s"])
             except (ConvergenceError, ArithmeticError) as exc:
                 want = type(exc).__name__ + ": " + str(exc)
             assert row["error"] == want
@@ -797,6 +851,17 @@ class TestMainExitCodes:
             assert line.format(scale * e) in out, (kind, out)
         assert outputs[0] != outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("value", [[1, 0], [1, 1, 0], "abc"])
+    @pytest.mark.parametrize("command", ["energy", "sweep"])
+    def test_malformed_general_axis_is_2(self, tmp_path, capsys, command, value):
+        cfg = tmp_path / "general.json"
+        cfg.write_text(json.dumps({**GENERAL_AXES, "arrangement.axis_a": value}))
+        args = ["sweep", "--out", str(tmp_path / "out.csv")] if command == "sweep" else [command]
+        assert main(["--config", str(cfg), *args]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: arrangement.axis_a must be a unit 3-vector, got ")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_point_command_takes_config_general_axes(self, tmp_path, capsys):
         cfg = tmp_path / "general.json"
         cfg.write_text(json.dumps(GENERAL_AXES))
@@ -832,7 +897,10 @@ class TestMainExitCodes:
                                       ["force", "--omega-a", "inf"],
                                       ["energy", "--omega-a", "1", "--omega-b=-inf"],
                                       ["oracle", "--omega-a", "nan"],
-                                      ["oracle", "--omega-a", "1", "--omega-b=-inf"]])
+                                      ["oracle", "--omega-a", "1", "--omega-b=-inf"],
+                                      ["energy", "--omega-a", "1e300"],
+                                      ["force", "--omega-a", "1", "--omega-b=-1e300"],
+                                      ["oracle", "--omega-a", "1e300"]])
     def test_non_finite_rate_is_2(self, capsys, args):
         assert main(args) == 2
         err = capsys.readouterr().err

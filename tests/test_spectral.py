@@ -1,6 +1,7 @@
 import functools
 import gc
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -884,15 +885,20 @@ class TestShiftCache:
             assert energy_BA(ctx, omega) + energy_AB(ctx, omega) == approx(total, rel=1e-15)
         spectral.clear_cache()
 
-    def test_one_entry_serves_every_rel_tol(self, w0):
-        # gamma0 = 2.5 w0, overdamped: rel_tol only gates the roundoff
-        # estimate, so a second tolerance hits the entry of the first
+    def test_second_rel_tol_fills_its_own_table(self, w0):
+        # gamma0 = 2.5 w0, overdamped: a table's entries are checked at its
+        # rel_tol as they are stored, so a second tolerance evaluates the
+        # shift again, into a table of its own, and gives the same bits
         ctx = PairContext(SpinningSphere(A, MaterialModel(12.2, 5.7e9, 2.5 * w0), 300.0),
                           SpinningSphere(A, bst(), 300.0), R)
         spectral.clear_cache()
         loose = aux_energy(ctx, 0.7 * w0, rel_tol=1e-4)
         assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-8) == loose
-        assert spectral.cache_info() == {"entries": 2, "misses": 2, "blocks": 1}
+        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
+        assert list(ctx._table) == [1e-4, 1e-8]
+        assert _values(ctx, 1e-4) == _values(ctx, 1e-8)
+        assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-4) == loose
+        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
         spectral.clear_cache()
 
     def test_context_holds_its_table(self, ctx300, w0):
@@ -951,6 +957,23 @@ class TestShiftCache:
             with pytest.raises(ValueError, match=message):
                 aux_energy(ctx300, rates[0])
 
+    @pytest.mark.parametrize("rates", [(1e308, 0.0), (0.0, -1e308)])
+    def test_overflowing_shift_names_both_rates(self, ctx300, rates):
+        # finite rates whose shift overflows its slot: neither rate is
+        # called non-finite, and nothing is evaluated
+        message = "^" + re.escape(f"Omega_A = {rates[0]} rad/s, Omega_B = {rates[1]} rad/s: "
+                                  "a shift |s Omega_A - t Omega_B| overflows") + "$"
+        spectral.clear_cache()
+        for kind in ("rr", "uu", "ur", "uo"):
+            arrangement = Arrangement(kind)
+            with pytest.raises(ValueError, match=message):
+                energy(ctx300, arrangement, *rates)
+            with pytest.raises(ValueError, match=message):
+                delta_energy(ctx300, arrangement, *rates)
+            with pytest.raises(ValueError, match=message):
+                spectral.prefetch(ctx300, arrangement._terms, [(0.0, 0.0), rates])
+        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
+
     def test_rest_term_is_one_entry_in_slot_zero(self, monkeypatch, ctx300, w0):
         # on a cold table the rest term is evaluated once, at shift 0.0, into
         # slot 0: the entry of a shift that cancels to 0, with the same bits
@@ -970,11 +993,11 @@ class TestShiftCache:
             spectral.clear_cache()
             call()
             [shifts] = blocks
-            assert shifts.count(0.0) == 1 and 0 in ctx300._table
+            assert shifts.count(0.0) == 1 and 0 in _values(ctx300)
             blocks.clear()
         spectral.clear_cache()
         rest = spectral.general_energy(ctx300, ((0.0, 0.0, 1.0),), *rates)
-        assert list(ctx300._table) == [0] and blocks == [[0.0]]
+        assert list(_values(ctx300)) == [0] and blocks == [[0.0]]
         spectral.clear_cache()
         assert spectral.general_energy(ctx300, ((1.0, 1.0, 1.0),), 0.5 * w0, 0.5 * w0) == rest
         spectral.clear_cache()
@@ -1001,6 +1024,11 @@ class TestShiftCache:
         spectral.clear_cache()
 
 
+def _values(ctx, rel=spectral.DEFAULT_REL_TOL):
+    """Slot -> BA + AB of the context's table at ``rel`` (NaN where a check failed)."""
+    return ctx._table[rel][0]
+
+
 def _outcome(call, rel):
     """A lookup's value, or the type and message of what it raised."""
     try:
@@ -1010,95 +1038,107 @@ def _outcome(call, rel):
 
 
 def _rel_tols(seed):
-    """Seeded rel_tols in [1e-17, 1e-2], with repeats, a descending run, NaN and inf."""
+    """Seeded rel_tols in [1e-17, 1e-2], with repeats, a descending run, NaN, inf, 0 and -1."""
     draws = list(10.0 ** np.random.default_rng(seed).uniform(-17.0, -2.0, 40))
     return (draws[:15] + [draws[3], draws[3], draws[14]]
-            + sorted(draws[15:25], reverse=True) + [math.nan, draws[3], math.inf]
-            + draws[25:])
+            + sorted(draws[15:25], reverse=True) + [math.nan, draws[3], math.inf, 0.0]
+            + draws[25:] + [-1.0, draws[14]])
 
 
-def _tolerance(entry):
-    """The smallest rel_tol at which both kinds of an entry pass, as _fill_closed has it."""
-    if abs(entry[4]) > entry[2] or abs(entry[5]) > entry[3]:
-        return math.nan
-    need = [roundoff / abs(value) if roundoff > spectral.DEFAULT_ABS_TOL else spectral._TINY
-            for value, roundoff in (entry[0:3:2], entry[1:4:2])]
-    return max(need) * (1.0 + 4.0 * np.finfo(float).eps)
+def _checked_sums(ctx, shifts, rel):
+    """BA + AB of one evaluation of ``shifts``, each value checked as _check checks it.
+
+    A shift that fails holds NaN and the (kind, value, roundoff, residue) of
+    its first failing kind, BA before AB, in the second list.
+    """
+    values, roundoff = spectral._closed_kinds(ctx, shifts)
+    sums, failures = [], []
+    for j in range(len(shifts)):
+        kinds = [(which, values[k, j].real, roundoff[k, j], values[k, j].imag)
+                 for k, which in enumerate(spectral._KINDS)]
+        failed = [kind for kind in kinds
+                  if abs(kind[3]) > kind[2]
+                  or kind[2] > spectral.DEFAULT_ABS_TOL and kind[2] > rel * abs(kind[1])]
+        sums.append(math.nan if failed else kinds[0][1] + kinds[1][1])
+        failures.append(failed[0] if failed else None)
+    return sums, failures
 
 
 class TestPassedTolerance:
-    """Lookups skip the checks of an entry that passes at their rel_tol."""
+    """One table per rel_tol, whose entries are checked once, as they are stored."""
 
     @pytest.mark.parametrize("t_a, mat_b, t_b, seed", [
         (300.0, bst(), 300.0, 1),
         (0.0, MaterialModel(8.0, 6.5e9, 4e8), 900.0, 2),
     ], ids=["bst_300K", "unequal_0K_900K"])
     def test_warm_lookups_match_cold(self, w0, t_a, mat_b, t_b, seed):
-        # lookup by lookup, a warm table gives what a cold one gives; the
-        # roundoff estimates sit between 3e-15 and 2e-13 of the values, so
-        # the draws pass and fail the same entries in turn
-        ctx = PairContext(SpinningSphere(A, bst(), t_a),
-                          SpinningSphere(50e-9, mat_b, t_b), R)
+        # call by call, a context whose tables the earlier calls filled gives
+        # what a fresh equal context gives; the roundoff estimates sit between
+        # 3e-15 and 2e-13 of the values, so the draws pass and fail in turn
+        def context():
+            return PairContext(SpinningSphere(A, bst(), t_a),
+                               SpinningSphere(50e-9, mat_b, t_b), R)
+
         rates = (1.3 * w0, -0.4 * w0)
-        calls = [functools.partial(energy, ctx, Arrangement(kind), *rates)
+        calls = [lambda ctx, rel, kind=kind: energy(ctx, Arrangement(kind), *rates, rel)
                  for kind in ("rr", "uu", "ur", "uo")]
-        calls += [lambda rel: delta_force(ctx, Arrangement("uo"), *rates, rel),
-                  lambda rel: aux_energy(ctx, 2.0 * w0, rel),
-                  lambda rel: energy_BA(ctx, 0.7 * w0, rel)]
-        spectral.clear_cache()
-        table = ctx._table
+        calls += [lambda ctx, rel: delta_force(ctx, Arrangement("uo"), *rates, rel),
+                  lambda ctx, rel: aux_energy(ctx, 2.0 * w0, rel),
+                  lambda ctx, rel: energy_BA(ctx, 0.7 * w0, rel)]
+        warm = context()
         seen = set()
         for rel in _rel_tols(seed):
             for call in calls:
-                warm = dict(table)
-                table.clear()
-                cold = _outcome(call, rel)
-                table.clear()
-                table.update(warm)
-                got = _outcome(call, rel)
+                cold = _outcome(functools.partial(call, context()), rel)
+                got = _outcome(functools.partial(call, warm), rel)
                 assert got == cold, (rel, got, cold)
                 seen.add(got[0] if isinstance(got, tuple) else float)
-        assert seen == {float, ConvergenceError, ValueError}     # ValueError: the NaN
-        assert any(entry[6] < 1e-8 for entry in table.values())
-        spectral.clear_cache()
+        assert seen == {float, ConvergenceError, ValueError}     # ValueError: NaN, 0, -1
+        assert set(warm._table) == {rel for rel in _rel_tols(seed) if rel > 0.0}
+        assert any(math.isnan(v) for values, _ in warm._table.values() for v in values.values())
 
     @pytest.mark.parametrize("context", [
         "ctx300", "ctx0",
         lambda: PairContext(SpinningSphere(A, bst(), 0.0),
                             SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0), R),
     ], ids=["bst_300K", "bst_0K", "unequal_0K_900K"])
-    def test_entry_records_the_tolerance_it_passes(self, request, w0, context):
-        # whatever rel_tol filled the table, each entry holds the smallest
-        # rel_tol at which both of its kinds pass, and passes exactly there
+    def test_table_holds_checked_sums(self, request, w0, context):
+        # a prefetch at rel stores, slot by slot, what one evaluation of its
+        # shifts gives checked value by value: BA + AB, or NaN and the first
+        # failure. At 0 K the roundoff estimates of BST sit below
+        # DEFAULT_ABS_TOL, so its slots pass every rel_tol
         ctx = request.getfixturevalue(context) if isinstance(context, str) else context()
         grid = [(k * 0.3 * w0, -0.4 * k * 0.3 * w0) for k in range(15)]
         uo = Arrangement("uo")
         spectral.clear_cache()
-        with pytest.raises(ValueError):
-            energy(ctx, uo, *grid[3], math.nan)
-        spectral.prefetch(ctx, uo._terms, grid)
-        for entry in ctx._table.values():
-            tol = entry[6]
-            assert tol == _tolerance(entry) > 0.0
-            for k, which in enumerate(spectral._KINDS):
-                assert spectral._checked(entry, which, tol) == entry[k]
-            if max(entry[2:4]) > spectral.DEFAULT_ABS_TOL:
-                with pytest.raises(ConvergenceError):     # one kind or the other
-                    for which in spectral._KINDS:
-                        spectral._checked(entry, which, tol * (1.0 - 1e-6))
+        slots = spectral._slots(ctx._scaled[0], uo._terms, grid, {0: 0.0})
+        failed = 0
+        for rel in (1e-8, 1e-13, 3e-14, 1e-17):
+            spectral.prefetch(ctx, uo._terms, grid, rel)
+            table, failures = ctx._table[rel]
+            sums, first = _checked_sums(ctx, list(slots.values()), rel)
+            assert list(table) == list(slots)
+            assert [v if v == v else "nan" for v in table.values()] == [
+                v if v == v else "nan" for v in sums]
+            assert failures == {n: f for n, f in zip(slots, first) if f}
+            failed += len(failures)
+        assert (failed == 0) == (ctx is request.getfixturevalue("ctx0"))
         spectral.clear_cache()
 
     def test_tight_lookup_after_loose_pass_raises(self, ctx300, w0):
+        # the tight rel_tol evaluates into its own table, where the slot fails
         spectral.clear_cache()
         loose = aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2)
-        [entry] = ctx300._table.values()
-        assert entry[6] == _tolerance(entry) < 1e-12
         with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below"):
             aux_energy(ctx300, 2.0 * w0, rel_tol=1e-17)
-        # checked just below the entry's tolerance, summed unchecked at it
-        assert aux_energy(ctx300, 2.0 * w0, rel_tol=math.nextafter(entry[6], 0.0)) == loose
-        assert aux_energy(ctx300, 2.0 * w0, rel_tol=entry[6]) == loose
-        assert entry[6] == _tolerance(entry)
+        [tight], [passed] = _values(ctx300, 1e-17).values(), _values(ctx300, 1e-2).values()
+        assert math.isnan(tight) and 2.0 * ctx300._joules * 0.5 * passed == loose
+        [(which, value, roundoff, imag)] = ctx300._table[1e-17][1].values()
+        assert which == "BA" and roundoff > 1e-17 * abs(value) and abs(imag) <= roundoff
+        assert aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2) == loose
+        with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below"):
+            aux_energy(ctx300, 2.0 * w0, rel_tol=1e-17)
+        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
         spectral.clear_cache()
 
     def test_single_kind_lookups_leave_it_unset(self, monkeypatch, w0):
@@ -1138,37 +1178,37 @@ class TestPassedTolerance:
     @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0])
     def test_rel_tol_not_positive_raises_and_is_not_recorded(self, ctx300, ctx0, w0,
                                                              rel_tol):
-        # raised by the checks, cold and warm, and never the entry's
-        # tolerance, so it never meets the skip; at 0 K the roundoff
-        # estimates sit below DEFAULT_ABS_TOL, so the entry passes every
-        # rel_tol > 0 and records the smallest normal float
+        # raised cold and warm, before any evaluation and after a non-finite
+        # rate's error, and no table is made for it
+        uo = Arrangement("uo")
+        message = "^energy_BA: rel_tol must be > 0"
         for ctx in (ctx300, ctx0):
             spectral.clear_cache()
             for _ in range(2):
-                with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
+                with pytest.raises(ValueError, match=message):
                     aux_energy(ctx, 2.0 * w0, rel_tol)
-            [entry] = ctx._table.values()
-            assert entry[6] == _tolerance(entry) > 0.0
-            if ctx is ctx0:
-                assert max(entry[2:4]) <= spectral.DEFAULT_ABS_TOL
-                assert entry[6] == spectral._TINY * (1.0 + 4.0 * np.finfo(float).eps)
+                with pytest.raises(ValueError, match=message):
+                    spectral.prefetch(ctx, uo._terms, [(2.0 * w0, 0.0)], rel_tol)
+            assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
             aux_energy(ctx, 2.0 * w0)
-            with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
+            with pytest.raises(ValueError, match=message):
                 aux_energy(ctx, 2.0 * w0, rel_tol)
-            with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
+            with pytest.raises(ValueError, match=message):
                 energy(ctx, Arrangement("rr"), 2.0 * w0, 0.0, rel_tol)
             with pytest.raises(ValueError, match="^energy_AB: rel_tol must be > 0"):
                 energy_AB(ctx, 2.0 * w0, rel_tol)
-            assert entry[6] == _tolerance(entry)
+            with pytest.raises(ValueError, match="^Omega_A = nan rad/s"):
+                energy(ctx, uo, math.nan, 0.0, rel_tol)
+            assert list(ctx._table) == [spectral.DEFAULT_REL_TOL]
         spectral.clear_cache()
 
     @pytest.mark.parametrize("rel_tol", [1e-2, math.inf])
     def test_corrupted_residue_raises_after_passed_slots(self, monkeypatch, ctx300,
                                                          w0, rel_tol):
-        # the passed slot 0.7 w0 is summed without checks; the corrupted
-        # slot 1.1 w0 has passed nothing, at any rel_tol, and raises each time
+        # the passed slot 0.7 w0 is summed; the corrupted slot 1.1 w0 fails
+        # at any rel_tol, holds NaN, and raises each time
         spectral.clear_cache()
-        aux_energy(ctx300, 0.7 * w0, rel_tol=1e-8)
+        aux_energy(ctx300, 0.7 * w0, rel_tol)
         inner = spectral._closed
 
         def corrupt(rows, omega_scale, shifts):
@@ -1180,8 +1220,10 @@ class TestPassedTolerance:
         for _ in range(2):
             with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
                 spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0, rel_tol)
-        passed = [entry[6] for entry in ctx300._table.values()]
-        assert passed[0] < 1e-8 and math.isnan(passed[1])
+        passed, corrupted = _values(ctx300, rel_tol).items()
+        assert math.isfinite(passed[1]) and math.isnan(corrupted[1])
+        [(slot, (which, _, roundoff, imag))] = ctx300._table[rel_tol][1].items()
+        assert slot == corrupted[0] and which == "BA" and abs(imag) > roundoff
         spectral.clear_cache()
 
 

@@ -26,8 +26,11 @@ pass without its CSVs). Each of 21 rounds makes 20 calls
 of every case in turn (and of both
 packages with ``--against``, alternating which goes first), and the JSON
 printed holds each case's median and quartiles over the rounds of its
-mean time per call, in microseconds; with ``--against``, also their
-ratio and the rounds in which this checkout was faster.
+mean time per call, in microseconds; with ``--against``, also the ratio
+of the two medians, the median and quartiles of the ratios of the two
+packages' times in the same round (``round_ratio``, which a change of the
+host's speed between rounds moves less), and the rounds in which this
+checkout was faster.
 
     python tools/time_closed.py                      # this checkout's src/spinvdw
     python tools/time_closed.py --against OLD/src    # and another checkout's, interleaved
@@ -41,6 +44,7 @@ another name, so both packages share one process and one host state.
 import argparse
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -151,12 +155,14 @@ def cases(package, scratch):
     sweeps = [(spec.make_arrangement(), spec.grid_points(), spec.rel_tol)
               for spec in cli._preset_specs("fig2a")]
     fig2a = cli._context_for(cli._preset_specs("fig2a")[0])
+    # a package whose prefetch takes the sweep's rel_tol gets it, as run_sweep passes it
+    checked = "rel_tol" in inspect.signature(spectral.prefetch).parameters
 
     def rows():
         spectral.clear_cache()
         start = time.perf_counter()
         for arrangement, points, rel_tol in sweeps:
-            spectral.prefetch(fig2a, arrangement._terms, points)
+            spectral.prefetch(fig2a, arrangement._terms, points, *[rel_tol] * checked)
             configurations.energy(fig2a, arrangement, 0.0, 0.0, rel_tol)
             for omega_a, omega_b in points:
                 configurations.energy(fig2a, arrangement, omega_a, omega_b, rel_tol)
@@ -255,8 +261,10 @@ def main(argv=None):
     if args.against:
         for name, row in result["timings"].items():
             row["ratio"] = round(row["working"]["median"] / row["against"]["median"], 3)
-            wins = sum(w < a for w, a in zip(times["working"][name], times["against"][name]))
-            row["working_faster"] = f"{wins}/{rounds}"
+            ratios = [w / a for w, a in zip(times["working"][name], times["against"][name])]
+            q1, median, q3 = (round(q, 3) for q in statistics.quantiles(ratios, n=4))
+            row["round_ratio"] = {"median": median, "quartiles": [q1, q3]}
+            row["working_faster"] = f"{sum(r < 1.0 for r in ratios)}/{rounds}"
     print(json.dumps(result, indent=1))
     return 0
 
