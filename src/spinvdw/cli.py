@@ -37,6 +37,7 @@ CSV_COLUMNS = ("omega_A_rad_s", "omega_B_rad_s", "omega_A_over_omega0",
 DEFAULT_RADIUS = 60e-9
 DEFAULT_SEPARATION = 180e-9
 DEFAULT_TEMPERATURE = 300.0
+AXIS_KEYS = ("arrangement.axis_a", "arrangement.axis_b", "arrangement.rhat")
 
 
 class ConfigError(ValueError):
@@ -45,11 +46,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One rotation-rate sweep: grid, pairing rule, geometry, and output.
+    """One rotation-rate sweep: arrangement, grid, pairing rule, and output.
 
+    The spheres, their temperature and their distance are not part of it:
+    they are the :class:`PairContext` that :func:`run_sweep` evaluates on.
     ``omega_b_rule`` is one of "fixed" (constant Omega_B), "ratio"
     (Omega_B = rho * Omega_A with |rho| <= 1, sign selecting co- or
     counter-rotation), or "grid" (cartesian product with ``omega_b_grid``).
+    A "general" arrangement takes ``axes`` = (axis_a, axis_b, rhat), unit
+    3-vectors stored as float tuples; a missing (None) or malformed one is
+    a ConfigError that names its key in ``AXIS_KEYS``.
     """
 
     arrangement: str = "rr"
@@ -58,10 +64,6 @@ class SweepSpec:
     omega_b_value: float = 0.0        # rad/s, for "fixed"
     omega_b_ratio: float = 0.0        # for "ratio"
     omega_b_grid: tuple = ()          # rad/s, for "grid"
-    temperature: float = DEFAULT_TEMPERATURE
-    radius_a: float = DEFAULT_RADIUS
-    radius_b: float = DEFAULT_RADIUS
-    separation: float = DEFAULT_SEPARATION
     rel_tol: float = spectral.DEFAULT_REL_TOL
     out_path: str = ""
     out_format: str = "csv"
@@ -84,6 +86,18 @@ class SweepSpec:
             raise ConfigError(f"sweep.omega_b_value_rad_s: non-finite value {self.omega_b_value}")
         if self.arrangement not in ("rr", "uu", "ur", "uo", "general"):
             raise ConfigError(f"arrangement: unknown value {self.arrangement!r}")
+        if self.arrangement == "general":
+            if len(self.axes) > 3:
+                raise ConfigError(f"axes: (axis_a, axis_b, rhat) expected, got {self.axes!r}")
+            axes = []
+            for key, v in itertools.zip_longest(AXIS_KEYS, self.axes):
+                if v is None:
+                    raise ConfigError(f"general arrangement needs {key}")
+                try:
+                    axes.append(configurations._unit_vector(v, key))
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
+            object.__setattr__(self, "axes", tuple(axes))
         if self.omega_b_rule not in ("fixed", "ratio", "grid"):
             raise ConfigError(f"sweep.omega_b_rule: unknown value {self.omega_b_rule!r}")
         if self.omega_b_rule == "ratio" and not abs(self.omega_b_ratio) <= 1.0:
@@ -108,8 +122,7 @@ class SweepSpec:
 
     def make_arrangement(self):
         if self.arrangement == "general":
-            axis_a, axis_b, rhat = self.axes
-            return Arrangement("general", axis_a, axis_b, rhat)
+            return Arrangement("general", *self.axes)
         return Arrangement(self.arrangement)
 
 
@@ -144,7 +157,9 @@ def parse_config(source=None):
     """Build a (SweepSpec, PairContext) pair from a config file or dict.
 
     ``source`` may be a path, an already-parsed dict, or None (defaults).
-    Unknown keys are rejected so typos fail loudly.
+    Unknown keys are rejected so typos fail loudly. The spec takes the
+    arrangement, sweep, quadrature and output keys; the context, the
+    materials, geometry and temperature (both spheres at ``temperature_K``).
     """
     if source is None:
         cfg = {}
@@ -165,8 +180,7 @@ def parse_config(source=None):
         "material.f0", "material.omega_tilde0_rad_s", "material.gamma0_rad_s",
         "material_b.f0", "material_b.omega_tilde0_rad_s", "material_b.gamma0_rad_s",
         "geometry.radius_a_m", "geometry.radius_b_m", "geometry.separation_m",
-        "temperature_K", "arrangement",
-        "arrangement.axis_a", "arrangement.axis_b", "arrangement.rhat",
+        "temperature_K", "arrangement", *AXIS_KEYS,
         "sweep.omega_a_grid_rad_s", "sweep.omega_a_start_over_omega0",
         "sweep.omega_a_stop_over_omega0", "sweep.omega_a_count",
         "sweep.omega_b_rule", "sweep.omega_b_value_rad_s",
@@ -197,17 +211,7 @@ def parse_config(source=None):
             raise ConfigError("sweep.omega_a_count: must be >= 1")
         grid = np.linspace(start * w0, stop * w0, count)
 
-    axes = ()
     arrangement = _get(cfg, "arrangement", str, "rr")
-    if arrangement == "general":
-        for key in ("arrangement.axis_a", "arrangement.axis_b", "arrangement.rhat"):
-            if key not in cfg:
-                raise ConfigError(f"general arrangement needs {key}")
-            try:
-                axes += (configurations._unit_vector(cfg[key], key),)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-
     try:
         spec = SweepSpec(
             arrangement=arrangement,
@@ -216,12 +220,10 @@ def parse_config(source=None):
             omega_b_value=_get(cfg, "sweep.omega_b_value_rad_s", float, 0.0),
             omega_b_ratio=_get(cfg, "sweep.omega_b_ratio", float, 0.0),
             omega_b_grid=cfg.get("sweep.omega_b_grid_rad_s", ()),
-            temperature=temperature,
-            radius_a=radius_a, radius_b=radius_b, separation=separation,
             rel_tol=_get(cfg, "quadrature.rel_tol", float, spectral.DEFAULT_REL_TOL),
             out_path=_get(cfg, "output.path", str, ""),
             out_format=_get(cfg, "output.format", str, "csv"),
-            axes=axes,
+            axes=tuple(map(cfg.get, AXIS_KEYS)) if arrangement == "general" else (),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -229,29 +231,31 @@ def parse_config(source=None):
         raise ConfigError(str(exc)) from None
 
     try:
-        ctx = _context_for(spec, mat_a, mat_b)
+        ctx = PairContext(SpinningSphere(radius_a, mat_a, temperature),
+                          SpinningSphere(radius_b, mat_b, temperature), separation)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return spec, ctx
 
 
-def _context_for(spec, mat_a=None, mat_b=None):
-    mat_a = bst() if mat_a is None else mat_a
-    mat_b = mat_a if mat_b is None else mat_b
-    sphere_a = SpinningSphere(spec.radius_a, mat_a, spec.temperature)
-    sphere_b = SpinningSphere(spec.radius_b, mat_b, spec.temperature)
-    return PairContext(sphere_a, sphere_b, spec.separation)
+def _default_pair(temperature=DEFAULT_TEMPERATURE, material=None):
+    """Two equal spheres of ``material`` (BST) at the default radius and separation."""
+    sphere = SpinningSphere(DEFAULT_RADIUS, bst() if material is None else material,
+                            temperature)
+    return PairContext(sphere, sphere, DEFAULT_SEPARATION)
 
 
 def run_sweep(spec, ctx):
-    """Evaluate every grid point of a sweep; failures go to the error column.
+    """Evaluate every grid point of ``spec`` on the pair ``ctx``; failures go to the error column.
 
     Every shift integral the sweep needs is evaluated first, in a few
     blocked passes into the table of ``ctx`` at the sweep's rel_tol, and
     checked there, so the zero-rotation reference F(0,0), computed once and
     shared by all rows, and the rows, in grid order, are lookups; a row
     that reads a value which failed its checks raises that failure into its
-    error column.
+    error column. The metadata describes the pair that was computed, all
+    of it read from ``ctx``: sphere A's material and temperature, both
+    radii and the separation.
     """
     arrangement = spec.make_arrangement()
     w0 = resonance_frequency(ctx.sphere_a.material)
@@ -284,15 +288,15 @@ def run_sweep(spec, ctx):
 
     rows = [compute(wa, wb) for wa, wb in points]
 
-    ma = ctx.sphere_a.material
+    sa, ma = ctx.sphere_a, ctx.sphere_a.material
     metadata = {
         "artifact": "spinvdw", "version": VERSION,
         "arrangement": spec.arrangement,
         "material_f0": ma.f0, "material_omega_tilde0_rad_s": ma.omega_tilde0,
         "material_gamma0_rad_s": ma.gamma0,
         "omega0_rad_s": w0,
-        "radius_a_m": spec.radius_a, "radius_b_m": spec.radius_b,
-        "separation_m": spec.separation, "temperature_K": spec.temperature,
+        "radius_a_m": sa.radius, "radius_b_m": ctx.sphere_b.radius,
+        "separation_m": ctx.separation, "temperature_K": sa.temperature,
         "rel_tol": spec.rel_tol,
     }
     return SweepResult(rows, metadata)
@@ -408,21 +412,19 @@ def read_csv_rows(path):
 
 
 def _preset_specs(name):
-    """Sweep specs for a named reproduction recipe."""
+    """(temperature, sweep specs) of a named reproduction recipe."""
     w0 = resonance_frequency(bst())
 
     def fig1(temperature):
-        return [SweepSpec(arrangement="rr",
-                          omega_a_grid=np.linspace(0.0, 4.0 * w0, 200),
-                          omega_b_rule="fixed", omega_b_value=0.0,
-                          temperature=temperature)]
+        return temperature, [SweepSpec(arrangement="rr",
+                                       omega_a_grid=np.linspace(0.0, 4.0 * w0, 200),
+                                       omega_b_rule="fixed", omega_b_value=0.0)]
 
     def fig2(ratio):
         grid = np.linspace(0.0, 5.0 * w0, 200)
-        return [SweepSpec(arrangement="uu", omega_a_grid=grid,
-                          omega_b_rule="ratio", omega_b_ratio=rho,
-                          temperature=1500.0)
-                for rho in (ratio, -ratio)]   # co-rotating, then counter
+        return 1500.0, [SweepSpec(arrangement="uu", omega_a_grid=grid,
+                                  omega_b_rule="ratio", omega_b_ratio=rho)
+                        for rho in (ratio, -ratio)]   # co-rotating, then counter
 
     table = {
         "fig1_300K": lambda: fig1(300.0),
@@ -431,10 +433,9 @@ def _preset_specs(name):
         "fig2b": lambda: fig2(0.9),
         "fig2c": lambda: fig2(1.0),
     }
-    if name not in table and name != "baseline_static":
-        raise ConfigError(f"unknown preset {name!r}; choose from "
-                          f"{sorted(list(table) + ['baseline_static'])}")
-    return table[name]() if name != "baseline_static" else None
+    if name not in table:
+        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    return table[name]()
 
 
 PRESETS = ("fig1_300K", "fig1_1500K", "fig2a", "fig2b", "fig2c",
@@ -451,9 +452,9 @@ def run_preset(name, rel_tol=None, points=None):
     if points is not None and points < 1:
         raise ConfigError(f"--points: must be >= 1, got {points}")
     if name == "baseline_static":
-        return _baseline_result(_context_for(SweepSpec(omega_a_grid=(0.0,))))
-    specs = _preset_specs(name)
-    ctx = _context_for(specs[0])        # the sweeps of a preset share their pair
+        return _baseline_result(_default_pair())
+    temperature, specs = _preset_specs(name)
+    ctx = _default_pair(temperature)        # the sweeps of a preset share their pair
     rows, metadata = [], {}
     for spec in specs:
         if points is not None:
@@ -500,8 +501,7 @@ def _baseline_result(ctx, hamaker_ref=5e-20):
 
 def _run_checks(rel_tol=1e-7):
     """Cheap end-to-end invariant checks; returns a list of (name, ok, info)."""
-    spec = SweepSpec(omega_a_grid=(0.0,))
-    ctx = _context_for(spec)
+    ctx = _default_pair()
     w0 = resonance_frequency(ctx.sphere_a.material)
     checks = []
 
@@ -531,7 +531,7 @@ def _run_checks(rel_tol=1e-7):
     pair = PairContext(
         SpinningSphere(50e-9, ctx.sphere_a.material, 300.0),
         SpinningSphere(70e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0),
-        spec.separation)
+        DEFAULT_SEPARATION)
     ea = spectral.aux_energy(pair, 0.8 * w0, rel_tol)
     eb = spectral.aux_energy(pair.swapped(), 0.8 * w0, rel_tol)
     dev = abs(eb / ea - 1.0)
@@ -554,7 +554,7 @@ def _run_checks(rel_tol=1e-7):
     # energy against the Matsubara sum of the static baseline, which shares
     # the pair sums but none of the closure's residues at the poles of eta
     weak = bst(gamma_scale=1e-3)
-    pair = _context_for(replace(spec, temperature=0.0), weak)
+    pair = _default_pair(0.0, weak)
     w0_weak = resonance_frequency(weak)
     ratio = (configurations.energy(pair, rr, 0.8 * w0_weak, 0.0, rel_tol)
              / configurations.energy(pair, rr, 0.0, 0.0, rel_tol))
@@ -562,7 +562,7 @@ def _run_checks(rel_tol=1e-7):
     bound = weak.gamma0 / w0_weak
     record("undamped_limit_0K", dev <= bound, f"dev={dev:.2e} (bound gamma0/w0 = {bound:.1e})")
     for temperature in (300.0, 0.05):
-        pair = _context_for(replace(spec, temperature=temperature))
+        pair = _default_pair(temperature)
         e0 = configurations.energy(pair, rr, 0.0, 0.0, rel_tol)
         dev = abs(e0 / baseline.matsubara_static_energy(pair) - 1.0)
         record(f"rest_energy_vs_matsubara_{temperature:g}K", dev <= 1e-12, f"dev={dev:.2e}")

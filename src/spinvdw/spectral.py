@@ -675,10 +675,13 @@ def _slots(ws, terms, rate_pairs, slots):
     return slots
 
 
-def _table_at(ctx, rel):
-    """The (values, failures) table of ``ctx`` at rel_tol ``rel``, made on first use."""
+def _table_at(ctx, rel, caller):
+    """The (values, failures) table of ``ctx`` at rel_tol ``rel``, made on first use.
+
+    A ``rel`` that is not > 0 (NaN too) raises ValueError, named for ``caller``.
+    """
     if not rel > 0.0:
-        raise ValueError(f"energy_BA: rel_tol must be > 0, got {rel}")
+        raise ValueError(f"{caller}: rel_tol must be > 0, got {rel}")
     return ctx._table.setdefault(rel, ({}, {}))
 
 
@@ -692,9 +695,10 @@ def _fill_closed(ctx, rel, slots):
     exceeds its roundoff estimate, or if the estimate exceeds both
     ``DEFAULT_ABS_TOL`` and rel |value| (a NaN fails neither). A slot
     stores BA + AB if both kinds pass, else NaN; its first failing kind, BA
-    before AB, is kept aside as the arguments of :func:`_check`.
+    before AB, is kept aside as the arguments of :func:`_check`. The
+    caller makes the table first, with :func:`_table_at`.
     """
-    table, failures = _table_at(ctx, rel)
+    table, failures = ctx._table[rel]
     missing = [(n, x) for n, x in slots.items() if n not in table]
     step = _BLOCK // (len(ctx._rows) * max(map(len, ctx._poles)))
     for start in range(0, len(missing), step):
@@ -724,8 +728,10 @@ def prefetch(ctx, terms, rate_pairs, rel_tol=None):
     the energies that follow at that tolerance are pure lookups. A value
     that fails its checks raises in those energies, not here.
     """
+    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     slots = _slots(ctx._scaled[0], terms, rate_pairs, {0: 0.0})
-    _fill_closed(ctx, DEFAULT_REL_TOL if rel_tol is None else rel_tol, slots)
+    _table_at(ctx, rel, "prefetch")
+    _fill_closed(ctx, rel, slots)
 
 
 def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
@@ -755,7 +761,7 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
             weights[n] = weights[n] + c if n in weights else c
     except (ValueError, OverflowError):         # round() of NaN or infinity
         raise _rate_error(Omega_A, Omega_B) from None
-    table, failures = ctx._table.get(rel) or _table_at(ctx, rel)
+    table, failures = ctx._table.get(rel) or _table_at(ctx, rel, "general_energy")
     total = 0.0
     for n, c in weights.items():
         value = table.get(n)

@@ -11,25 +11,25 @@ import pytest
 
 import spinvdw
 from spinvdw import baseline, configurations, spectral
-from spinvdw.cli import (CSV_COLUMNS, PRESETS, ConfigError, SweepResult, SweepSpec,
-                         _context_for, _fmt, _run_checks, emit, main, parse_config,
+from spinvdw.cli import (AXIS_KEYS, CSV_COLUMNS, PRESETS, ConfigError, SweepResult,
+                         SweepSpec, _default_pair, _fmt, _run_checks, emit, main, parse_config,
                          read_csv_rows, run_preset, run_sweep)
 from spinvdw.configurations import Arrangement, energy
-from spinvdw.response import resonance_frequency
-from spinvdw.spectral import ConvergenceError
+from spinvdw.response import SpinningSphere, bst, resonance_frequency
+from spinvdw.spectral import ConvergenceError, PairContext
 
 
 def spec_to_config(spec, ctx):
-    """Flat-key config dict that re-parses to the same spec (round trip)."""
+    """Flat-key config dict that re-parses to the same spec and context (round trip)."""
     ma, mb = ctx.sphere_a.material, ctx.sphere_b.material
     cfg = {
         "material.f0": ma.f0,
         "material.omega_tilde0_rad_s": ma.omega_tilde0,
         "material.gamma0_rad_s": ma.gamma0,
-        "geometry.radius_a_m": spec.radius_a,
-        "geometry.radius_b_m": spec.radius_b,
-        "geometry.separation_m": spec.separation,
-        "temperature_K": spec.temperature,
+        "geometry.radius_a_m": ctx.sphere_a.radius,
+        "geometry.radius_b_m": ctx.sphere_b.radius,
+        "geometry.separation_m": ctx.separation,
+        "temperature_K": ctx.sphere_a.temperature,
         "arrangement": spec.arrangement,
         "sweep.omega_a_grid_rad_s": list(spec.omega_a_grid),
         "sweep.omega_b_rule": spec.omega_b_rule,
@@ -54,9 +54,10 @@ def spec_to_config(spec, ctx):
 class TestParseConfig:
     def test_empty_config_is_default_geometry(self):
         spec, ctx = parse_config(None)
-        assert spec.radius_a == spec.radius_b == 60e-9
-        assert spec.separation == 180e-9
-        assert spec.temperature == 300.0
+        assert ctx.sphere_a.radius == ctx.sphere_b.radius == 60e-9
+        assert ctx.separation == 180e-9
+        assert ctx.sphere_a.temperature == ctx.sphere_b.temperature == 300.0
+        assert ctx == _default_pair()
         assert spec.arrangement == "rr"
         assert ctx.sphere_a.material.f0 == 12.2
         assert ctx.sphere_a.material.omega_tilde0 == 5.7e9
@@ -137,6 +138,10 @@ class TestParseConfig:
     def test_general_arrangement_needs_axes(self):
         with pytest.raises(ConfigError, match="axis"):
             parse_config({"arrangement": "general"})
+        for key in AXIS_KEYS:
+            config = {k: v for k, v in GENERAL_AXES.items() if k != key}
+            with pytest.raises(ConfigError, match=f"^general arrangement needs {key}$"):
+                parse_config(config)
 
     @pytest.mark.parametrize("key", ["arrangement.axis_a", "arrangement.rhat"])
     @pytest.mark.parametrize("value", [[1, 0], [1, 1, 0], "abc", 5, [math.nan, 0, 0]],
@@ -144,9 +149,55 @@ class TestParseConfig:
     def test_malformed_general_axis_names_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be a unit 3-vector, got "):
             parse_config({**GENERAL_AXES, key: value})
+        # a library caller's spec gets the same error
+        axes = [value if k == key else GENERAL_AXES[k] for k in AXIS_KEYS]
+        with pytest.raises(ConfigError, match=f"^{key} must be a unit 3-vector, got "):
+            SweepSpec(arrangement="general", omega_a_grid=(0.0,), axes=tuple(axes))
+
+
+class TestSweepSpec:
+    """The spec checks its own fields, for library callers as for configs."""
+
+    AXES = ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("axes, key", [((), "arrangement.axis_a"),
+                                           (AXES[:2], "arrangement.rhat"),
+                                           ((AXES[0], None, AXES[2]), "arrangement.axis_b")],
+                             ids=["none", "no_rhat", "no_axis_b"])
+    def test_general_without_an_axis_is_config_error(self, axes, key):
+        with pytest.raises(ConfigError, match=f"^general arrangement needs {key}$"):
+            SweepSpec(arrangement="general", omega_a_grid=(0.0,), axes=axes)
+
+    def test_more_than_three_axes_is_config_error(self):
+        with pytest.raises(ConfigError, match="^axes: "):
+            SweepSpec(arrangement="general", omega_a_grid=(0.0,), axes=self.AXES * 2)
+
+    def test_general_axes_are_float_tuples(self):
+        spec = SweepSpec(arrangement="general", omega_a_grid=(0.0,),
+                         axes=([0, 0, 1], [0, 0, 1], [1, 0, 0]))
+        assert spec.axes == self.AXES
+        assert all(type(c) is float for axis in spec.axes for c in axis)
+        config = {"arrangement": "general", "sweep.omega_a_grid_rad_s": [0.0],
+                  **dict(zip(AXIS_KEYS, ([0, 0, 1], [0, 0, 1], [1, 0, 0])))}
+        assert parse_config(config)[0] == spec
 
 
 class TestSweep:
+    def test_metadata_reports_the_context(self):
+        # the pair that was computed, whatever the spec's defaults are
+        ctx = PairContext(SpinningSphere(50e-9, bst(), 0.0),
+                          SpinningSphere(70e-9, bst(), 0.0), 200e-9)
+        result = run_sweep(SweepSpec(omega_a_grid=(1e10,)), ctx)
+        meta = result.metadata
+        assert list(meta) == [
+            "artifact", "version", "arrangement", "material_f0",
+            "material_omega_tilde0_rad_s", "material_gamma0_rad_s", "omega0_rad_s",
+            "radius_a_m", "radius_b_m", "separation_m", "temperature_K", "rel_tol"]
+        assert (meta["radius_a_m"], meta["radius_b_m"]) == (50e-9, 70e-9)
+        assert meta["separation_m"] == 200e-9
+        assert meta["temperature_K"] == 0.0
+        assert result.rows[0]["E0_J"] == energy(ctx, Arrangement("rr"), 0.0, 0.0)
+
     def test_single_point_at_rest(self):
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": [0.0]})
         result = run_sweep(spec, ctx)
@@ -707,10 +758,9 @@ class TestRowFloats:
             result = run_preset("fig2a", points=3)
             rows = []
             for rho in (0.5, -0.5):
-                spec = SweepSpec(arrangement="uu", omega_b_rule="ratio",
-                                 omega_b_ratio=rho, temperature=1500.0,
+                spec = SweepSpec(arrangement="uu", omega_b_rule="ratio", omega_b_ratio=rho,
                                  omega_a_grid=floats(np.linspace(0.0, 5.0 * w0, 3)))
-                rows += run_sweep(spec, _context_for(spec)).rows
+                rows += run_sweep(spec, _default_pair(1500.0)).rows
             return result, SweepResult(rows, dict(result.metadata))
         if source == "library":
             spec = SweepSpec(arrangement="uo", omega_b_rule="grid",
@@ -719,7 +769,7 @@ class TestRowFloats:
             same = SweepSpec(arrangement="uo", omega_b_rule="grid",
                              omega_a_grid=floats(np.linspace(0.0, 3.0 * w0, 4)),
                              omega_b_grid=floats(np.linspace(-w0, w0, 3)))
-            return run_sweep(spec, _context_for(spec)), run_sweep(same, _context_for(same))
+            return run_sweep(spec, _default_pair()), run_sweep(same, _default_pair())
         ratio = {"sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.4}
         grid = np.linspace(0.0, 4.0 * w0, 5)
         config = ({**ratio, "sweep.omega_a_count": 5} if source == "count"

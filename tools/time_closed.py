@@ -152,9 +152,12 @@ def cases(package, scratch):
         out.append((f"warm energy {name}", warm))
 
     cli = importlib.import_module(package.__name__ + ".cli")
-    sweeps = [(spec.make_arrangement(), spec.grid_points(), spec.rel_tol)
-              for spec in cli._preset_specs("fig2a")]
-    fig2a = cli._context_for(cli._preset_specs("fig2a")[0])
+    # the fig2a preset: equal BST spheres at 1500 K, uu, Omega_B = +-0.5 Omega_A
+    sphere = response.SpinningSphere(cli.DEFAULT_RADIUS, bst, 1500.0)
+    fig2a = spectral.PairContext(sphere, sphere, cli.DEFAULT_SEPARATION)
+    specs = [cli.SweepSpec(arrangement="uu", omega_a_grid=np.linspace(0.0, 5.0 * w0, 200),
+                           omega_b_rule="ratio", omega_b_ratio=rho) for rho in (0.5, -0.5)]
+    sweeps = [(spec.make_arrangement(), spec.grid_points(), spec.rel_tol) for spec in specs]
     # a package whose prefetch takes the sweep's rel_tol gets it, as run_sweep passes it
     checked = "rel_tol" in inspect.signature(spectral.prefetch).parameters
 
