@@ -55,7 +55,9 @@ class SweepSpec:
     counter-rotation), or "grid" (cartesian product with ``omega_b_grid``).
     A "general" arrangement takes ``axes`` = (axis_a, axis_b, rhat), unit
     3-vectors stored as float tuples; a missing (None) or malformed one is
-    a ConfigError that names its key in ``AXIS_KEYS``.
+    a ConfigError that names its key in ``AXIS_KEYS``. The canonical
+    arrangements fix their axes, and take none: given axes are a
+    ConfigError that names their keys.
     """
 
     arrangement: str = "rr"
@@ -70,8 +72,8 @@ class SweepSpec:
     axes: tuple = ()                  # (axis_a, axis_b, rhat) when general
 
     def __post_init__(self):
-        # Python floats, whatever built the rates: rows, shifts and cache
-        # slots then skip numpy scalar arithmetic
+        # Python floats, whatever built the rates: rows then skip numpy
+        # scalar arithmetic, and emit writes their rates as floats
         for name in ("omega_a_grid", "omega_b_grid"):
             try:
                 vals = tuple(float(v) for v in getattr(self, name))
@@ -86,6 +88,11 @@ class SweepSpec:
             raise ConfigError(f"sweep.omega_b_value_rad_s: non-finite value {self.omega_b_value}")
         if self.arrangement not in ("rr", "uu", "ur", "uo", "general"):
             raise ConfigError(f"arrangement: unknown value {self.arrangement!r}")
+        if self.arrangement != "general" and self.axes:
+            named = [key for key, v in zip(AXIS_KEYS, self.axes) if v is not None]
+            raise ConfigError(f"{', '.join(named) or 'axes'}: the "
+                              f"{self.arrangement} arrangement has fixed axes; axes need "
+                              f"arrangement general")
         if self.arrangement == "general":
             if len(self.axes) > 3:
                 raise ConfigError(f"axes: (axis_a, axis_b, rhat) expected, got {self.axes!r}")
@@ -223,7 +230,8 @@ def parse_config(source=None):
             rel_tol=_get(cfg, "quadrature.rel_tol", float, spectral.DEFAULT_REL_TOL),
             out_path=_get(cfg, "output.path", str, ""),
             out_format=_get(cfg, "output.format", str, "csv"),
-            axes=tuple(map(cfg.get, AXIS_KEYS)) if arrangement == "general" else (),
+            axes=tuple(map(cfg.get, AXIS_KEYS)) if any(key in cfg for key in AXIS_KEYS)
+            or arrangement == "general" else (),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -248,45 +256,39 @@ def _default_pair(temperature=DEFAULT_TEMPERATURE, material=None):
 def run_sweep(spec, ctx):
     """Evaluate every grid point of ``spec`` on the pair ``ctx``; failures go to the error column.
 
-    Every shift integral the sweep needs is evaluated first, in a few
-    blocked passes into the table of ``ctx`` at the sweep's rel_tol, and
-    checked there, so the zero-rotation reference F(0,0), computed once and
-    shared by all rows, and the rows, in grid order, are lookups; a row
-    that reads a value which failed its checks raises that failure into its
-    error column. The metadata describes the pair that was computed, all
-    of it read from ``ctx``: sphere A's material and temperature, both
-    radii and the separation.
+    One :func:`spectral.sweep_energies` call evaluates the rows, in grid
+    order, and the zero-rotation reference F(0,0) that they share; a row
+    whose value fails its checks gets that failure in its error column, and
+    every row gets the reference's if the reference fails. Rates whose
+    Doppler images leave the non-retarded regime, or whose shifts overflow,
+    are a ConfigError. The metadata describes the pair that was computed,
+    all of it read from ``ctx``: sphere A's material and temperature, both
+    radii and the separation, and sphere B's material and temperature where
+    either differs from A's.
     """
     arrangement = spec.make_arrangement()
     w0 = resonance_frequency(ctx.sphere_a.material)
     points = spec.grid_points()
-    spectral.prefetch(ctx, arrangement._terms, points, spec.rel_tol)
     try:
-        e0 = configurations.energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
-        f0 = 6.0 * e0 / ctx.separation
-        e0_error = ""
-    except (ConvergenceError, ArithmeticError) as exc:
-        e0 = f0 = math.nan
-        e0_error = type(exc).__name__ + ": " + str(exc)
-
-    def compute(wa, wb):
-        try:
-            if e0_error:
-                raise ConvergenceError(f"zero-rotation reference failed: {e0_error}")
-            e = configurations.energy(ctx, arrangement, wa, wb, spec.rel_tol)
-        except (ConvergenceError, ArithmeticError) as exc:
-            return {"omega_A_rad_s": wa, "omega_B_rad_s": wb,
-                    "omega_A_over_omega0": wa / w0,
-                    "E_J": math.nan, "E0_J": e0, "deltaE_J": math.nan,
-                    "F_N": math.nan, "deltaF_fN": math.nan,
-                    "error": type(exc).__name__ + ": " + str(exc)}
+        energies, e0, errors = spectral.sweep_energies(
+            ctx, arrangement._terms, [wa for wa, _ in points], [wb for _, wb in points],
+            spec.rel_tol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    f0 = 6.0 * e0 / ctx.separation
+    rest = errors.get(None)
+    if rest is not None:
+        rest = ConvergenceError(f"zero-rotation reference failed: {type(rest).__name__}: {rest}")
+    rows = []
+    for k, ((wa, wb), e) in enumerate(zip(points, energies)):
+        exc = rest or errors.get(k)
+        if exc:
+            e = math.nan            # and every value that follows from it
         f = 6.0 * e / ctx.separation
-        return {"omega_A_rad_s": wa, "omega_B_rad_s": wb,
-                "omega_A_over_omega0": wa / w0,
-                "E_J": e, "E0_J": e0, "deltaE_J": e - e0,
-                "F_N": f, "deltaF_fN": (f - f0) * 1e15, "error": ""}
-
-    rows = [compute(wa, wb) for wa, wb in points]
+        rows.append({"omega_A_rad_s": wa, "omega_B_rad_s": wb, "omega_A_over_omega0": wa / w0,
+                     "E_J": e, "E0_J": e0, "deltaE_J": e - e0,
+                     "F_N": f, "deltaF_fN": (f - f0) * 1e15,
+                     "error": type(exc).__name__ + ": " + str(exc) if exc else ""})
 
     sa, ma = ctx.sphere_a, ctx.sphere_a.material
     metadata = {
@@ -299,6 +301,10 @@ def run_sweep(spec, ctx):
         "separation_m": ctx.separation, "temperature_K": sa.temperature,
         "rel_tol": spec.rel_tol,
     }
+    sb, mb = ctx.sphere_b, ctx.sphere_b.material
+    if (mb, sb.temperature) != (ma, sa.temperature):
+        metadata.update(material_b_f0=mb.f0, material_b_omega_tilde0_rad_s=mb.omega_tilde0,
+                        material_b_gamma0_rad_s=mb.gamma0, temperature_b_K=sb.temperature)
     return SweepResult(rows, metadata)
 
 
@@ -526,7 +532,7 @@ def _run_checks(rel_tol=1e-7):
         dev = abs(em / ep - 1.0)
         record(f"parity_{kind}", dev < 1e-9, f"dev={dev:.2e}")
 
-    # an identical pair would compare a cache entry with itself; these
+    # an identical pair would compare a value with itself; these
     # spheres differ in material, radius and temperature
     pair = PairContext(
         SpinningSphere(50e-9, ctx.sphere_a.material, 300.0),
@@ -651,9 +657,10 @@ def _dispatch(args):
     if args.command in ("energy", "force"):
         arrangement = Arrangement(args.arrangement) if args.arrangement else spec.make_arrangement()
         wa, wb = _rates(args, w0)
-        # the energy change first: its one lookup evaluates every shift
-        # that E and E0 then look up
-        de = configurations.delta_energy(ctx, arrangement, wa, wb, spec.rel_tol)
+        try:
+            de = configurations.delta_energy(ctx, arrangement, wa, wb, spec.rel_tol)
+        except ValueError as exc:   # Doppler images beyond the non-retarded regime
+            raise ConfigError(str(exc)) from None
         e = configurations.energy(ctx, arrangement, wa, wb, spec.rel_tol)
         e0 = configurations.energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
         print(f"omega0_rad_s = {w0:.6e}")

@@ -25,6 +25,8 @@ diverge, a row is the mean of the closure over a small circle in the
 squared pole splitting. gamma0 = 0 puts the poles on the real axis and is
 rejected; :mod:`spinvdw.oracle` covers it. The result carries a roundoff
 estimate; a tolerance below it raises :class:`ConvergenceError` at once.
+Nothing is cached: a sweep evaluates all of its shifts in one call of
+:func:`sweep_energies`, and every one-point energy evaluates its own.
 
 All integration happens in nondimensional units (frequencies in units of
 sphere A's resonance, polarizabilities in units of 4*pi*eps0*a^3); SI
@@ -33,7 +35,6 @@ joules appear only in the returned values.
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +44,16 @@ from .response import C_LIGHT, HBAR, K_B, UnitSystem, resonance_frequency
 __all__ = [
     "ConvergenceError", "QuadratureSpec", "PairContext",
     "pair_quadrature_spec", "shift_integral",
-    "energy_BA", "energy_AB", "aux_energy", "general_energy",
-    "prefetch", "clear_cache", "cache_info", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
+    "energy_BA", "energy_AB", "aux_energy", "general_energy", "sweep_energies",
+    "clear_cache", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
 ]
 
 DEFAULT_REL_TOL = 1e-8
 DEFAULT_ABS_TOL = 1e-12   # in working (nondimensional) energy units
 # The largest R w/c of the non-retarded regime, w the fastest frequency of
-# the spheres: the leading retardation correction, of order (w R/c)^2, stays
-# within 1% (Casimir & Polder, Phys. Rev. 73, 360 (1948))
+# the spheres or of their Doppler images: the leading retardation
+# correction, of order (w R/c)^2, stays within 1% (Casimir & Polder, Phys.
+# Rev. 73, 360 (1948))
 MAX_RETARDATION = 0.1
 
 
@@ -120,8 +122,8 @@ class PairContext:
     arrangement and rotation state. What the integrals derive from the
     spheres (the unit system, the materials in working units, the poles of
     their polarizabilities and the closed form's rows of them, the factor to
-    joules, and its tables of cached shift integrals, one per rel_tol, which
-    no other context shares, not even an equal one) is computed once, here.
+    joules, and the reach R w/c of the materials and of a unit shift) is
+    computed once, here.
 
     Parameters
     ----------
@@ -131,6 +133,9 @@ class PairContext:
         (dipole approximation) and keep R w/c <= ``MAX_RETARDATION`` = 0.1,
         with w the largest resonance or damping rate of the two materials
         (non-retarded regime; 2.3 mm for BST). Both materials need gamma0 > 0.
+        The energies at rates (Omega_A, Omega_B) add their largest shift
+        |s Omega_A - t Omega_B| to w, as their Doppler images do, and raise
+        ValueError where that sum passes the bound.
     """
 
     sphere_a: object
@@ -156,8 +161,6 @@ class PairContext:
         scaled = (ma.scaled(ws), mb.scaled(ws))
         units = UnitSystem(ws, HBAR * ws * a3 / self.separation**6)
         t_a, t_b = self.sphere_a.temperature, self.sphere_b.temperature
-        owner = _Table()
-        _tables.add(owner)
         poles = tuple(map(_alpha_poles, scaled))
         ba = (*poles, t_b)
         derived = {
@@ -169,8 +172,9 @@ class PairContext:
                 ba, (poles[1], poles[0], t_a)),
             # a reduced shift integral times this is its energy (J)
             "_joules": -units.energy_scale / (32.0 * np.pi),
-            "_owner": owner,
-            "_table": owner.entries,
+            # R w/c is _reach + _reach_shift x at a largest shift x (working units)
+            "_reach": reach,
+            "_reach_shift": self.separation * ws / C_LIGHT,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -558,24 +562,29 @@ def _closed_kinds(ctx, shifts):
     return values, roundoff
 
 
-def _gate(what, value, roundoff, rel):
-    """Raise unless ``rel`` is > 0 (ValueError) and the roundoff estimate meets it."""
+def _positive(rel, what):
+    """Raise ValueError, named for ``what``, unless ``rel`` is > 0 (NaN is not)."""
     if not rel > 0.0:
         raise ValueError(f"{what}: rel_tol must be > 0, got {rel}")
-    if roundoff > DEFAULT_ABS_TOL and roundoff > rel * abs(value):
-        raise ConvergenceError(
-            f"{what}: rel_tol {rel:.1e} is below the closed form's "
-            f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
-            value=value, estimate=roundoff)
 
 
-def _check(which, value, roundoff, imag, rel):
-    """Raise what a closed-form value of kind ``which`` fails: its residue, then rel_tol."""
+def _failure(what, value, roundoff, imag, rel):
+    """The error of a closed-form value that fails a check: its residue, then rel_tol."""
     if abs(imag) > roundoff:
-        raise ArithmeticError(
-            f"energy_{which}: imaginary residue {imag:.3e} exceeds the "
+        return ArithmeticError(
+            f"{what}: imaginary residue {imag:.3e} exceeds the "
             f"roundoff estimate {roundoff:.3e}; closed form violated")
-    _gate(f"energy_{which}", value, roundoff, rel)
+    return ConvergenceError(
+        f"{what}: rel_tol {rel:.1e} is below the closed form's "
+        f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
+        value=value, estimate=roundoff)
+
+
+def _gate(what, value, roundoff, rel):
+    """Raise unless ``rel`` is > 0 (ValueError) and the roundoff estimate meets it."""
+    _positive(rel, what)
+    if roundoff > DEFAULT_ABS_TOL and roundoff > rel * abs(value):
+        raise _failure(what, value, roundoff, 0.0, rel)
 
 
 def shift_integral(ctx, Omega, which):
@@ -587,35 +596,9 @@ def shift_integral(ctx, Omega, which):
     values, roundoff = _closed_kinds(ctx, [abs(Omega) / ctx._scaled[0]])
     k = _KINDS.index(which)
     value, roundoff = complex(values[k, 0]), float(roundoff[k, 0])
-    _check(which, value.real, roundoff, value.imag, math.inf)      # inf: no gate
+    if abs(value.imag) > roundoff:
+        raise _failure(f"energy_{which}", value.real, roundoff, value.imag, math.inf)
     return value.real, roundoff
-
-
-# Sweeps revisit the same few shifts (E(0) on every row, sums and
-# differences of the grid rates), so most lookups hit; a sweep evaluates
-# all of its shifts up front (prefetch) and its rows only look them up.
-# Single-threaded. Each context owns a ``_Table`` and holds its tables as
-# ``_table``, one per rel_tol; ``_tables`` refers to them weakly, only so
-# that clear_cache and cache_info reach them. A table is keyed by slot, the
-# shift x = |s Omega_A - t Omega_B|/ws quantized to 1e-12 (both integrals
-# are even in x; the rest term, s = t = 0, takes slot 0 directly), and holds
-# for each slot one float: BA + AB at the slot's first shift, checked at the
-# table's rel_tol as it is stored (see _fill_closed), or NaN if a check
-# failed. What a failed slot failed is kept aside, for its lookups to raise,
-# so a bad shift fails only the lookups using it. ``_stats`` counts what the
-# cache decides, misses and blocks; a hit count would only restate the
-# lookups the callers made.
-_tables = weakref.WeakSet()
-_stats = {"misses": 0, "blocks": 0}
-
-
-class _Table:
-    # a plain dict, the fastest to look up in, cannot be weakly referenced;
-    # ``entries`` maps rel_tol -> (slot -> value, slot -> failure)
-    __slots__ = ("entries", "__weakref__")
-
-    def __init__(self):
-        self.entries = {}
 
 
 # Points per closed-form evaluation: its shifts times a shift's points, one per
@@ -628,31 +611,11 @@ _BLOCK = 1024
 
 
 def clear_cache():
-    """Drop every cached entry and zero the counters.
-
-    Each table is emptied in place, so a live context keeps a valid table.
-    """
-    for table in _tables:
-        table.entries.clear()
-    _stats.update(misses=0, blocks=0)
-
-
-def cache_info():
-    """Shift-cache counters since the last :func:`clear_cache`.
-
-    ``entries`` counts the cached slots over the tables of the live contexts
-    twice, once per kind of the sum it holds, ``misses`` the values that
-    lookups found missing and evaluated (one per kind and slot), and
-    ``blocks`` the stacked closed-form evaluations of both kinds, each of at
-    most ``_BLOCK`` points (every shift of a sweep of identical spheres in
-    one). Hits are not counted: every lookup that is not a miss is one.
-    """
-    entries = 2 * sum(len(values) for table in _tables for values, _ in table.entries.values())
-    return dict(entries=entries, **_stats)
+    """Do nothing: no shift integral is cached. Kept for callers of the earlier cache."""
 
 
 def _rate_error(omega_a, omega_b):
-    """The error of rates that give no slot: a non-finite rate, else both rates."""
+    """The error of rates that give no shift: a non-finite rate, else both rates."""
     for name, rate in (("Omega_A", omega_a), ("Omega_B", omega_b)):
         if not math.isfinite(rate):
             return ValueError(f"{name} = {rate} rad/s: rotation rates must be finite")
@@ -660,78 +623,97 @@ def _rate_error(omega_a, omega_b):
                       f"a shift |s Omega_A - t Omega_B| overflows")
 
 
-def _slots(ws, terms, rate_pairs, slots):
-    """Add the slot and first shift of every term at every rate pair to ``slots``."""
-    for omega_a, omega_b in rate_pairs:
-        try:
-            for s, t, _ in terms:
-                if s or t:
-                    x = abs(s * omega_a - t * omega_b) / ws
-                    slots.setdefault(round(x / 1e-12), x)
-                else:
-                    slots.setdefault(0, 0.0)
-        except (ValueError, OverflowError):     # round() of NaN or infinity
-            raise _rate_error(omega_a, omega_b) from None
-    return slots
+def _doppler_check(ctx, shift, omega_a, omega_b):
+    """Raise ValueError if the largest working-unit ``shift`` leaves the non-retarded regime.
 
-
-def _table_at(ctx, rel, caller):
-    """The (values, failures) table of ``ctx`` at rel_tol ``rel``, made on first use.
-
-    A ``rel`` that is not > 0 (NaN too) raises ValueError, named for ``caller``.
+    A Doppler image of a resonance sits up to the shift above it, so the
+    shift adds to the fastest rate w of the spheres in R w/c.
     """
-    if not rel > 0.0:
-        raise ValueError(f"{caller}: rel_tol must be > 0, got {rel}")
-    return ctx._table.setdefault(rel, ({}, {}))
+    reach = ctx._reach + ctx._reach_shift * shift
+    if not reach <= MAX_RETARDATION:
+        raise ValueError(
+            f"Omega_A = {omega_a} rad/s, Omega_B = {omega_b} rad/s: the Doppler images "
+            f"leave the non-retarded regime: R w/c = {reach:.3g} exceeds "
+            f"{MAX_RETARDATION}, w the largest resonance or damping rate of the "
+            f"spheres plus the largest shift |s Omega_A - t Omega_B|")
 
 
-def _fill_closed(ctx, rel, slots):
-    """Evaluate the shifts of the slot -> shift map ``slots`` that the table at ``rel`` lacks.
+def _checked(ctx, shifts, rel):
+    """BA + AB at each working-unit shift in the list ``shifts``, checked at ``rel``.
 
-    Returns their count. Both kinds of every such shift are evaluated in
-    blocks of at most ``_BLOCK`` points, one :func:`_closed_kinds` call
-    each, and checked at ``rel`` by one array comparison per block, as
-    :func:`_check` checks one value: a kind fails if its imaginary residue
-    exceeds its roundoff estimate, or if the estimate exceeds both
-    ``DEFAULT_ABS_TOL`` and rel |value| (a NaN fails neither). A slot
-    stores BA + AB if both kinds pass, else NaN; its first failing kind, BA
-    before AB, is kept aside as the arguments of :func:`_check`. The
-    caller makes the table first, with :func:`_table_at`.
+    Both kinds of every shift are evaluated in blocks of at most ``_BLOCK``
+    points, one :func:`_closed_kinds` call each, and checked by one array
+    comparison per block: a kind fails if its imaginary residue exceeds its
+    roundoff estimate, or if the estimate exceeds both ``DEFAULT_ABS_TOL``
+    and rel |value| (a NaN fails neither). Returns the sums, an array, and
+    a dict from the index of each shift that fails to the arguments of
+    :func:`_failure`, but ``rel``, for its first failing kind, BA before AB.
     """
-    table, failures = ctx._table[rel]
-    missing = [(n, x) for n, x in slots.items() if n not in table]
+    sums, failures = np.empty(len(shifts)), {}
     step = _BLOCK // (len(ctx._rows) * max(map(len, ctx._poles)))
-    for start in range(0, len(missing), step):
-        block, shifts = zip(*missing[start:start + step])
-        values, roundoff = _closed_kinds(ctx, shifts)
-        _stats["blocks"] += 1
+    for start in range(0, len(shifts), step):
+        values, roundoff = _closed_kinds(ctx, shifts[start:start + step])
         real, imag = values.real, values.imag
         # rel_tol inf passes every estimate (inf times a zero value would warn)
         bound = np.maximum(DEFAULT_ABS_TOL, rel * abs(real)) if rel < math.inf else math.inf
         fails = (abs(imag) > roundoff) | (roundoff > bound)
-        sums = (real[0] + real[1]).tolist()
+        sums[start:start + step] = real[0] + real[1]
         for j in np.flatnonzero(fails[0] | fails[1]).tolist():
             k = 0 if fails[0, j] else 1
-            failures[block[j]] = (_KINDS[k], *(float(a[k, j]) for a in (real, roundoff, imag)))
-            sums[j] = math.nan
-        table.update(zip(block, sums))
-    return len(missing)
+            failures[start + j] = (f"energy_{_KINDS[k]}",
+                                   *(float(a[k, j]) for a in (real, roundoff, imag)))
+    return sums, failures
 
 
-def prefetch(ctx, terms, rate_pairs, rel_tol=None):
-    """Evaluate every shift integral that energies at ``rate_pairs`` will need.
+def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
+    """Energies (J) of an arrangement at many rate pairs, and at rest, from one evaluation.
 
-    ``terms`` are an arrangement's ``(s, t, c)`` weights (see
-    :func:`general_energy`) and ``rate_pairs`` its (Omega_A, Omega_B)
-    points; the distinct |s Omega_A - t Omega_B| and 0 (the rest energy)
-    are evaluated in a few blocked passes into the table at ``rel_tol``, so
-    the energies that follow at that tolerance are pure lookups. A value
-    that fails its checks raises in those energies, not here.
+    ``terms`` are the arrangement's ``(s, t, c)`` weights (see
+    :func:`general_energy`) and ``omega_a``, ``omega_b`` the rates of each
+    row (rad/s). The shifts x = |s Omega_A - t Omega_B|/ws of every row and
+    term, and 0 for the rest energy E(0, 0), are evaluated once each, in
+    blocks, and checked at ``rel_tol`` as :func:`_checked` checks them; a
+    row is 2 sum c (BA + AB) over its terms, in term order.
+
+    Returns ``(energies, rest, errors)``: the energy of each row, E(0, 0),
+    and a dict from the index of each row that fails, or None for the rest
+    energy, to the error of its first failing term in term order (its
+    residue, then its rel_tol), as :func:`general_energy` raises it. A
+    failing row's energy is NaN. Raises ValueError before any evaluation
+    for a non-finite rate, a shift that overflows, a largest shift that
+    takes the Doppler images out of the non-retarded regime, or a rel_tol
+    that is not > 0.
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
-    slots = _slots(ctx._scaled[0], terms, rate_pairs, {0: 0.0})
-    _table_at(ctx, rel, "prefetch")
-    _fill_closed(ctx, rel, slots)
+    s, t, c = zip(*terms)
+    wa, wb = np.append(omega_a, 0.0), np.append(omega_b, 0.0)    # the rest energy last
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.abs(np.multiply.outer(wa, s) - np.multiply.outer(wb, t)) / ctx._scaled[0]
+    top = float(x.max())
+    if not math.isfinite(top):                              # NaN or infinity
+        k = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise _rate_error(float(wa[k]), float(wb[k]))
+    k = int(x.argmax()) // x.shape[1]
+    _doppler_check(ctx, top, float(wa[k]), float(wb[k]))
+    _positive(rel, "sweep_energies")
+    shifts, inverse = np.unique(x, return_inverse=True)
+    inverse = inverse.reshape(x.shape)
+    sums, failures = _checked(ctx, shifts.tolist(), rel)
+    values = sums[inverse]                                  # (rows + 1, terms)
+    total = np.zeros(len(wa))
+    for j, weight in enumerate(c):
+        total += weight * values[:, j]
+    energies = (2.0 * ctx._joules * total).tolist()
+    errors = {}
+    if failures:
+        failed = np.zeros(len(shifts), dtype=bool)
+        failed[list(failures)] = True
+        hits = failed[inverse]
+        for k in np.flatnonzero(hits.any(axis=1)).tolist():
+            first = int(inverse[k, hits[k].argmax()])
+            errors[k if k < len(wa) - 1 else None] = _failure(*failures[first], rel)
+            energies[k] = math.nan
+    return energies[:-1], energies[-1], errors
 
 
 def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
@@ -740,40 +722,45 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
     ``terms`` holds the arrangement's ``(s, t, c)`` weights (see
     :mod:`spinvdw.configurations`); the energy is
     2 sum c E(|s Omega_A - t Omega_B|), E the sum of the BA and AB
-    integrals. One pass over the terms merges their weights by cache
-    slot, in first-seen order, a term with s = t = 0 taking slot 0 with no
-    arithmetic; one walk over the slots sums c (BA + AB) from the context's
-    table at ``rel_tol``, where the first missing slot evaluates all of the
-    call's misses in one blocked pass (one miss per kind and slot). A slot
-    that failed its checks holds NaN, so a NaN sum raises what the first
-    such slot of the walk failed (its residue, then its rel_tol); a NaN sum
-    without one is returned. A rel_tol that is not > 0 (NaN too) raises
-    ValueError, as does a non-finite rate in a term with s or t nonzero
-    (every arrangement has such terms, since c_00 <= 4 of the weights' sum
-    of 6) or a finite one whose shift overflows its slot.
+    integrals. One pass over the terms merges their weights by slot, the
+    shift quantized to 1e-12 working units (both integrals are even in the
+    shift), in first-seen order, a term with s = t = 0 taking slot 0 and
+    shift 0.0 with no arithmetic; the first shift of each slot is then
+    evaluated and checked at ``rel_tol`` as :func:`_checked` checks it, in
+    one evaluation, and c (BA + AB) summed over the slots. The first slot
+    that fails raises what it failed (its residue, then its rel_tol).
+    ValueError is raised before any evaluation for a non-finite rate in a
+    term with s or t nonzero (every arrangement has such terms, since
+    c_00 <= 4 of the weights' sum of 6), a finite one whose shift
+    overflows its slot, a largest shift that takes the Doppler images out
+    of the non-retarded regime, or a rel_tol that is not > 0 (NaN too).
     """
     rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     ws = ctx._scaled[0]
-    weights = {}
+    slots, shifts, weights = {}, [], []
     try:
         for s, t, c in terms:
-            n = round(abs(s * Omega_A - t * Omega_B) / ws / 1e-12) if s or t else 0
-            weights[n] = weights[n] + c if n in weights else c
+            if s or t:
+                x = abs(s * Omega_A - t * Omega_B) / ws
+                n = round(x / 1e-12)
+            else:
+                x, n = 0.0, 0
+            k = slots.setdefault(n, len(shifts))
+            if k == len(shifts):
+                shifts.append(x)
+                weights.append(c)
+            else:
+                weights[k] += c
     except (ValueError, OverflowError):         # round() of NaN or infinity
         raise _rate_error(Omega_A, Omega_B) from None
-    table, failures = ctx._table.get(rel) or _table_at(ctx, rel, "general_energy")
+    _doppler_check(ctx, max(shifts), Omega_A, Omega_B)
+    _positive(rel, "general_energy")
+    sums, failures = _checked(ctx, shifts, rel)
+    if failures:
+        raise _failure(*failures[min(failures)], rel)
     total = 0.0
-    for n, c in weights.items():
-        value = table.get(n)
-        if value is None:           # after one fill, every slot of the call is present
-            _stats["misses"] += 2 * _fill_closed(
-                ctx, rel, _slots(ws, terms, ((Omega_A, Omega_B),), {}))
-            value = table[n]
+    for c, value in zip(weights, sums.tolist()):
         total += c * value
-    if total != total:
-        for n in weights:
-            if n in failures:
-                _check(*failures[n], rel)
     return 2.0 * ctx._joules * total
 
 
@@ -781,6 +768,7 @@ def _single(ctx, Omega, which, rel_tol):
     """The energy of one shift integral (J): uncached, checked and gated."""
     if not math.isfinite(Omega):
         raise _rate_error(Omega, 0.0)
+    _doppler_check(ctx, abs(Omega) / ctx._scaled[0], Omega, 0.0)
     value, roundoff = shift_integral(ctx, Omega, which)
     _gate(f"energy_{which}", value, roundoff, DEFAULT_REL_TOL if rel_tol is None else rel_tol)
     return ctx._joules * value

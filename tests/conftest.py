@@ -3,7 +3,7 @@ import pytest
 
 from spinvdw import bst, resonance_frequency
 from spinvdw.response import SpinningSphere
-from spinvdw.spectral import PairContext, clear_cache
+from spinvdw.spectral import PairContext
 
 RADIUS = 60e-9
 SEPARATION = 180e-9
@@ -48,9 +48,3 @@ def ctx0(material):
 def ctx_smallgamma():
     # nearly dissipationless pair at T = 0 for closed-form comparisons
     return make_pair(bst(gamma_scale=1e-3), 0.0)
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _fresh_cache():
-    clear_cache()
-    yield

@@ -23,7 +23,7 @@ lab-frame polarizability and Hadamard tensors from the spin transform,
 rotates them onto their axes, contracts them with the dipole kernel on
 both sides and integrates over frequency in one quadrature. It shares the
 material kernels with the program but neither the projector weights nor
-the cached shift integrals, so it checks the production kernel of
+the closed-form shift integrals, so it checks the production kernel of
 :mod:`spinvdw.configurations`.
 
 ``CANONICAL`` holds the hand-derived integer combinations of E(Omega) for

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -11,11 +12,11 @@ import pytest
 
 import spinvdw
 from spinvdw import baseline, configurations, spectral
-from spinvdw.cli import (AXIS_KEYS, CSV_COLUMNS, PRESETS, ConfigError, SweepResult,
-                         SweepSpec, _default_pair, _fmt, _run_checks, emit, main, parse_config,
-                         read_csv_rows, run_preset, run_sweep)
+from spinvdw.cli import (AXIS_KEYS, CSV_COLUMNS, DEFAULT_SEPARATION, PRESETS, ConfigError,
+                         SweepResult, SweepSpec, _default_pair, _fmt, _run_checks, emit, main,
+                         parse_config, read_csv_rows, run_preset, run_sweep)
 from spinvdw.configurations import Arrangement, energy
-from spinvdw.response import SpinningSphere, bst, resonance_frequency
+from spinvdw.response import MaterialModel, SpinningSphere, bst, resonance_frequency
 from spinvdw.spectral import ConvergenceError, PairContext
 
 
@@ -198,6 +199,27 @@ class TestSweep:
         assert meta["temperature_K"] == 0.0
         assert result.rows[0]["E0_J"] == energy(ctx, Arrangement("rr"), 0.0, 0.0)
 
+    @pytest.mark.parametrize("sphere_b, keys", [
+        ((60e-9, bst(), 300.0), []),
+        ((70e-9, bst(), 300.0), []),
+        ((60e-9, bst(), 900.0), ["material_b_f0", "material_b_omega_tilde0_rad_s",
+                                 "material_b_gamma0_rad_s", "temperature_b_K"]),
+        ((60e-9, MaterialModel(8.0, 6.5e9, 4e8), 300.0),
+         ["material_b_f0", "material_b_omega_tilde0_rad_s", "material_b_gamma0_rad_s",
+          "temperature_b_K"]),
+    ], ids=["equal", "radius_only", "temperature", "material"])
+    def test_metadata_reports_sphere_b_where_it_differs(self, sphere_b, keys):
+        # sphere B's material and temperature follow the keys of A's, and
+        # only where B differs: a pair of equal spheres keeps its bytes
+        ctx = PairContext(SpinningSphere(60e-9, bst(), 300.0), SpinningSphere(*sphere_b),
+                          DEFAULT_SEPARATION)
+        meta = run_sweep(SweepSpec(omega_a_grid=(1e10,)), ctx).metadata
+        assert list(meta)[12:] == keys
+        if keys:
+            mb = ctx.sphere_b.material
+            assert [meta[k] for k in keys] == [mb.f0, mb.omega_tilde0, mb.gamma0,
+                                               ctx.sphere_b.temperature]
+
     def test_single_point_at_rest(self):
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": [0.0]})
         result = run_sweep(spec, ctx)
@@ -237,78 +259,100 @@ GENERAL_AXES = {"arrangement": "general",
 
 
 def _merged(ctx, terms, omega_a, omega_b):
-    """Slot -> summed c of ``terms``, in first-seen order."""
+    """Slot -> [first shift, summed c] of ``terms``, in first-seen order."""
     weights = {}
     for s, t, c in terms:
-        n = round(abs(s * omega_a - t * omega_b) / ctx._scaled[0] / 1e-12)
-        weights[n] = weights[n] + c if n in weights else c
+        x = abs(s * omega_a - t * omega_b) / ctx._scaled[0] if s or t else 0.0
+        n = round(x / 1e-12)
+        if n in weights:
+            weights[n][1] += c
+        else:
+            weights[n] = [x, c]
     return weights
 
 
+def _kinds_sum(ctx, shifts):
+    """Shift -> BA + AB from one closed-form evaluation of the list ``shifts``."""
+    values, _ = spectral._closed_kinds(ctx, shifts)
+    return dict(zip(shifts, (values[0].real + values[1].real).tolist()))
+
+
 def _merged_energy(ctx, terms, omega_a, omega_b):
-    """2 sum C (BA + AB) over the merged slots, from the context's default table."""
-    values = ctx._table[spectral.DEFAULT_REL_TOL][0]
+    """2 sum C (BA + AB) over the merged slots, from one evaluation of their first shifts."""
+    merged = _merged(ctx, terms, omega_a, omega_b)
+    sums = _kinds_sum(ctx, [x for x, _ in merged.values()])
     total = 0.0
-    for n, c in _merged(ctx, terms, omega_a, omega_b).items():
-        total += c * values[n]
+    for x, c in merged.values():
+        total += c * sums[x]
     return 2.0 * ctx._joules * total
 
 
-def _unmerged_energy(ctx, terms, omega_a, omega_b):
-    """The same sum taken term by term, which rounds repeated slots differently."""
-    values = ctx._table[spectral.DEFAULT_REL_TOL][0]
+def _shift(ctx, s, t, omega_a, omega_b):
+    return abs(s * omega_a - t * omega_b) / ctx._scaled[0]
+
+
+def _sweep_sums(ctx, terms, points):
+    """Shift -> BA + AB from one evaluation of every shift of a sweep and 0, sorted."""
+    shifts = {_shift(ctx, s, t, *rates) for rates in [*points, (0.0, 0.0)] for s, t, _ in terms}
+    return _kinds_sum(ctx, sorted(shifts))
+
+
+def _term_energy(ctx, terms, sums, omega_a, omega_b):
+    """2 sum c (BA + AB) taken term by term, in term order, from the shift -> sum map."""
     total = 0.0
     for s, t, c in terms:
-        total += c * values[round(abs(s * omega_a - t * omega_b) / ctx._scaled[0] / 1e-12)]
+        total += c * sums[_shift(ctx, s, t, omega_a, omega_b)]
     return 2.0 * ctx._joules * total
 
 
-@pytest.fixture
-def cold_cache():
-    spectral.clear_cache()
-    yield
-    spectral.clear_cache()   # drop entries a test may have corrupted
+def _one_point(ctx, arrangement, omega_a, omega_b, rel_tol):
+    """(energy, "") of a one-point call, or (NaN, the error column's text of what it raised)."""
+    try:
+        return energy(ctx, arrangement, omega_a, omega_b, rel_tol), ""
+    except (ConvergenceError, ArithmeticError) as exc:
+        return math.nan, type(exc).__name__ + ": " + str(exc)
+
+
+def _assert_rows_are_one_point(spec, ctx, rel=2e-14):
+    """Each row of the sweep is the one-point energy of its rates, value or error."""
+    rows = run_sweep(spec, ctx).rows
+    arrangement = spec.make_arrangement()
+    e0, e0_error = _one_point(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
+    for row in rows:
+        e, error = _one_point(ctx, arrangement, row["omega_A_rad_s"], row["omega_B_rad_s"],
+                              spec.rel_tol)
+        if e0_error:
+            error = "ConvergenceError: zero-rotation reference failed: " + e0_error
+        assert row["error"] == error, (row, error)
+        if not error:
+            assert abs(row["E_J"] - e) <= rel * abs(e), (row, e)
+            assert abs(row["E0_J"] - e0) <= rel * abs(e0), (row, e0)
+        assert math.isnan(row["E0_J"]) == bool(e0_error)
+    return rows
 
 
 class TestBlockedSweep:
-    """A sweep evaluates its shift integrals up front; rows only look up."""
-
-    @staticmethod
-    def _assert_rows_match_unbatched(spec, ctx):
-        rows = run_sweep(spec, ctx).rows
-        arrangement = spec.make_arrangement()
-        spectral.clear_cache()
-        e0 = energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
-        for row in rows:
-            # each row on its own, from a cold cache, as an unbatched sweep
-            spectral.clear_cache()
-            e = energy(ctx, arrangement, row["omega_A_rad_s"], row["omega_B_rad_s"],
-                       spec.rel_tol)
-            scale = 1e-13 * max(abs(e), abs(e0))
-            assert not row["error"]
-            assert abs(row["E_J"] - e) <= scale, (row, e)
-            assert abs(row["E0_J"] - e0) <= scale, (row, e0)
+    """A sweep evaluates all of its shifts in one array call; rows only sum them."""
 
     @pytest.mark.parametrize("temperature", [0.0, 300.0, 1500.0])
     @pytest.mark.parametrize("arrangement", [{"arrangement": "rr"},
                                              {"arrangement": "uu"}, GENERAL_AXES],
                              ids=["rr", "uu", "general"])
-    def test_rows_equal_unbatched_energies(self, w0, cold_cache, temperature,
-                                           arrangement):
+    def test_rows_equal_unbatched_energies(self, w0, temperature, arrangement):
         spec, ctx = parse_config({
             **arrangement, "temperature_K": temperature,
             "sweep.omega_a_grid_rad_s": list(np.linspace(0.0, 4.5 * w0, 12)),
             "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.4})
-        self._assert_rows_match_unbatched(spec, ctx)
+        _assert_rows_are_one_point(spec, ctx, rel=1e-13)
 
     @pytest.mark.parametrize("damping", [2.0, 2.5])
-    def test_overdamped_context_rows_equal_unbatched(self, w0, cold_cache, damping):
+    def test_overdamped_context_rows_equal_unbatched(self, w0, damping):
         # gamma0 = 2 w0 (the mean over the circle) and 2.5 w0 (poles on the
-        # imaginary axis) go through the same blocked pass as any material
+        # imaginary axis) go through the same array call as any material
         spec, ctx = parse_config({
             "material.gamma0_rad_s": damping * w0,
             "sweep.omega_a_grid_rad_s": [0.0, 0.7 * w0, 1.9 * w0]})
-        self._assert_rows_match_unbatched(spec, ctx)
+        _assert_rows_are_one_point(spec, ctx, rel=1e-13)
 
     @staticmethod
     def _record_points(monkeypatch):
@@ -324,25 +368,26 @@ class TestBlockedSweep:
         monkeypatch.setattr(spectral, "_closed", recording)
         return points
 
-    def test_one_blocked_pass_and_no_row_misses(self, w0, cold_cache, monkeypatch):
+    @staticmethod
+    def _distinct(ctx, spec):
+        """The count of distinct shifts of a sweep, the rest energy's 0 included."""
+        return len(_sweep_sums(ctx, spec.make_arrangement()._terms, spec.grid_points()))
+
+    def test_one_blocked_pass_and_no_row_misses(self, w0, monkeypatch):
         # identical spheres, one row of one point per shift: the sweep's 207
-        # shifts, more than 64, in one evaluation
+        # shifts, more than 64, in one evaluation, and no row evaluates again
         spec, ctx = parse_config({**GENERAL_AXES, "sweep.omega_a_count": 60,
                                   "sweep.omega_b_rule": "ratio",
                                   "sweep.omega_b_ratio": 0.3})
+        distinct = self._distinct(ctx, spec)
+        assert 64 < distinct <= spectral._BLOCK
         points = self._record_points(monkeypatch)
         result = run_sweep(spec, ctx)
         assert not any(r["error"] for r in result.rows)
-        info = spectral.cache_info()
-        distinct = info["entries"] // 2          # the same shifts for BA and AB
-        assert 64 < distinct <= spectral._BLOCK
-        # both kinds in each evaluation, every shift evaluated once
-        assert info["blocks"] == 1 and points == [distinct]
-        assert info["misses"] == 0
-        spectral.clear_cache()
-        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
+        # both kinds in the one evaluation, every shift evaluated once
+        assert points == [distinct]
 
-    def test_near_critical_pair_blocks_bounded_by_points(self, w0, cold_cache, monkeypatch):
+    def test_near_critical_pair_blocks_bounded_by_points(self, w0, monkeypatch):
         # unequal materials, A within the circle of critical damping: 2 rows
         # of 8 points per shift, so a block holds 64 shifts, and the sweep's
         # shifts take several blocks of at most _BLOCK points
@@ -352,20 +397,22 @@ class TestBlockedSweep:
             "material_b.gamma0_rad_s": 4e8, "sweep.omega_a_count": 50,
             "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.4})
         assert len(ctx._rows) == 2 and max(map(len, ctx._poles)) == 8
+        distinct = self._distinct(ctx, spec)
+        assert distinct > 64
         points = self._record_points(monkeypatch)
         run_sweep(spec, ctx)
-        distinct = spectral.cache_info()["entries"] // 2
-        assert distinct > 64
-        assert spectral.cache_info()["blocks"] == len(points) == math.ceil(distinct / 64)
+        assert len(points) == math.ceil(distinct / 64)
         assert sum(points) == 16 * distinct and max(points) == spectral._BLOCK
-        self._assert_rows_match_unbatched(spec, ctx)
-        assert max(points) == spectral._BLOCK   # no unbatched row's call above it
+        _assert_rows_are_one_point(spec, ctx, rel=1e-13)
+        assert max(points) == spectral._BLOCK   # no one-point call above it
 
-    def test_cold_six_preset_pass_counters(self, cold_cache, monkeypatch):
-        # every row of the six presets is a lookup after its sweep's prefetch,
-        # and each preset's shifts fit in one block: the second sweep of a
-        # fig2 preset (counter-rotating) needs the shifts of the first. Each
-        # preset evaluates into a context of its own, which it drops
+    def test_cold_six_preset_pass_counters(self, monkeypatch):
+        # each sweep of the six presets evaluates its own distinct shifts
+        # in one block, the rest energy's 0 among them, and nothing else: the
+        # two sweeps of a fig2 preset (co- and counter-rotating) need the
+        # same shifts, sums and differences swapped. Shifts are distinct as
+        # floats: fig2a and fig2b hold 12 and 8 that the 1e-12 slots of a
+        # one-point call would merge (333 and 389 slots)
         shifts = []
         inner = spectral._closed_kinds
 
@@ -376,55 +423,60 @@ class TestBlockedSweep:
         monkeypatch.setattr(spectral, "_closed_kinds", recording)
         for name in PRESETS:
             run_preset(name)
-        assert shifts == [200, 200, 333, 389, 200] and 2 * sum(shifts) == 2644
-        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 5}
+        assert shifts == [200, 200, 345, 345, 397, 397, 200, 200]
 
-    def test_equal_contexts_keep_their_own_entries(self, w0, cold_cache):
+    def test_equal_contexts_keep_their_own_entries(self, w0, monkeypatch):
         # a second, distinct but equal context, built while the first is
-        # live, evaluates its own entries and gives the same rows
+        # live, evaluates its own shifts, the same ones, and gives the same rows
         config = {"arrangement": "uu", "sweep.omega_a_count": 30,
                   "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.5}
         spec, ctx = parse_config(config)
+        blocks = []
+        inner = spectral._closed_kinds
+
+        def recording(context, block):
+            blocks.append((context, list(block)))
+            return inner(context, block)
+
+        monkeypatch.setattr(spectral, "_closed_kinds", recording)
         first = run_sweep(spec, ctx).rows
-        info = spectral.cache_info()
-        assert info["blocks"] == 1 and info["misses"] == 0
         _, other = parse_config(config)
-        assert other is not ctx and other == ctx and not other._table
+        assert other is not ctx and other == ctx
         assert run_sweep(spec, other).rows == first
-        assert other._table == ctx._table
-        assert spectral.cache_info() == {"entries": 2 * info["entries"], "misses": 0,
-                                         "blocks": 2}
+        [(one, shifts), (two, again)] = blocks
+        assert one is ctx and two is other and shifts == again
 
     @pytest.mark.parametrize("config", [
         {"arrangement": "uu", "temperature_K": 1500.0, "sweep.omega_b_ratio": 1.0},
         {**GENERAL_AXES, "temperature_K": 0.0, "sweep.omega_b_ratio": 1.0},
         {"arrangement": "uu", "temperature_K": 1500.0, "sweep.omega_b_ratio": -1.0},
     ], ids=["fig2c_co", "general_equal_rates", "fig2c_counter"])
-    def test_repeated_slots_keep_their_bits(self, w0, cold_cache, config):
-        # rows whose terms share a slot sum the merged weight once: by the
-        # sweep, by a one-point call on the sweep's entries, and by a cold
-        # one-point call, each as the slot-merged sum of the entries it read
+    def test_repeated_slots_keep_their_bits(self, w0, config):
+        # rows whose terms share a shift: the sweep sums them term by term
+        # over its one evaluation, a one-point call sums the merged weight
+        # once over the evaluation of its own first shifts, each with the
+        # same bits every time, and the two agree to roundoff
         spec, ctx = parse_config({**config, "sweep.omega_b_rule": "ratio",
                                   "sweep.omega_a_grid_rad_s":
                                       list(np.linspace(0.0, 5.0 * w0, 41))})
         arrangement = spec.make_arrangement()
+        terms = arrangement._terms
         rows = run_sweep(spec, ctx).rows
-        unmerged = 0
+        assert rows == run_sweep(spec, ctx).rows
+        sums = _sweep_sums(ctx, terms, spec.grid_points())
+        merged = 0
         for row in rows:
             rates = row["omega_A_rad_s"], row["omega_B_rad_s"]
-            assert len(_merged(ctx, arrangement._terms, *rates)) < len(arrangement._terms)
-            assert row["E_J"] == _merged_energy(ctx, arrangement._terms, *rates)
-            assert energy(ctx, arrangement, *rates, spec.rel_tol) == row["E_J"]
-            unmerged += row["E_J"] != _unmerged_energy(ctx, arrangement._terms, *rates)
-        assert unmerged                     # merging is what these rows check
-        for row in rows[::8]:
-            rates = row["omega_A_rad_s"], row["omega_B_rad_s"]
-            spectral.clear_cache()
-            cold = energy(ctx, arrangement, *rates, spec.rel_tol)
-            assert cold == _merged_energy(ctx, arrangement._terms, *rates)
-            assert energy(ctx, arrangement, *rates, spec.rel_tol) == cold
+            assert len(_merged(ctx, terms, *rates)) < len(terms)
+            assert row["E_J"] == _term_energy(ctx, terms, sums, *rates)
+            e = energy(ctx, arrangement, *rates, spec.rel_tol)
+            assert e == _merged_energy(ctx, terms, *rates)
+            assert energy(ctx, arrangement, *rates, spec.rel_tol) == e
+            assert abs(row["E_J"] - e) <= 2e-14 * abs(e)
+            merged += row["E_J"] != e
+        assert merged                       # merging is what these rows check
 
-    def test_delta_energy_rest_term_keeps_its_bits(self, w0, cold_cache):
+    def test_delta_energy_rest_term_keeps_its_bits(self, w0):
         # the rest term -sum c sits in slot 0 with (0, 0), and with every
         # other term whose shift vanishes
         _, ctx = parse_config({"temperature_K": 300.0})
@@ -433,59 +485,30 @@ class TestBlockedSweep:
             terms = arrangement._terms + ((0.0, 0.0, -sum(c for _, _, c in arrangement._terms)),)
             for rates in [(1.3 * w0, -0.4 * w0), (0.7 * w0, 0.7 * w0), (0.0, 0.9 * w0),
                           (0.8 * w0, -0.8 * w0), (0.0, 0.0)]:
-                spectral.clear_cache()
-                cold = configurations.delta_energy(ctx, arrangement, *rates)
-                assert cold == _merged_energy(ctx, terms, *rates) + 0.0
-                assert configurations.delta_energy(ctx, arrangement, *rates) == cold
+                delta = configurations.delta_energy(ctx, arrangement, *rates)
+                assert delta == _merged_energy(ctx, terms, *rates) + 0.0
+                assert configurations.delta_energy(ctx, arrangement, *rates) == delta
 
     @pytest.mark.parametrize("materials, rel_tol", [
         ({"material.gamma0_rad_s": 3.2e10}, 3e-14),
         ({"material_b.f0": 8.0, "material_b.gamma0_rad_s": 4e8}, 1e-14),
     ], ids=["overdamped", "unequal_materials"])
-    def test_failing_rel_tol_fills_error_column_as_lookups_do(self, w0, cold_cache,
-                                                              materials, rel_tol):
-        # the rows that read a slot which fails at rel_tol raise what a
-        # lookup raises that checks the sweep's one evaluation value by
-        # value, in the walk's order, where the sweep checked each block
-        # as one array comparison
+    def test_failing_rel_tol_fills_error_column_as_lookups_do(self, w0, materials, rel_tol):
+        # the rows whose terms read a shift that fails at rel_tol raise what
+        # a one-point call at their rates raises, where the sweep checked
+        # all of its shifts as one array comparison
         spec, ctx = parse_config({**materials, "arrangement": "uo",
                                   "sweep.omega_a_grid_rad_s":
                                       list(np.linspace(0.0, 4.5 * w0, 60)),
                                   "sweep.omega_b_rule": "ratio",
                                   "sweep.omega_b_ratio": -0.4,
                                   "quadrature.rel_tol": rel_tol})
-        arrangement = spec.make_arrangement()
-        rows = run_sweep(spec, ctx).rows
-        assert spectral.cache_info()["blocks"] == 1
-        slots = spectral._slots(ctx._scaled[0], arrangement._terms, spec.grid_points(),
-                                {0: 0.0})
-        values, roundoff = spectral._closed_kinds(ctx, list(slots.values()))
-        evaluated = dict(zip(slots, zip(values.real.T.tolist(), roundoff.T.tolist(),
-                                        values.imag.T.tolist())))
-
-        def lookup(omega_a, omega_b):
-            total = 0.0
-            for n, c in _merged(ctx, arrangement._terms, omega_a, omega_b).items():
-                real, estimate, imag = evaluated[n]
-                for k, which in enumerate(spectral._KINDS):
-                    spectral._check(which, real[k], estimate[k], imag[k], rel_tol)
-                total += c * (real[0] + real[1])
-            return 2.0 * ctx._joules * total
-
-        e0 = lookup(0.0, 0.0)
-        for row in rows:
-            try:
-                want, e = "", lookup(row["omega_A_rad_s"], row["omega_B_rad_s"])
-            except (ConvergenceError, ArithmeticError) as exc:
-                want = type(exc).__name__ + ": " + str(exc)
-            assert row["error"] == want
-            if not want:
-                assert (row["E_J"], row["E0_J"]) == (e, e0)
+        rows = _assert_rows_are_one_point(spec, ctx)
         assert {bool(r["error"]) for r in rows} == {True, False}
 
-    def test_bad_shift_fails_only_its_rows(self, w0, cold_cache, monkeypatch):
+    def test_bad_shift_fails_only_its_rows(self, w0, monkeypatch):
         # rr with Omega_B = 0 needs the shifts Omega_A and 0, so one bad
-        # shift belongs to one row; its lookup raises, the sweep goes on
+        # shift belongs to one row; it fails its row, the sweep goes on
         grid = [0.5 * w0, w0, 1.5 * w0, 2.0 * w0]
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": grid})
         bad = 1.5 * w0 / ctx._scaled[0]
@@ -502,7 +525,7 @@ class TestBlockedSweep:
             "ArithmeticError: energy_BA: imaginary residue 1.000e+00 exceeds")
         assert all(math.isfinite(r["E_J"]) for r in rows if not r["error"])
 
-    def test_inflated_roundoff_fails_only_its_row(self, w0, cold_cache, monkeypatch):
+    def test_inflated_roundoff_fails_only_its_row(self, w0, monkeypatch):
         # as above, with the roundoff estimate of one shift above rel_tol
         grid = [0.5 * w0, w0, 1.5 * w0, 2.0 * w0]
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": grid})
@@ -520,6 +543,185 @@ class TestBlockedSweep:
             "ConvergenceError: energy_BA: rel_tol 1.0e-08 is below the closed "
             "form's roundoff estimate")
         assert all(math.isfinite(r["E_J"]) for r in rows if not r["error"])
+
+
+UNEQUAL = {"material_b.f0": 8.0, "material_b.omega_tilde0_rad_s": 6.5e9,
+           "material_b.gamma0_rad_s": 4e8}
+
+
+def _seeded_arrangement(rng):
+    """A canonical arrangement, or general axes drawn as unit vectors, as config keys."""
+    kind = ("rr", "uu", "ur", "uo", "general")[rng.integers(5)]
+    if kind != "general":
+        return {"arrangement": kind}
+    axes = rng.normal(size=(3, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    return {"arrangement": "general", **dict(zip(AXIS_KEYS, axes.tolist()))}
+
+
+class TestSweepEnergies:
+    """Each row of the array call is the one-point energy of its rates, value or error."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("temperature", [0.0, 0.05, 300.0])
+    @pytest.mark.parametrize("materials", [{}, UNEQUAL], ids=["equal", "unequal"])
+    def test_rows_are_one_point_energies(self, w0, seed, temperature, materials):
+        # seeded arrangement, rates in +-4.5 w0 and pairing rule; the log
+        # (0 K), digamma (0.05 K) and series (300 K) routes
+        rng = np.random.default_rng(seed)
+        rule = ("ratio", "grid")[rng.integers(2)]
+        spec, ctx = parse_config({
+            **materials, **_seeded_arrangement(rng), "temperature_K": temperature,
+            "sweep.omega_a_grid_rad_s": (rng.uniform(-4.5, 4.5, 9) * w0).tolist(),
+            "sweep.omega_b_rule": rule, "sweep.omega_b_ratio": rng.uniform(-1.0, 1.0),
+            "sweep.omega_b_grid_rad_s": (rng.uniform(-4.5, 4.5, 3) * w0).tolist()})
+        rows = _assert_rows_are_one_point(spec, ctx)
+        assert not any(row["error"] for row in rows)
+
+    def test_near_critical_rows_are_one_point_energies(self, w0):
+        # sphere A at critical damping: each row of the closed form is the
+        # mean over the 8 points of the circle
+        spec, ctx = parse_config({
+            **UNEQUAL, "arrangement": "ur", "material.gamma0_rad_s": 2.0 * w0,
+            "sweep.omega_a_grid_rad_s": list(np.linspace(-3.0 * w0, 4.0 * w0, 13)),
+            "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": 0.6})
+        assert max(map(len, ctx._poles)) == len(spectral._CIRCLE)
+        _assert_rows_are_one_point(spec, ctx)
+
+    def test_more_shifts_than_a_block(self, w0, monkeypatch):
+        # identical spheres and uo's four shifts per row: more distinct
+        # shifts than _BLOCK points, so the array call takes two blocks
+        spec, ctx = parse_config({
+            "arrangement": "uo", "sweep.omega_a_count": 300,
+            "sweep.omega_a_stop_over_omega0": 4.5,
+            "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": 0.37})
+        calls = []
+        inner = spectral._closed_kinds
+        monkeypatch.setattr(spectral, "_closed_kinds",
+                            lambda c, block: calls.append(len(block)) or inner(c, block))
+        run_sweep(spec, ctx)
+        assert len(calls) == 2 and calls[0] == spectral._BLOCK and sum(calls) > spectral._BLOCK
+        monkeypatch.undo()
+        _assert_rows_are_one_point(spec, ctx)
+
+    @pytest.mark.parametrize("materials, rel_tol", [
+        ({"material.gamma0_rad_s": 3.2e10}, 3e-14),
+        (UNEQUAL, 1e-14),
+        ({}, 1e-17),
+    ], ids=["overdamped", "unequal", "rest_fails"])
+    def test_failing_rel_tol_error_cells_are_one_point_errors(self, w0, materials, rel_tol):
+        # each error cell holds the text of what a one-point call at its
+        # rates raises; at 1e-17 the rest energy fails and with it every row
+        spec, ctx = parse_config({
+            **materials, "arrangement": "uu", "temperature_K": 300.0,
+            "sweep.omega_a_grid_rad_s": list(np.linspace(0.0, 4.5 * w0, 40)),
+            "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.7,
+            "quadrature.rel_tol": rel_tol})
+        rows = _assert_rows_are_one_point(spec, ctx)
+        errors = [row["error"] for row in rows]
+        if rel_tol == 1e-17:
+            assert all(e.startswith("ConvergenceError: zero-rotation reference failed: "
+                                    "ConvergenceError: energy_BA: rel_tol 1.0e-17")
+                       for e in errors)
+        else:
+            assert any(errors) and not all(errors)
+
+    def test_rest_energy_failure_reaches_the_library_caller(self, w0):
+        # the array call itself: the rest energy's failure sits under None
+        _, ctx = parse_config({})
+        terms = Arrangement("uu")._terms
+        energies, rest, errors = spectral.sweep_energies(ctx, terms, [w0, 2.0 * w0],
+                                                         [0.0, -w0], 1e-17)
+        assert math.isnan(rest) and all(math.isnan(e) for e in energies)
+        with pytest.raises(ConvergenceError) as raised:
+            energy(ctx, Arrangement("uu"), 0.0, 0.0, 1e-17)
+        assert str(errors[None]) == str(raised.value)
+        assert type(errors[None]) is ConvergenceError and set(errors) == {0, 1, None}
+
+
+class TestDopplerBound:
+    """Rates whose Doppler images leave the non-retarded regime are rejected."""
+
+    @staticmethod
+    def _far_pair():
+        # BST at 1 mm: R w/c = 0.043 at rest
+        sphere = SpinningSphere(60e-9, bst(), 300.0)
+        return PairContext(sphere, sphere, 1e-3)
+
+    def test_library_raises_naming_the_rates(self, w0):
+        ctx = self._far_pair()
+        uu = Arrangement("uu")
+        message = (r"^Omega_A = .* rad/s, Omega_B = .* rad/s: the Doppler images leave "
+                   r"the non-retarded regime: R w/c = 0\.47")
+        for call in (lambda: energy(ctx, uu, 5.0 * w0, 5.0 * w0),
+                     lambda: configurations.delta_force(ctx, uu, 5.0 * w0, 5.0 * w0),
+                     lambda: spectral.sweep_energies(ctx, uu._terms, [0.0, 5.0 * w0],
+                                                     [0.0, 5.0 * w0])):
+            with pytest.raises(ValueError, match=message):
+                call()
+        # 10 w0 of shift is within the bound below 0.2 mm
+        assert energy(PairContext(ctx.sphere_a, ctx.sphere_b, 1.5e-4), uu,
+                      5.0 * w0, 5.0 * w0) < 0.0
+
+    def test_single_kind_energies_raise(self):
+        # 1e308 rad/s on the default pair once gave -0.0; aux_energy's slot
+        # of 1e308 overflows first, and it says so
+        _, ctx = parse_config({})
+        for call in (spectral.energy_BA, spectral.energy_AB, spectral.aux_energy):
+            for rate in (1e20, 1e308)[:2 if call is not spectral.aux_energy else 1]:
+                message = f"Omega_A = {rate} rad/s, Omega_B = 0.0 rad/s: the Doppler images leave"
+                with pytest.raises(ValueError, match="^" + re.escape(message)):
+                    call(ctx, rate)
+
+    def test_the_bound_adds_the_largest_shift(self, w0):
+        # R w/c of the materials plus R/c times the largest shift
+        ctx = self._far_pair()
+        room = (spectral.MAX_RETARDATION - ctx._reach) / ctx._reach_shift * ctx._scaled[0]
+        rr = Arrangement("rr")                       # shifts Omega_A - Omega_B and 0
+        assert energy(ctx, rr, 0.999 * room, 0.0) < 0.0
+        with pytest.raises(ValueError, match="Doppler"):
+            energy(ctx, rr, 1.001 * room, 0.0)
+        with pytest.raises(ValueError, match="Doppler"):
+            energy(ctx, rr, 0.6 * room, -0.6 * room)
+
+    @pytest.mark.parametrize("command", ["energy", "sweep"])
+    def test_cli_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({
+            "geometry.separation_m": 1e-3, "arrangement": "uu",
+            "sweep.omega_a_grid_rad_s": [0.0, 5.0 * resonance_frequency(bst())],
+            "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": 1.0,
+            "output.path": str(tmp_path / "out.csv")}))
+        args = ["--omega-a", "5", "--omega-b", "5"] if command == "energy" else []
+        assert main(["--config", str(cfg), command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Omega_A = ") and "R w/c = 0.47" in err
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestCanonicalAxes:
+    """Axes belong to the general arrangement only."""
+
+    @pytest.mark.parametrize("kind", ["rr", "uu", "ur", "uo"])
+    def test_config_axes_on_a_canonical_arrangement(self, kind):
+        for key in AXIS_KEYS:
+            with pytest.raises(ConfigError, match=f"^{key}: the {kind} arrangement has "
+                                                  f"fixed axes"):
+                parse_config({"arrangement": kind, key: [1, 0, 0]})
+        with pytest.raises(ConfigError, match="^arrangement.axis_a, arrangement.rhat: "):
+            parse_config({"arrangement": kind, "arrangement.axis_a": [1, 0, 0],
+                          "arrangement.rhat": [0, 0, 1]})
+
+    def test_default_arrangement_rejects_axes(self):
+        with pytest.raises(ConfigError, match="^arrangement.axis_b: the rr arrangement"):
+            parse_config({"arrangement.axis_b": [0, 1, 0]})
+
+    def test_spec_axes_on_a_canonical_arrangement(self):
+        with pytest.raises(ConfigError, match="^arrangement.axis_a: the uu arrangement"):
+            SweepSpec(arrangement="uu", omega_a_grid=(0.0,), axes=("junk",))
+        with pytest.raises(ConfigError, match="^axes: the rr arrangement"):
+            SweepSpec(omega_a_grid=(0.0,), axes=(None,))
+        assert SweepSpec(arrangement="uu", omega_a_grid=(0.0,)).axes == ()
 
 
 class TestEmit:
@@ -602,14 +804,15 @@ class TestEmit:
     def test_error_with_commas_round_trips(self, w0, tmp_path, monkeypatch):
         # a failed row's message, with commas and quotes, goes through the
         # error column of run_sweep, the CSV and back
-        inner = configurations.energy
+        inner = spectral.sweep_energies
 
-        def failing(ctx, arrangement, wa, wb, rel_tol=None):
-            if wa == 0.0:
-                return inner(ctx, arrangement, wa, wb, rel_tol)
-            raise ConvergenceError('error estimate 1e-3, tolerance 1e-15, "quoted"')
+        def failing(ctx, terms, omega_a, omega_b, rel_tol=None):
+            energies, rest, errors = inner(ctx, terms, omega_a, omega_b, rel_tol)
+            for k in range(len(energies)):
+                errors[k] = ConvergenceError('error estimate 1e-3, tolerance 1e-15, "quoted"')
+            return [math.nan] * len(energies), rest, errors
 
-        monkeypatch.setattr(configurations, "energy", failing)
+        monkeypatch.setattr(spectral, "sweep_energies", failing)
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": [0.5 * w0, w0]})
         result = run_sweep(spec, ctx)
         message = result.rows[0]["error"]
@@ -810,7 +1013,7 @@ class TestPresets:
             assert result.metadata["preset"] == name
 
     def test_rows_do_not_depend_on_what_ran_before(self, tmp_path):
-        # each preset alone from a cold cache, after every other preset, and
+        # each preset alone, after every other preset, and
         # in the reversed order of all six: the same rows and CSV bytes
         def run(names):
             out = {}
@@ -823,7 +1026,6 @@ class TestPresets:
 
         alone = {}
         for name in PRESETS:
-            spectral.clear_cache()
             alone.update(run([name]))
         for name in PRESETS:
             others = [other for other in PRESETS if other != name]
@@ -1023,13 +1225,11 @@ class TestMainExitCodes:
                 return inner(*args)
 
             monkeypatch.setattr(spectral, name, counting)
-        spectral.clear_cache()
         assert all(ok for _, ok, _ in _run_checks())
         assert set(calls) == {"_log", "_series", "_digamma"}
-        spectral.clear_cache()
 
     def test_check_exchange_row_swaps_distinct_contexts(self, monkeypatch):
-        # an identical pair would compare one cache entry with itself
+        # an identical pair would compare one evaluation with itself
         contexts = []
         inner = spectral.aux_energy
 

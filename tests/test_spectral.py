@@ -1,5 +1,4 @@
 import functools
-import gc
 import math
 import re
 
@@ -441,11 +440,9 @@ class TestStackedClosedForm:
     def test_one_evaluation_per_cold_call(self, monkeypatch, w0, cold_call, evaluations):
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 0.0), R)
-        spectral.clear_cache()
         calls = _record(monkeypatch)
         cold_call(ctx, w0)
         assert calls == [2] * evaluations
-        spectral.clear_cache()
 
     @pytest.mark.parametrize("mat_b, t_b, rows", [
         (bst(), 300.0, 1),                            # equal materials and T
@@ -456,11 +453,9 @@ class TestStackedClosedForm:
         # the radii enter only the energy scale, not the rows
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(50e-9, mat_b, t_b), R)
-        spectral.clear_cache()
         calls = _record(monkeypatch)
         aux_energy(ctx, 0.7 * w0)
         assert calls == [rows]
-        spectral.clear_cache()
 
 
 SHIFTS = (0.0, 0.5, 1.3, 3.1)     # working units
@@ -561,30 +556,23 @@ class TestMatsubaraRoutes:
         assert bound > 0.01 * counted.min()
 
     def test_warm_sweep_sums_series(self, monkeypatch, w0):
-        # the presets' BST pair at 300 K: |z| stays below 1e-3, so neither
-        # the blocked pass nor the rows evaluate a digamma
+        # the presets' BST pair at 300 K: |z| stays below 1e-3, so the
+        # sweep's one evaluation calls no digamma
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(A, bst(), 300.0), R)
         arrangement = Arrangement("uu")
         rates = [(om * w0, -0.5 * om * w0) for om in np.linspace(0.0, 5.0, 20)]
-        spectral.clear_cache()
         closed, digamma = _record(monkeypatch), _record(monkeypatch, "_digamma")
-        spectral.prefetch(ctx, arrangement._terms, rates)
-        for oa, ob in rates:
-            energy(ctx, arrangement, oa, ob)
+        spectral.sweep_energies(ctx, arrangement._terms, *zip(*rates))
         assert closed == [1] and digamma == []
-        assert spectral.cache_info()["misses"] == 0
-        spectral.clear_cache()
 
     def test_sub_kelvin_context_calls_digamma(self, monkeypatch, w0):
         # BST at 0.05 K: |z| reaches 0.72 at 1.3 w0
         ctx = PairContext(SpinningSphere(A, bst(), 0.05),
                           SpinningSphere(A, bst(), 0.05), R)
-        spectral.clear_cache()
         closed, digamma = _record(monkeypatch), _record(monkeypatch, "_digamma")
         aux_energy(ctx, 1.3 * w0)
         assert closed == [1] and len(digamma) == 1
-        spectral.clear_cache()
 
     def test_three_routes_in_one_block(self, monkeypatch):
         # a T = 0 row, a series row and a digamma row stay one evaluation,
@@ -766,42 +754,13 @@ class TestEveryDamping:
 
 
 class TestShiftCache:
-    """One table per context, which clear_cache empties."""
-
-    def test_clear_cache_drops_corrupted_entries(self, monkeypatch, w0):
-        def context():
-            return PairContext(SpinningSphere(A, bst(), 300.0),
-                               SpinningSphere(50e-9, bst(), 900.0), R)
-
-        spectral.clear_cache()
-        good = aux_energy(context(), 0.7 * w0)
-        corrupted = context()
-        inner = spectral._closed
-
-        def corrupt(rows, omega_scale, shifts):
-            value, roundoff = inner(rows, omega_scale, shifts)
-            return value + 1j, roundoff
-
-        monkeypatch.setattr(spectral, "_closed", corrupt)
-        with pytest.raises(ArithmeticError):
-            aux_energy(corrupted, 0.7 * w0)
-        monkeypatch.undo()
-        # the corrupted entry stays in its context's table, and only there
-        with pytest.raises(ArithmeticError):
-            aux_energy(corrupted, 0.7 * w0)
-        assert aux_energy(context(), 0.7 * w0) == good
-        spectral.clear_cache()
-        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
-        assert aux_energy(corrupted, 0.7 * w0) == good
-        spectral.clear_cache()
+    """What one call evaluates: its slots' first shifts, once; nothing is kept after it."""
 
     def test_warm_ab_residue_names_energy_ab(self, monkeypatch, w0):
         # unequal spheres evaluate BA and AB as two rows; corrupt AB alone
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(50e-9, bst(), 900.0), R)
-        spectral.clear_cache()
-        good = energy_BA(ctx, 0.7 * w0)
-        spectral.clear_cache()
+        good, total = energy_BA(ctx, 0.7 * w0), aux_energy(ctx, 0.7 * w0)
         inner = spectral._closed
 
         def corrupt(rows, omega_scale, shifts):
@@ -810,16 +769,15 @@ class TestShiftCache:
             return value + 1j * (np.arange(2) == 1)[:, None], roundoff
 
         monkeypatch.setattr(spectral, "_closed", corrupt)
-        spectral.prefetch(ctx, ((1.0, 0.0, 1.0),), [(0.7 * w0, 0.0)])
-        monkeypatch.undo()
         message = r"^energy_AB: imaginary residue 1\.000e\+00 exceeds"
         with pytest.raises(ArithmeticError, match=message):
             aux_energy(ctx, 0.7 * w0)
-        # the single-kind energies evaluate afresh and never read the entry
+        with pytest.raises(ArithmeticError, match=message):
+            energy_AB(ctx, 0.7 * w0)
+        # the single-kind energy of BA checks BA alone
         assert energy_BA(ctx, 0.7 * w0) == good
-        assert math.isfinite(energy_AB(ctx, 0.7 * w0))
-        assert spectral.cache_info() == {"entries": 4, "misses": 0, "blocks": 1}
-        spectral.clear_cache()
+        monkeypatch.undo()
+        assert aux_energy(ctx, 0.7 * w0) == total
 
     def test_shifts_in_one_slot_share_one_entry(self, monkeypatch, ctx300, w0):
         # adjacent doubles are distinct shifts but one slot: the first
@@ -828,7 +786,6 @@ class TestShiftCache:
         wa = 0.7 * w0
         wb = math.nextafter(wa, math.inf)
         assert wa / ws != wb / ws and round(wa / ws / 1e-12) == round(wb / ws / 1e-12)
-        spectral.clear_cache()
         shifts = []
         inner = spectral._closed
 
@@ -840,99 +797,49 @@ class TestShiftCache:
         terms = ((1.0, 0.0, 0.25), (0.0, 1.0, 0.5))     # E(|Omega_A|), E(|Omega_B|)
         e = spectral.general_energy(ctx300, terms, wa, -wb)
         assert shifts == [[wa / ws]]
-        assert spectral.cache_info() == {"entries": 2, "misses": 2, "blocks": 1}
         assert e == approx(1.5 * aux_energy(ctx300, wa), rel=1e-15)
-        assert spectral.cache_info() == {"entries": 2, "misses": 2, "blocks": 1}
-        spectral.clear_cache()
 
-    def test_miss_after_hit_in_one_call(self, ctx300, w0):
-        # the walk meets a hit, then a miss: the miss is evaluated and the
-        # walk goes on, counting one miss per kind
-        spectral.clear_cache()
+    def test_miss_after_hit_in_one_call(self, monkeypatch, ctx300, w0):
+        # a shift that an earlier call evaluated and a new one: nothing is
+        # kept, so the call evaluates both, in one evaluation
         first = aux_energy(ctx300, 0.7 * w0)
+        blocks = []
+        inner = spectral._closed_kinds
+        monkeypatch.setattr(spectral, "_closed_kinds",
+                            lambda ctx, block: blocks.append(list(block)) or inner(ctx, block))
         terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
         e = spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0)
-        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
+        ws = ctx300._scaled[0]
+        assert blocks == [[0.7 * w0 / ws, 1.1 * w0 / ws]]
         assert e == approx(first + aux_energy(ctx300, 1.1 * w0), rel=1e-15)
-        spectral.clear_cache()
 
     def test_failed_hit_before_miss_fills_the_miss(self, monkeypatch, ctx300, w0):
-        # a bad entry met before a miss still raises, after the miss is
-        # evaluated and counted as a miss
-        spectral.clear_cache()
+        # a failing shift met before a passing one still raises, after the
+        # one evaluation of both
+        ws = ctx300._scaled[0]
+        bad = 0.7 * w0 / ws
+        blocks = []
         inner = spectral._closed
 
         def corrupt(rows, omega_scale, shifts):
+            blocks.append(list(shifts))
             value, roundoff = inner(rows, omega_scale, shifts)
-            return value + 1j, roundoff
+            return value + 1j * (np.asarray(shifts) == bad), roundoff
 
         monkeypatch.setattr(spectral, "_closed", corrupt)
-        spectral.prefetch(ctx300, ((1.0, 0.0, 1.0),), [(0.7 * w0, 0.0)])
-        monkeypatch.undo()
         terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
         with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
             spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0)
-        assert spectral.cache_info() == {"entries": 6, "misses": 2, "blocks": 2}
-        spectral.clear_cache()
+        assert blocks == [[bad, 1.1 * w0 / ws]]
+        assert math.isfinite(spectral.general_energy(ctx300, terms, 1.1 * w0, 1.3 * w0))
 
     @pytest.mark.parametrize("t_b", [300.0, 900.0], ids=["one_row", "two_rows"])
     def test_kinds_sum_to_aux(self, w0, t_b):
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
                           SpinningSphere(50e-9, bst(), t_b), R)
-        spectral.clear_cache()
         for omega in (0.0, 0.7 * w0, -2.3 * w0):
             total = aux_energy(ctx, omega)
             assert energy_BA(ctx, omega) + energy_AB(ctx, omega) == approx(total, rel=1e-15)
-        spectral.clear_cache()
-
-    def test_second_rel_tol_fills_its_own_table(self, w0):
-        # gamma0 = 2.5 w0, overdamped: a table's entries are checked at its
-        # rel_tol as they are stored, so a second tolerance evaluates the
-        # shift again, into a table of its own, and gives the same bits
-        ctx = PairContext(SpinningSphere(A, MaterialModel(12.2, 5.7e9, 2.5 * w0), 300.0),
-                          SpinningSphere(A, bst(), 300.0), R)
-        spectral.clear_cache()
-        loose = aux_energy(ctx, 0.7 * w0, rel_tol=1e-4)
-        assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-8) == loose
-        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
-        assert list(ctx._table) == [1e-4, 1e-8]
-        assert _values(ctx, 1e-4) == _values(ctx, 1e-8)
-        assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-4) == loose
-        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
-        spectral.clear_cache()
-
-    def test_context_holds_its_table(self, ctx300, w0):
-        # a session context keeps a valid, emptied table across clear_cache;
-        # an equal context built afterwards owns another, and fills it
-        spectral.clear_cache()
-        aux_energy(ctx300, 0.7 * w0)
-        assert ctx300._table and ctx300._table is ctx300._owner.entries
-        assert ctx300._owner in spectral._tables
-        spectral.clear_cache()
-        assert len(ctx300._table) == 0
-        twin = PairContext(SpinningSphere(A, bst(), 300.0),
-                           SpinningSphere(A, bst(), 300.0), R)
-        assert twin == ctx300 and twin._table is not ctx300._table
-        filled = aux_energy(twin, 0.7 * w0)
-        assert aux_energy(ctx300, 0.7 * w0) == filled
-        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
-        spectral.clear_cache()
-
-    def test_registry_drops_the_tables_of_dropped_contexts(self, ctx300, w0):
-        # 300 pairs built, used and dropped leave no table behind, while a
-        # live context keeps its table; an equal context adds its own
-        gc.collect()
-        before = set(spectral._tables)
-        for k in range(300):
-            ctx = PairContext(SpinningSphere(A, bst(), 300.0 + k % 2),
-                              SpinningSphere(50e-9, bst(), 300.0), R)
-            aux_energy(ctx, 0.7 * w0)
-        del ctx
-        gc.collect()
-        assert set(spectral._tables) == before and ctx300._owner in before
-        twin = PairContext(ctx300.sphere_a, ctx300.sphere_b, ctx300.separation)
-        assert set(spectral._tables) == before | {twin._owner}
-        spectral.clear_cache()
 
     @pytest.mark.parametrize("rates, name", [
         ((math.nan, 0.0), "Omega_A = nan"), ((1e10, math.inf), "Omega_B = inf"),
@@ -950,7 +857,8 @@ class TestShiftCache:
             with pytest.raises(ValueError, match=message):
                 delta_force(ctx300, arrangement, *rates)
             with pytest.raises(ValueError, match=message):
-                spectral.prefetch(ctx300, arrangement._terms, [(0.0, 0.0), rates])
+                spectral.sweep_energies(ctx300, arrangement._terms, [0.0, rates[0]],
+                                        [0.0, rates[1]])
         with pytest.raises(ValueError, match=message):      # the rest term first
             spectral.general_energy(ctx300, ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)), *rates)
         if name.startswith("Omega_A"):
@@ -958,25 +866,28 @@ class TestShiftCache:
                 aux_energy(ctx300, rates[0])
 
     @pytest.mark.parametrize("rates", [(1e308, 0.0), (0.0, -1e308)])
-    def test_overflowing_shift_names_both_rates(self, ctx300, rates):
+    def test_overflowing_shift_names_both_rates(self, monkeypatch, ctx300, rates):
         # finite rates whose shift overflows its slot: neither rate is
-        # called non-finite, and nothing is evaluated
-        message = "^" + re.escape(f"Omega_A = {rates[0]} rad/s, Omega_B = {rates[1]} rad/s: "
-                                  "a shift |s Omega_A - t Omega_B| overflows") + "$"
-        spectral.clear_cache()
+        # called non-finite, and nothing is evaluated. A sweep has no
+        # slots; its shift takes the Doppler images out of the
+        # non-retarded regime, and it names both rates for that
+        both = f"Omega_A = {rates[0]} rad/s, Omega_B = {rates[1]} rad/s: "
+        message = "^" + re.escape(both + "a shift |s Omega_A - t Omega_B| overflows") + "$"
+        calls = _record(monkeypatch)
         for kind in ("rr", "uu", "ur", "uo"):
             arrangement = Arrangement(kind)
             with pytest.raises(ValueError, match=message):
                 energy(ctx300, arrangement, *rates)
             with pytest.raises(ValueError, match=message):
                 delta_energy(ctx300, arrangement, *rates)
-            with pytest.raises(ValueError, match=message):
-                spectral.prefetch(ctx300, arrangement._terms, [(0.0, 0.0), rates])
-        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
+            with pytest.raises(ValueError, match="^" + re.escape(both + "the Doppler images")):
+                spectral.sweep_energies(ctx300, arrangement._terms, [0.0, rates[0]],
+                                        [0.0, rates[1]])
+        assert calls == []
 
     def test_rest_term_is_one_entry_in_slot_zero(self, monkeypatch, ctx300, w0):
-        # on a cold table the rest term is evaluated once, at shift 0.0, into
-        # slot 0: the entry of a shift that cancels to 0, with the same bits
+        # the rest term is evaluated once, at shift 0.0, in the one
+        # evaluation of its call, as a shift that cancels to 0, with the same bits
         blocks = []
         inner = spectral._closed_kinds
 
@@ -989,44 +900,15 @@ class TestShiftCache:
         rr, uo = Arrangement("rr"), Arrangement("uo")
         for call in (lambda: energy(ctx300, rr, *rates),
                      lambda: delta_energy(ctx300, uo, *rates),
-                     lambda: spectral.prefetch(ctx300, rr._terms, [rates])):
-            spectral.clear_cache()
+                     lambda: spectral.sweep_energies(ctx300, rr._terms, [rates[0]],
+                                                     [rates[1]])):
             call()
             [shifts] = blocks
-            assert shifts.count(0.0) == 1 and 0 in _values(ctx300)
+            assert shifts.count(0.0) == 1
             blocks.clear()
-        spectral.clear_cache()
         rest = spectral.general_energy(ctx300, ((0.0, 0.0, 1.0),), *rates)
-        assert list(_values(ctx300)) == [0] and blocks == [[0.0]]
-        spectral.clear_cache()
+        assert blocks == [[0.0]]
         assert spectral.general_energy(ctx300, ((1.0, 1.0, 1.0),), 0.5 * w0, 0.5 * w0) == rest
-        spectral.clear_cache()
-
-    def test_cache_info_counts_entries_misses_and_blocks(self, ctx300, w0):
-        # a hit is a lookup that is not a miss; only what the cache decides counts
-        spectral.clear_cache()
-        uu = Arrangement("uu")          # E(dO) + 9 E(sO) + 2 E(0): three slots
-        for _ in range(2):
-            energy(ctx300, uu, 1.3 * w0, -0.4 * w0)
-            assert spectral.cache_info() == {"entries": 6, "misses": 6, "blocks": 1}
-        spectral.clear_cache()
-
-    def test_swapped_context_registers_its_table(self, w0):
-        ctx = PairContext(SpinningSphere(A, bst(), 300.0),
-                          SpinningSphere(50e-9, bst(), 900.0), R)
-        spectral.clear_cache()
-        aux_energy(ctx, 0.7 * w0)
-        swapped = ctx.swapped()
-        assert swapped._owner in spectral._tables
-        assert swapped._table is not ctx._table and not swapped._table
-        aux_energy(swapped, 0.7 * w0)
-        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
-        spectral.clear_cache()
-
-
-def _values(ctx, rel=spectral.DEFAULT_REL_TOL):
-    """Slot -> BA + AB of the context's table at ``rel`` (NaN where a check failed)."""
-    return ctx._table[rel][0]
 
 
 def _outcome(call, rel):
@@ -1065,15 +947,15 @@ def _checked_sums(ctx, shifts, rel):
 
 
 class TestPassedTolerance:
-    """One table per rel_tol, whose entries are checked once, as they are stored."""
+    """Each call checks its own evaluation at its own rel_tol."""
 
     @pytest.mark.parametrize("t_a, mat_b, t_b, seed", [
         (300.0, bst(), 300.0, 1),
         (0.0, MaterialModel(8.0, 6.5e9, 4e8), 900.0, 2),
     ], ids=["bst_300K", "unequal_0K_900K"])
     def test_warm_lookups_match_cold(self, w0, t_a, mat_b, t_b, seed):
-        # call by call, a context whose tables the earlier calls filled gives
-        # what a fresh equal context gives; the roundoff estimates sit between
+        # call by call, a context that the earlier calls used gives what a
+        # fresh equal context gives; the roundoff estimates sit between
         # 3e-15 and 2e-13 of the values, so the draws pass and fail in turn
         def context():
             return PairContext(SpinningSphere(A, bst(), t_a),
@@ -1094,8 +976,6 @@ class TestPassedTolerance:
                 assert got == cold, (rel, got, cold)
                 seen.add(got[0] if isinstance(got, tuple) else float)
         assert seen == {float, ConvergenceError, ValueError}     # ValueError: NaN, 0, -1
-        assert set(warm._table) == {rel for rel in _rel_tols(seed) if rel > 0.0}
-        assert any(math.isnan(v) for values, _ in warm._table.values() for v in values.values())
 
     @pytest.mark.parametrize("context", [
         "ctx300", "ctx0",
@@ -1103,50 +983,68 @@ class TestPassedTolerance:
                             SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0), R),
     ], ids=["bst_300K", "bst_0K", "unequal_0K_900K"])
     def test_table_holds_checked_sums(self, request, w0, context):
-        # a prefetch at rel stores, slot by slot, what one evaluation of its
-        # shifts gives checked value by value: BA + AB, or NaN and the first
-        # failure. At 0 K the roundoff estimates of BST sit below
-        # DEFAULT_ABS_TOL, so its slots pass every rel_tol
+        # the table of row energies a sweep returns holds what one evaluation
+        # of its shifts gives checked value by value: 2 sum c (BA + AB), or
+        # NaN and the error of the row's first failing term. At 0 K the
+        # roundoff estimates of BST sit below DEFAULT_ABS_TOL, so its rows
+        # pass every rel_tol
         ctx = request.getfixturevalue(context) if isinstance(context, str) else context()
         grid = [(k * 0.3 * w0, -0.4 * k * 0.3 * w0) for k in range(15)]
-        uo = Arrangement("uo")
-        spectral.clear_cache()
-        slots = spectral._slots(ctx._scaled[0], uo._terms, grid, {0: 0.0})
+        terms = Arrangement("uo")._terms
+        ws = ctx._scaled[0]
+
+        def shift(s, t, rates):
+            return abs(s * rates[0] - t * rates[1]) / ws
+
+        shifts = sorted({shift(s, t, rates) for rates in [*grid, (0.0, 0.0)] for s, t, _ in terms})
         failed = 0
         for rel in (1e-8, 1e-13, 3e-14, 1e-17):
-            spectral.prefetch(ctx, uo._terms, grid, rel)
-            table, failures = ctx._table[rel]
-            sums, first = _checked_sums(ctx, list(slots.values()), rel)
-            assert list(table) == list(slots)
-            assert [v if v == v else "nan" for v in table.values()] == [
-                v if v == v else "nan" for v in sums]
-            assert failures == {n: f for n, f in zip(slots, first) if f}
-            failed += len(failures)
+            energies, rest, errors = spectral.sweep_energies(ctx, terms, *zip(*grid), rel)
+            sums, first = map(dict, (zip(shifts, column)
+                                     for column in _checked_sums(ctx, shifts, rel)))
+            for k, (rates, e) in enumerate([*zip(grid, energies), ((0.0, 0.0), rest)]):
+                row = [shift(s, t, rates) for s, t, _ in terms]
+                failure = next((first[x] for x in row if first[x]), None)
+                key = k if k < len(grid) else None
+                if failure:
+                    assert math.isnan(e)
+                    error = errors.pop(key)
+                    want = spectral._failure("energy_" + failure[0], *failure[1:], rel)
+                    assert str(error) == str(want)
+                    failed += 1
+                else:
+                    total = 0.0
+                    for (_, _, c), x in zip(terms, row):
+                        total += c * sums[x]
+                    assert e == 2.0 * ctx._joules * total
+            assert errors == {}
         assert (failed == 0) == (ctx is request.getfixturevalue("ctx0"))
-        spectral.clear_cache()
 
-    def test_tight_lookup_after_loose_pass_raises(self, ctx300, w0):
-        # the tight rel_tol evaluates into its own table, where the slot fails
-        spectral.clear_cache()
+    def test_tight_lookup_after_loose_pass_raises(self, monkeypatch, ctx300, w0):
+        # each tolerance checks its own evaluation: the shift fails at the
+        # tight one whatever passed before, and each call gives the same bits
         loose = aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2)
-        with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below"):
+        with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below") as err:
             aux_energy(ctx300, 2.0 * w0, rel_tol=1e-17)
-        [tight], [passed] = _values(ctx300, 1e-17).values(), _values(ctx300, 1e-2).values()
-        assert math.isnan(tight) and 2.0 * ctx300._joules * 0.5 * passed == loose
-        [(which, value, roundoff, imag)] = ctx300._table[1e-17][1].values()
-        assert which == "BA" and roundoff > 1e-17 * abs(value) and abs(imag) <= roundoff
+        assert 2.0 * ctx300._joules * 0.5 * err.value.value != loose
+        assert err.value.estimate > 1e-17 * abs(err.value.value)
         assert aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2) == loose
         with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below"):
             aux_energy(ctx300, 2.0 * w0, rel_tol=1e-17)
-        assert spectral.cache_info() == {"entries": 4, "misses": 4, "blocks": 2}
-        spectral.clear_cache()
+        # gamma0 = 2.5 w0, overdamped: a second tolerance evaluates the
+        # shift again and gives the same bits
+        ctx = PairContext(SpinningSphere(A, MaterialModel(12.2, 5.7e9, 2.5 * w0), 300.0),
+                          SpinningSphere(A, bst(), 300.0), R)
+        calls = _record(monkeypatch)
+        loose = aux_energy(ctx, 0.7 * w0, rel_tol=1e-4)
+        assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-8) == loose
+        assert calls == [2, 2]
 
     def test_single_kind_lookups_leave_it_unset(self, monkeypatch, w0):
-        # the single-kind energies are uncached: they leave the table as it
-        # is and raise the errors of the lookups, in the same order
+        # the single-kind energies check their own kind: they raise the
+        # errors of the weighted sums, in the same order
         ctx = PairContext(SpinningSphere(A, bst(), 0.0),
                           SpinningSphere(50e-9, MaterialModel(8.0, 6.5e9, 4e8), 900.0), R)
-        spectral.clear_cache()
         for which, lookup in (("BA", energy_BA), ("AB", energy_AB)):
             value, roundoff = shift_integral(ctx, 0.7 * w0, which)
             assert lookup(ctx, 0.7 * w0) == ctx._joules * value
@@ -1161,8 +1059,6 @@ class TestPassedTolerance:
         value, roundoff = shift_integral(ctx, 2.0 * w0, "AB")
         assert roundoff < spectral.DEFAULT_ABS_TOL
         assert energy_AB(ctx, 2.0 * w0, rel_tol=1e-17) == ctx._joules * value
-        assert not ctx._table
-        assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
         inner = spectral._closed
 
         def corrupt(rows, omega_scale, shifts):
@@ -1173,27 +1069,25 @@ class TestPassedTolerance:
         for which, lookup in (("BA", energy_BA), ("AB", energy_AB)):
             with pytest.raises(ArithmeticError, match=f"^energy_{which}: imaginary residue"):
                 lookup(ctx, 0.7 * w0, rel_tol=math.nan)     # the residue first
-        spectral.clear_cache()
 
     @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0])
-    def test_rel_tol_not_positive_raises_and_is_not_recorded(self, ctx300, ctx0, w0,
-                                                             rel_tol):
-        # raised cold and warm, before any evaluation and after a non-finite
-        # rate's error, and no table is made for it
+    def test_rel_tol_not_positive_raises_and_is_not_recorded(self, monkeypatch, ctx300, ctx0,
+                                                             w0, rel_tol):
+        # raised before any evaluation by the weighted sums (the single-kind
+        # energies gate after theirs), and after a non-finite rate's error;
         # the message names the entry point that was called
         uo = Arrangement("uo")
         message = "^general_energy: rel_tol must be > 0"
+        calls = _record(monkeypatch)
         for ctx in (ctx300, ctx0):
-            spectral.clear_cache()
+            calls.clear()
             for _ in range(2):
                 with pytest.raises(ValueError, match=message):
                     aux_energy(ctx, 2.0 * w0, rel_tol)
-                with pytest.raises(ValueError, match="^prefetch: rel_tol must be > 0"):
-                    spectral.prefetch(ctx, uo._terms, [(2.0 * w0, 0.0)], rel_tol)
-            assert spectral.cache_info() == {"entries": 0, "misses": 0, "blocks": 0}
+                with pytest.raises(ValueError, match="^sweep_energies: rel_tol must be > 0"):
+                    spectral.sweep_energies(ctx, uo._terms, [2.0 * w0], [0.0], rel_tol)
+            assert calls == []
             aux_energy(ctx, 2.0 * w0)
-            with pytest.raises(ValueError, match=message):
-                aux_energy(ctx, 2.0 * w0, rel_tol)
             with pytest.raises(ValueError, match=message):
                 energy(ctx, Arrangement("rr"), 2.0 * w0, 0.0, rel_tol)
             with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
@@ -1202,32 +1096,32 @@ class TestPassedTolerance:
                 energy_AB(ctx, 2.0 * w0, rel_tol)
             with pytest.raises(ValueError, match="^Omega_A = nan rad/s"):
                 energy(ctx, uo, math.nan, 0.0, rel_tol)
-            assert list(ctx._table) == [spectral.DEFAULT_REL_TOL]
-        spectral.clear_cache()
 
     @pytest.mark.parametrize("rel_tol", [1e-2, math.inf])
     def test_corrupted_residue_raises_after_passed_slots(self, monkeypatch, ctx300,
                                                          w0, rel_tol):
-        # the passed slot 0.7 w0 is summed; the corrupted slot 1.1 w0 fails
-        # at any rel_tol, holds NaN, and raises each time
-        spectral.clear_cache()
-        aux_energy(ctx300, 0.7 * w0, rel_tol)
+        # the passing shift 0.7 w0 comes first; the corrupted 1.1 w0 fails
+        # at any rel_tol and raises each time. Nothing is kept: once the
+        # corruption ends, the same context gives what a fresh one gives
+        terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
+        good = spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0, rel_tol)
+        bad = 1.1 * w0 / ctx300._scaled[0]
         inner = spectral._closed
 
         def corrupt(rows, omega_scale, shifts):
             value, roundoff = inner(rows, omega_scale, shifts)
-            return value + 1j, roundoff
+            return value + 1j * (np.asarray(shifts) == bad), roundoff
 
         monkeypatch.setattr(spectral, "_closed", corrupt)
-        terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
         for _ in range(2):
-            with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
+            with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue") as err:
                 spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0, rel_tol)
-        passed, corrupted = _values(ctx300, rel_tol).items()
-        assert math.isfinite(passed[1]) and math.isnan(corrupted[1])
-        [(slot, (which, _, roundoff, imag))] = ctx300._table[rel_tol][1].items()
-        assert slot == corrupted[0] and which == "BA" and abs(imag) > roundoff
-        spectral.clear_cache()
+        assert "1.000e+00 exceeds" in str(err.value)
+        assert math.isfinite(aux_energy(ctx300, 0.7 * w0, rel_tol))
+        monkeypatch.undo()
+        assert spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0, rel_tol) == good
+        fresh = PairContext(ctx300.sphere_a, ctx300.sphere_b, ctx300.separation)
+        assert spectral.general_energy(fresh, terms, 0.7 * w0, 1.1 * w0, rel_tol) == good
 
 
 class TestPairContext:

@@ -1,28 +1,30 @@
-"""Time the closed-form block (L2), cold and warm energies (L3) and sweeps (L4).
+"""Time the closed-form block (L2), one-point energies (L3) and sweeps (L4).
 
 Times one cold ``spectral._closed`` evaluation per route of its rows (log
 at T = 0, the zeta series at 300 K, digamma at 0.05 K, and a T = 0 row
 stacked with a 300 K row) at 1, 4 and 64 shifts in (0.05, 3.9) w0, with
 one row (the BST pair) and with two (BST and a second material), one
-cold ``spectral._closed_kinds`` of the BST pair at 300 K at 97 and at 303
+``spectral._closed_kinds`` of the BST pair at 300 K at 97 and at 303
 shifts (a general-axis sweep's and three times that), the construction of
 ``Arrangement("general", ...)`` (100 per call), one
-cold ``configurations.delta_force`` per canonical arrangement (BST pair at
+``configurations.delta_force`` per canonical arrangement (BST pair at
 300 K, Omega = (1.3, -0.4) w0; ``uo`` also at T = 0 and for unequal
-materials at 300 and 900 K), warm ``configurations.energy`` calls of the
-same BST pair and rates for each canonical arrangement and the general
+materials at 300 and 900 K), repeated ``configurations.energy`` calls of
+the same BST pair and rates for each canonical arrangement and the general
 axes (0.6, 0, 0.8), (0, 0.6, 0.8), x (each call of such a case makes one
-untimed call, which fills the cache after the cold cases clear it, then
-times 100 warm ones), the rows of the ``fig2a`` preset from a
-cold cache as ``cli.run_sweep`` makes them: per sweep, ``spectral.prefetch``,
-then the zero-rotation energy and each row's ``configurations.energy``
-once, four general-axis sweeps from a cold cache, each from
-``cli.parse_config`` through ``cli.run_sweep`` to ``cli.emit`` of a CSV
-into a temporary directory (seeded axes at 0, 300, 1500 and 300 K, 25
-rates up to 4.5 w0, Omega_B a fixed ratio of Omega_A, shaped like the
-benchmark's ``general_axes`` workload), and ``cli.run_preset`` of each of
-the six presets in turn from a cold cache (the benchmark's ``fig_presets``
-pass without its CSVs). Each of 21 rounds makes 20 calls
+untimed call, then times 100), the energies of the ``fig2a`` preset's two
+sweeps as ``cli.run_sweep`` evaluates them, one ``spectral.sweep_energies``
+call per sweep, four general-axis sweeps, each from ``cli.parse_config``
+through ``cli.run_sweep`` to ``cli.emit`` of a CSV into a temporary
+directory (seeded axes at 0, 300, 1500 and 300 K, 25 rates up to 4.5 w0,
+Omega_B a fixed ratio of Omega_A, shaped like the benchmark's
+``general_axes`` workload), and ``cli.run_preset`` of each of the six
+presets in turn (the benchmark's ``fig_presets`` pass without its CSVs).
+A package with the earlier shift cache (``spectral.prefetch``), timed
+with ``--against``, has its cache cleared before each cold case, its
+repeated energies read the cache after the untimed call, and its fig2a
+case runs ``prefetch`` and then each row's ``configurations.energy``, as
+its ``run_sweep`` did. Each of 21 rounds makes 20 calls
 of every case in turn (and of both
 packages with ``--against``, alternating which goes first), and the JSON
 printed holds each case's median and quartiles over the rounds of its
@@ -44,7 +46,6 @@ another name, so both packages share one process and one host state.
 import argparse
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -97,6 +98,9 @@ def cases(package, scratch):
         grid = shifts(count)
         return lambda: spectral._closed(both, ws, grid)
 
+    # a package with the earlier shift cache starts each cold case from an empty one
+    cached = hasattr(spectral, "prefetch")
+    cold_start = spectral.clear_cache if cached else lambda: None
     out = []
     for route, t_a, t_b in (("log", 0.0, 0.0), ("series", 300.0, 300.0),
                             ("digamma", 0.05, 0.05), ("log+series", 300.0, 0.0)):
@@ -130,18 +134,18 @@ def cases(package, scratch):
         arrangement = configurations.Arrangement(name[:2])
 
         def cold(ctx=ctx, arrangement=arrangement):
-            spectral.clear_cache()
+            cold_start()
             start = time.perf_counter()
             configurations.delta_force(ctx, arrangement, OMEGA[0] * w0, OMEGA[1] * w0)
             return time.perf_counter() - start
 
         out.append((f"delta_force {name}", cold))
 
-    warm_cases = [(kind, configurations.Arrangement(kind)) for kind in ("rr", "uu", "ur", "uo")]
-    warm_cases.append(("general", configurations.Arrangement("general", *general_axes)))
-    for name, arrangement in warm_cases:
+    repeated = [(kind, configurations.Arrangement(kind)) for kind in ("rr", "uu", "ur", "uo")]
+    repeated.append(("general", configurations.Arrangement("general", *general_axes)))
+    for name, arrangement in repeated:
 
-        def warm(arrangement=arrangement):
+        def again(arrangement=arrangement):
             rates = OMEGA[0] * w0, OMEGA[1] * w0
             configurations.energy(bst300, arrangement, *rates)
             start = time.perf_counter()
@@ -149,7 +153,7 @@ def cases(package, scratch):
                 configurations.energy(bst300, arrangement, *rates)
             return (time.perf_counter() - start) / WARM
 
-        out.append((f"warm energy {name}", warm))
+        out.append((f"repeated energy {name}", again))
 
     cli = importlib.import_module(package.__name__ + ".cli")
     # the fig2a preset: equal BST spheres at 1500 K, uu, Omega_B = +-0.5 Omega_A
@@ -158,25 +162,26 @@ def cases(package, scratch):
     specs = [cli.SweepSpec(arrangement="uu", omega_a_grid=np.linspace(0.0, 5.0 * w0, 200),
                            omega_b_rule="ratio", omega_b_ratio=rho) for rho in (0.5, -0.5)]
     sweeps = [(spec.make_arrangement(), spec.grid_points(), spec.rel_tol) for spec in specs]
-    # a package whose prefetch takes the sweep's rel_tol gets it, as run_sweep passes it
-    checked = "rel_tol" in inspect.signature(spectral.prefetch).parameters
 
     def rows():
-        spectral.clear_cache()
+        cold_start()
         start = time.perf_counter()
         for arrangement, points, rel_tol in sweeps:
-            spectral.prefetch(fig2a, arrangement._terms, points, *[rel_tol] * checked)
+            if not cached:
+                spectral.sweep_energies(fig2a, arrangement._terms, *zip(*points), rel_tol)
+                continue
+            spectral.prefetch(fig2a, arrangement._terms, points, rel_tol)
             configurations.energy(fig2a, arrangement, 0.0, 0.0, rel_tol)
             for omega_a, omega_b in points:
                 configurations.energy(fig2a, arrangement, omega_a, omega_b, rel_tol)
         return time.perf_counter() - start
 
-    out.append(("fig2a rows from a cold cache", rows))
+    out.append(("fig2a sweep energies", rows))
 
     configs = general_configs(w0)
 
     def general_sweeps():
-        spectral.clear_cache()
+        cold_start()
         start = time.perf_counter()
         for k, config in enumerate(configs):
             spec, ctx = cli.parse_config(config)
@@ -187,13 +192,13 @@ def cases(package, scratch):
     out.append(("general-axis sweeps, parse_config to emit", general_sweeps))
 
     def presets():
-        spectral.clear_cache()
+        cold_start()
         start = time.perf_counter()
         for name in cli.PRESETS:
             cli.run_preset(name)
         return time.perf_counter() - start
 
-    out.append(("six presets by run_preset from a cold cache", presets))
+    out.append(("six presets by run_preset", presets))
     return out
 
 
