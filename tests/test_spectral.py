@@ -756,6 +756,45 @@ class TestEveryDamping:
 class TestShiftCache:
     """What one call evaluates: its slots' first shifts, once; nothing is kept after it."""
 
+    def test_clear_cache_drops_corrupted_entries(self, monkeypatch, w0):
+        # no entry is kept, so a corrupted evaluation leaves nothing behind:
+        # the corrupted context gives the good value again once the
+        # corruption ends, before and after clear_cache, which evaluates nothing
+        def context():
+            return PairContext(SpinningSphere(A, bst(), 300.0),
+                               SpinningSphere(50e-9, bst(), 900.0), R)
+
+        good = aux_energy(context(), 0.7 * w0)
+        corrupted = context()
+        inner = spectral._closed
+
+        def corrupt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value + 1j, roundoff
+
+        monkeypatch.setattr(spectral, "_closed", corrupt)
+        with pytest.raises(ArithmeticError):
+            aux_energy(corrupted, 0.7 * w0)
+        monkeypatch.undo()
+        calls = _record(monkeypatch)
+        assert aux_energy(corrupted, 0.7 * w0) == good
+        assert spectral.clear_cache() is None
+        assert calls == [2]
+        assert aux_energy(corrupted, 0.7 * w0) == good
+        assert calls == [2, 2]
+
+    def test_second_rel_tol_fills_its_own_table(self, monkeypatch, w0):
+        # gamma0 = 2.5 w0, overdamped: each call evaluates and checks the
+        # shift at its own rel_tol, so a second tolerance evaluates the shift
+        # again and gives the same bits, and so does the first one again
+        ctx = PairContext(SpinningSphere(A, MaterialModel(12.2, 5.7e9, 2.5 * w0), 300.0),
+                          SpinningSphere(A, bst(), 300.0), R)
+        calls = _record(monkeypatch)
+        loose = aux_energy(ctx, 0.7 * w0, rel_tol=1e-4)
+        assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-8) == loose
+        assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-4) == loose
+        assert calls == [2, 2, 2]
+
     def test_warm_ab_residue_names_energy_ab(self, monkeypatch, w0):
         # unequal spheres evaluate BA and AB as two rows; corrupt AB alone
         ctx = PairContext(SpinningSphere(A, bst(), 300.0),
@@ -1020,7 +1059,7 @@ class TestPassedTolerance:
             assert errors == {}
         assert (failed == 0) == (ctx is request.getfixturevalue("ctx0"))
 
-    def test_tight_lookup_after_loose_pass_raises(self, monkeypatch, ctx300, w0):
+    def test_tight_lookup_after_loose_pass_raises(self, ctx300, w0):
         # each tolerance checks its own evaluation: the shift fails at the
         # tight one whatever passed before, and each call gives the same bits
         loose = aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2)
@@ -1031,14 +1070,6 @@ class TestPassedTolerance:
         assert aux_energy(ctx300, 2.0 * w0, rel_tol=1e-2) == loose
         with pytest.raises(ConvergenceError, match="^energy_BA: rel_tol 1.0e-17 is below"):
             aux_energy(ctx300, 2.0 * w0, rel_tol=1e-17)
-        # gamma0 = 2.5 w0, overdamped: a second tolerance evaluates the
-        # shift again and gives the same bits
-        ctx = PairContext(SpinningSphere(A, MaterialModel(12.2, 5.7e9, 2.5 * w0), 300.0),
-                          SpinningSphere(A, bst(), 300.0), R)
-        calls = _record(monkeypatch)
-        loose = aux_energy(ctx, 0.7 * w0, rel_tol=1e-4)
-        assert aux_energy(ctx, 0.7 * w0, rel_tol=1e-8) == loose
-        assert calls == [2, 2]
 
     def test_single_kind_lookups_leave_it_unset(self, monkeypatch, w0):
         # the single-kind energies check their own kind: they raise the
