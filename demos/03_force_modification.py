@@ -24,10 +24,10 @@ curves = {}
 for preset in ("fig1_300K", "fig1_1500K", "fig2a", "fig2c"):
     result = run_preset(preset)
     emit(result, "csv", f"demo03_{preset}.csv")
-    x = np.array([r["omega_A_over_omega0"] for r in result.rows])
-    y = np.array([r["deltaF_fN"] for r in result.rows])
+    x = np.array(result.columns["omega_A_over_omega0"])
+    y = np.array(result.columns["deltaF_fN"])
     curves[preset] = (x, y)
-    print(f"wrote demo03_{preset}.csv  ({len(result.rows)} rows, "
+    print(f"wrote demo03_{preset}.csv  ({len(x)} rows, "
           f"max repulsive deltaF = {y.max():.2f} fN)")
 
 x, y = curves["fig1_1500K"]

@@ -11,6 +11,7 @@ T = 300 K). See the README for the schema.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -75,11 +76,14 @@ class SweepSpec:
         # Python floats, whatever built the rates: rows then skip numpy
         # scalar arithmetic, and emit writes their rates as floats
         for name in ("omega_a_grid", "omega_b_grid"):
+            grid = getattr(self, name)
+            if isinstance(grid, np.ndarray):
+                grid = grid.tolist()        # one call, not one numpy scalar per value
             try:
-                vals = tuple(float(v) for v in getattr(self, name))
+                vals = tuple(map(float, grid))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from None
-            if any(not math.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise ConfigError(f"{name}: non-finite value")
             object.__setattr__(self, name, vals)
         for name in ("omega_b_value", "omega_b_ratio"):
@@ -135,10 +139,25 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Rows of computed sweep points plus run metadata."""
+    """Computed sweep points as columns, plus run metadata.
 
-    rows: list
+    ``columns`` maps each column name, in output order, to a list with one
+    value per row (for a sweep, the ``CSV_COLUMNS``); ``rows`` is the same
+    table as one dict per row, built from the columns on first use.
+    """
+
+    columns: dict
     metadata: dict
+
+    @functools.cached_property
+    def rows(self):
+        """One dict per row, column name to value, in column order."""
+        return [dict(zip(self.columns, values)) for values in zip(*self.columns.values())]
+
+
+def _length(columns):
+    """The number of rows of a table of columns."""
+    return len(next(iter(columns.values()), ()))
 
 
 def _get(cfg, key, cast, default):
@@ -266,29 +285,46 @@ def run_sweep(spec, ctx):
     radii and the separation, and sphere B's material and temperature where
     either differs from A's.
     """
-    arrangement = spec.make_arrangement()
+    return _sweep([spec], ctx)
+
+
+def _sweep(specs, ctx):
+    """The rows of the sweeps ``specs``, in order, from one evaluation on ``ctx``.
+
+    The specs share the arrangement and rel_tol of the first, as a preset's
+    do; each row is what :func:`run_sweep` of its own spec gives.
+    """
+    spec = specs[0]
     w0 = resonance_frequency(ctx.sphere_a.material)
-    points = spec.grid_points()
+    omega_a, omega_b = [], []
+    for each in specs:
+        rates_a, rates_b = zip(*each.grid_points())
+        omega_a += rates_a
+        omega_b += rates_b
     try:
         energies, e0, errors = spectral.sweep_energies(
-            ctx, arrangement._terms, [wa for wa, _ in points], [wb for _, wb in points],
-            spec.rel_tol)
+            ctx, spec.make_arrangement()._terms, omega_a, omega_b, spec.rel_tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    f0 = 6.0 * e0 / ctx.separation
-    rest = errors.get(None)
+    n = len(omega_a)
+    rest = errors.pop(None, None)
     if rest is not None:
-        rest = ConvergenceError(f"zero-rotation reference failed: {type(rest).__name__}: {rest}")
-    rows = []
-    for k, ((wa, wb), e) in enumerate(zip(points, energies)):
-        exc = rest or errors.get(k)
-        if exc:
-            e = math.nan            # and every value that follows from it
-        f = 6.0 * e / ctx.separation
-        rows.append({"omega_A_rad_s": wa, "omega_B_rad_s": wb, "omega_A_over_omega0": wa / w0,
-                     "E_J": e, "E0_J": e0, "deltaE_J": e - e0,
-                     "F_N": f, "deltaF_fN": (f - f0) * 1e15,
-                     "error": type(exc).__name__ + ": " + str(exc) if exc else ""})
+        energies = [math.nan] * n   # and every value that follows from them
+        error = [f"ConvergenceError: zero-rotation reference failed: "
+                 f"{type(rest).__name__}: {rest}"] * n
+    else:
+        error = [""] * n
+        for k, exc in errors.items():
+            error[k] = f"{type(exc).__name__}: {exc}"
+    f0 = 6.0 * e0 / ctx.separation
+    forces = [6.0 * e / ctx.separation for e in energies]
+    columns = {
+        "omega_A_rad_s": omega_a, "omega_B_rad_s": omega_b,
+        "omega_A_over_omega0": [wa / w0 for wa in omega_a],
+        "E_J": energies, "E0_J": [e0] * n, "deltaE_J": [e - e0 for e in energies],
+        "F_N": forces, "deltaF_fN": [(f - f0) * 1e15 for f in forces],
+        "error": error,
+    }
 
     sa, ma = ctx.sphere_a, ctx.sphere_a.material
     metadata = {
@@ -305,7 +341,7 @@ def run_sweep(spec, ctx):
     if (mb, sb.temperature) != (ma, sa.temperature):
         metadata.update(material_b_f0=mb.f0, material_b_omega_tilde0_rad_s=mb.omega_tilde0,
                         material_b_gamma0_rad_s=mb.gamma0, temperature_b_K=sb.temperature)
-    return SweepResult(rows, metadata)
+    return SweepResult(columns, metadata)
 
 
 def _fmt(value):
@@ -334,8 +370,9 @@ def emit(result, fmt, path):
     CSV columns are fixed: omega_A_rad_s, omega_B_rad_s,
     omega_A_over_omega0, E_J, E0_J, deltaE_J, F_N, deltaF_fN, error.
     Floats carry 17 significant digits so a re-read reproduces them exactly.
-    Every row is written with one line format, built from the field types
-    of the first row (floats as %.17g, anything else as text); a text field
+    Every row is written with one line format, built from the columns and
+    the types of their first values (floats as %.17g, anything else as
+    text), and filled from the columns' values; a text field
     that holds a comma, quote or newline is quoted. A float column that
     holds one value on every row (``E0_J`` of a sweep) is formatted once,
     as a literal of that format. JSON, which has no NaN (RFC 8259), writes
@@ -359,14 +396,13 @@ def emit(result, fmt, path):
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format: must be csv or json, got {fmt!r}")
     if fmt == "csv":
-        rows = result.rows
-        columns = rows[0].keys() if rows else CSV_COLUMNS
+        columns, n = result.columns, _length(result.columns)
         lines = [f"# {key} = {_fmt(value)}\n" for key, value in result.metadata.items()]
-        lines.append(",".join(columns) + "\n")
-        if rows:
+        lines.append(",".join(columns or CSV_COLUMNS) + "\n")
+        if n:
             fields, varying = [], []
-            for key, first in rows[0].items():
-                column = [row[key] for row in rows]
+            for column in columns.values():
+                first = column[0]
                 if isinstance(first, float) and _constant(column):
                     fields.append(format(first, ".17g"))
                     continue
@@ -375,7 +411,7 @@ def emit(result, fmt, path):
                 fields.append("%.17g" if isinstance(first, float) else "%s")
                 varying.append(column)
             line = ",".join(fields) + "\n"
-            lines += [line % values for values in (zip(*varying) if varying else [()] * len(rows))]
+            lines += [line % values for values in (zip(*varying) if varying else [()] * n)]
         text = "".join(lines)
     else:
         safe = [{key: None if isinstance(value, float) and not math.isfinite(value) else value
@@ -453,26 +489,26 @@ def run_preset(name, rel_tol=None, points=None):
 
     ``points`` overrides the grid length (for quick runs and tests);
     ``baseline_static`` returns a key/value table instead of a sweep. Its
-    sweeps share a new context, so what ran before does not change its rows.
+    sweeps share a new context, so what ran before does not change its
+    rows, and one :func:`spectral.sweep_energies` call evaluates them all;
+    their rows follow in sweep order, each as :func:`run_sweep` gives it.
     """
     if points is not None and points < 1:
         raise ConfigError(f"--points: must be >= 1, got {points}")
     if name == "baseline_static":
         return _baseline_result(_default_pair())
     temperature, specs = _preset_specs(name)
-    ctx = _default_pair(temperature)        # the sweeps of a preset share their pair
-    rows, metadata = [], {}
-    for spec in specs:
-        if points is not None:
-            grid = np.linspace(spec.omega_a_grid[0], spec.omega_a_grid[-1], points)
-            spec = replace(spec, omega_a_grid=grid)
-        if rel_tol is not None:
-            spec = replace(spec, rel_tol=rel_tol)
-        result = run_sweep(spec, ctx)
-        rows.extend(result.rows)
-        metadata = result.metadata
-    metadata["preset"] = name
-    return SweepResult(rows, metadata)
+    if points is not None:
+        specs = [replace(spec, omega_a_grid=np.linspace(spec.omega_a_grid[0],
+                                                        spec.omega_a_grid[-1], points))
+                 for spec in specs]
+    if rel_tol is not None:
+        specs = [replace(spec, rel_tol=rel_tol) for spec in specs]
+    # the sweeps of a preset share their pair, arrangement and rel_tol:
+    # one evaluation serves them all
+    result = _sweep(specs, _default_pair(temperature))
+    result.metadata["preset"] = name
+    return result
 
 
 def _baseline_result(ctx, hamaker_ref=5e-20):
@@ -489,20 +525,20 @@ def _baseline_result(ctx, hamaker_ref=5e-20):
     except ValueError as exc:
         raise ConfigError(f"temperature_K: {exc}") from None
     f_ref = baseline.static_force_estimate(hamaker_ref, radius, separation)
-    rows = [
-        {"quantity": "matsubara_static_energy_J", "value": e_matsubara},
-        {"quantity": "hamaker_constant_model_J", "value": h_model},
-        {"quantity": "hamaker_constant_reference_J", "value": hamaker_ref},
-        {"quantity": "static_energy_reference_J",
-         "value": baseline.static_energy_estimate(hamaker_ref, radius, separation)},
-        {"quantity": "static_force_reference_N", "value": f_ref},
-        {"quantity": "static_force_reference_fN", "value": f_ref * 1e15},
-    ]
+    table = {
+        "matsubara_static_energy_J": e_matsubara,
+        "hamaker_constant_model_J": h_model,
+        "hamaker_constant_reference_J": hamaker_ref,
+        "static_energy_reference_J":
+            baseline.static_energy_estimate(hamaker_ref, radius, separation),
+        "static_force_reference_N": f_ref,
+        "static_force_reference_fN": f_ref * 1e15,
+    }
     metadata = {"artifact": "spinvdw", "version": VERSION,
                 "preset": "baseline_static",
                 "temperature_K": temperature,
                 "radius_m": radius, "separation_m": separation}
-    return SweepResult(rows, metadata)
+    return SweepResult({"quantity": list(table), "value": list(table.values())}, metadata)
 
 
 def _run_checks(rel_tol=1e-7):
@@ -689,9 +725,9 @@ def _dispatch(args):
                 raise ConfigError("output.path: no output path given")
         fmt = args.fmt or (spec.out_format if not args.preset else "csv")
         emit(result, fmt, out)
-        failures = [r for r in result.rows if r.get("error")]
-        print(f"wrote {out} ({len(result.rows)} rows, {len(failures)} failed)")
-        if failures and args.strict:
+        failed = sum(map(bool, result.columns.get("error", ())))
+        print(f"wrote {out} ({_length(result.columns)} rows, {failed} failed)")
+        if failed and args.strict:
             return 3
         return 0
 

@@ -173,6 +173,21 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="^axes: "):
             SweepSpec(arrangement="general", omega_a_grid=(0.0,), axes=self.AXES * 2)
 
+    @pytest.mark.parametrize("name", ["omega_a_grid", "omega_b_grid"])
+    def test_grids_become_float_tuples(self, name):
+        # an ndarray grid converts as its list does; a nested, 0-d, complex,
+        # non-numeric or non-finite grid is a ConfigError naming the grid
+        other = {} if name == "omega_a_grid" else {"omega_a_grid": (0.0,)}
+        for grid in (np.linspace(0.0, 1.0, 3), np.arange(3), np.float32([0.1, 0.2]),
+                     [0, 0.5, np.float64(1.0)]):
+            got = getattr(SweepSpec(**{name: grid}, **other), name)
+            assert got == tuple(float(v) for v in np.asarray(grid).tolist())
+            assert all(type(v) is float for v in got)
+        for grid in ([1.0e10, "fast"], [[1.0, 2.0]], np.array([[1.0], [2.0]]), np.array(5.0),
+                     5.0, np.array([1.0 + 0.0j]), [0.0, math.nan], np.array([0.0, -math.inf])):
+            with pytest.raises(ConfigError, match=f"^{name}: "):
+                SweepSpec(**{name: grid}, **other)
+
     def test_general_axes_are_float_tuples(self):
         spec = SweepSpec(arrangement="general", omega_a_grid=(0.0,),
                          axes=([0, 0, 1], [0, 0, 1], [1, 0, 0]))
@@ -407,12 +422,13 @@ class TestBlockedSweep:
         assert max(points) == spectral._BLOCK   # no one-point call above it
 
     def test_cold_six_preset_pass_counters(self, monkeypatch):
-        # each sweep of the six presets evaluates its own distinct shifts
-        # in one block, the rest energy's 0 among them, and nothing else: the
-        # two sweeps of a fig2 preset (co- and counter-rotating) need the
-        # same shifts, sums and differences swapped. Shifts are distinct as
-        # floats: fig2a and fig2b hold 12 and 8 that the 1e-12 slots of a
-        # one-point call would merge (333 and 389 slots)
+        # each preset evaluates the distinct shifts of all its sweeps in one
+        # block, the rest energy's 0 among them, and nothing else: the two
+        # sweeps of a fig2 preset (co- and counter-rotating) need the same
+        # shifts, sums and differences swapped, so they add none to each
+        # other. Shifts are distinct as floats: fig2a and fig2b hold 12 and
+        # 8 that the 1e-12 slots of a one-point call would merge (333 and
+        # 389 slots)
         shifts = []
         inner = spectral._closed_kinds
 
@@ -423,7 +439,7 @@ class TestBlockedSweep:
         monkeypatch.setattr(spectral, "_closed_kinds", recording)
         for name in PRESETS:
             run_preset(name)
-        assert shifts == [200, 200, 345, 345, 397, 397, 200, 200]
+        assert shifts == [200, 200, 345, 397, 200]
 
     def test_equal_contexts_keep_their_own_entries(self, w0, monkeypatch):
         # a second, distinct but equal context, built while the first is
@@ -505,6 +521,30 @@ class TestBlockedSweep:
                                   "quadrature.rel_tol": rel_tol})
         rows = _assert_rows_are_one_point(spec, ctx)
         assert {bool(r["error"]) for r in rows} == {True, False}
+
+    def test_failed_reference_fails_every_row(self, w0, monkeypatch):
+        # ur weighs no term at shift 0 (c_00 = 0), so its rows pass the
+        # check that fails E0 alone; every row then carries E0's error, and
+        # NaN in every value that follows from its energy
+        spec, ctx = parse_config({"arrangement": "ur", "sweep.omega_b_rule": "ratio",
+                                  "sweep.omega_b_ratio": 0.4,
+                                  "sweep.omega_a_grid_rad_s": [0.5 * w0, w0, 1.5 * w0]})
+        inner = spectral._closed
+
+        def inflate(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value, roundoff + (np.asarray(shifts) == 0.0)
+
+        monkeypatch.setattr(spectral, "_closed", inflate)
+        energies, _, errors = spectral.sweep_energies(
+            ctx, spec.make_arrangement()._terms, *zip(*spec.grid_points()))
+        assert list(errors) == [None] and all(map(math.isfinite, energies))
+        columns = run_sweep(spec, ctx).columns
+        assert all(text.startswith("ConvergenceError: zero-rotation reference failed: "
+                                   "ConvergenceError: energy_BA: rel_tol 1.0e-08 is below")
+                   for text in columns["error"])
+        for key in ("E_J", "E0_J", "deltaE_J", "F_N", "deltaF_fN"):
+            assert all(map(math.isnan, columns[key])), key
 
     def test_bad_shift_fails_only_its_rows(self, w0, monkeypatch):
         # rr with Omega_B = 0 needs the shifts Omega_A and 0, so one bad
@@ -840,9 +880,8 @@ class TestEmit:
         # a float column counts as constant only if every value equals the
         # first with its sign bit: a -0.0 among zeros, a NaN E0_J from a
         # failed reference and the texts of error rows stay per row
-        zeros = SweepResult([{"a": 0.0, "b": 1.0, "c": 2.5, "error": ""},
-                             {"a": -0.0, "b": 1.0, "c": 2.5, "error": ""},
-                             {"a": 0.0, "b": 2.0, "c": 2.5, "error": 'x, "y"'}], {})
+        zeros = SweepResult({"a": [0.0, -0.0, 0.0], "b": [1.0, 1.0, 2.0], "c": [2.5] * 3,
+                             "error": ["", "", 'x, "y"']}, {})
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": [0.5 * w0, w0],
                                   "quadrature.rel_tol": 1e-17})
         failed = run_sweep(spec, ctx)
@@ -959,12 +998,13 @@ class TestRowFloats:
 
         if source == "preset":
             result = run_preset("fig2a", points=3)
-            rows = []
+            columns = {key: [] for key in CSV_COLUMNS}
             for rho in (0.5, -0.5):
                 spec = SweepSpec(arrangement="uu", omega_b_rule="ratio", omega_b_ratio=rho,
                                  omega_a_grid=floats(np.linspace(0.0, 5.0 * w0, 3)))
-                rows += run_sweep(spec, _default_pair(1500.0)).rows
-            return result, SweepResult(rows, dict(result.metadata))
+                for key, column in run_sweep(spec, _default_pair(1500.0)).columns.items():
+                    columns[key] += column
+            return result, SweepResult(columns, dict(result.metadata))
         if source == "library":
             spec = SweepSpec(arrangement="uo", omega_b_rule="grid",
                              omega_a_grid=tuple(np.linspace(0.0, 3.0 * w0, 4)),
@@ -1032,6 +1072,69 @@ class TestPresets:
             assert run(others + [name])[name] == alone[name], name
         assert run(PRESETS[::-1]) == alone
 
+    @staticmethod
+    def _bits(columns):
+        """Each column's values, floats as their hex form, which tells -0.0 from 0.0."""
+        return {key: [v.hex() if isinstance(v, float) else v for v in column]
+                for key, column in columns.items()}
+
+    @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+    @pytest.mark.parametrize("points, rel_tol, fail_middle", [
+        (None, None, False), (7, None, False), (7, 1e-17, False), (None, 1e-17, False),
+        (7, None, True)], ids=["full", "points_7", "points_7_tight", "full_tight",
+                               "points_7_one_shift_fails"])
+    def test_fig2_preset_is_its_two_sweeps(self, w0, tmp_path, monkeypatch,
+                                           name, points, rel_tol, fail_middle):
+        # one evaluation of both sweeps gives each row the bits, error text
+        # and CSV bytes of the sweep's own run_sweep. At rel_tol 1e-17 E0
+        # fails and with it every row; with the roundoff of the middle shift
+        # of each evaluation inflated, only the rows that read it fail
+        if fail_middle:
+            inner = spectral._closed
+
+            def inflate(rows, omega_scale, shifts):
+                value, roundoff = inner(rows, omega_scale, shifts)
+                return value, roundoff + (np.arange(len(shifts)) == len(shifts) // 2)
+
+            monkeypatch.setattr(spectral, "_closed", inflate)
+        ratio = {"fig2a": 0.5, "fig2b": 0.9, "fig2c": 1.0}[name]
+        grid = np.linspace(0.0, 5.0 * w0, points or 200)
+        tol = {} if rel_tol is None else {"rel_tol": rel_tol}
+        parts = [run_sweep(SweepSpec(arrangement="uu", omega_a_grid=grid, omega_b_rule="ratio",
+                                     omega_b_ratio=rho, **tol), _default_pair(1500.0))
+                 for rho in (ratio, -ratio)]
+        joined = SweepResult({key: parts[0].columns[key] + parts[1].columns[key]
+                              for key in CSV_COLUMNS},
+                             {**parts[1].metadata, "preset": name})
+        result = run_preset(name, rel_tol=rel_tol, points=points)
+        assert self._bits(result.columns) == self._bits(joined.columns)
+        assert result.metadata == joined.metadata
+        failed = sum(map(bool, result.columns["error"]))
+        if rel_tol:
+            assert failed == 2 * len(grid)
+        elif fail_middle:
+            assert 0 < failed < 2 * len(grid)
+        else:
+            assert failed == 0
+        paths = tmp_path / "preset.csv", tmp_path / "joined.csv"
+        emit(result, "csv", str(paths[0]))
+        emit(joined, "csv", str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_rows_are_the_columns_zipped(self):
+        # rows is a view of the columns, built once: row k holds the k-th
+        # value of every column, in column order
+        for result in (run_preset("fig2a", points=3, rel_tol=1e-17),
+                       run_preset("baseline_static")):
+            columns = result.columns
+            rows = result.rows
+            assert result.rows is rows
+            assert len(rows) == len(next(iter(columns.values())))
+            for k, row in enumerate(rows):
+                assert list(row) == list(columns)
+                assert all(row[key] is column[k] for key, column in columns.items())
+        assert list(run_preset("fig1_300K", points=2).columns) == list(CSV_COLUMNS)
+
     def test_points_below_one_is_config_error(self):
         for points in (0, -1):
             with pytest.raises(ConfigError, match=f"^--points: must be >= 1, got {points}$"):
@@ -1063,6 +1166,19 @@ class TestMainExitCodes:
                                    "output.path": str(tmp_path / "out.csv")}))
         assert main(["--config", str(cfg), "--strict", "sweep"]) == 3
         assert main(["--config", str(cfg), "sweep"]) == 0   # lenient default
+
+    def test_summary_counts_failed_rows(self, tmp_path, capsys):
+        # the failures counted from the error column: E0 fails at 1e-17,
+        # and with it every row of both sweeps
+        out = str(tmp_path / "tight.csv")
+        args = ["--rel-tol", "1e-17", "sweep", "--preset", "fig2c", "--points", "3",
+                "--out", out]
+        assert main(args) == 0
+        assert capsys.readouterr().out == f"wrote {out} (6 rows, 6 failed)\n"
+        assert main(["--strict", *args]) == 3
+        assert main(["--strict", "sweep", "--preset", "fig2c", "--points", "3",
+                     "--out", out]) == 0
+        assert capsys.readouterr().out.endswith("(6 rows, 0 failed)\n")
 
     def test_retarded_separation_is_2(self, tmp_path, capsys):
         cfg = tmp_path / "far.json"
