@@ -41,8 +41,10 @@ def _pair_sum(what, poles, rows, xi1=0.0, rest=0.0, rel_tol=None):
     poles of the two at one of their :func:`spinvdw.spectral._pole_points`
     to its rows; the value is the real part of the mean over the points.
     Its roundoff estimate, the n = 0 term ``rest`` included, is checked
-    against ``rel_tol``.
+    against ``rel_tol`` by :func:`spinvdw.spectral._fails`; a ``rel_tol``
+    that is not > 0 raises ValueError before any evaluation.
     """
+    rel = spectral._positive(rel_tol, what)
     points = spectral._pole_points(*poles)
     x, a, y, b = map(np.array, zip(*(row for point in points for row in rows(*point))))
     warm = xi1 > 0.0
@@ -60,8 +62,8 @@ def _pair_sum(what, poles, rows, xi1=0.0, rest=0.0, rel_tol=None):
     scale = 0.5 / (len(points) * step)
     value = rest + scale * float(pairs.sum().real)
     roundoff = spectral._ROUNDOFF * (abs(rest) + scale * float(size.sum()))
-    spectral._gate(what, value, roundoff,
-                   spectral.DEFAULT_REL_TOL if rel_tol is None else rel_tol)
+    if spectral._fails(value, 0.0, roundoff, rel):
+        raise spectral._failure(what, value, roundoff, 0.0, rel)
     return value
 
 
@@ -139,8 +141,8 @@ def naive_fdt_energy_rr(ctx, Omega_A, Omega_B, rel_tol=None):
     i int_0^inf dxi f(i xi), whose real part is the T = 0 pair sum of log
     divided differences (coincident poles included). Near critical damping
     it is the mean over the circle of :func:`spinvdw.spectral._closed`.
-    The roundoff estimate of the sum is checked against ``rel_tol`` as in
-    :func:`spinvdw.spectral.energy_BA`.
+    The roundoff estimate of the sum is checked against ``rel_tol`` as
+    :func:`spinvdw.spectral.energy_BA` checks its own.
     """
     ws = ctx._scaled[0]
     oa, ob = Omega_A / ws, Omega_B / ws

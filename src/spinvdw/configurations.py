@@ -138,8 +138,8 @@ def energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
 
     Evaluates the arrangement's weights with
     :func:`spinvdw.spectral.general_energy`: one auxiliary integral per
-    distinct shift |s Omega_A - t Omega_B|, cached in the table of ``ctx``
-    at ``rel_tol``, and checked there once, when it is evaluated.
+    distinct shift |s Omega_A - t Omega_B|, all in one evaluation, each
+    checked at ``rel_tol``.
     """
     return spectral.general_energy(ctx, arrangement._terms, Omega_A, Omega_B, rel_tol)
 
@@ -163,7 +163,7 @@ def delta_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
 
     One weighted shift sum: the arrangement's weights plus -sum c at zero
     shift, since every term of the rest energy sits there. Its shifts and 0
-    are looked up, and their misses evaluated, together.
+    are evaluated together.
     """
     rest = (0.0, 0.0, -sum(c for _, _, c in arrangement._terms))
     delta = spectral.general_energy(ctx, arrangement._terms + (rest,),

@@ -27,6 +27,8 @@ rejected; :mod:`spinvdw.oracle` covers it. The result carries a roundoff
 estimate; a tolerance below it raises :class:`ConvergenceError` at once.
 Nothing is cached: a sweep evaluates all of its shifts in one call of
 :func:`sweep_energies`, and every one-point energy evaluates its own.
+Every entry point checks its inputs with :func:`_check` before it
+evaluates, and every value is judged by :func:`_fails`.
 
 All integration happens in nondimensional units (frequencies in units of
 sphere A's resonance, polarizabilities in units of 4*pi*eps0*a^3); SI
@@ -43,7 +45,7 @@ from .response import C_LIGHT, HBAR, K_B, UnitSystem, resonance_frequency
 
 __all__ = [
     "ConvergenceError", "QuadratureSpec", "PairContext",
-    "pair_quadrature_spec", "shift_integral",
+    "pair_quadrature_spec",
     "energy_BA", "energy_AB", "aux_energy", "general_energy", "sweep_energies",
     "clear_cache", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
 ]
@@ -562,10 +564,24 @@ def _closed_kinds(ctx, shifts):
     return values, roundoff
 
 
-def _positive(rel, what):
-    """Raise ValueError, named for ``what``, unless ``rel`` is > 0 (NaN is not)."""
+def _positive(rel_tol, what):
+    """``rel_tol``, or DEFAULT_REL_TOL for None; ValueError, named for ``what``, unless > 0."""
+    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     if not rel > 0.0:
         raise ValueError(f"{what}: rel_tol must be > 0, got {rel}")
+    return rel
+
+
+def _fails(real, imag, roundoff, rel):
+    """Whether closed-form values fail rel_tol ``rel``; floats or arrays alike.
+
+    A value fails if its imaginary residue exceeds its roundoff estimate,
+    or if the estimate exceeds both ``DEFAULT_ABS_TOL`` and rel |value|; a
+    NaN fails neither, and rel_tol inf passes every estimate.
+    """
+    # inf times a zero value would warn
+    bound = np.maximum(DEFAULT_ABS_TOL, rel * abs(real)) if rel < math.inf else math.inf
+    return (abs(imag) > roundoff) | (roundoff > bound)
 
 
 def _failure(what, value, roundoff, imag, rel):
@@ -578,27 +594,6 @@ def _failure(what, value, roundoff, imag, rel):
         f"{what}: rel_tol {rel:.1e} is below the closed form's "
         f"roundoff estimate {roundoff:.3e} (value {value:.6e})",
         value=value, estimate=roundoff)
-
-
-def _gate(what, value, roundoff, rel):
-    """Raise unless ``rel`` is > 0 (ValueError) and the roundoff estimate meets it."""
-    _positive(rel, what)
-    if roundoff > DEFAULT_ABS_TOL and roundoff > rel * abs(value):
-        raise _failure(what, value, roundoff, 0.0, rel)
-
-
-def shift_integral(ctx, Omega, which):
-    """One reduced shift integral and its roundoff estimate, uncached.
-
-    ``which`` is "BA" or "AB"; the value is the contour closure's, with its
-    imaginary residue checked against the estimate and dropped.
-    """
-    values, roundoff = _closed_kinds(ctx, [abs(Omega) / ctx._scaled[0]])
-    k = _KINDS.index(which)
-    value, roundoff = complex(values[k, 0]), float(roundoff[k, 0])
-    if abs(value.imag) > roundoff:
-        raise _failure(f"energy_{which}", value.real, roundoff, value.imag, math.inf)
-    return value.real, roundoff
 
 
 # Points per closed-form evaluation: its shifts times a shift's points, one per
@@ -614,39 +609,41 @@ def clear_cache():
     """Do nothing: no shift integral is cached. Kept for callers of the earlier cache."""
 
 
-def _rate_error(omega_a, omega_b):
-    """The error of rates that give no shift: a non-finite rate, else both rates."""
-    for name, rate in (("Omega_A", omega_a), ("Omega_B", omega_b)):
-        if not math.isfinite(rate):
-            return ValueError(f"{name} = {rate} rad/s: rotation rates must be finite")
-    return ValueError(f"Omega_A = {omega_a} rad/s, Omega_B = {omega_b} rad/s: "
-                      f"a shift |s Omega_A - t Omega_B| overflows")
+def _check(ctx, what, shifts, omega_a, omega_b, rel_tol):
+    """The rel_tol of an energy call, once its inputs are checked; nothing is evaluated.
 
-
-def _doppler_check(ctx, shift, omega_a, omega_b):
-    """Raise ValueError if the largest working-unit ``shift`` leaves the non-retarded regime.
-
-    A Doppler image of a resonance sits up to the shift above it, so the
-    shift adds to the fastest rate w of the spheres in R w/c.
+    ``shifts`` are the working-unit shifts of the rates ``omega_a``,
+    ``omega_b`` (rad/s): the rates of a one-point call, or a sweep's row
+    with the largest shift. Raises ValueError, in this order, for a
+    non-finite rate or shift, for a largest shift that takes the Doppler
+    images out of the non-retarded regime, and for a rel_tol that is not
+    > 0, named for ``what``.
     """
-    reach = ctx._reach + ctx._reach_shift * shift
+    if not all(map(math.isfinite, shifts)):     # max() would skip a NaN
+        for name, rate in (("Omega_A", omega_a), ("Omega_B", omega_b)):
+            if not math.isfinite(rate):
+                raise ValueError(f"{name} = {rate} rad/s: rotation rates must be finite")
+        raise ValueError(f"Omega_A = {omega_a} rad/s, Omega_B = {omega_b} rad/s: "
+                         f"a shift |s Omega_A - t Omega_B| overflows")
+    # a Doppler image of a resonance sits up to the shift above it, so the
+    # largest shift adds to the fastest rate w of the spheres in R w/c
+    reach = ctx._reach + ctx._reach_shift * max(shifts)
     if not reach <= MAX_RETARDATION:
         raise ValueError(
             f"Omega_A = {omega_a} rad/s, Omega_B = {omega_b} rad/s: the Doppler images "
             f"leave the non-retarded regime: R w/c = {reach:.3g} exceeds "
             f"{MAX_RETARDATION}, w the largest resonance or damping rate of the "
             f"spheres plus the largest shift |s Omega_A - t Omega_B|")
+    return _positive(rel_tol, what)
 
 
 def _checked(ctx, shifts, rel):
     """BA + AB at each working-unit shift in the list ``shifts``, checked at ``rel``.
 
     Both kinds of every shift are evaluated in blocks of at most ``_BLOCK``
-    points, one :func:`_closed_kinds` call each, and checked by one array
-    comparison per block: a kind fails if its imaginary residue exceeds its
-    roundoff estimate, or if the estimate exceeds both ``DEFAULT_ABS_TOL``
-    and rel |value| (a NaN fails neither). Returns the sums, an array, and
-    a dict from the index of each shift that fails to the arguments of
+    points, one :func:`_closed_kinds` call each, and judged by
+    :func:`_fails`, one array call per block. Returns the sums, an array,
+    and a dict from the index of each shift that fails to the arguments of
     :func:`_failure`, but ``rel``, for its first failing kind, BA before AB.
     """
     sums, failures = np.empty(len(shifts)), {}
@@ -654,9 +651,7 @@ def _checked(ctx, shifts, rel):
     for start in range(0, len(shifts), step):
         values, roundoff = _closed_kinds(ctx, shifts[start:start + step])
         real, imag = values.real, values.imag
-        # rel_tol inf passes every estimate (inf times a zero value would warn)
-        bound = np.maximum(DEFAULT_ABS_TOL, rel * abs(real)) if rel < math.inf else math.inf
-        fails = (abs(imag) > roundoff) | (roundoff > bound)
+        fails = _fails(real, imag, roundoff, rel)
         sums[start:start + step] = real[0] + real[1]
         for j in np.flatnonzero(fails[0] | fails[1]).tolist():
             k = 0 if fails[0, j] else 1
@@ -679,23 +674,18 @@ def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
     and a dict from the index of each row that fails, or None for the rest
     energy, to the error of its first failing term in term order (its
     residue, then its rel_tol), as :func:`general_energy` raises it. A
-    failing row's energy is NaN. Raises ValueError before any evaluation
-    for a non-finite rate, a shift that overflows, a largest shift that
-    takes the Doppler images out of the non-retarded regime, or a rel_tol
-    that is not > 0.
+    failing row's energy is NaN. The inputs are checked as
+    :func:`_check` checks them, at the first row with a non-finite shift,
+    else the first with the largest shift, before any evaluation.
     """
-    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     s, t, c = zip(*terms)
     wa, wb = np.append(omega_a, 0.0), np.append(omega_b, 0.0)    # the rest energy last
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.abs(np.multiply.outer(wa, s) - np.multiply.outer(wb, t)) / ctx._scaled[0]
-    top = float(x.max())
-    if not math.isfinite(top):                              # NaN or infinity
-        k = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-        raise _rate_error(float(wa[k]), float(wb[k]))
-    k = int(x.argmax()) // x.shape[1]
-    _doppler_check(ctx, top, float(wa[k]), float(wb[k]))
-    _positive(rel, "sweep_energies")
+    tops = x.max(axis=1)                                    # NaN or infinity too
+    finite = np.isfinite(tops)
+    k = int(tops.argmax()) if finite.all() else int(finite.argmin())
+    rel = _check(ctx, "sweep_energies", x[k].tolist(), float(wa[k]), float(wb[k]), rel_tol)
     shifts, inverse = np.unique(x, return_inverse=True)
     inverse = inverse.reshape(x.shape)
     sums, failures = _checked(ctx, shifts.tolist(), rel)
@@ -722,56 +712,40 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
     ``terms`` holds the arrangement's ``(s, t, c)`` weights (see
     :mod:`spinvdw.configurations`); the energy is
     2 sum c E(|s Omega_A - t Omega_B|), E the sum of the BA and AB
-    integrals. One pass over the terms merges their weights by slot, the
-    shift quantized to 1e-12 working units (both integrals are even in the
-    shift), in first-seen order, a term with s = t = 0 taking slot 0 and
-    shift 0.0 with no arithmetic; the first shift of each slot is then
-    evaluated and checked at ``rel_tol`` as :func:`_checked` checks it, in
-    one evaluation, and c (BA + AB) summed over the slots. The first slot
+    integrals. One pass over the terms merges their weights by their exact
+    shift, in first-seen order, as a sweep's shifts are keyed; the inputs
+    are checked as :func:`_check` checks them, the distinct shifts
+    evaluated and checked at ``rel_tol`` as :func:`_checked` checks them,
+    in one evaluation, and c (BA + AB) summed over them. The first shift
     that fails raises what it failed (its residue, then its rel_tol).
-    ValueError is raised before any evaluation for a non-finite rate in a
-    term with s or t nonzero (every arrangement has such terms, since
-    c_00 <= 4 of the weights' sum of 6), a finite one whose shift
-    overflows its slot, a largest shift that takes the Doppler images out
-    of the non-retarded regime, or a rel_tol that is not > 0 (NaN too).
     """
-    rel = DEFAULT_REL_TOL if rel_tol is None else rel_tol
     ws = ctx._scaled[0]
-    slots, shifts, weights = {}, [], []
-    try:
-        for s, t, c in terms:
-            if s or t:
-                x = abs(s * Omega_A - t * Omega_B) / ws
-                n = round(x / 1e-12)
-            else:
-                x, n = 0.0, 0
-            k = slots.setdefault(n, len(shifts))
-            if k == len(shifts):
-                shifts.append(x)
-                weights.append(c)
-            else:
-                weights[k] += c
-    except (ValueError, OverflowError):         # round() of NaN or infinity
-        raise _rate_error(Omega_A, Omega_B) from None
-    _doppler_check(ctx, max(shifts), Omega_A, Omega_B)
-    _positive(rel, "general_energy")
+    Omega_A, Omega_B = float(Omega_A), float(Omega_B)   # numpy's 0 * inf would warn
+    weights = {}                        # shift -> summed c
+    for s, t, c in terms:
+        x = abs(s * Omega_A - t * Omega_B) / ws
+        weights[x] = weights.get(x, 0.0) + c
+    shifts = list(weights)
+    rel = _check(ctx, "general_energy", shifts, Omega_A, Omega_B, rel_tol)
     sums, failures = _checked(ctx, shifts, rel)
     if failures:
         raise _failure(*failures[min(failures)], rel)
     total = 0.0
-    for c, value in zip(weights, sums.tolist()):
+    for c, value in zip(weights.values(), sums.tolist()):
         total += c * value
     return 2.0 * ctx._joules * total
 
 
 def _single(ctx, Omega, which, rel_tol):
-    """The energy of one shift integral (J): uncached, checked and gated."""
-    if not math.isfinite(Omega):
-        raise _rate_error(Omega, 0.0)
-    _doppler_check(ctx, abs(Omega) / ctx._scaled[0], Omega, 0.0)
-    value, roundoff = shift_integral(ctx, Omega, which)
-    _gate(f"energy_{which}", value, roundoff, DEFAULT_REL_TOL if rel_tol is None else rel_tol)
-    return ctx._joules * value
+    """The energy (J) of the ``which`` integral alone, checked as a weighted sum's terms."""
+    x = abs(Omega) / ctx._scaled[0]
+    rel = _check(ctx, f"energy_{which}", [x], Omega, 0.0, rel_tol)
+    values, roundoff = _closed_kinds(ctx, [x])
+    k = _KINDS.index(which)
+    value, roundoff = complex(values[k, 0]), float(roundoff[k, 0])
+    if _fails(value.real, value.imag, roundoff, rel):
+        raise _failure(f"energy_{which}", value.real, roundoff, value.imag, rel)
+    return ctx._joules * value.real
 
 
 def energy_BA(ctx, Omega, rel_tol=None):
@@ -779,14 +753,14 @@ def energy_BA(ctx, Omega, rel_tol=None):
 
     -A/R^6 * integral dw [alpha_A(w+Omega) + alpha_A(w-Omega)] eta_B(w)
     with A = hbar/(512 pi^3 eps0^2). Real by symmetry; the imaginary
-    residue is checked against the error estimate before being discarded.
-    Uncached: one :func:`shift_integral`, gated at ``rel_tol``.
+    residue is checked against the error estimate before being discarded,
+    and the estimate against ``rel_tol``, as :func:`general_energy` checks them.
     """
     return _single(ctx, Omega, "BA", rel_tol)
 
 
 def energy_AB(ctx, Omega, rel_tol=None):
-    """Energy from Doppler-shifted fluctuations in A driving B (J); uncached, as energy_BA."""
+    """Energy from Doppler-shifted fluctuations in A driving B (J); checked as energy_BA."""
     return _single(ctx, Omega, "AB", rel_tol)
 
 

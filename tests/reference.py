@@ -37,7 +37,8 @@ contour closure of :mod:`spinvdw.spectral`, which serves every production
 value, and is its independent reference: ``quadrature_shift_integral``
 evaluates one reduced shift integral with it, directly from the material
 kernels, and ``naive_fdt_quadrature`` the equilibrium-FDT baseline of
-:mod:`spinvdw.baseline`.
+:mod:`spinvdw.baseline`. ``shift_integral`` is the closed form's own value
+of one such integral, with its roundoff estimate and no tolerance.
 
 ``closure_reference`` evaluates the contour closure itself at 30 digits,
 its Matsubara pair sum through ``mpmath.psi`` (logarithms at T = 0), as
@@ -517,6 +518,21 @@ def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10, abs_tol=None,
     value, error = _integrate(integrand, spec)
     assert abs(value.imag) <= 1e-6 * abs(value.real) + spec.abs_tol, value
     return (value.real, error) if with_error else value.real
+
+
+def shift_integral(ctx, Omega, which):
+    """The closed form's reduced BA or AB shift integral and its roundoff estimate.
+
+    One :func:`spinvdw.spectral._closed_kinds` evaluation at s = |Omega|/w_s,
+    with no tolerance; the imaginary residue is checked against the
+    estimate (ArithmeticError, as the energies raise it) and dropped.
+    """
+    values, roundoff = spectral._closed_kinds(ctx, [abs(Omega) / ctx._scaled[0]])
+    k = spectral._KINDS.index(which)
+    value, estimate = complex(values[k, 0]), float(roundoff[k, 0])
+    if abs(value.imag) > estimate:
+        raise spectral._failure(f"energy_{which}", value.real, estimate, value.imag, math.inf)
+    return value.real, estimate
 
 
 def naive_fdt_quadrature(ctx, Omega_A, Omega_B, rel_tol=1e-10):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reference import naive_fdt_quadrature, static_sum_reference
+from spinvdw import spectral
 from spinvdw.baseline import (hamaker_constant, matsubara_static_energy, naive_fdt_energy_rr,
                               static_energy_estimate, static_force_estimate)
 from spinvdw.configurations import Arrangement, energy, rest_energy
@@ -173,10 +174,15 @@ class TestNaiveFdt:
         want = naive_fdt_quadrature(ctx, 1.3 * w0, -0.4 * w0, rel_tol=1e-10)
         assert naive_fdt_energy_rr(ctx, 1.3 * w0, -0.4 * w0) == approx(want, rel=1e-9)
 
-    def test_rel_tol_not_positive_raises(self, ctx0, w0):
+    def test_rel_tol_not_positive_raises(self, monkeypatch, ctx0, w0):
+        # before any evaluation: neither pair sum is called
+        calls = []
+        for name in ("_divided", "_series"):
+            monkeypatch.setattr(spectral, name, lambda *args: calls.append(args))
         for rel_tol in (math.nan, 0.0, -1.0):
             with pytest.raises(ValueError, match="^naive_fdt_energy_rr: rel_tol must be > 0"):
                 naive_fdt_energy_rr(ctx0, 1.5 * w0, 0.0, rel_tol=rel_tol)
+        assert calls == []
 
     def test_shift_non_invariance(self, ctx0, w0):
         # the equilibrium assumption breaks the relative-velocity property

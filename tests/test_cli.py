@@ -274,15 +274,14 @@ GENERAL_AXES = {"arrangement": "general",
 
 
 def _merged(ctx, terms, omega_a, omega_b):
-    """Slot -> [first shift, summed c] of ``terms``, in first-seen order."""
+    """Exact shift -> summed c of ``terms``, in first-seen order."""
     weights = {}
     for s, t, c in terms:
-        x = abs(s * omega_a - t * omega_b) / ctx._scaled[0] if s or t else 0.0
-        n = round(x / 1e-12)
-        if n in weights:
-            weights[n][1] += c
+        x = _shift(ctx, s, t, omega_a, omega_b)
+        if x in weights:
+            weights[x] += c
         else:
-            weights[n] = [x, c]
+            weights[x] = c
     return weights
 
 
@@ -293,11 +292,11 @@ def _kinds_sum(ctx, shifts):
 
 
 def _merged_energy(ctx, terms, omega_a, omega_b):
-    """2 sum C (BA + AB) over the merged slots, from one evaluation of their first shifts."""
+    """2 sum C (BA + AB) over the merged shifts, from one evaluation of them."""
     merged = _merged(ctx, terms, omega_a, omega_b)
-    sums = _kinds_sum(ctx, [x for x, _ in merged.values()])
+    sums = _kinds_sum(ctx, list(merged))
     total = 0.0
-    for x, c in merged.values():
+    for x, c in merged.items():
         total += c * sums[x]
     return 2.0 * ctx._joules * total
 
@@ -426,9 +425,9 @@ class TestBlockedSweep:
         # block, the rest energy's 0 among them, and nothing else: the two
         # sweeps of a fig2 preset (co- and counter-rotating) need the same
         # shifts, sums and differences swapped, so they add none to each
-        # other. Shifts are distinct as floats: fig2a and fig2b hold 12 and
-        # 8 that the 1e-12 slots of a one-point call would merge (333 and
-        # 389 slots)
+        # other. Shifts are distinct as floats, as in a one-point call:
+        # fig2a and fig2b hold 12 and 8 that 1e-12 slots would merge (333
+        # and 389 slots)
         shifts = []
         inner = spectral._closed_kinds
 
@@ -470,7 +469,7 @@ class TestBlockedSweep:
     def test_repeated_slots_keep_their_bits(self, w0, config):
         # rows whose terms share a shift: the sweep sums them term by term
         # over its one evaluation, a one-point call sums the merged weight
-        # once over the evaluation of its own first shifts, each with the
+        # once over the evaluation of its own distinct shifts, each with the
         # same bits every time, and the two agree to roundoff
         spec, ctx = parse_config({**config, "sweep.omega_b_rule": "ratio",
                                   "sweep.omega_a_grid_rad_s":
@@ -493,8 +492,8 @@ class TestBlockedSweep:
         assert merged                       # merging is what these rows check
 
     def test_delta_energy_rest_term_keeps_its_bits(self, w0):
-        # the rest term -sum c sits in slot 0 with (0, 0), and with every
-        # other term whose shift vanishes
+        # the rest term -sum c merges with (0, 0), and with every other
+        # term whose shift vanishes
         _, ctx = parse_config({"temperature_K": 300.0})
         for kind in ("rr", "uu", "ur", "uo"):
             arrangement = Arrangement(kind)
@@ -704,11 +703,10 @@ class TestDopplerBound:
                       5.0 * w0, 5.0 * w0) < 0.0
 
     def test_single_kind_energies_raise(self):
-        # 1e308 rad/s on the default pair once gave -0.0; aux_energy's slot
-        # of 1e308 overflows first, and it says so
+        # 1e308 rad/s on the default pair once gave -0.0
         _, ctx = parse_config({})
         for call in (spectral.energy_BA, spectral.energy_AB, spectral.aux_energy):
-            for rate in (1e20, 1e308)[:2 if call is not spectral.aux_energy else 1]:
+            for rate in (1e20, 1e308):
                 message = f"Omega_A = {rate} rad/s, Omega_B = 0.0 rad/s: the Doppler images leave"
                 with pytest.raises(ValueError, match="^" + re.escape(message)):
                     call(ctx, rate)

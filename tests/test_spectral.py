@@ -1,6 +1,6 @@
 import functools
 import math
-import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 import reference
 from reference import (closure_reference, integrate_spectrum, quadrature_shift_integral,
-                       tensor_energy)
+                       shift_integral, tensor_energy)
 from spinvdw import oracle, spectral
 from spinvdw.configurations import (Arrangement, delta_energy, delta_force, energy,
                                     rest_energy)
 from spinvdw.response import (EPS0, HBAR, K_B, MaterialModel, SpinningSphere, bst,
                               polarizability, resonance_frequency)
 from spinvdw.spectral import (ConvergenceError, PairContext, QuadratureSpec,
-                              aux_energy, energy_AB, energy_BA, pair_quadrature_spec,
-                              shift_integral)
+                              aux_energy, energy_AB, energy_BA, pair_quadrature_spec)
 
 # SI energies, forces and polarizabilities are far below pytest.approx's
 # default absolute tolerance of 1e-12, which would accept any two of them.
@@ -754,7 +753,7 @@ class TestEveryDamping:
 
 
 class TestShiftCache:
-    """What one call evaluates: its slots' first shifts, once; nothing is kept after it."""
+    """What one call evaluates: its exact distinct shifts, once; nothing is kept after it."""
 
     def test_clear_cache_drops_corrupted_entries(self, monkeypatch, w0):
         # no entry is kept, so a corrupted evaluation leaves nothing behind:
@@ -818,13 +817,13 @@ class TestShiftCache:
         monkeypatch.undo()
         assert aux_energy(ctx, 0.7 * w0) == total
 
-    def test_shifts_in_one_slot_share_one_entry(self, monkeypatch, ctx300, w0):
-        # adjacent doubles are distinct shifts but one slot: the first
-        # term's shift is evaluated once and the weights are summed
+    def test_adjacent_doubles_are_two_shifts(self, monkeypatch, ctx300, w0):
+        # shifts one ulp apart are two shifts in a one-point call, as in a
+        # sweep: each is evaluated once and weighs its own term
         ws = ctx300._scaled[0]
         wa = 0.7 * w0
         wb = math.nextafter(wa, math.inf)
-        assert wa / ws != wb / ws and round(wa / ws / 1e-12) == round(wb / ws / 1e-12)
+        assert wa / ws != wb / ws
         shifts = []
         inner = spectral._closed
 
@@ -835,8 +834,10 @@ class TestShiftCache:
         monkeypatch.setattr(spectral, "_closed", recording)
         terms = ((1.0, 0.0, 0.25), (0.0, 1.0, 0.5))     # E(|Omega_A|), E(|Omega_B|)
         e = spectral.general_energy(ctx300, terms, wa, -wb)
-        assert shifts == [[wa / ws]]
-        assert e == approx(1.5 * aux_energy(ctx300, wa), rel=1e-15)
+        [swept], _, _ = spectral.sweep_energies(ctx300, terms, [wa], [-wb])
+        assert shifts == [[wa / ws, wb / ws], [0.0, wa / ws, wb / ws]]
+        assert e == approx(swept, rel=1e-15)
+        assert e == approx(0.5 * aux_energy(ctx300, wa) + aux_energy(ctx300, wb), rel=1e-15)
 
     def test_miss_after_hit_in_one_call(self, monkeypatch, ctx300, w0):
         # a shift that an earlier call evaluated and a new one: nothing is
@@ -884,13 +885,17 @@ class TestShiftCache:
         ((math.nan, 0.0), "Omega_A = nan"), ((1e10, math.inf), "Omega_B = inf"),
         ((-math.inf, math.nan), "Omega_A = -inf")])
     def test_non_finite_rate_names_it(self, ctx300, rates, name):
-        # the rest term (s = t = 0) reads no rate; the other terms, which
-        # every arrangement has, name the non-finite one
+        # every term reads both rates, the rest term (s = t = 0) too, as in
+        # a sweep, and the error names the non-finite one
         message = f"^{name} rad/s: rotation rates must be finite"
         general = Arrangement("general", (0.6, 0.0, 0.8), (0.0, 0.6, 0.8), (1.0, 0.0, 0.0))
         for arrangement in [Arrangement(kind) for kind in ("rr", "uu", "ur", "uo")] + [general]:
             with pytest.raises(ValueError, match=message):
                 energy(ctx300, arrangement, *rates)
+            with warnings.catch_warnings():     # numpy rates: no warning before the error
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    energy(ctx300, arrangement, *map(np.float64, rates))
             with pytest.raises(ValueError, match=message):
                 delta_energy(ctx300, arrangement, *rates)
             with pytest.raises(ValueError, match=message):
@@ -898,30 +903,39 @@ class TestShiftCache:
             with pytest.raises(ValueError, match=message):
                 spectral.sweep_energies(ctx300, arrangement._terms, [0.0, rates[0]],
                                         [0.0, rates[1]])
-        with pytest.raises(ValueError, match=message):      # the rest term first
-            spectral.general_energy(ctx300, ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)), *rates)
+        for terms in (((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)), ((0.0, 0.0, 1.0),)):
+            with pytest.raises(ValueError, match=message):
+                spectral.general_energy(ctx300, terms, *rates)
         if name.startswith("Omega_A"):
             with pytest.raises(ValueError, match=message):
                 aux_energy(ctx300, rates[0])
 
-    @pytest.mark.parametrize("rates", [(1e308, 0.0), (0.0, -1e308)])
+    @pytest.mark.parametrize("rates", [(1e308, 0.0), (0.0, -1e308), (1e308, -1e308)])
     def test_overflowing_shift_names_both_rates(self, monkeypatch, ctx300, rates):
-        # finite rates whose shift overflows its slot: neither rate is
-        # called non-finite, and nothing is evaluated. A sweep has no
-        # slots; its shift takes the Doppler images out of the
-        # non-retarded regime, and it names both rates for that
+        # huge finite rates: a finite largest shift takes the Doppler images
+        # out of the non-retarded regime, and Omega_A - Omega_B = 2e308
+        # overflows. Neither rate is called non-finite, one-point calls and
+        # sweeps raise the same text, naming both rates, and nothing is
+        # evaluated
         both = f"Omega_A = {rates[0]} rad/s, Omega_B = {rates[1]} rad/s: "
-        message = "^" + re.escape(both + "a shift |s Omega_A - t Omega_B| overflows") + "$"
+        error = ("a shift |s Omega_A - t Omega_B| overflows" if rates == (1e308, -1e308)
+                 else "the Doppler images leave the non-retarded regime")
         calls = _record(monkeypatch)
         for kind in ("rr", "uu", "ur", "uo"):
             arrangement = Arrangement(kind)
-            with pytest.raises(ValueError, match=message):
-                energy(ctx300, arrangement, *rates)
-            with pytest.raises(ValueError, match=message):
-                delta_energy(ctx300, arrangement, *rates)
-            with pytest.raises(ValueError, match="^" + re.escape(both + "the Doppler images")):
-                spectral.sweep_energies(ctx300, arrangement._terms, [0.0, rates[0]],
-                                        [0.0, rates[1]])
+            entries = [lambda: energy(ctx300, arrangement, *rates),
+                       lambda: delta_energy(ctx300, arrangement, *rates),
+                       lambda: spectral.sweep_energies(ctx300, arrangement._terms,
+                                                       [0.0, rates[0]], [0.0, rates[1]])]
+            if rates[1] == 0.0:                     # aux_energy takes Omega_A alone
+                entries.append(lambda: aux_energy(ctx300, rates[0]))
+            raised = set()
+            for call in entries:
+                with pytest.raises(ValueError) as err:
+                    call()
+                raised.add(str(err.value))
+            [text] = raised
+            assert text.startswith(both + error), text
         assert calls == []
 
     def test_rest_term_is_one_entry_in_slot_zero(self, monkeypatch, ctx300, w0):
@@ -1098,15 +1112,16 @@ class TestPassedTolerance:
 
         monkeypatch.setattr(spectral, "_closed", corrupt)
         for which, lookup in (("BA", energy_BA), ("AB", energy_AB)):
+            # the residue before the tolerance, which BA at 2 w0 fails
             with pytest.raises(ArithmeticError, match=f"^energy_{which}: imaginary residue"):
-                lookup(ctx, 0.7 * w0, rel_tol=math.nan)     # the residue first
+                lookup(ctx, 2.0 * w0, rel_tol=1e-17)
 
     @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0])
     def test_rel_tol_not_positive_raises_and_is_not_recorded(self, monkeypatch, ctx300, ctx0,
                                                              w0, rel_tol):
-        # raised before any evaluation by the weighted sums (the single-kind
-        # energies gate after theirs), and after a non-finite rate's error;
-        # the message names the entry point that was called
+        # raised before any evaluation by every entry point, and after a
+        # non-finite rate's error; the message names the entry point that
+        # was called
         uo = Arrangement("uo")
         message = "^general_energy: rel_tol must be > 0"
         calls = _record(monkeypatch)
@@ -1115,18 +1130,20 @@ class TestPassedTolerance:
             for _ in range(2):
                 with pytest.raises(ValueError, match=message):
                     aux_energy(ctx, 2.0 * w0, rel_tol)
+                with pytest.raises(ValueError, match=message):
+                    energy(ctx, Arrangement("rr"), 2.0 * w0, 0.0, rel_tol)
                 with pytest.raises(ValueError, match="^sweep_energies: rel_tol must be > 0"):
                     spectral.sweep_energies(ctx, uo._terms, [2.0 * w0], [0.0], rel_tol)
+                with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
+                    energy_BA(ctx, 2.0 * w0, rel_tol)
+                with pytest.raises(ValueError, match="^energy_AB: rel_tol must be > 0"):
+                    energy_AB(ctx, 2.0 * w0, rel_tol)
             assert calls == []
             aux_energy(ctx, 2.0 * w0)
-            with pytest.raises(ValueError, match=message):
-                energy(ctx, Arrangement("rr"), 2.0 * w0, 0.0, rel_tol)
-            with pytest.raises(ValueError, match="^energy_BA: rel_tol must be > 0"):
-                energy_BA(ctx, 2.0 * w0, rel_tol)
-            with pytest.raises(ValueError, match="^energy_AB: rel_tol must be > 0"):
-                energy_AB(ctx, 2.0 * w0, rel_tol)
             with pytest.raises(ValueError, match="^Omega_A = nan rad/s"):
                 energy(ctx, uo, math.nan, 0.0, rel_tol)
+            with pytest.raises(ValueError, match="^Omega_A = nan rad/s"):
+                energy_BA(ctx, math.nan, rel_tol)
 
     @pytest.mark.parametrize("rel_tol", [1e-2, math.inf])
     def test_corrupted_residue_raises_after_passed_slots(self, monkeypatch, ctx300,

@@ -14,20 +14,13 @@ the same BST pair and rates for each canonical arrangement and the general
 axes (0.6, 0, 0.8), (0, 0.6, 0.8), x (each call of such a case makes one
 untimed call, then times 100), the energies of the ``fig2a`` preset's two
 sweeps as ``cli.run_preset`` evaluates them, one ``spectral.sweep_energies``
-call for both (one per sweep in a package whose ``cli.SweepResult`` holds
-rows, not columns, as its ``run_preset`` made them), four general-axis
-sweeps, each from ``cli.parse_config``
+call for both, four general-axis sweeps, each from ``cli.parse_config``
 through ``cli.run_sweep`` to ``cli.emit`` of a CSV into a temporary
 directory (seeded axes at 0, 300, 1500 and 300 K, 25 rates up to 4.5 w0,
 Omega_B a fixed ratio of Omega_A, shaped like the benchmark's
 ``general_axes`` workload), and ``cli.run_preset`` of each of the six
 presets in turn (the benchmark's ``fig_presets`` pass without its CSVs).
-A package with the earlier shift cache (``spectral.prefetch``), timed
-with ``--against``, has its cache cleared before each cold case, its
-repeated energies read the cache after the untimed call, and its fig2a
-case runs ``prefetch`` and then each row's ``configurations.energy``, as
-its ``run_sweep`` did. Each of 21 rounds makes 20 calls
-of every case in turn (and of both
+Each of 21 rounds makes 20 calls of every case in turn (and of both
 packages with ``--against``, alternating which goes first), and the JSON
 printed holds each case's median and quartiles over the rounds of its
 mean time per call, in microseconds; with ``--against``, also the ratio
@@ -100,9 +93,6 @@ def cases(package, scratch):
         grid = shifts(count)
         return lambda: spectral._closed(both, ws, grid)
 
-    # a package with the earlier shift cache starts each cold case from an empty one
-    cached = hasattr(spectral, "prefetch")
-    cold_start = spectral.clear_cache if cached else lambda: None
     out = []
     for route, t_a, t_b in (("log", 0.0, 0.0), ("series", 300.0, 300.0),
                             ("digamma", 0.05, 0.05), ("log+series", 300.0, 0.0)):
@@ -135,11 +125,8 @@ def cases(package, scratch):
     for name, ctx in energies:
         arrangement = configurations.Arrangement(name[:2])
 
-        def cold(ctx=ctx, arrangement=arrangement):
-            cold_start()
-            start = time.perf_counter()
+        def cold(ctx=ctx, arrangement=arrangement):     # returns None: measure times it
             configurations.delta_force(ctx, arrangement, OMEGA[0] * w0, OMEGA[1] * w0)
-            return time.perf_counter() - start
 
         out.append((f"delta_force {name}", cold))
 
@@ -163,46 +150,22 @@ def cases(package, scratch):
     fig2a = spectral.PairContext(sphere, sphere, cli.DEFAULT_SEPARATION)
     specs = [cli.SweepSpec(arrangement="uu", omega_a_grid=np.linspace(0.0, 5.0 * w0, 200),
                            omega_b_rule="ratio", omega_b_ratio=rho) for rho in (0.5, -0.5)]
-    sweeps = [(spec.make_arrangement(), spec.grid_points(), spec.rel_tol) for spec in specs]
-    if "columns" in cli.SweepResult.__dataclass_fields__:     # one call for the preset
-        sweeps = [(sweeps[0][0], sweeps[0][1] + sweeps[1][1], sweeps[0][2])]
-
-    def rows():
-        cold_start()
-        start = time.perf_counter()
-        for arrangement, points, rel_tol in sweeps:
-            if not cached:
-                spectral.sweep_energies(fig2a, arrangement._terms, *zip(*points), rel_tol)
-                continue
-            spectral.prefetch(fig2a, arrangement._terms, points, rel_tol)
-            configurations.energy(fig2a, arrangement, 0.0, 0.0, rel_tol)
-            for omega_a, omega_b in points:
-                configurations.energy(fig2a, arrangement, omega_a, omega_b, rel_tol)
-        return time.perf_counter() - start
-
-    out.append(("fig2a sweep energies", rows))
+    terms = specs[0].make_arrangement()._terms
+    points = specs[0].grid_points() + specs[1].grid_points()     # one call for the preset
+    out.append(("fig2a sweep energies",
+                lambda: spectral.sweep_energies(fig2a, terms, *zip(*points), specs[0].rel_tol)))
 
     configs = general_configs(w0)
 
     def general_sweeps():
-        cold_start()
-        start = time.perf_counter()
         for k, config in enumerate(configs):
             spec, ctx = cli.parse_config(config)
             path = os.path.join(scratch, f"{package.__name__}_general_{k}.csv")
             cli.emit(cli.run_sweep(spec, ctx), "csv", path)
-        return time.perf_counter() - start
 
     out.append(("general-axis sweeps, parse_config to emit", general_sweeps))
-
-    def presets():
-        cold_start()
-        start = time.perf_counter()
-        for name in cli.PRESETS:
-            cli.run_preset(name)
-        return time.perf_counter() - start
-
-    out.append(("six presets by run_preset", presets))
+    out.append(("six presets by run_preset",
+                lambda: [cli.run_preset(name) for name in cli.PRESETS]))
     return out
 
 
