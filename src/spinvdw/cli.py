@@ -47,26 +47,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One rotation-rate sweep: arrangement, grid, pairing rule, and output.
+    """One rotation-rate sweep: arrangement, the rates of its rows, and output.
 
     The spheres, their temperature and their distance are not part of it:
     they are the :class:`PairContext` that :func:`run_sweep` evaluates on.
-    ``omega_b_rule`` is one of "fixed" (constant Omega_B), "ratio"
-    (Omega_B = rho * Omega_A with |rho| <= 1, sign selecting co- or
-    counter-rotation), or "grid" (cartesian product with ``omega_b_grid``).
-    A "general" arrangement takes ``axes`` = (axis_a, axis_b, rhat), unit
-    3-vectors stored as float tuples; a missing (None) or malformed one is
-    a ConfigError that names its key in ``AXIS_KEYS``. The canonical
-    arrangements fix their axes, and take none: given axes are a
-    ConfigError that names their keys.
+    ``omega_a`` and ``omega_b`` hold the (Omega_A, Omega_B) of each row in
+    rad/s, as tuples of finite Python floats of one non-empty length; a
+    config's ``sweep.omega_b_rule`` is expanded into them by
+    :func:`parse_config`. A "general" arrangement takes ``axes`` =
+    (axis_a, axis_b, rhat), unit 3-vectors stored as float tuples; a missing
+    (None) or malformed one is a ConfigError that names its key in
+    ``AXIS_KEYS``. The canonical arrangements fix their axes, and take none:
+    given axes are a ConfigError that names their keys.
     """
 
     arrangement: str = "rr"
-    omega_a_grid: tuple = ()          # rad/s
-    omega_b_rule: str = "fixed"
-    omega_b_value: float = 0.0        # rad/s, for "fixed"
-    omega_b_ratio: float = 0.0        # for "ratio"
-    omega_b_grid: tuple = ()          # rad/s, for "grid"
+    omega_a: tuple = ()               # rad/s, one per row
+    omega_b: tuple = ()               # rad/s, one per row
     rel_tol: float = spectral.DEFAULT_REL_TOL
     out_path: str = ""
     out_format: str = "csv"
@@ -75,21 +72,13 @@ class SweepSpec:
     def __post_init__(self):
         # Python floats, whatever built the rates: rows then skip numpy
         # scalar arithmetic, and emit writes their rates as floats
-        for name in ("omega_a_grid", "omega_b_grid"):
-            grid = getattr(self, name)
-            if isinstance(grid, np.ndarray):
-                grid = grid.tolist()        # one call, not one numpy scalar per value
-            try:
-                vals = tuple(map(float, grid))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}") from None
-            if not all(map(math.isfinite, vals)):
-                raise ConfigError(f"{name}: non-finite value")
-            object.__setattr__(self, name, vals)
-        for name in ("omega_b_value", "omega_b_ratio"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not math.isfinite(self.omega_b_value):
-            raise ConfigError(f"sweep.omega_b_value_rad_s: non-finite value {self.omega_b_value}")
+        for name in ("omega_a", "omega_b"):
+            object.__setattr__(self, name, _floats(getattr(self, name), name))
+        if not self.omega_a:
+            raise ConfigError("omega_a: no rates")
+        if len(self.omega_b) != len(self.omega_a):
+            raise ConfigError(f"omega_b: {len(self.omega_b)} rates for "
+                              f"{len(self.omega_a)} of omega_a")
         if self.arrangement not in ("rr", "uu", "ur", "uo", "general"):
             raise ConfigError(f"arrangement: unknown value {self.arrangement!r}")
         if self.arrangement != "general" and self.axes:
@@ -109,27 +98,10 @@ class SweepSpec:
                 except ValueError as exc:
                     raise ConfigError(str(exc)) from None
             object.__setattr__(self, "axes", tuple(axes))
-        if self.omega_b_rule not in ("fixed", "ratio", "grid"):
-            raise ConfigError(f"sweep.omega_b_rule: unknown value {self.omega_b_rule!r}")
-        if self.omega_b_rule == "ratio" and not abs(self.omega_b_ratio) <= 1.0:
-            raise ConfigError(
-                f"sweep.omega_b_ratio: |rho| <= 1 required, got {self.omega_b_ratio}")
-        if self.omega_b_rule == "grid" and not self.omega_b_grid:
-            raise ConfigError("sweep.omega_b_grid_rad_s: empty grid")
-        if not self.omega_a_grid:
-            raise ConfigError("sweep.omega_a grid: empty grid")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"output.format: must be csv or json, got {self.out_format!r}")
         if not self.rel_tol > 0.0:      # NaN too; inf stays valid
             raise ConfigError(f"quadrature.rel_tol: must be > 0, got {self.rel_tol}")
-
-    def grid_points(self):
-        """The (Omega_A, Omega_B) pairs of this sweep, in grid order."""
-        if self.omega_b_rule == "fixed":
-            return [(wa, self.omega_b_value) for wa in self.omega_a_grid]
-        if self.omega_b_rule == "ratio":
-            return [(wa, self.omega_b_ratio * wa) for wa in self.omega_a_grid]
-        return [(wa, wb) for wa in self.omega_a_grid for wb in self.omega_b_grid]
 
     def make_arrangement(self):
         if self.arrangement == "general":
@@ -158,6 +130,33 @@ class SweepResult:
 def _length(columns):
     """The number of rows of a table of columns."""
     return len(next(iter(columns.values()), ()))
+
+
+def _floats(values, name):
+    """``values`` as a tuple of finite Python floats; a ConfigError named ``name`` if not."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()        # one call, not one numpy scalar per value
+    try:
+        values = tuple(map(float, values))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name}: non-finite value")
+    return values
+
+
+def _text(value):
+    """A JSON string as it is; anything else, null included, is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _count(value):
+    """A JSON integer as it is; anything else, a bool or a float included, is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
 
 
 def _get(cfg, key, cast, default):
@@ -227,35 +226,46 @@ def parse_config(source=None):
     temperature = _get(cfg, "temperature_K", float, DEFAULT_TEMPERATURE)
 
     w0 = resonance_frequency(mat_a)
-    if "sweep.omega_a_grid_rad_s" in cfg:
-        grid = cfg["sweep.omega_a_grid_rad_s"]
+    where = "sweep.omega_a_grid_rad_s"            # the keys that give Omega_A
+    if where in cfg:
+        omega_a = cfg[where]
     else:
+        where = "sweep.omega_a_start_over_omega0, sweep.omega_a_stop_over_omega0"
         start = _get(cfg, "sweep.omega_a_start_over_omega0", float, 0.0)
         stop = _get(cfg, "sweep.omega_a_stop_over_omega0", float, 4.0)
-        count = _get(cfg, "sweep.omega_a_count", int, 200)
+        count = _get(cfg, "sweep.omega_a_count", _count, 200)
         if count < 1:
             raise ConfigError("sweep.omega_a_count: must be >= 1")
-        grid = np.linspace(start * w0, stop * w0, count)
-
-    arrangement = _get(cfg, "arrangement", str, "rr")
-    try:
-        spec = SweepSpec(
-            arrangement=arrangement,
-            omega_a_grid=grid,
-            omega_b_rule=_get(cfg, "sweep.omega_b_rule", str, "fixed"),
-            omega_b_value=_get(cfg, "sweep.omega_b_value_rad_s", float, 0.0),
-            omega_b_ratio=_get(cfg, "sweep.omega_b_ratio", float, 0.0),
-            omega_b_grid=cfg.get("sweep.omega_b_grid_rad_s", ()),
-            rel_tol=_get(cfg, "quadrature.rel_tol", float, spectral.DEFAULT_REL_TOL),
-            out_path=_get(cfg, "output.path", str, ""),
-            out_format=_get(cfg, "output.format", str, "csv"),
-            axes=tuple(map(cfg.get, AXIS_KEYS)) if any(key in cfg for key in AXIS_KEYS)
-            or arrangement == "general" else (),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+        omega_a = np.linspace(start * w0, stop * w0, count)
+    arrangement = _get(cfg, "arrangement", _text, "rr")
+    rule = _get(cfg, "sweep.omega_b_rule", _text, "fixed")
+    value = _get(cfg, "sweep.omega_b_value_rad_s", float, 0.0)
+    ratio = _get(cfg, "sweep.omega_b_ratio", float, 0.0)
+    rel_tol = _get(cfg, "quadrature.rel_tol", float, spectral.DEFAULT_REL_TOL)
+    out_path = _get(cfg, "output.path", _text, "")
+    out_format = _get(cfg, "output.format", _text, "csv")
+    omega_a = _floats(omega_a, where)
+    # the keys of every rule are checked, whichever rule the sweep takes
+    grid_b = _floats(cfg.get("sweep.omega_b_grid_rad_s", ()), "sweep.omega_b_grid_rad_s")
+    if not math.isfinite(value):
+        raise ConfigError(f"sweep.omega_b_value_rad_s: non-finite value {value}")
+    if rule == "fixed":
+        omega_b = [value] * len(omega_a)
+    elif rule == "ratio":
+        if not abs(ratio) <= 1.0:
+            raise ConfigError(f"sweep.omega_b_ratio: |rho| <= 1 required, got {ratio}")
+        omega_b = [ratio * wa for wa in omega_a]
+    elif rule == "grid":
+        if not grid_b:
+            raise ConfigError("sweep.omega_b_grid_rad_s: empty grid")
+        omega_a, omega_b = [wa for wa in omega_a for _ in grid_b], grid_b * len(omega_a)
+    else:
+        raise ConfigError(f"sweep.omega_b_rule: unknown value {rule!r}")
+    if not omega_a:
+        raise ConfigError("sweep.omega_a_grid_rad_s: empty grid")
+    axes = (tuple(map(cfg.get, AXIS_KEYS)) if any(key in cfg for key in AXIS_KEYS)
+            or arrangement == "general" else ())
+    spec = SweepSpec(arrangement, omega_a, omega_b, rel_tol, out_path, out_format, axes)
 
     try:
         ctx = PairContext(SpinningSphere(radius_a, mat_a, temperature),
@@ -273,11 +283,11 @@ def _default_pair(temperature=DEFAULT_TEMPERATURE, material=None):
 
 
 def run_sweep(spec, ctx):
-    """Evaluate every grid point of ``spec`` on the pair ``ctx``; failures go to the error column.
+    """Evaluate every row of ``spec`` on the pair ``ctx``; failures go to the error column.
 
-    One :func:`spectral.sweep_energies` call evaluates the rows, in grid
-    order, and the zero-rotation reference F(0,0) that they share; a row
-    whose value fails its checks gets that failure in its error column, and
+    One :func:`spectral.sweep_energies` call evaluates the rows, in order,
+    and the zero-rotation reference F(0,0) that they share; a row whose
+    value fails its checks gets that failure in its error column, and
     every row gets the reference's if the reference fails. Rates whose
     Doppler images leave the non-retarded regime, or whose shifts overflow,
     are a ConfigError. The metadata describes the pair that was computed,
@@ -285,22 +295,8 @@ def run_sweep(spec, ctx):
     radii and the separation, and sphere B's material and temperature where
     either differs from A's.
     """
-    return _sweep([spec], ctx)
-
-
-def _sweep(specs, ctx):
-    """The rows of the sweeps ``specs``, in order, from one evaluation on ``ctx``.
-
-    The specs share the arrangement and rel_tol of the first, as a preset's
-    do; each row is what :func:`run_sweep` of its own spec gives.
-    """
-    spec = specs[0]
     w0 = resonance_frequency(ctx.sphere_a.material)
-    omega_a, omega_b = [], []
-    for each in specs:
-        rates_a, rates_b = zip(*each.grid_points())
-        omega_a += rates_a
-        omega_b += rates_b
+    omega_a, omega_b = list(spec.omega_a), list(spec.omega_b)
     try:
         energies, e0, errors = spectral.sweep_energies(
             ctx, spec.make_arrangement()._terms, omega_a, omega_b, spec.rel_tol)
@@ -453,60 +449,38 @@ def read_csv_rows(path):
     return rows
 
 
-def _preset_specs(name):
-    """(temperature, sweep specs) of a named reproduction recipe."""
-    w0 = resonance_frequency(bst())
-
-    def fig1(temperature):
-        return temperature, [SweepSpec(arrangement="rr",
-                                       omega_a_grid=np.linspace(0.0, 4.0 * w0, 200),
-                                       omega_b_rule="fixed", omega_b_value=0.0)]
-
-    def fig2(ratio):
-        grid = np.linspace(0.0, 5.0 * w0, 200)
-        return 1500.0, [SweepSpec(arrangement="uu", omega_a_grid=grid,
-                                  omega_b_rule="ratio", omega_b_ratio=rho)
-                        for rho in (ratio, -ratio)]   # co-rotating, then counter
-
-    table = {
-        "fig1_300K": lambda: fig1(300.0),
-        "fig1_1500K": lambda: fig1(1500.0),
-        "fig2a": lambda: fig2(0.5),
-        "fig2b": lambda: fig2(0.9),
-        "fig2c": lambda: fig2(1.0),
-    }
-    if name not in table:
-        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return table[name]()
-
-
-PRESETS = ("fig1_300K", "fig1_1500K", "fig2a", "fig2b", "fig2c",
-           "baseline_static")
+# name: (temperature K, arrangement, last Omega_A / omega0, the Omega_B /
+# Omega_A of each sweep); a fig2 preset's co-rotating rows come first
+_PRESET_TABLE = {
+    "fig1_300K": (300.0, "rr", 4.0, (0.0,)),
+    "fig1_1500K": (1500.0, "rr", 4.0, (0.0,)),
+    "fig2a": (1500.0, "uu", 5.0, (0.5, -0.5)),
+    "fig2b": (1500.0, "uu", 5.0, (0.9, -0.9)),
+    "fig2c": (1500.0, "uu", 5.0, (1.0, -1.0)),
+}
+PRESETS = (*_PRESET_TABLE, "baseline_static")
 
 
 def run_preset(name, rel_tol=None, points=None):
     """Run a named preset and return its result.
 
     ``points`` overrides the grid length (for quick runs and tests);
-    ``baseline_static`` returns a key/value table instead of a sweep. Its
-    sweeps share a new context, so what ran before does not change its
-    rows, and one :func:`spectral.sweep_energies` call evaluates them all;
-    their rows follow in sweep order, each as :func:`run_sweep` gives it.
+    ``baseline_static`` returns a key/value table instead of a sweep. A
+    sweep preset is one :func:`run_sweep` on a new context of two BST
+    spheres, so what ran before does not change its rows: its Omega_A grid
+    runs from 0, once for each ratio Omega_B / Omega_A, in table order.
     """
     if points is not None and points < 1:
         raise ConfigError(f"--points: must be >= 1, got {points}")
     if name == "baseline_static":
         return _baseline_result(_default_pair())
-    temperature, specs = _preset_specs(name)
-    if points is not None:
-        specs = [replace(spec, omega_a_grid=np.linspace(spec.omega_a_grid[0],
-                                                        spec.omega_a_grid[-1], points))
-                 for spec in specs]
-    if rel_tol is not None:
-        specs = [replace(spec, rel_tol=rel_tol) for spec in specs]
-    # the sweeps of a preset share their pair, arrangement and rel_tol:
-    # one evaluation serves them all
-    result = _sweep(specs, _default_pair(temperature))
+    if name not in _PRESET_TABLE:
+        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    temperature, arrangement, last, ratios = _PRESET_TABLE[name]
+    grid = np.linspace(0.0, last * resonance_frequency(bst()), points or 200).tolist()
+    spec = SweepSpec(arrangement, grid * len(ratios), [rho * wa for rho in ratios for wa in grid],
+                     spectral.DEFAULT_REL_TOL if rel_tol is None else rel_tol)
+    result = run_sweep(spec, _default_pair(temperature))
     result.metadata["preset"] = name
     return result
 

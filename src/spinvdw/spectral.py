@@ -606,7 +606,7 @@ _BLOCK = 1024
 
 
 def clear_cache():
-    """Do nothing: no shift integral is cached. Kept for callers of the earlier cache."""
+    """Do nothing: no shift integral is cached. Kept because the benchmark's worker calls it."""
 
 
 def _check(ctx, what, shifts, omega_a, omega_b, rel_tol):

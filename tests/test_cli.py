@@ -20,8 +20,12 @@ from spinvdw.response import MaterialModel, SpinningSphere, bst, resonance_frequ
 from spinvdw.spectral import ConvergenceError, PairContext
 
 
-def spec_to_config(spec, ctx):
-    """Flat-key config dict that re-parses to the same spec and context (round trip)."""
+def spec_to_config(spec, ctx, rule):
+    """Flat-key config dict that re-parses to the same spec and context (round trip).
+
+    ``rule`` holds the ``sweep.omega_b_*`` keys that gave the spec's
+    Omega_B; its rows must keep the grid's Omega_A (a fixed or ratio rule).
+    """
     ma, mb = ctx.sphere_a.material, ctx.sphere_b.material
     cfg = {
         "material.f0": ma.f0,
@@ -32,11 +36,8 @@ def spec_to_config(spec, ctx):
         "geometry.separation_m": ctx.separation,
         "temperature_K": ctx.sphere_a.temperature,
         "arrangement": spec.arrangement,
-        "sweep.omega_a_grid_rad_s": list(spec.omega_a_grid),
-        "sweep.omega_b_rule": spec.omega_b_rule,
-        "sweep.omega_b_value_rad_s": spec.omega_b_value,
-        "sweep.omega_b_ratio": spec.omega_b_ratio,
-        "sweep.omega_b_grid_rad_s": list(spec.omega_b_grid),
+        "sweep.omega_a_grid_rad_s": list(spec.omega_a),
+        **rule,
         "quadrature.rel_tol": spec.rel_tol,
         "output.path": spec.out_path,
         "output.format": spec.out_format,
@@ -63,7 +64,7 @@ class TestParseConfig:
         assert ctx.sphere_a.material.f0 == 12.2
         assert ctx.sphere_a.material.omega_tilde0 == 5.7e9
         assert ctx.sphere_a.material.gamma0 == 2.8e8
-        assert len(spec.omega_a_grid) == 200
+        assert len(spec.omega_a) == 200 and spec.omega_b == (0.0,) * 200
 
     def test_undamped_material_is_config_error(self):
         # gamma0 = 0 puts the poles of alpha on the real axis
@@ -71,13 +72,12 @@ class TestParseConfig:
             parse_config({"material.gamma0_rad_s": 0.0})
 
     def test_round_trip(self, tmp_path):
+        rule = {"sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.5}
         spec, ctx = parse_config({"temperature_K": 1500.0,
-                                  "arrangement": "uu",
-                                  "sweep.omega_b_rule": "ratio",
-                                  "sweep.omega_b_ratio": -0.5,
+                                  "arrangement": "uu", **rule,
                                   "sweep.omega_a_count": 7})
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(spec_to_config(spec, ctx)))
+        path.write_text(json.dumps(spec_to_config(spec, ctx, rule)))
         spec2, ctx2 = parse_config(str(path))
         assert spec2 == spec
         assert ctx2 == ctx
@@ -105,7 +105,7 @@ class TestParseConfig:
             parse_config({"temperature_K": "warm"})
 
     def test_non_numeric_rate_names_grid(self):
-        with pytest.raises(ConfigError, match="omega_a_grid"):
+        with pytest.raises(ConfigError, match="^sweep.omega_a_grid_rad_s: could not convert"):
             parse_config({"sweep.omega_a_grid_rad_s": [1.0e10, "fast"]})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -113,13 +113,59 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sweep.omega_b_value_rad_s: non-finite"):
             parse_config({"sweep.omega_b_value_rad_s": value})
 
+    @pytest.mark.parametrize("key", ["arrangement", "sweep.omega_b_rule", "output.path",
+                                     "output.format"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_text_key_must_be_a_string(self, key, value):
+        # str() of any JSON value once passed: a null path wrote a file "None"
+        with pytest.raises(ConfigError, match=f"^{key}: must be a string, got {value}$"):
+            parse_config({key: value})
+
+    def test_null_output_path_is_2(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sweep.omega_a_count": 2, "output.path": null}')
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg), "sweep"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: output.path: must be a string, got None\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
+    def test_count_must_be_an_integer(self, value):
+        # int() once cut 2.7 to 2 rates and read true as 1
+        with pytest.raises(ConfigError,
+                           match=f"^sweep.omega_a_count: must be an integer, got {value!r}$"):
+            parse_config({"sweep.omega_a_count": value})
+
+    @pytest.mark.parametrize("rule", ["fixed", "ratio", "grid"])
+    def test_every_rule_key_is_checked_whatever_the_rule(self, rule):
+        # the keys of the rules that a sweep does not take are checked too
+        config = {"sweep.omega_b_rule": rule, "sweep.omega_b_grid_rad_s": [1e9]}
+        for key, value, message in [
+                ("sweep.omega_b_value_rad_s", math.nan, "non-finite value nan"),
+                ("sweep.omega_b_ratio", "fast", "could not convert string to float"),
+                ("sweep.omega_b_grid_rad_s", [math.nan], "non-finite value"),
+                ("sweep.omega_b_grid_rad_s", ["fast"], "could not convert string to float")]:
+            with pytest.raises(ConfigError, match=f"^{key}: {message}"):
+                parse_config({**config, key: value})
+        parse_config(config)
+
+    def test_empty_grids_name_their_keys(self):
+        with pytest.raises(ConfigError, match="^sweep.omega_a_grid_rad_s: empty grid$"):
+            parse_config({"sweep.omega_a_grid_rad_s": []})
+        with pytest.raises(ConfigError, match="^sweep.omega_b_grid_rad_s: empty grid$"):
+            parse_config({"sweep.omega_b_rule": "grid"})
+        with pytest.raises(ConfigError, match="^sweep.omega_b_rule: unknown value 'fast'$"):
+            parse_config({"sweep.omega_b_rule": "fast"})
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.json")
 
     def test_grid_in_rad_s(self, w0):
         spec, _ = parse_config({"sweep.omega_a_grid_rad_s": [0.0, w0, 2 * w0]})
-        assert spec.omega_a_grid == (0.0, w0, 2 * w0)
+        assert spec.omega_a == (0.0, w0, 2 * w0)
+        assert spec.omega_b == (0.0, 0.0, 0.0)
 
     def test_general_arrangement_sweep(self, w0):
         # general axes through the config drive the tensor-contraction path
@@ -153,7 +199,7 @@ class TestParseConfig:
         # a library caller's spec gets the same error
         axes = [value if k == key else GENERAL_AXES[k] for k in AXIS_KEYS]
         with pytest.raises(ConfigError, match=f"^{key} must be a unit 3-vector, got "):
-            SweepSpec(arrangement="general", omega_a_grid=(0.0,), axes=tuple(axes))
+            SweepSpec(arrangement="general", omega_a=(0.0,), omega_b=(0.0,), axes=tuple(axes))
 
 
 class TestSweepSpec:
@@ -167,29 +213,37 @@ class TestSweepSpec:
                              ids=["none", "no_rhat", "no_axis_b"])
     def test_general_without_an_axis_is_config_error(self, axes, key):
         with pytest.raises(ConfigError, match=f"^general arrangement needs {key}$"):
-            SweepSpec(arrangement="general", omega_a_grid=(0.0,), axes=axes)
+            SweepSpec(arrangement="general", omega_a=(0.0,), omega_b=(0.0,), axes=axes)
 
     def test_more_than_three_axes_is_config_error(self):
         with pytest.raises(ConfigError, match="^axes: "):
-            SweepSpec(arrangement="general", omega_a_grid=(0.0,), axes=self.AXES * 2)
+            SweepSpec(arrangement="general", omega_a=(0.0,), omega_b=(0.0,),
+                      axes=self.AXES * 2)
 
-    @pytest.mark.parametrize("name", ["omega_a_grid", "omega_b_grid"])
-    def test_grids_become_float_tuples(self, name):
-        # an ndarray grid converts as its list does; a nested, 0-d, complex,
-        # non-numeric or non-finite grid is a ConfigError naming the grid
-        other = {} if name == "omega_a_grid" else {"omega_a_grid": (0.0,)}
-        for grid in (np.linspace(0.0, 1.0, 3), np.arange(3), np.float32([0.1, 0.2]),
-                     [0, 0.5, np.float64(1.0)]):
-            got = getattr(SweepSpec(**{name: grid}, **other), name)
-            assert got == tuple(float(v) for v in np.asarray(grid).tolist())
+    @pytest.mark.parametrize("name", ["omega_a", "omega_b"])
+    def test_rates_become_float_tuples(self, name):
+        # an ndarray of rates converts as its list does; nested, 0-d,
+        # complex, non-numeric or non-finite rates are a ConfigError naming
+        # their field
+        other = "omega_b" if name == "omega_a" else "omega_a"
+        for rates in (np.linspace(0.0, 1.0, 3), np.arange(3), np.float32([0.1, 0.2]),
+                      [0, 0.5, np.float64(1.0)]):
+            got = getattr(SweepSpec(**{name: rates, other: [0.0] * len(rates)}), name)
+            assert got == tuple(float(v) for v in np.asarray(rates).tolist())
             assert all(type(v) is float for v in got)
-        for grid in ([1.0e10, "fast"], [[1.0, 2.0]], np.array([[1.0], [2.0]]), np.array(5.0),
-                     5.0, np.array([1.0 + 0.0j]), [0.0, math.nan], np.array([0.0, -math.inf])):
+        for rates in ([1.0e10, "fast"], [[1.0, 2.0]], np.array([[1.0], [2.0]]), np.array(5.0),
+                      5.0, np.array([1.0 + 0.0j]), [0.0, math.nan], np.array([0.0, -math.inf])):
             with pytest.raises(ConfigError, match=f"^{name}: "):
-                SweepSpec(**{name: grid}, **other)
+                SweepSpec(**{name: rates, other: (0.0,)})
+
+    def test_rates_are_one_non_empty_length(self):
+        with pytest.raises(ConfigError, match="^omega_a: no rates$"):
+            SweepSpec()
+        with pytest.raises(ConfigError, match="^omega_b: 1 rates for 2 of omega_a$"):
+            SweepSpec(omega_a=(0.0, 1.0), omega_b=(0.0,))
 
     def test_general_axes_are_float_tuples(self):
-        spec = SweepSpec(arrangement="general", omega_a_grid=(0.0,),
+        spec = SweepSpec(arrangement="general", omega_a=(0.0,), omega_b=(0.0,),
                          axes=([0, 0, 1], [0, 0, 1], [1, 0, 0]))
         assert spec.axes == self.AXES
         assert all(type(c) is float for axis in spec.axes for c in axis)
@@ -203,7 +257,7 @@ class TestSweep:
         # the pair that was computed, whatever the spec's defaults are
         ctx = PairContext(SpinningSphere(50e-9, bst(), 0.0),
                           SpinningSphere(70e-9, bst(), 0.0), 200e-9)
-        result = run_sweep(SweepSpec(omega_a_grid=(1e10,)), ctx)
+        result = run_sweep(SweepSpec(omega_a=(1e10,), omega_b=(0.0,)), ctx)
         meta = result.metadata
         assert list(meta) == [
             "artifact", "version", "arrangement", "material_f0",
@@ -228,7 +282,7 @@ class TestSweep:
         # only where B differs: a pair of equal spheres keeps its bytes
         ctx = PairContext(SpinningSphere(60e-9, bst(), 300.0), SpinningSphere(*sphere_b),
                           DEFAULT_SEPARATION)
-        meta = run_sweep(SweepSpec(omega_a_grid=(1e10,)), ctx).metadata
+        meta = run_sweep(SweepSpec(omega_a=(1e10,), omega_b=(0.0,)), ctx).metadata
         assert list(meta)[12:] == keys
         if keys:
             mb = ctx.sphere_b.material
@@ -245,17 +299,21 @@ class TestSweep:
         assert row["E_J"] == row["E0_J"] < 0.0
 
     def test_ratio_rule_pairs(self, w0):
+        # a counter-rotating row at Omega_A = 0 has Omega_B = -0.0
         spec, ctx = parse_config({"sweep.omega_b_rule": "ratio",
                                   "sweep.omega_b_ratio": -0.5,
-                                  "sweep.omega_a_grid_rad_s": [w0, 2 * w0]})
-        pts = spec.grid_points()
-        assert pts == [(w0, -0.5 * w0), (2 * w0, -w0)]
+                                  "sweep.omega_a_grid_rad_s": [0.0, w0, 2 * w0]})
+        assert spec.omega_a == (0.0, w0, 2 * w0)
+        assert spec.omega_b == (-0.0, -0.5 * w0, -w0)
+        assert math.copysign(1.0, spec.omega_b[0]) < 0.0
 
     def test_grid_rule_product(self, w0):
+        # Omega_A in the outer loop
         spec, _ = parse_config({"sweep.omega_b_rule": "grid",
                                 "sweep.omega_b_grid_rad_s": [0.0, w0],
                                 "sweep.omega_a_grid_rad_s": [0.0, w0, 2 * w0]})
-        assert len(spec.grid_points()) == 6
+        assert list(zip(spec.omega_a, spec.omega_b)) == [
+            (0.0, 0.0), (0.0, w0), (w0, 0.0), (w0, w0), (2 * w0, 0.0), (2 * w0, w0)]
 
     def test_failed_point_recorded_not_fatal(self, w0):
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": [0.0, w0],
@@ -385,7 +443,8 @@ class TestBlockedSweep:
     @staticmethod
     def _distinct(ctx, spec):
         """The count of distinct shifts of a sweep, the rest energy's 0 included."""
-        return len(_sweep_sums(ctx, spec.make_arrangement()._terms, spec.grid_points()))
+        return len(_sweep_sums(ctx, spec.make_arrangement()._terms,
+                               zip(spec.omega_a, spec.omega_b)))
 
     def test_one_blocked_pass_and_no_row_misses(self, w0, monkeypatch):
         # identical spheres, one row of one point per shift: the sweep's 207
@@ -478,7 +537,7 @@ class TestBlockedSweep:
         terms = arrangement._terms
         rows = run_sweep(spec, ctx).rows
         assert rows == run_sweep(spec, ctx).rows
-        sums = _sweep_sums(ctx, terms, spec.grid_points())
+        sums = _sweep_sums(ctx, terms, zip(spec.omega_a, spec.omega_b))
         merged = 0
         for row in rows:
             rates = row["omega_A_rad_s"], row["omega_B_rad_s"]
@@ -536,7 +595,7 @@ class TestBlockedSweep:
 
         monkeypatch.setattr(spectral, "_closed", inflate)
         energies, _, errors = spectral.sweep_energies(
-            ctx, spec.make_arrangement()._terms, *zip(*spec.grid_points()))
+            ctx, spec.make_arrangement()._terms, spec.omega_a, spec.omega_b)
         assert list(errors) == [None] and all(map(math.isfinite, energies))
         columns = run_sweep(spec, ctx).columns
         assert all(text.startswith("ConvergenceError: zero-rotation reference failed: "
@@ -756,10 +815,10 @@ class TestCanonicalAxes:
 
     def test_spec_axes_on_a_canonical_arrangement(self):
         with pytest.raises(ConfigError, match="^arrangement.axis_a: the uu arrangement"):
-            SweepSpec(arrangement="uu", omega_a_grid=(0.0,), axes=("junk",))
+            SweepSpec(arrangement="uu", omega_a=(0.0,), omega_b=(0.0,), axes=("junk",))
         with pytest.raises(ConfigError, match="^axes: the rr arrangement"):
-            SweepSpec(omega_a_grid=(0.0,), axes=(None,))
-        assert SweepSpec(arrangement="uu", omega_a_grid=(0.0,)).axes == ()
+            SweepSpec(omega_a=(0.0,), omega_b=(0.0,), axes=(None,))
+        assert SweepSpec(arrangement="uu", omega_a=(0.0,), omega_b=(0.0,)).axes == ()
 
 
 class TestEmit:
@@ -996,20 +1055,17 @@ class TestRowFloats:
 
         if source == "preset":
             result = run_preset("fig2a", points=3)
-            columns = {key: [] for key in CSV_COLUMNS}
-            for rho in (0.5, -0.5):
-                spec = SweepSpec(arrangement="uu", omega_b_rule="ratio", omega_b_ratio=rho,
-                                 omega_a_grid=floats(np.linspace(0.0, 5.0 * w0, 3)))
-                for key, column in run_sweep(spec, _default_pair(1500.0)).columns.items():
-                    columns[key] += column
-            return result, SweepResult(columns, dict(result.metadata))
+            grid = floats(np.linspace(0.0, 5.0 * w0, 3))
+            spec = SweepSpec(arrangement="uu", omega_a=grid * 2,
+                             omega_b=[rho * wa for rho in (0.5, -0.5) for wa in grid])
+            same = run_sweep(spec, _default_pair(1500.0))
+            return result, SweepResult(same.columns, dict(result.metadata))
         if source == "library":
-            spec = SweepSpec(arrangement="uo", omega_b_rule="grid",
-                             omega_a_grid=tuple(np.linspace(0.0, 3.0 * w0, 4)),
-                             omega_b_grid=tuple(np.linspace(-w0, w0, 3)))
-            same = SweepSpec(arrangement="uo", omega_b_rule="grid",
-                             omega_a_grid=floats(np.linspace(0.0, 3.0 * w0, 4)),
-                             omega_b_grid=floats(np.linspace(-w0, w0, 3)))
+            # numpy scalars in a tuple, and an ndarray
+            omega_a = np.repeat(np.linspace(0.0, 3.0 * w0, 4), 3)
+            omega_b = np.tile(np.linspace(-w0, w0, 3), 4)
+            spec = SweepSpec(arrangement="uo", omega_a=tuple(omega_a), omega_b=omega_b)
+            same = SweepSpec(arrangement="uo", omega_a=floats(omega_a), omega_b=floats(omega_b))
             return run_sweep(spec, _default_pair()), run_sweep(same, _default_pair())
         ratio = {"sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.4}
         grid = np.linspace(0.0, 4.0 * w0, 5)
@@ -1083,10 +1139,11 @@ class TestPresets:
                                "points_7_one_shift_fails"])
     def test_fig2_preset_is_its_two_sweeps(self, w0, tmp_path, monkeypatch,
                                            name, points, rel_tol, fail_middle):
-        # one evaluation of both sweeps gives each row the bits, error text
-        # and CSV bytes of the sweep's own run_sweep. At rel_tol 1e-17 E0
-        # fails and with it every row; with the roundoff of the middle shift
-        # of each evaluation inflated, only the rows that read it fail
+        # the preset, one sweep of both ratios, gives each row the bits,
+        # error text and CSV bytes of the run_sweep of its ratio alone. At
+        # rel_tol 1e-17 E0 fails and with it every row; with the roundoff
+        # of the middle shift of each evaluation inflated, only the rows
+        # that read it fail
         if fail_middle:
             inner = spectral._closed
 
@@ -1096,10 +1153,11 @@ class TestPresets:
 
             monkeypatch.setattr(spectral, "_closed", inflate)
         ratio = {"fig2a": 0.5, "fig2b": 0.9, "fig2c": 1.0}[name]
-        grid = np.linspace(0.0, 5.0 * w0, points or 200)
+        grid = np.linspace(0.0, 5.0 * w0, points or 200).tolist()
         tol = {} if rel_tol is None else {"rel_tol": rel_tol}
-        parts = [run_sweep(SweepSpec(arrangement="uu", omega_a_grid=grid, omega_b_rule="ratio",
-                                     omega_b_ratio=rho, **tol), _default_pair(1500.0))
+        parts = [run_sweep(SweepSpec(arrangement="uu", omega_a=grid,
+                                     omega_b=[rho * wa for wa in grid], **tol),
+                           _default_pair(1500.0))
                  for rho in (ratio, -ratio)]
         joined = SweepResult({key: parts[0].columns[key] + parts[1].columns[key]
                               for key in CSV_COLUMNS},
@@ -1296,7 +1354,7 @@ class TestMainExitCodes:
         assert err.startswith("config error: --hamaker: must be finite and > 0, got ")
 
     def test_rel_tol_inf_stays_valid(self):
-        assert SweepSpec(omega_a_grid=(0.0,), rel_tol=math.inf).rel_tol == math.inf
+        assert SweepSpec(omega_a=(0.0,), omega_b=(0.0,), rel_tol=math.inf).rel_tol == math.inf
 
     def test_baseline_uses_config_context(self, tmp_path):
         cfg = tmp_path / "cfg.json"

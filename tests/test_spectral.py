@@ -381,6 +381,22 @@ class TestClosedForm:
         looser = energy_BA(ctx300, 1.3 * w0, rel_tol=10.0 * roundoff / abs(value))
         assert looser * to_reduced == approx(value, rel=1e-15)
 
+    def test_residue_above_its_estimate_fails(self, monkeypatch, ctx300, w0):
+        # a residue fails from one roundoff estimate up, not from a
+        # multiple: here about three estimates, where the other residue
+        # tests inject a residue of 1
+        assert spectral._fails(1.0, 3e-16, 1e-16, 1e-8)
+        assert not spectral._fails(1.0, 1e-16, 1e-16, 1e-8)
+        inner = spectral._closed
+
+        def tilt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value + 3j * roundoff, roundoff
+
+        monkeypatch.setattr(spectral, "_closed", tilt)
+        with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
+            spectral.general_energy(ctx300, Arrangement("uu")._terms, 0.7 * w0, -0.3 * w0)
+
 
 class TestStackedClosedForm:
     """One evaluation serves both kinds of a context, one row when they agree."""
@@ -553,6 +569,17 @@ class TestMatsubaraRoutes:
         bound = spectral._ROUNDOFF * size_of(rho) * np.abs(a[0]).sum() * np.abs(b[0]).sum()
         assert np.allclose(counted[0] - uncounted[0], bound, rtol=1e-9, atol=0.0)
         assert bound > 0.01 * counted.min()
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.1, 0.25])
+    def test_series_size_bounds_the_worst_case(self, rho):
+        # with every t = rho, sum_mn zeta(m+n+2) |A_m| |B_n| per unit
+        # sum|a| sum|b| is sum_mn zeta(m+n+2) rho^(m+n), the largest sum that
+        # _series_size bounds: the bound holds, and is at most 4/3 of it
+        # (0.9995, 0.947 and 0.869 of the bound at these rho)
+        n = 80                                      # 0.25^80 < 1e-48
+        zeta = [float(mpmath.zeta(k + 2)) for k in range(2 * n)]
+        worst = math.fsum(zeta[m + k] * rho ** (m + k) for m in range(n) for k in range(n))
+        assert 0.75 <= worst / spectral._series_size(rho) <= 1.0
 
     def test_warm_sweep_sums_series(self, monkeypatch, w0):
         # the presets' BST pair at 300 K: |z| stays below 1e-3, so the

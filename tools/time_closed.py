@@ -12,9 +12,9 @@ shifts (a general-axis sweep's and three times that), the construction of
 materials at 300 and 900 K), repeated ``configurations.energy`` calls of
 the same BST pair and rates for each canonical arrangement and the general
 axes (0.6, 0, 0.8), (0, 0.6, 0.8), x (each call of such a case makes one
-untimed call, then times 100), the energies of the ``fig2a`` preset's two
-sweeps as ``cli.run_preset`` evaluates them, one ``spectral.sweep_energies``
-call for both, four general-axis sweeps, each from ``cli.parse_config``
+untimed call, then times 100), the energies of the ``fig2a`` preset's 400
+rows, one ``spectral.sweep_energies`` call as ``cli.run_sweep`` makes it,
+four general-axis sweeps, each from ``cli.parse_config``
 through ``cli.run_sweep`` to ``cli.emit`` of a CSV into a temporary
 directory (seeded axes at 0, 300, 1500 and 300 K, 25 rates up to 4.5 w0,
 Omega_B a fixed ratio of Omega_A, shaped like the benchmark's
@@ -27,7 +27,9 @@ mean time per call, in microseconds; with ``--against``, also the ratio
 of the two medians, the median and quartiles of the ratios of the two
 packages' times in the same round (``round_ratio``, which a change of the
 host's speed between rounds moves less), and the rounds in which this
-checkout was faster.
+checkout was faster. A ratio over a zero time is null. A case is timed
+around its call unless it is marked ``self_timed``, and then its call
+returns its own mean seconds per timed run.
 
     python tools/time_closed.py                      # this checkout's src/spinvdw
     python tools/time_closed.py --against OLD/src    # and another checkout's, interleaved
@@ -71,6 +73,12 @@ def load(src, name):
     return package
 
 
+def self_timed(call):
+    """Mark ``call`` as a case that returns its own mean seconds per timed run."""
+    call.self_timed = True
+    return call
+
+
 def shifts(count):
     return [1.3] if count == 1 else np.linspace(0.05, 3.9, count).tolist()
 
@@ -110,6 +118,7 @@ def cases(package, scratch):
                      lambda grid=grid: spectral._closed_kinds(bst300, grid)))
     general_axes = ((0.6, 0.0, 0.8), (0.0, 0.6, 0.8), (1.0, 0.0, 0.0))
 
+    @self_timed
     def arrangements():
         start = time.perf_counter()
         for _ in range(WARM):
@@ -125,15 +134,15 @@ def cases(package, scratch):
     for name, ctx in energies:
         arrangement = configurations.Arrangement(name[:2])
 
-        def cold(ctx=ctx, arrangement=arrangement):     # returns None: measure times it
-            configurations.delta_force(ctx, arrangement, OMEGA[0] * w0, OMEGA[1] * w0)
-
-        out.append((f"delta_force {name}", cold))
+        out.append((f"delta_force {name}",
+                    lambda ctx=ctx, arrangement=arrangement: configurations.delta_force(
+                        ctx, arrangement, OMEGA[0] * w0, OMEGA[1] * w0)))
 
     repeated = [(kind, configurations.Arrangement(kind)) for kind in ("rr", "uu", "ur", "uo")]
     repeated.append(("general", configurations.Arrangement("general", *general_axes)))
     for name, arrangement in repeated:
 
+        @self_timed
         def again(arrangement=arrangement):
             rates = OMEGA[0] * w0, OMEGA[1] * w0
             configurations.energy(bst300, arrangement, *rates)
@@ -145,15 +154,17 @@ def cases(package, scratch):
         out.append((f"repeated energy {name}", again))
 
     cli = importlib.import_module(package.__name__ + ".cli")
-    # the fig2a preset: equal BST spheres at 1500 K, uu, Omega_B = +-0.5 Omega_A
+    # the fig2a preset: equal BST spheres at 1500 K, uu, Omega_B = +-0.5 Omega_A,
+    # its rows as a SweepSpec holds them (rates built here, so that a checkout
+    # with another SweepSpec runs the same case)
     sphere = response.SpinningSphere(cli.DEFAULT_RADIUS, bst, 1500.0)
     fig2a = spectral.PairContext(sphere, sphere, cli.DEFAULT_SEPARATION)
-    specs = [cli.SweepSpec(arrangement="uu", omega_a_grid=np.linspace(0.0, 5.0 * w0, 200),
-                           omega_b_rule="ratio", omega_b_ratio=rho) for rho in (0.5, -0.5)]
-    terms = specs[0].make_arrangement()._terms
-    points = specs[0].grid_points() + specs[1].grid_points()     # one call for the preset
+    grid = np.linspace(0.0, 5.0 * w0, 200).tolist()
+    omega_a, omega_b = grid * 2, [rho * wa for rho in (0.5, -0.5) for wa in grid]
+    terms = configurations.Arrangement("uu")._terms
     out.append(("fig2a sweep energies",
-                lambda: spectral.sweep_energies(fig2a, terms, *zip(*points), specs[0].rel_tol)))
+                lambda: spectral.sweep_energies(fig2a, terms, omega_a, omega_b,
+                                                spectral.DEFAULT_REL_TOL)))
 
     configs = general_configs(w0)
 
@@ -187,12 +198,13 @@ def general_configs(w0, seed=5):
 
 
 def measure(call, number):
-    """Mean seconds per call of ``number`` calls; a call may time itself."""
+    """Mean seconds per call of ``number`` calls, or of the times a self-timed call returns."""
+    timed = getattr(call, "self_timed", False)
     total = 0.0
     for _ in range(number):
         start = time.perf_counter()
         took = call()
-        total += took if isinstance(took, float) else time.perf_counter() - start
+        total += took if timed else time.perf_counter() - start
     return total / number
 
 
@@ -235,11 +247,15 @@ def main(argv=None):
     }
     if args.against:
         for name, row in result["timings"].items():
-            row["ratio"] = round(row["working"]["median"] / row["against"]["median"], 3)
-            ratios = [w / a for w, a in zip(times["working"][name], times["against"][name])]
-            q1, median, q3 = (round(q, 3) for q in statistics.quantiles(ratios, n=4))
-            row["round_ratio"] = {"median": median, "quartiles": [q1, q3]}
-            row["working_faster"] = f"{sum(r < 1.0 for r in ratios)}/{rounds}"
+            against = row["against"]["median"]
+            row["ratio"] = round(row["working"]["median"] / against, 3) if against else None
+            ratios = [w / a for w, a in zip(times["working"][name], times["against"][name])
+                      if a]
+            row["round_ratio"] = None
+            if len(ratios) > 1:
+                q1, median, q3 = (round(q, 3) for q in statistics.quantiles(ratios, n=4))
+                row["round_ratio"] = {"median": median, "quartiles": [q1, q3]}
+            row["working_faster"] = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
     print(json.dumps(result, indent=1))
     return 0
 
