@@ -16,9 +16,8 @@ from .baseline import (hamaker_constant, matsubara_static_energy, naive_fdt_ener
 from .configurations import (Arrangement, ArrangementKind, delta_force, energy,
                              force, rest_energy)
 from .oracle import LorentzPair, aux_closed, eab_closed, eba_closed, ratio_aux, ratio_rr, ratio_uu
-from .response import (MaterialModel, PoleProximityError, SpinningSphere,
-                       UnitSystem, bst, hadamard, permittivity, polarizability,
-                       resonance_frequency)
+from .response import (MaterialModel, PoleProximityError, SpinningSphere, bst,
+                       hadamard, permittivity, polarizability, resonance_frequency)
 from .spectral import ConvergenceError, PairContext, aux_energy, energy_AB, energy_BA
 
 __version__ = "0.1.0"

@@ -154,4 +154,4 @@ def naive_fdt_energy_rr(ctx, Omega_A, Omega_B, rel_tol=None):
                 (np.r_[pa, pa], np.r_[2.0 * ra, 2.0 * ra], np.r_[pb, pb], np.r_[rb, rb])]
 
     s = _pair_sum("naive_fdt_energy_rr", ctx._poles, rows, rel_tol=rel_tol)
-    return -ctx.units().energy_scale * s / (4.0 * math.pi)
+    return -ctx._energy_scale * s / (4.0 * math.pi)

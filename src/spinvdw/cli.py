@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baseline, configurations, oracle, spectral
-from .configurations import Arrangement, ArrangementKind
+from .configurations import Arrangement, _number
 from .response import MaterialModel, SpinningSphere, bst, resonance_frequency
 from .spectral import ConvergenceError, PairContext
 
@@ -133,12 +133,12 @@ def _length(columns):
 
 
 def _floats(values, name):
-    """``values`` as a tuple of finite Python floats; a ConfigError named ``name`` if not."""
+    """``values``, all numbers, as a tuple of finite floats; a ConfigError named ``name`` if not."""
     if isinstance(values, np.ndarray):
         values = values.tolist()        # one call, not one numpy scalar per value
     try:
-        values = tuple(map(float, values))
-    except (TypeError, ValueError) as exc:
+        values = tuple(map(_number, values))
+    except (TypeError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{name}: non-finite value")
@@ -149,6 +149,13 @@ def _text(value):
     """A JSON string as it is; anything else, null included, is a TypeError."""
     if not isinstance(value, str):
         raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _array(value):
+    """A JSON array as it is; anything else, a string included, is a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be an array, got {value!r}")
     return value
 
 
@@ -164,14 +171,14 @@ def _get(cfg, key, cast, default):
         return default
     try:
         return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
 def _material_from(cfg, prefix, default):
-    f0 = _get(cfg, f"{prefix}.f0", float, default.f0)
-    wt0 = _get(cfg, f"{prefix}.omega_tilde0_rad_s", float, default.omega_tilde0)
-    g0 = _get(cfg, f"{prefix}.gamma0_rad_s", float, default.gamma0)
+    f0 = _get(cfg, f"{prefix}.f0", _number, default.f0)
+    wt0 = _get(cfg, f"{prefix}.omega_tilde0_rad_s", _number, default.omega_tilde0)
+    g0 = _get(cfg, f"{prefix}.gamma0_rad_s", _number, default.gamma0)
     try:
         return MaterialModel(f0, wt0, g0)
     except ValueError as exc:
@@ -220,33 +227,34 @@ def parse_config(source=None):
     mat_b = _material_from(cfg, "material_b", mat_a) if any(
         k.startswith("material_b.") for k in cfg) else mat_a
 
-    radius_a = _get(cfg, "geometry.radius_a_m", float, DEFAULT_RADIUS)
-    radius_b = _get(cfg, "geometry.radius_b_m", float, radius_a)
-    separation = _get(cfg, "geometry.separation_m", float, DEFAULT_SEPARATION)
-    temperature = _get(cfg, "temperature_K", float, DEFAULT_TEMPERATURE)
+    radius_a = _get(cfg, "geometry.radius_a_m", _number, DEFAULT_RADIUS)
+    radius_b = _get(cfg, "geometry.radius_b_m", _number, radius_a)
+    separation = _get(cfg, "geometry.separation_m", _number, DEFAULT_SEPARATION)
+    temperature = _get(cfg, "temperature_K", _number, DEFAULT_TEMPERATURE)
 
     w0 = resonance_frequency(mat_a)
     where = "sweep.omega_a_grid_rad_s"            # the keys that give Omega_A
     if where in cfg:
-        omega_a = cfg[where]
+        omega_a = _get(cfg, where, _array, None)
     else:
         where = "sweep.omega_a_start_over_omega0, sweep.omega_a_stop_over_omega0"
-        start = _get(cfg, "sweep.omega_a_start_over_omega0", float, 0.0)
-        stop = _get(cfg, "sweep.omega_a_stop_over_omega0", float, 4.0)
+        start = _get(cfg, "sweep.omega_a_start_over_omega0", _number, 0.0)
+        stop = _get(cfg, "sweep.omega_a_stop_over_omega0", _number, 4.0)
         count = _get(cfg, "sweep.omega_a_count", _count, 200)
         if count < 1:
             raise ConfigError("sweep.omega_a_count: must be >= 1")
         omega_a = np.linspace(start * w0, stop * w0, count)
     arrangement = _get(cfg, "arrangement", _text, "rr")
     rule = _get(cfg, "sweep.omega_b_rule", _text, "fixed")
-    value = _get(cfg, "sweep.omega_b_value_rad_s", float, 0.0)
-    ratio = _get(cfg, "sweep.omega_b_ratio", float, 0.0)
-    rel_tol = _get(cfg, "quadrature.rel_tol", float, spectral.DEFAULT_REL_TOL)
+    value = _get(cfg, "sweep.omega_b_value_rad_s", _number, 0.0)
+    ratio = _get(cfg, "sweep.omega_b_ratio", _number, 0.0)
+    rel_tol = _get(cfg, "quadrature.rel_tol", _number, spectral.DEFAULT_REL_TOL)
     out_path = _get(cfg, "output.path", _text, "")
     out_format = _get(cfg, "output.format", _text, "csv")
     omega_a = _floats(omega_a, where)
     # the keys of every rule are checked, whichever rule the sweep takes
-    grid_b = _floats(cfg.get("sweep.omega_b_grid_rad_s", ()), "sweep.omega_b_grid_rad_s")
+    grid_b = _floats(_get(cfg, "sweep.omega_b_grid_rad_s", _array, ()),
+                     "sweep.omega_b_grid_rad_s")
     if not math.isfinite(value):
         raise ConfigError(f"sweep.omega_b_value_rad_s: non-finite value {value}")
     if rule == "fixed":
@@ -669,10 +677,12 @@ def _dispatch(args):
         wa, wb = _rates(args, w0)
         try:
             de = configurations.delta_energy(ctx, arrangement, wa, wb, spec.rel_tol)
+            e = configurations.energy(ctx, arrangement, wa, wb, spec.rel_tol)
+            e0 = configurations.energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
         except ValueError as exc:   # Doppler images beyond the non-retarded regime
             raise ConfigError(str(exc)) from None
-        e = configurations.energy(ctx, arrangement, wa, wb, spec.rel_tol)
-        e0 = configurations.energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
+        except ArithmeticError as exc:  # a residue above its estimate fails as a tolerance does
+            raise ConvergenceError(str(exc)) from None
         print(f"omega0_rad_s = {w0:.6e}")
         if args.command == "energy":
             print(f"E_J      = {e:.10e}")
@@ -708,9 +718,15 @@ def _dispatch(args):
     if args.command == "oracle":
         pair = oracle.LorentzPair(1.0e-33, 1.0e-33, w0, w0, ctx.separation)
         wa, wb = _rates(args, w0)
-        print(f"ratio_aux(Omega_A - Omega_B) = {oracle.ratio_aux(pair, wa - wb):.12g}")
-        print(f"ratio_rr                     = {oracle.ratio_rr(w0, wa - wb):.12g}")
-        print(f"ratio_uu                     = {oracle.ratio_uu(w0, wa, wb):.12g}")
+        try:
+            ratios = {"ratio_aux(Omega_A - Omega_B)": oracle.ratio_aux(pair, wa - wb),
+                      "ratio_rr": oracle.ratio_rr(w0, wa - wb),
+                      "ratio_uu": oracle.ratio_uu(w0, wa, wb)}
+        except oracle.PoleError as exc:
+            raise ConfigError(f"--omega-a, --omega-b: {args.omega_a:g}, {args.omega_b:g} "
+                              f"omega0 is at a pole of the undamped model: {exc}") from None
+        for name, ratio in ratios.items():
+            print(f"{name:28s} = {ratio:.12g}")
         return 0
 
     if args.command == "baseline":

@@ -44,6 +44,7 @@ anywhere.
 
 import enum
 import math
+import numbers
 
 from . import spectral
 
@@ -96,10 +97,19 @@ def _terms(axis_a, axis_b, rhat):
 _CANONICAL_TERMS = {kind: _terms(*axes) for kind, axes in _CANONICAL_AXES.items()}
 
 
+def _number(value):
+    """A real number (numpy's too) as a float; a str, a bool or a complex is a TypeError."""
+    if type(value) is float:    # the common case, without the slow ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _unit_vector(v, name):
     try:
-        u = tuple(float(c) for c in v)
-    except (TypeError, ValueError):
+        u = tuple(map(_number, v))
+    except (TypeError, OverflowError):
         u = ()
     if len(u) != 3 or not abs(math.sqrt(sum(c * c for c in u)) - 1.0) <= 1e-12:    # NaN too
         raise ValueError(f"{name} must be a unit 3-vector, got {v!r}")

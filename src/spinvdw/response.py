@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "HBAR", "K_B", "EPS0", "C_LIGHT",
-    "PoleProximityError", "MaterialModel", "SpinningSphere", "UnitSystem",
+    "PoleProximityError", "MaterialModel", "SpinningSphere",
     "bst", "permittivity", "polarizability", "hadamard",
     "resonance_frequency", "im_polarizability_over_omega",
 ]
@@ -98,21 +98,6 @@ class SpinningSphere:
             raise ValueError(f"radius must be > 0, got {self.radius}")
         if not (self.temperature >= 0):
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Internal working units for the spectral integrals.
-
-    Frequencies are measured in ``omega_scale`` (the polaritonic resonance of
-    sphere A), polarizabilities in units of 4*pi*eps0*a^3, and energies in
-    ``energy_scale`` = hbar*omega_scale*(a_A*a_B/R^2)^3. SI values enter and
-    leave only through these scales; raw SI magnitudes of the integrands
-    would waste most of the double-precision exponent range.
-    """
-
-    omega_scale: float
-    energy_scale: float
 
 
 def resonance_frequency(material):

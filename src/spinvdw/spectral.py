@@ -41,11 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .response import C_LIGHT, HBAR, K_B, UnitSystem, resonance_frequency
+from .response import C_LIGHT, HBAR, K_B, resonance_frequency
 
 __all__ = [
-    "ConvergenceError", "QuadratureSpec", "PairContext",
-    "pair_quadrature_spec",
+    "ConvergenceError", "PairContext", "pair_quadrature_spec",
     "energy_BA", "energy_AB", "aux_energy", "general_energy", "sweep_energies",
     "clear_cache", "DEFAULT_REL_TOL", "DEFAULT_ABS_TOL",
 ]
@@ -72,48 +71,6 @@ class ConvergenceError(RuntimeError):
         self.estimate = estimate
 
 
-# QuadratureSpec and pair_quadrature_spec describe the Gauss-Kronrod
-# quadrature that serves as the tests' independent reference; no production
-# value uses them. They stay here because the benchmark's tracer wraps
-# spectral.pair_quadrature_spec by name and its smoke run requires the
-# metrics derived from that span; the benchmark's next schema retires the name.
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for one spectral integral by panel quadrature.
-
-    Panels split [lo, hi] at every breakpoint, with extra edges placed
-    geometrically (factors of 8) out from each breakpoint starting at
-    ``seed_width``, so Lorentzian peaks of width gamma are resolved from
-    the first pass when ``seed_width ~ gamma/8``. Refinement bisects
-    offending panels until the Kronrod error estimate drops below
-    max(abs_tol, rel_tol*|integral|). A power-law tail, its exponent fitted
-    over the last octave, is appended at any domain end that sits at
-    +/-window.
-    """
-
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
-    breakpoints: tuple = (0.0,)
-    window: float = 100.0
-    seed_width: float = 0.0
-    lo: float = None
-    hi: float = None
-    max_levels: int = 30
-    max_panels: int = 1 << 18
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("rel_tol and abs_tol must be > 0")
-        bps = tuple(sorted(float(b) for b in self.breakpoints))
-        if bps and self.window < max(abs(b) for b in bps):
-            raise ValueError("window must cover all breakpoints")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "lo", -self.window if self.lo is None else float(self.lo))
-        object.__setattr__(self, "hi", self.window if self.hi is None else float(self.hi))
-        if not self.lo < self.hi:
-            raise ValueError("empty integration domain")
-
-
 @dataclass(frozen=True)
 class PairContext:
     """Two spheres and their distance; everything the shift integrals need.
@@ -122,7 +79,7 @@ class PairContext:
     :class:`spinvdw.configurations.Arrangement` and the spin rates are
     arguments of the energy functions, so one context serves every
     arrangement and rotation state. What the integrals derive from the
-    spheres (the unit system, the materials in working units, the poles of
+    spheres (the materials in working units, the energy unit, the poles of
     their polarizabilities and the closed form's rows of them, the factor to
     joules, and the reach R w/c of the materials and of a unit shift) is
     computed once, here.
@@ -161,19 +118,20 @@ class PairContext:
                 f"resonance or damping rate of the spheres")
         a3 = self.sphere_a.radius**3 * self.sphere_b.radius**3
         scaled = (ma.scaled(ws), mb.scaled(ws))
-        units = UnitSystem(ws, HBAR * ws * a3 / self.separation**6)
+        energy_scale = HBAR * ws * a3 / self.separation**6
         t_a, t_b = self.sphere_a.temperature, self.sphere_b.temperature
         poles = tuple(map(_alpha_poles, scaled))
         ba = (*poles, t_b)
         derived = {
-            "_units": units,
             "_scaled": (ws, *scaled),
+            # hbar ws (a_A a_B / R^2)^3, the energy unit of the working units
+            "_energy_scale": energy_scale,
             "_poles": poles,
             # the rows of _closed for BA and AB, one if equal spheres make them one
             "_rows": (ba,) if (scaled[0], t_b) == (scaled[1], t_a) else (
                 ba, (poles[1], poles[0], t_a)),
             # a reduced shift integral times this is its energy (J)
-            "_joules": -units.energy_scale / (32.0 * np.pi),
+            "_joules": -energy_scale / (32.0 * np.pi),
             # R w/c is _reach + _reach_shift x at a largest shift x (working units)
             "_reach": reach,
             "_reach_shift": self.separation * ws / C_LIGHT,
@@ -181,23 +139,21 @@ class PairContext:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    def units(self):
-        """Working unit system anchored to sphere A's resonance."""
-        return self._units
-
     def swapped(self):
         return PairContext(self.sphere_b, self.sphere_a, self.separation)
 
 
-def pair_quadrature_spec(ctx, shifts=(0.0,), rel_tol=None, lo=None, hi=None):
+def pair_quadrature_spec(ctx, shifts=(0.0,)):
     """Quadrature controls for a pair integral with the given Doppler shifts.
 
-    Breakpoints sit at 0, at both polaritonic resonances, at every
-    Doppler image resonance +/- shift, and at +/- shift, where a shifted
-    zero-temperature spectrum has its kink; the window extends 50x beyond the
-    outermost relevant scale (a Doppler image, or the damping of an
-    overdamped material, whose spectrum reaches out to gamma0) so the tail
-    fit only sees the power-law decay.
+    ``breakpoints``, ``window`` and ``seed_width`` of the tests' reference
+    quadrature; no production value uses them, and this stays here only
+    because the benchmark's tracer wraps its name. Breakpoints sit at 0, at
+    both polaritonic resonances, at every Doppler image resonance +/- shift,
+    and at +/- shift, where a shifted zero-temperature spectrum has its
+    kink; the window extends 50x beyond the outermost relevant scale (a
+    Doppler image, or the damping of an overdamped material, whose spectrum
+    reaches out to gamma0) so the tail fit only sees the power-law decay.
     """
     ws, mat_a, mat_b = ctx._scaled
     u0a = resonance_frequency(mat_a)   # = 1 by construction
@@ -209,11 +165,8 @@ def pair_quadrature_spec(ctx, shifts=(0.0,), rel_tol=None, lo=None, hi=None):
             bps.update((r + s, r - s, -r + s, -r - s))
     window = 50.0 * max(u0a, u0b, mat_a.gamma0, mat_b.gamma0,
                         *(s + max(u0a, u0b) for s in shifts))
-    return QuadratureSpec(
-        rel_tol=DEFAULT_REL_TOL if rel_tol is None else rel_tol,
-        abs_tol=DEFAULT_ABS_TOL,
-        breakpoints=tuple(sorted(bps)),
-        window=window, seed_width=min(mat_a.gamma0, mat_b.gamma0) / 8.0, lo=lo, hi=hi)
+    return {"breakpoints": tuple(sorted(bps)), "window": window,
+            "seed_width": min(mat_a.gamma0, mat_b.gamma0) / 8.0}
 
 
 # Within _CRITICAL w0^2 of critical damping (W'^2 = 0) the two poles of alpha

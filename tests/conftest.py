@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from spinvdw import bst, resonance_frequency

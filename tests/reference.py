@@ -30,15 +30,17 @@ the closed-form shift integrals, so it checks the production kernel of
 the four canonical arrangements, as expected values.
 
 ``integrate_spectrum`` is an adaptive Gauss-Kronrod (7/15) panel
-quadrature with breakpoints seeded at every Doppler image of the
-resonances (:func:`spinvdw.spectral.pair_quadrature_spec`) and fitted
-power-law tails beyond a finite window. It shares no arithmetic with the
-contour closure of :mod:`spinvdw.spectral`, which serves every production
-value, and is its independent reference: ``quadrature_shift_integral``
-evaluates one reduced shift integral with it, directly from the material
-kernels, and ``naive_fdt_quadrature`` the equilibrium-FDT baseline of
-:mod:`spinvdw.baseline`. ``shift_integral`` is the closed form's own value
-of one such integral, with its roundoff estimate and no tolerance.
+quadrature under the controls of a ``QuadratureSpec``, with fitted
+power-law tails beyond a finite window; ``pair_spec`` seeds its
+breakpoints at every Doppler image of a pair's resonances
+(:func:`spinvdw.spectral.pair_quadrature_spec`). It shares no arithmetic
+with the contour closure of :mod:`spinvdw.spectral`, which serves every
+production value, and is its independent reference:
+``quadrature_shift_integral`` evaluates one reduced shift integral with
+it, directly from the material kernels, and ``naive_fdt_quadrature`` the
+equilibrium-FDT baseline of :mod:`spinvdw.baseline`. ``shift_integral``
+is the closed form's own value of one such integral, with its roundoff
+estimate and no tolerance.
 
 ``closure_reference`` evaluates the contour closure itself at 30 digits,
 its Matsubara pair sum through ``mpmath.psi`` (logarithms at T = 0), as
@@ -50,7 +52,7 @@ the permittivity.
 
 import functools
 import math
-from dataclasses import replace
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -122,6 +124,48 @@ def _gk15(f, a, b):
     # roundoff floor: tolerances below it are honestly unreachable
     floor = 50.0 * np.finfo(float).eps * resabs
     return kronrod, np.maximum(err, floor), floor
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Controls for one spectral integral by panel quadrature.
+
+    Panels split [lo, hi] at every breakpoint, with extra edges placed
+    geometrically (factors of 8) out from each breakpoint starting at
+    ``seed_width``, so Lorentzian peaks of width gamma are resolved from
+    the first pass when ``seed_width ~ gamma/8``. Refinement bisects
+    offending panels until the Kronrod error estimate drops below
+    max(abs_tol, rel_tol*|integral|). A power-law tail, its exponent fitted
+    over the last octave, is appended at any domain end that sits at
+    +/-window.
+    """
+
+    rel_tol: float = spectral.DEFAULT_REL_TOL
+    abs_tol: float = spectral.DEFAULT_ABS_TOL
+    breakpoints: tuple = (0.0,)
+    window: float = 100.0
+    seed_width: float = 0.0
+    lo: float = None
+    hi: float = None
+    max_levels: int = 30
+    max_panels: int = 1 << 18
+
+    def __post_init__(self):
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
+            raise ValueError("rel_tol and abs_tol must be > 0")
+        bps = tuple(sorted(float(b) for b in self.breakpoints))
+        if bps and self.window < max(abs(b) for b in bps):
+            raise ValueError("window must cover all breakpoints")
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "lo", -self.window if self.lo is None else float(self.lo))
+        object.__setattr__(self, "hi", self.window if self.hi is None else float(self.hi))
+        if not self.lo < self.hi:
+            raise ValueError("empty integration domain")
+
+
+def pair_spec(ctx, shifts, **controls):
+    """The spec of a pair integral at these Doppler shifts (rad/s), plus ``controls``."""
+    return QuadratureSpec(**spectral.pair_quadrature_spec(ctx, shifts), **controls)
 
 
 def _initial_edges(spec):
@@ -429,7 +473,7 @@ def noneq_fdt_hadamard(alpha_fn, Omega, omega, temperature,
     return _assemble(complex(e_xx), complex(e_xy), complex(e_zz))
 
 
-def tensor_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
+def tensor_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=spectral.DEFAULT_REL_TOL):
     """Interaction energy (J) by the full tensor contraction.
 
     E = -(energy_scale / 8 pi) int du Tr(g a_A g eta_B^H) + Tr(g eta_A^* g a_B^T)
@@ -458,11 +502,9 @@ def tensor_energy(ctx, arrangement, Omega_A, Omega_B, rel_tol=None):
                        spin_tensor(alpha_b, shift_b, u))
         return t1 + t2
 
-    spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega_A, Omega_B),
-                                         rel_tol=rel_tol)
-    value = integrate_spectrum(integrand, spec)
+    value = integrate_spectrum(integrand, pair_spec(ctx, (Omega_A, Omega_B), rel_tol=rel_tol))
     assert abs(value.imag) <= 1e-6 * abs(value.real), value
-    return -ctx.units().energy_scale * value.real / (8.0 * np.pi)
+    return -ctx._energy_scale * value.real / (8.0 * np.pi)
 
 
 def _rr(aux, oa, ob):
@@ -490,8 +532,8 @@ def canonical_energy(ctx, kind, Omega_A, Omega_B, rel_tol=None):
                            Omega_A, Omega_B)
 
 
-def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10, abs_tol=None,
-                              with_error=False):
+def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10,
+                              abs_tol=spectral.DEFAULT_ABS_TOL, with_error=False):
     """Reduced BA or AB shift integral (working units) by quadrature.
 
     BA = int du [alpha_A(u + s) + alpha_A(u - s)] eta_B(u) and
@@ -512,9 +554,7 @@ def quadrature_shift_integral(ctx, Omega, which, rel_tol=1e-10, abs_tol=None,
         def integrand(u):
             return (eta_a(u + shift) + eta_a(u - shift)) * _alpha_reduced(mat_b, u)
 
-    spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega,), rel_tol=rel_tol)
-    if abs_tol is not None:
-        spec = replace(spec, abs_tol=abs_tol)
+    spec = pair_spec(ctx, (Omega,), rel_tol=rel_tol, abs_tol=abs_tol)
     value, error = _integrate(integrand, spec)
     assert abs(value.imag) <= 1e-6 * abs(value.real) + spec.abs_tol, value
     return (value.real, error) if with_error else value.real
@@ -551,10 +591,9 @@ def naive_fdt_quadrature(ctx, Omega_A, Omega_B, rel_tol=1e-10):
         return ((sa * sb
                  + 8.0 * _alpha_reduced(mat_a, u) * _alpha_reduced(mat_b, u)) / 4.0).imag
 
-    spec = spectral.pair_quadrature_spec(ctx, shifts=(Omega_A, Omega_B),
-                                         rel_tol=rel_tol, lo=0.0)
-    value = integrate_spectrum(integrand, spec)
-    return -ctx.units().energy_scale * value.real / math.pi
+    value = integrate_spectrum(integrand, pair_spec(ctx, (Omega_A, Omega_B),
+                                                    rel_tol=rel_tol, lo=0.0))
+    return -ctx._energy_scale * value.real / math.pi
 
 
 @functools.lru_cache(maxsize=None)

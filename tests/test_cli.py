@@ -105,7 +105,8 @@ class TestParseConfig:
             parse_config({"temperature_K": "warm"})
 
     def test_non_numeric_rate_names_grid(self):
-        with pytest.raises(ConfigError, match="^sweep.omega_a_grid_rad_s: could not convert"):
+        with pytest.raises(ConfigError,
+                           match="^sweep.omega_a_grid_rad_s: must be a number, got 'fast'$"):
             parse_config({"sweep.omega_a_grid_rad_s": [1.0e10, "fast"]})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -137,15 +138,42 @@ class TestParseConfig:
                            match=f"^sweep.omega_a_count: must be an integer, got {value!r}$"):
             parse_config({"sweep.omega_a_count": value})
 
+    @pytest.mark.parametrize("value", ["300", True])
+    @pytest.mark.parametrize("key", [
+        "material.f0", "material.omega_tilde0_rad_s", "material.gamma0_rad_s",
+        "material_b.f0", "material_b.omega_tilde0_rad_s", "material_b.gamma0_rad_s",
+        "geometry.radius_a_m", "geometry.radius_b_m", "geometry.separation_m",
+        "temperature_K", "sweep.omega_a_start_over_omega0", "sweep.omega_a_stop_over_omega0",
+        "sweep.omega_b_value_rad_s", "sweep.omega_b_ratio", "quadrature.rel_tol"])
+    def test_number_key_must_be_a_number(self, key, value):
+        # float() once read "300" as 300 K and true as 1
+        with pytest.raises(ConfigError, match=f"^{key}: must be a number, got {value!r}$"):
+            parse_config({key: value})
+
+    def test_json_non_finite_numbers_stay_numbers(self):
+        # NaN and Infinity are numbers, judged by the checks of their keys
+        assert parse_config({"quadrature.rel_tol": math.inf})[0].rel_tol == math.inf
+        with pytest.raises(ConfigError, match="^temperature must be >= 0, got nan$"):
+            parse_config({"temperature_K": math.nan})
+
+    @pytest.mark.parametrize("key", ["sweep.omega_a_grid_rad_s", "sweep.omega_b_grid_rad_s"])
+    @pytest.mark.parametrize("value, message", [("12", "must be an array, got '12'"),
+                                                ([True, 2e9], "must be a number, got True")],
+                             ids=["text", "bool"])
+    def test_rate_list_must_be_an_array_of_numbers(self, key, value, message):
+        # "12" once gave the rates (1.0, 2.0), and true a rate of 1 rad/s
+        with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}$"):
+            parse_config({key: value})
+
     @pytest.mark.parametrize("rule", ["fixed", "ratio", "grid"])
     def test_every_rule_key_is_checked_whatever_the_rule(self, rule):
         # the keys of the rules that a sweep does not take are checked too
         config = {"sweep.omega_b_rule": rule, "sweep.omega_b_grid_rad_s": [1e9]}
         for key, value, message in [
                 ("sweep.omega_b_value_rad_s", math.nan, "non-finite value nan"),
-                ("sweep.omega_b_ratio", "fast", "could not convert string to float"),
+                ("sweep.omega_b_ratio", "fast", "must be a number, got 'fast'"),
                 ("sweep.omega_b_grid_rad_s", [math.nan], "non-finite value"),
-                ("sweep.omega_b_grid_rad_s", ["fast"], "could not convert string to float")]:
+                ("sweep.omega_b_grid_rad_s", ["fast"], "must be a number, got 'fast'")]:
             with pytest.raises(ConfigError, match=f"^{key}: {message}"):
                 parse_config({**config, key: value})
         parse_config(config)
@@ -191,8 +219,9 @@ class TestParseConfig:
                 parse_config(config)
 
     @pytest.mark.parametrize("key", ["arrangement.axis_a", "arrangement.rhat"])
-    @pytest.mark.parametrize("value", [[1, 0], [1, 1, 0], "abc", 5, [math.nan, 0, 0]],
-                             ids=["two", "not_unit", "text", "number", "nan"])
+    @pytest.mark.parametrize("value", [[1, 0], [1, 1, 0], "abc", 5, [math.nan, 0, 0],
+                                       "001", [True, 0, 0]],
+                             ids=["two", "not_unit", "text", "number", "nan", "digits", "bool"])
     def test_malformed_general_axis_names_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be a unit 3-vector, got "):
             parse_config({**GENERAL_AXES, key: value})
@@ -224,15 +253,17 @@ class TestSweepSpec:
     def test_rates_become_float_tuples(self, name):
         # an ndarray of rates converts as its list does; nested, 0-d,
         # complex, non-numeric or non-finite rates are a ConfigError naming
-        # their field
+        # their field, and so are strings and bools, which float() once read
+        # ("12" as the rates 1.0 and 2.0, true as 1 rad/s)
         other = "omega_b" if name == "omega_a" else "omega_a"
         for rates in (np.linspace(0.0, 1.0, 3), np.arange(3), np.float32([0.1, 0.2]),
-                      [0, 0.5, np.float64(1.0)]):
+                      [0, 0.5, np.float64(1.0), np.int64(2), np.float32(0.5)]):
             got = getattr(SweepSpec(**{name: rates, other: [0.0] * len(rates)}), name)
             assert got == tuple(float(v) for v in np.asarray(rates).tolist())
             assert all(type(v) is float for v in got)
         for rates in ([1.0e10, "fast"], [[1.0, 2.0]], np.array([[1.0], [2.0]]), np.array(5.0),
-                      5.0, np.array([1.0 + 0.0j]), [0.0, math.nan], np.array([0.0, -math.inf])):
+                      5.0, np.array([1.0 + 0.0j]), [0.0, math.nan], np.array([0.0, -math.inf]),
+                      "12", [True, 2e9], np.array([True, False])):
             with pytest.raises(ConfigError, match=f"^{name}: "):
                 SweepSpec(**{name: rates, other: (0.0,)})
 
@@ -1329,6 +1360,32 @@ class TestMainExitCodes:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: --omega-") and "non-finite" in err
+
+    @pytest.mark.parametrize("rates", [["--omega-a", "2"], ["--omega-a", "1", "--omega-b", "1"],
+                                       ["--omega-a=-0.5", "--omega-b", "1.5"]])
+    def test_oracle_rate_at_a_pole_is_2(self, capsys, rates):
+        # the 2 w0 resonance of the undamped model: all three ratios are
+        # computed before any is printed
+        assert main(["oracle", *rates]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: --omega-a, --omega-b: ") and "pole" in err
+
+    @pytest.mark.parametrize("command", ["energy", "force"])
+    def test_residue_above_its_estimate_is_3(self, monkeypatch, capsys, command):
+        # the ArithmeticError of a violated closed form fails as a
+        # tolerance does, without --strict, and prints nothing
+        inner = spectral._closed
+
+        def tilt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            return value + 3j * roundoff, roundoff
+
+        monkeypatch.setattr(spectral, "_closed", tilt)
+        assert main([command, "--omega-a", "0.7"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical non-convergence: ") and "imaginary residue" in err
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_fixed_rate_sweep_is_2(self, tmp_path, capsys, value):

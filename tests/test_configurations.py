@@ -186,6 +186,15 @@ class TestArrangementType:
         with pytest.raises(ValueError, match="axis_b"):
             Arrangement("general", (0, 0, 1), (0, 0, 1.0 + 1e-6), (1, 0, 0))
 
+    @pytest.mark.parametrize("axes", [("001", "010", "100"), ((True, 0, 0), (0, 1, 0), (0, 0, 1))],
+                             ids=["text", "bool"])
+    def test_general_axes_must_be_numbers(self, axes):
+        # float() once read "001" as z and true as 1; numpy numbers stay numbers
+        with pytest.raises(ValueError, match="^axis_a must be a unit 3-vector, got "):
+            Arrangement("general", *axes)
+        arr = Arrangement("general", np.float64([0, 0, 1]), np.int64([0, 1, 0]), (1, 0, 0))
+        assert arr.axis_a == (0.0, 0.0, 1.0) and arr.axis_b == (0.0, 1.0, 0.0)
+
     def test_canonical_rejects_axes(self):
         with pytest.raises(ValueError):
             Arrangement("rr", axis_a=(1, 0, 0))

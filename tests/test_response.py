@@ -156,7 +156,7 @@ class TestValidation:
         assert math.isfinite(resonance_frequency(material))
 
 
-class TestUnitSystem:
+class TestScaledMaterial:
     def test_scaled_material_consistency(self, material, w0):
         # evaluating the scaled material at w/ws must match the SI evaluation
         scaled = material.scaled(w0)

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import (closure_reference, integrate_spectrum, quadrature_shift_integral,
-                       shift_integral, tensor_energy)
+from reference import (QuadratureSpec, closure_reference, integrate_spectrum, pair_spec,
+                       quadrature_shift_integral, shift_integral, tensor_energy)
 from spinvdw import oracle, spectral
 from spinvdw.configurations import (Arrangement, delta_energy, delta_force, energy,
                                     rest_energy)
 from spinvdw.response import (EPS0, HBAR, K_B, MaterialModel, SpinningSphere, bst,
                               polarizability, resonance_frequency)
-from spinvdw.spectral import (ConvergenceError, PairContext, QuadratureSpec,
-                              aux_energy, energy_AB, energy_BA, pair_quadrature_spec)
+from spinvdw.spectral import (ConvergenceError, PairContext, aux_energy, energy_AB,
+                              energy_BA, pair_quadrature_spec)
 
 # SI energies, forces and polarizabilities are far below pytest.approx's
 # default absolute tolerance of 1e-12, which would accept any two of them.
@@ -141,9 +141,16 @@ class TestIntegrateSpectrum:
 
 
 class TestPairQuadratureSpec:
+    def test_controls_at_rest(self, ctx300):
+        # equal spheres at rest: breakpoints at 0 and at both resonances, a
+        # window 50 resonances wide and a seed width of an eighth of gamma
+        gamma = ctx300._scaled[1].gamma0
+        assert pair_quadrature_spec(ctx300) == {
+            "breakpoints": (-1.0, 0.0, 1.0), "window": 50.0, "seed_width": gamma / 8.0}
+
     def test_breakpoints_cover_doppler_images(self, ctx300, w0):
         om = 0.75 * w0
-        spec = pair_quadrature_spec(ctx300, shifts=(om,))
+        spec = pair_spec(ctx300, (om,))
         bps = np.array(spec.breakpoints)
         shift = om / w0
         for want in (0.0, 1.0, -1.0, 1.0 - shift, 1.0 + shift,
@@ -201,7 +208,7 @@ class TestEnergyIntegrals:
         ws, mat_a, mat_b = ctx300._scaled
         shift = om / ws
         eta_a = _eta_reduced(mat_a, ctx300.sphere_a.temperature, ws)
-        spec = pair_quadrature_spec(ctx300, shifts=(om,))
+        spec = pair_spec(ctx300, (om,))
         moved, _ = _integrate(
             lambda u: eta_a(u) * (_alpha_reduced(mat_b, u + shift)
                                   + _alpha_reduced(mat_b, u - shift)), spec)
@@ -366,7 +373,7 @@ class TestClosedForm:
         mat = MaterialModel(12.2, 5.7e9, damping * w0)
         ctx = PairContext(SpinningSphere(A, mat, 300.0),
                           SpinningSphere(A, bst(), 300.0), R)
-        to_reduced = -32.0 * np.pi / ctx.units().energy_scale
+        to_reduced = -32.0 * np.pi / ctx._energy_scale
         for which, fn in (("BA", energy_BA), ("AB", energy_AB)):
             want = quadrature_shift_integral(ctx, 0.7 * w0, which, 1e-10)
             assert fn(ctx, 0.7 * w0) * to_reduced == approx(want, rel=1e-9)
@@ -377,7 +384,7 @@ class TestClosedForm:
             energy_BA(ctx300, 1.3 * w0, rel_tol=0.1 * roundoff / abs(value))
         assert err.value.estimate == roundoff
         # a tolerance above the estimate is served
-        to_reduced = -32.0 * np.pi / ctx300.units().energy_scale
+        to_reduced = -32.0 * np.pi / ctx300._energy_scale
         looser = energy_BA(ctx300, 1.3 * w0, rel_tol=10.0 * roundoff / abs(value))
         assert looser * to_reduced == approx(value, rel=1e-15)
 
