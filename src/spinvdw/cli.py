@@ -166,21 +166,27 @@ def _count(value):
     return value
 
 
-def _get(cfg, key, cast, default):
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except (TypeError, OverflowError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+# every config key but the general axes, to the cast of its JSON value:
+# parse_config casts each key that is given, whether the config uses it or not
+_KEYS = {
+    **{f"{prefix}.{name}": _number for prefix in ("material", "material_b")
+       for name in ("f0", "omega_tilde0_rad_s", "gamma0_rad_s")},
+    "geometry.radius_a_m": _number, "geometry.radius_b_m": _number,
+    "geometry.separation_m": _number, "temperature_K": _number,
+    "arrangement": _text,
+    "sweep.omega_a_grid_rad_s": _array, "sweep.omega_a_start_over_omega0": _number,
+    "sweep.omega_a_stop_over_omega0": _number, "sweep.omega_a_count": _count,
+    "sweep.omega_b_rule": _text, "sweep.omega_b_value_rad_s": _number,
+    "sweep.omega_b_ratio": _number, "sweep.omega_b_grid_rad_s": _array,
+    "quadrature.rel_tol": _number, "output.path": _text, "output.format": _text,
+}
 
 
 def _material_from(cfg, prefix, default):
-    f0 = _get(cfg, f"{prefix}.f0", _number, default.f0)
-    wt0 = _get(cfg, f"{prefix}.omega_tilde0_rad_s", _number, default.omega_tilde0)
-    g0 = _get(cfg, f"{prefix}.gamma0_rad_s", _number, default.gamma0)
     try:
-        return MaterialModel(f0, wt0, g0)
+        return MaterialModel(cfg.get(f"{prefix}.f0", default.f0),
+                             cfg.get(f"{prefix}.omega_tilde0_rad_s", default.omega_tilde0),
+                             cfg.get(f"{prefix}.gamma0_rad_s", default.gamma0))
     except ValueError as exc:
         raise ConfigError(f"{prefix}.*: {exc}") from None
 
@@ -189,9 +195,13 @@ def parse_config(source=None):
     """Build a (SweepSpec, PairContext) pair from a config file or dict.
 
     ``source`` may be a path, an already-parsed dict, or None (defaults).
-    Unknown keys are rejected so typos fail loudly. The spec takes the
-    arrangement, sweep, quadrature and output keys; the context, the
-    materials, geometry and temperature (both spheres at ``temperature_K``).
+    Unknown keys are rejected so typos fail loudly, and every key that is
+    given is cast by its entry in ``_KEYS`` before any is used (the axes
+    are checked by the SweepSpec), so a key that the config's rules do not
+    read is checked too; the first bad key in the config's order is named.
+    The spec takes the arrangement, sweep, quadrature and output keys; the
+    context, the materials, geometry and temperature (both spheres at
+    ``temperature_K``).
     """
     if source is None:
         cfg = {}
@@ -208,53 +218,42 @@ def parse_config(source=None):
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {source}: top level must be an object")
 
-    known = {
-        "material.f0", "material.omega_tilde0_rad_s", "material.gamma0_rad_s",
-        "material_b.f0", "material_b.omega_tilde0_rad_s", "material_b.gamma0_rad_s",
-        "geometry.radius_a_m", "geometry.radius_b_m", "geometry.separation_m",
-        "temperature_K", "arrangement", *AXIS_KEYS,
-        "sweep.omega_a_grid_rad_s", "sweep.omega_a_start_over_omega0",
-        "sweep.omega_a_stop_over_omega0", "sweep.omega_a_count",
-        "sweep.omega_b_rule", "sweep.omega_b_value_rad_s",
-        "sweep.omega_b_ratio", "sweep.omega_b_grid_rad_s",
-        "quadrature.rel_tol", "output.path", "output.format",
-    }
-    for key in cfg:
-        if key not in known:
+    for key, value in cfg.items():
+        if key in _KEYS:
+            try:
+                cfg[key] = _KEYS[key](value)
+            except (TypeError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        elif key not in AXIS_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
 
     mat_a = _material_from(cfg, "material", bst())
     mat_b = _material_from(cfg, "material_b", mat_a) if any(
         k.startswith("material_b.") for k in cfg) else mat_a
 
-    radius_a = _get(cfg, "geometry.radius_a_m", _number, DEFAULT_RADIUS)
-    radius_b = _get(cfg, "geometry.radius_b_m", _number, radius_a)
-    separation = _get(cfg, "geometry.separation_m", _number, DEFAULT_SEPARATION)
-    temperature = _get(cfg, "temperature_K", _number, DEFAULT_TEMPERATURE)
+    radius_a = cfg.get("geometry.radius_a_m", DEFAULT_RADIUS)
+    radius_b = cfg.get("geometry.radius_b_m", radius_a)
+    separation = cfg.get("geometry.separation_m", DEFAULT_SEPARATION)
+    temperature = cfg.get("temperature_K", DEFAULT_TEMPERATURE)
 
     w0 = resonance_frequency(mat_a)
     where = "sweep.omega_a_grid_rad_s"            # the keys that give Omega_A
     if where in cfg:
-        omega_a = _get(cfg, where, _array, None)
+        omega_a = cfg[where]
     else:
         where = "sweep.omega_a_start_over_omega0, sweep.omega_a_stop_over_omega0"
-        start = _get(cfg, "sweep.omega_a_start_over_omega0", _number, 0.0)
-        stop = _get(cfg, "sweep.omega_a_stop_over_omega0", _number, 4.0)
-        count = _get(cfg, "sweep.omega_a_count", _count, 200)
+        count = cfg.get("sweep.omega_a_count", 200)
         if count < 1:
             raise ConfigError("sweep.omega_a_count: must be >= 1")
-        omega_a = np.linspace(start * w0, stop * w0, count)
-    arrangement = _get(cfg, "arrangement", _text, "rr")
-    rule = _get(cfg, "sweep.omega_b_rule", _text, "fixed")
-    value = _get(cfg, "sweep.omega_b_value_rad_s", _number, 0.0)
-    ratio = _get(cfg, "sweep.omega_b_ratio", _number, 0.0)
-    rel_tol = _get(cfg, "quadrature.rel_tol", _number, spectral.DEFAULT_REL_TOL)
-    out_path = _get(cfg, "output.path", _text, "")
-    out_format = _get(cfg, "output.format", _text, "csv")
+        omega_a = np.linspace(cfg.get("sweep.omega_a_start_over_omega0", 0.0) * w0,
+                              cfg.get("sweep.omega_a_stop_over_omega0", 4.0) * w0, count)
+    arrangement = cfg.get("arrangement", "rr")
+    rule = cfg.get("sweep.omega_b_rule", "fixed")
+    value = cfg.get("sweep.omega_b_value_rad_s", 0.0)
+    ratio = cfg.get("sweep.omega_b_ratio", 0.0)
     omega_a = _floats(omega_a, where)
     # the keys of every rule are checked, whichever rule the sweep takes
-    grid_b = _floats(_get(cfg, "sweep.omega_b_grid_rad_s", _array, ()),
-                     "sweep.omega_b_grid_rad_s")
+    grid_b = _floats(cfg.get("sweep.omega_b_grid_rad_s", ()), "sweep.omega_b_grid_rad_s")
     if not math.isfinite(value):
         raise ConfigError(f"sweep.omega_b_value_rad_s: non-finite value {value}")
     if rule == "fixed":
@@ -273,7 +272,9 @@ def parse_config(source=None):
         raise ConfigError("sweep.omega_a_grid_rad_s: empty grid")
     axes = (tuple(map(cfg.get, AXIS_KEYS)) if any(key in cfg for key in AXIS_KEYS)
             or arrangement == "general" else ())
-    spec = SweepSpec(arrangement, omega_a, omega_b, rel_tol, out_path, out_format, axes)
+    spec = SweepSpec(arrangement, omega_a, omega_b,
+                     cfg.get("quadrature.rel_tol", spectral.DEFAULT_REL_TOL),
+                     cfg.get("output.path", ""), cfg.get("output.format", "csv"), axes)
 
     try:
         ctx = PairContext(SpinningSphere(radius_a, mat_a, temperature),
@@ -673,26 +674,21 @@ def _dispatch(args):
     w0 = resonance_frequency(ctx.sphere_a.material)
 
     if args.command in ("energy", "force"):
-        arrangement = Arrangement(args.arrangement) if args.arrangement else spec.make_arrangement()
+        if args.arrangement:
+            spec = replace(spec, arrangement=args.arrangement, axes=())
         wa, wb = _rates(args, w0)
-        try:
-            de = configurations.delta_energy(ctx, arrangement, wa, wb, spec.rel_tol)
-            e = configurations.energy(ctx, arrangement, wa, wb, spec.rel_tol)
-            e0 = configurations.energy(ctx, arrangement, 0.0, 0.0, spec.rel_tol)
-        except ValueError as exc:   # Doppler images beyond the non-retarded regime
-            raise ConfigError(str(exc)) from None
-        except ArithmeticError as exc:  # a residue above its estimate fails as a tolerance does
-            raise ConvergenceError(str(exc)) from None
+        row = run_sweep(replace(spec, omega_a=(wa,), omega_b=(wb,)), ctx).rows[0]
+        if row["error"]:
+            raise ConvergenceError(row["error"])
         print(f"omega0_rad_s = {w0:.6e}")
         if args.command == "energy":
-            print(f"E_J      = {e:.10e}")
-            print(f"E0_J     = {e0:.10e}")
-            print(f"deltaE_J = {de:.10e}")
+            print(f"E_J      = {row['E_J']:.10e}")
+            print(f"E0_J     = {row['E0_J']:.10e}")
+            print(f"deltaE_J = {row['deltaE_J']:.10e}")
         else:
-            f, f0 = 6.0 * e / ctx.separation, 6.0 * e0 / ctx.separation
-            print(f"F_N       = {f:.10e}")
-            print(f"F0_N      = {f0:.10e}")
-            print(f"deltaF_fN = {6.0 * de / ctx.separation * 1e15:.10e}")
+            print(f"F_N       = {row['F_N']:.10e}")
+            print(f"F0_N      = {6.0 * row['E0_J'] / ctx.separation:.10e}")
+            print(f"deltaF_fN = {row['deltaF_fN']:.10e}")
         return 0
 
     if args.command == "sweep":

@@ -528,17 +528,21 @@ def _positive(rel_tol, what):
 def _fails(real, imag, roundoff, rel):
     """Whether closed-form values fail rel_tol ``rel``; floats or arrays alike.
 
-    A value fails if its imaginary residue exceeds its roundoff estimate,
-    or if the estimate exceeds both ``DEFAULT_ABS_TOL`` and rel |value|; a
-    NaN fails neither, and rel_tol inf passes every estimate.
+    A value fails if it is not finite (at any rel_tol, inf included), if
+    its imaginary residue exceeds its roundoff estimate, or if the estimate
+    exceeds both ``DEFAULT_ABS_TOL`` and rel |value|; rel_tol inf passes
+    every finite value's estimate.
     """
     # inf times a zero value would warn
     bound = np.maximum(DEFAULT_ABS_TOL, rel * abs(real)) if rel < math.inf else math.inf
-    return (abs(imag) > roundoff) | (roundoff > bound)
+    return ~np.isfinite(real) | (abs(imag) > roundoff) | (roundoff > bound)
 
 
 def _failure(what, value, roundoff, imag, rel):
-    """The error of a closed-form value that fails a check: its residue, then rel_tol."""
+    """The error of a failing closed-form value: not finite, its residue, then rel_tol."""
+    if not math.isfinite(value):
+        return ConvergenceError(f"{what}: value is not finite ({value})",
+                                value=value, estimate=roundoff)
     if abs(imag) > roundoff:
         return ArithmeticError(
             f"{what}: imaginary residue {imag:.3e} exceeds the "
@@ -596,8 +600,8 @@ def _checked(ctx, shifts, rel):
     Both kinds of every shift are evaluated in blocks of at most ``_BLOCK``
     points, one :func:`_closed_kinds` call each, and judged by
     :func:`_fails`, one array call per block. Returns the sums, an array,
-    and a dict from the index of each shift that fails to the arguments of
-    :func:`_failure`, but ``rel``, for its first failing kind, BA before AB.
+    and a dict from the index of each shift that fails to the error of its
+    first failing kind, BA before AB, as :func:`_failure` builds it.
     """
     sums, failures = np.empty(len(shifts)), {}
     step = _BLOCK // (len(ctx._rows) * max(map(len, ctx._poles)))
@@ -608,8 +612,9 @@ def _checked(ctx, shifts, rel):
         sums[start:start + step] = real[0] + real[1]
         for j in np.flatnonzero(fails[0] | fails[1]).tolist():
             k = 0 if fails[0, j] else 1
-            failures[start + j] = (f"energy_{_KINDS[k]}",
-                                   *(float(a[k, j]) for a in (real, roundoff, imag)))
+            failures[start + j] = _failure(f"energy_{_KINDS[k]}",
+                                           *(float(a[k, j]) for a in (real, roundoff, imag)),
+                                           rel)
     return sums, failures
 
 
@@ -654,7 +659,7 @@ def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
         hits = failed[inverse]
         for k in np.flatnonzero(hits.any(axis=1)).tolist():
             first = int(inverse[k, hits[k].argmax()])
-            errors[k if k < len(wa) - 1 else None] = _failure(*failures[first], rel)
+            errors[k if k < len(wa) - 1 else None] = failures[first]
             energies[k] = math.nan
     return energies[:-1], energies[-1], errors
 
@@ -682,7 +687,7 @@ def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):
     rel = _check(ctx, "general_energy", shifts, Omega_A, Omega_B, rel_tol)
     sums, failures = _checked(ctx, shifts, rel)
     if failures:
-        raise _failure(*failures[min(failures)], rel)
+        raise failures[min(failures)]
     total = 0.0
     for c, value in zip(weights.values(), sums.tolist()):
         total += c * value

@@ -6,12 +6,13 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spinvdw
-from spinvdw import baseline, configurations, spectral
+from spinvdw import baseline, cli, configurations, spectral
 from spinvdw.cli import (AXIS_KEYS, CSV_COLUMNS, DEFAULT_SEPARATION, PRESETS, ConfigError,
                          SweepResult, SweepSpec, _default_pair, _fmt, _run_checks, emit, main,
                          parse_config, read_csv_rows, run_preset, run_sweep)
@@ -229,6 +230,34 @@ class TestParseConfig:
         axes = [value if k == key else GENERAL_AXES[k] for k in AXIS_KEYS]
         with pytest.raises(ConfigError, match=f"^{key} must be a unit 3-vector, got "):
             SweepSpec(arrangement="general", omega_a=(0.0,), omega_b=(0.0,), axes=tuple(axes))
+
+    # a value of the wrong JSON type for each cast of the key table
+    WRONG = {cli._number: ("300", "must be a number, got '300'"),
+             cli._text: (5, "must be a string, got 5"),
+             cli._array: ("12", "must be an array, got '12'"),
+             cli._count: (2.5, "must be an integer, got 2.5")}
+
+    @pytest.mark.parametrize("key", sorted(cli._KEYS))
+    def test_every_key_rejects_the_wrong_type_used_or_not(self, key):
+        # a grid leaves the Omega_A range keys unused, the fixed rule the
+        # ratio and grid of Omega_B, and an rr arrangement the axes; each
+        # key is still cast, and named
+        value, message = self.WRONG[cli._KEYS[key]]
+        for base in ({}, {"sweep.omega_a_grid_rad_s": [1e10], "arrangement": "rr",
+                          "sweep.omega_b_rule": "fixed"}):
+            with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}$"):
+                parse_config({**base, key: value})
+
+    def test_range_keys_are_checked_beside_a_grid(self):
+        grid = {"sweep.omega_a_grid_rad_s": [1e10]}
+        with pytest.raises(ConfigError, match="^sweep.omega_a_start_over_omega0: must be a "
+                                              "number, got 'x'$"):
+            parse_config({**grid, "sweep.omega_a_start_over_omega0": "x",
+                          "sweep.omega_a_count": 2.5})
+        # the grid gives the rates, and the range keys' own values are not judged
+        spec, _ = parse_config({**grid, "sweep.omega_a_count": 0,
+                                "sweep.omega_a_stop_over_omega0": math.nan})
+        assert spec.omega_a == (1e10,)
 
 
 class TestSweepSpec:
@@ -1118,6 +1147,48 @@ class TestRowFloats:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestPointCommands:
+    """``energy`` and ``force`` print the numbers of a one-row sweep."""
+
+    @pytest.mark.parametrize("config", [{"arrangement": kind} for kind in ("rr", "uu", "ur", "uo")]
+                             + [GENERAL_AXES], ids=["rr", "uu", "ur", "uo", "general"])
+    @pytest.mark.parametrize("command", ["energy", "force"])
+    def test_lines_are_the_row_of_a_one_row_sweep(self, tmp_path, capsys, monkeypatch,
+                                                  config, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        calls = dict.fromkeys(("sweep_energies", "general_energy"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _inner=getattr(spectral, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counting)
+        assert main(["--config", str(path), command, "--omega-a", "1.3", "--omega-b=-0.4"]) == 0
+        assert calls == {"sweep_energies": 1, "general_energy": 0}
+        monkeypatch.undo()
+        spec, ctx = parse_config(config)
+        w0 = resonance_frequency(ctx.sphere_a.material)
+        row = run_sweep(replace(spec, omega_a=(1.3 * w0,), omega_b=(-0.4 * w0,)), ctx).rows[0]
+        assert not row["error"]
+        if command == "energy":
+            lines = [f"E_J      = {row['E_J']:.10e}", f"E0_J     = {row['E0_J']:.10e}",
+                     f"deltaE_J = {row['deltaE_J']:.10e}"]
+        else:
+            lines = [f"F_N       = {row['F_N']:.10e}",
+                     f"F0_N      = {6.0 * row['E0_J'] / ctx.separation:.10e}",
+                     f"deltaF_fN = {row['deltaF_fN']:.10e}"]
+        assert capsys.readouterr().out == "\n".join([f"omega0_rad_s = {w0:.6e}", *lines, ""])
+
+    @pytest.mark.parametrize("command", ["energy", "force"])
+    def test_failed_row_is_3(self, capsys, command):
+        # at rel_tol 1e-17 the rest energy fails, and with it the one row
+        assert main(["--rel-tol", "1e-17", command]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical non-convergence: ConvergenceError: zero-rotation "
+                              "reference failed: ConvergenceError: energy_BA: rel_tol 1.0e-17")
+
+
 class TestPresets:
     def test_preset_determinism(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1386,6 +1457,26 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numerical non-convergence: ") and "imaginary residue" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_energy_is_3(self, tmp_path, capsys):
+        # a damping that dwarfs the resonance overflows the closed form's
+        # working units into NaN: a failed point, and failed sweep rows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"material.omega_tilde0_rad_s": 1e-300,
+                                   "sweep.omega_a_count": 3}))
+        for command in ("energy", "force"):
+            assert main(["--config", str(cfg), command, "--omega-a", "0.5"]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("numerical non-convergence: ")
+            assert "value is not finite (nan)" in err
+        out_path = tmp_path / "out.csv"
+        assert main(["--config", str(cfg), "sweep", "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {out_path} (3 rows, 3 failed)\n"
+        rows = read_csv_rows(out_path)
+        assert len(rows) == 3
+        assert all("value is not finite (nan)" in row["error"] for row in rows)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_fixed_rate_sweep_is_2(self, tmp_path, capsys, value):

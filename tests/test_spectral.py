@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import mpmath
@@ -403,6 +404,37 @@ class TestClosedForm:
         monkeypatch.setattr(spectral, "_closed", tilt)
         with pytest.raises(ArithmeticError, match="^energy_BA: imaginary residue"):
             spectral.general_energy(ctx300, Arrangement("uu")._terms, 0.7 * w0, -0.3 * w0)
+
+    @pytest.mark.parametrize("rel", [1e-8, math.inf])
+    def test_non_finite_value_fails_at_any_tolerance(self, rel):
+        # a NaN or infinite value fails every rel_tol, inf included, and its
+        # error names that before a residue or a tolerance
+        for value in (math.nan, math.inf, -math.inf):
+            assert spectral._fails(value, 0.0, 0.0, rel)
+            assert spectral._fails(np.array([1.0, value]), np.zeros(2), np.zeros(2),
+                                   rel).tolist() == [False, True]
+            error = spectral._failure("energy_AB", value, 1e-16, 1.0, rel)
+            assert type(error) is ConvergenceError
+            assert str(error) == f"energy_AB: value is not finite ({value})"
+        # a damping that dwarfs the resonance overflows the working units:
+        # every value of the closed form is NaN, and every call fails
+        mat = MaterialModel(12.2, 1e-300, 2.8e8)
+        sphere = SpinningSphere(A, mat, 300.0)
+        ctx = PairContext(sphere, sphere, R)
+        w = 0.5 * resonance_frequency(mat)
+        uo = Arrangement("uo")._terms
+        message = r"^energy_(BA|AB): value is not finite \(nan\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for call in (lambda: spectral.general_energy(ctx, uo, w, -w, rel),
+                         lambda: energy_BA(ctx, w, rel), lambda: energy_AB(ctx, w, rel),
+                         lambda: aux_energy(ctx, w, rel)):
+                with pytest.raises(ConvergenceError, match=message):
+                    call()
+            energies, rest, errors = spectral.sweep_energies(ctx, uo, [0.0, w], [0.0, -w], rel)
+        assert all(map(math.isnan, [*energies, rest]))
+        assert sorted(errors, key=str) == [0, 1, None]
+        assert all(re.match(message, str(exc)) for exc in errors.values())
 
 
 class TestStackedClosedForm:
@@ -1026,7 +1058,7 @@ def _checked_sums(ctx, shifts, rel):
         kinds = [(which, values[k, j].real, roundoff[k, j], values[k, j].imag)
                  for k, which in enumerate(spectral._KINDS)]
         failed = [kind for kind in kinds
-                  if abs(kind[3]) > kind[2]
+                  if not math.isfinite(kind[1]) or abs(kind[3]) > kind[2]
                   or kind[2] > spectral.DEFAULT_ABS_TOL and kind[2] > rel * abs(kind[1])]
         sums.append(math.nan if failed else kinds[0][1] + kinds[1][1])
         failures.append(failed[0] if failed else None)
