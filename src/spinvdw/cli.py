@@ -679,7 +679,8 @@ def _dispatch(args):
         wa, wb = _rates(args, w0)
         row = run_sweep(replace(spec, omega_a=(wa,), omega_b=(wb,)), ctx).rows[0]
         if row["error"]:
-            raise ConvergenceError(row["error"])
+            # main's message names the ConvergenceError that the CSV's text leads with
+            raise ConvergenceError(row["error"].removeprefix("ConvergenceError: "))
         print(f"omega0_rad_s = {w0:.6e}")
         if args.command == "energy":
             print(f"E_J      = {row['E_J']:.10e}")

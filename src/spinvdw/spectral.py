@@ -320,9 +320,9 @@ def _series_terms(rho):
 _RHO = 0.25
 _TERMS = _series_terms(_RHO)
 _ZETA = np.array(_zeta_table(2 * _TERMS - 1))          # zeta(2) ... zeta(2 _TERMS)
-# complex, as the moments it contracts, so that no call casts it
+# complex, as the moments and the powers of t that they meet, so that no call casts them
 _HANKEL = _ZETA[np.add.outer(np.arange(_TERMS), np.arange(_TERMS))].astype(complex)
-_POWERS = np.arange(_TERMS)
+_POWERS = np.arange(_TERMS, dtype=complex)
 
 
 def _series_size(rho):
@@ -610,11 +610,12 @@ def _checked(ctx, shifts, rel):
         real, imag = values.real, values.imag
         fails = _fails(real, imag, roundoff, rel)
         sums[start:start + step] = real[0] + real[1]
-        for j in np.flatnonzero(fails[0] | fails[1]).tolist():
-            k = 0 if fails[0, j] else 1
-            failures[start + j] = _failure(f"energy_{_KINDS[k]}",
-                                           *(float(a[k, j]) for a in (real, roundoff, imag)),
-                                           rel)
+        if fails.any():
+            for j in np.flatnonzero(fails[0] | fails[1]).tolist():
+                k = 0 if fails[0, j] else 1
+                failures[start + j] = _failure(f"energy_{_KINDS[k]}",
+                                               *(float(a[k, j]) for a in (real, roundoff, imag)),
+                                               rel)
     return sums, failures
 
 
@@ -638,15 +639,17 @@ def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
     """
     s, t, c = zip(*terms)
     wa, wb = np.append(omega_a, 0.0), np.append(omega_b, 0.0)    # the rest energy last
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow reaches no value unjudged: _check rejects a non-finite
+    # shift and _fails every non-finite value, so numpy need not warn of it
+    with np.errstate(all="ignore"):
         x = np.abs(np.multiply.outer(wa, s) - np.multiply.outer(wb, t)) / ctx._scaled[0]
-    tops = x.max(axis=1)                                    # NaN or infinity too
-    finite = np.isfinite(tops)
-    k = int(tops.argmax()) if finite.all() else int(finite.argmin())
-    rel = _check(ctx, "sweep_energies", x[k].tolist(), float(wa[k]), float(wb[k]), rel_tol)
-    shifts, inverse = np.unique(x, return_inverse=True)
-    inverse = inverse.reshape(x.shape)
-    sums, failures = _checked(ctx, shifts.tolist(), rel)
+        tops = x.max(axis=1)                                # NaN or infinity too
+        finite = np.isfinite(tops)
+        k = int(tops.argmax()) if finite.all() else int(finite.argmin())
+        rel = _check(ctx, "sweep_energies", x[k].tolist(), float(wa[k]), float(wb[k]), rel_tol)
+        shifts, inverse = np.unique(x, return_inverse=True)
+        inverse = inverse.reshape(x.shape)
+        sums, failures = _checked(ctx, shifts.tolist(), rel)
     values = sums[inverse]                                  # (rows + 1, terms)
     total = np.zeros(len(wa))
     for j, weight in enumerate(c):

@@ -1185,8 +1185,11 @@ class TestPointCommands:
         assert main(["--rel-tol", "1e-17", command]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("numerical non-convergence: ConvergenceError: zero-rotation "
-                              "reference failed: ConvergenceError: energy_BA: rel_tol 1.0e-17")
+        # the message names each exception type once: the CSV's leading
+        # "ConvergenceError: " is what "numerical non-convergence" says
+        assert err.startswith("numerical non-convergence: zero-rotation reference failed: "
+                              "ConvergenceError: energy_BA: rel_tol 1.0e-17")
+        assert err.count("ConvergenceError") == 1
 
 
 class TestPresets:
@@ -1458,10 +1461,11 @@ class TestMainExitCodes:
         assert out == ""
         assert err.startswith("numerical non-convergence: ") and "imaginary residue" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_energy_is_3(self, tmp_path, capsys):
         # a damping that dwarfs the resonance overflows the closed form's
-        # working units into NaN: a failed point, and failed sweep rows
+        # working units into NaN: a failed point, and failed sweep rows,
+        # with no numpy warning on the way
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"material.omega_tilde0_rad_s": 1e-300,
                                    "sweep.omega_a_count": 3}))
@@ -1469,11 +1473,11 @@ class TestMainExitCodes:
             assert main(["--config", str(cfg), command, "--omega-a", "0.5"]) == 3
             out, err = capsys.readouterr()
             assert out == ""
-            assert err.startswith("numerical non-convergence: ")
+            assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
             assert "value is not finite (nan)" in err
         out_path = tmp_path / "out.csv"
         assert main(["--config", str(cfg), "sweep", "--out", str(out_path)]) == 0
-        assert capsys.readouterr().out == f"wrote {out_path} (3 rows, 3 failed)\n"
+        assert capsys.readouterr() == (f"wrote {out_path} (3 rows, 3 failed)\n", "")
         rows = read_csv_rows(out_path)
         assert len(rows) == 3
         assert all("value is not finite (nan)" in row["error"] for row in rows)

@@ -882,6 +882,24 @@ class TestShiftCache:
         assert energy_BA(ctx, 0.7 * w0) == good
         monkeypatch.undo()
         assert aux_energy(ctx, 0.7 * w0) == total
+        # a three-row sweep of the pair with AB corrupt at one shift only:
+        # that row fails, named for AB, and no other row does
+        rates, terms = [0.3 * w0, 0.7 * w0, 1.1 * w0], ((1.0, 0.0, 0.5),)    # E(|Omega_A|)
+        clean, rest, errors = spectral.sweep_energies(ctx, terms, rates, [0.0] * 3)
+        assert errors == {}
+        bad = rates[1] / ctx._scaled[0]
+
+        def corrupt_one(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            assert len(rows) == 2 and bad in shifts
+            return value + 1j * np.outer(np.arange(2) == 1, np.equal(shifts, bad)), roundoff
+
+        monkeypatch.setattr(spectral, "_closed", corrupt_one)
+        energies, rest_again, errors = spectral.sweep_energies(ctx, terms, rates, [0.0] * 3)
+        assert list(errors) == [1] and type(errors[1]) is ArithmeticError
+        assert re.match(message, str(errors[1]))
+        assert math.isnan(energies[1])
+        assert (energies[0], energies[2], rest_again) == (clean[0], clean[2], rest)
 
     def test_adjacent_doubles_are_two_shifts(self, monkeypatch, ctx300, w0):
         # shifts one ulp apart are two shifts in a one-point call, as in a
