@@ -10,21 +10,18 @@ and the empty config reproduces the default BST pair (a = 60 nm, R = 180 nm,
 T = 300 K). See the README for the schema.
 """
 
-import argparse
 import functools
 import itertools
-import json
 import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baseline, configurations, oracle, spectral
 from .configurations import Arrangement, _number
-from .response import MaterialModel, SpinningSphere, bst, resonance_frequency
+from .response import MaterialModel, SpinningSphere, _Value, bst, resonance_frequency
 from .spectral import ConvergenceError, PairContext
 
 __all__ = ["ConfigError", "SweepSpec", "SweepResult", "parse_config",
@@ -45,8 +42,7 @@ class ConfigError(ValueError):
     """Bad or inconsistent configuration; the message names the key."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Value):
     """One rotation-rate sweep: arrangement, the rates of its rows, and output.
 
     The spheres, their temperature and their distance are not part of it:
@@ -61,15 +57,12 @@ class SweepSpec:
     given axes are a ConfigError that names their keys.
     """
 
-    arrangement: str = "rr"
-    omega_a: tuple = ()               # rad/s, one per row
-    omega_b: tuple = ()               # rad/s, one per row
-    rel_tol: float = spectral.DEFAULT_REL_TOL
-    out_path: str = ""
-    out_format: str = "csv"
-    axes: tuple = ()                  # (axis_a, axis_b, rhat) when general
+    _fields = ("arrangement", "omega_a", "omega_b", "rel_tol", "out_path", "out_format",
+               "axes")
 
-    def __post_init__(self):
+    def __init__(self, arrangement="rr", omega_a=(), omega_b=(),
+                 rel_tol=spectral.DEFAULT_REL_TOL, out_path="", out_format="csv", axes=()):
+        super().__init__(arrangement, omega_a, omega_b, rel_tol, out_path, out_format, axes)
         # Python floats, whatever built the rates: rows then skip numpy
         # scalar arithmetic, and emit writes their rates as floats
         for name in ("omega_a", "omega_b"):
@@ -103,23 +96,29 @@ class SweepSpec:
         if not self.rel_tol > 0.0:      # NaN too; inf stays valid
             raise ConfigError(f"quadrature.rel_tol: must be > 0, got {self.rel_tol}")
 
+    def replace(self, **changes):
+        """A new spec with ``changes`` to these fields, checked as a new spec is."""
+        return SweepSpec(**dict(zip(self._fields, self._values()), **changes))
+
     def make_arrangement(self):
         if self.arrangement == "general":
             return Arrangement("general", *self.axes)
         return Arrangement(self.arrangement)
 
 
-@dataclass
-class SweepResult:
+class SweepResult(_Value):
     """Computed sweep points as columns, plus run metadata.
 
     ``columns`` maps each column name, in output order, to a list with one
     value per row (for a sweep, the ``CSV_COLUMNS``); ``rows`` is the same
-    table as one dict per row, built from the columns on first use.
+    table as one dict per row, built from the columns on first use. Its
+    fields can be assigned, and it has no hash.
     """
 
-    columns: dict
-    metadata: dict
+    _fields = ("columns", "metadata")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     @functools.cached_property
     def rows(self):
@@ -208,6 +207,8 @@ def parse_config(source=None):
     elif isinstance(source, dict):
         cfg = dict(source)
     else:
+        import json     # here, so that sweeps from a dict or a preset do not import it
+
         try:
             with open(source) as fh:
                 cfg = json.load(fh)
@@ -419,6 +420,8 @@ def emit(result, fmt, path):
             lines += [line % values for values in (zip(*varying) if varying else [()] * n)]
         text = "".join(lines)
     else:
+        import json     # here, so that sweeps to CSV do not import it
+
         safe = [{key: None if isinstance(value, float) and not math.isfinite(value) else value
                  for key, value in fields.items()} for fields in (result.metadata, *result.rows)]
         text = json.dumps({"metadata": safe[0], "rows": safe[1:]}, indent=1,
@@ -605,6 +608,8 @@ def _point_args(sub):
 
 
 def build_parser():
+    import argparse     # here, so that importing the module for its sweeps does not import it
+
     parser = argparse.ArgumentParser(
         prog="spinvdw",
         description="van der Waals energies and forces between spinning nanospheres")
@@ -670,14 +675,14 @@ def _rates(args, w0):
 def _dispatch(args):
     spec, ctx = parse_config(args.config)
     if args.rel_tol is not None:
-        spec = replace(spec, rel_tol=args.rel_tol)
+        spec = spec.replace(rel_tol=args.rel_tol)
     w0 = resonance_frequency(ctx.sphere_a.material)
 
     if args.command in ("energy", "force"):
         if args.arrangement:
-            spec = replace(spec, arrangement=args.arrangement, axes=())
+            spec = spec.replace(arrangement=args.arrangement, axes=())
         wa, wb = _rates(args, w0)
-        row = run_sweep(replace(spec, omega_a=(wa,), omega_b=(wb,)), ctx).rows[0]
+        row = run_sweep(spec.replace(omega_a=(wa,), omega_b=(wb,)), ctx).rows[0]
         if row["error"]:
             # main's message names the ConvergenceError that the CSV's text leads with
             raise ConvergenceError(row["error"].removeprefix("ConvergenceError: "))

@@ -12,9 +12,8 @@ neglecting dissipation.
 """
 
 import math
-from dataclasses import dataclass
 
-from .response import EPS0, HBAR
+from .response import EPS0, HBAR, _Value
 
 __all__ = ["LorentzPair", "eba_closed", "eab_closed", "aux_closed",
            "ratio_aux", "ratio_rr", "ratio_uu", "PoleError"]
@@ -26,8 +25,7 @@ class PoleError(ArithmeticError):
     """Closed-form evaluation requested inside the pole exclusion radius."""
 
 
-@dataclass(frozen=True)
-class LorentzPair:
+class LorentzPair(_Value):
     """Two undamped Lorentz spheres: alpha(w) = alpha0*w0^2/(w0^2 - w^2).
 
     Parameters
@@ -40,13 +38,10 @@ class LorentzPair:
         Center-to-center distance R (m), > 0.
     """
 
-    alpha0A: float
-    alpha0B: float
-    omega0A: float
-    omega0B: float
-    separation: float
+    _fields = ("alpha0A", "alpha0B", "omega0A", "omega0B", "separation")
 
-    def __post_init__(self):
+    def __init__(self, alpha0A, alpha0B, omega0A, omega0B, separation):
+        super().__init__(alpha0A, alpha0B, omega0A, omega0B, separation)
         for name in ("alpha0A", "alpha0B", "omega0A", "omega0B", "separation"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0")

@@ -9,7 +9,6 @@ and the shifted integrals of :mod:`spinvdw.spectral`.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +35,43 @@ class PoleProximityError(ArithmeticError):
     """Response function evaluated at (or numerically on top of) a pole."""
 
 
-@dataclass(frozen=True)
-class MaterialModel:
+class _Value:
+    """Equality, hash, repr and read-only fields of a value class, from ``_fields``.
+
+    What ``dataclass(frozen=True)`` gives, without the cost of generating
+    its methods at import: a subclass's ``__init__`` passes its values, in
+    ``_fields`` order, to this one, then checks them.
+    """
+
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MaterialModel(_Value):
     """Single Lorentz oscillator: eps(w)/eps0 = 1 + f0*wt0^2/(wt0^2 - w^2 - i*g0*w).
 
     Parameters
@@ -50,11 +84,10 @@ class MaterialModel:
         Damping rate (rad/s), >= 0. Zero gives the dissipationless model.
     """
 
-    f0: float
-    omega_tilde0: float
-    gamma0: float
+    _fields = ("f0", "omega_tilde0", "gamma0")
 
-    def __post_init__(self):
+    def __init__(self, f0, omega_tilde0, gamma0):
+        super().__init__(f0, omega_tilde0, gamma0)
         if not (self.f0 > 0):
             raise ValueError(f"f0 must be > 0, got {self.f0}")
         if not (self.omega_tilde0 > 0):
@@ -73,8 +106,7 @@ def bst(gamma_scale=1.0):
     return MaterialModel(BST_F0, BST_OMEGA_TILDE0, BST_GAMMA0 * gamma_scale)
 
 
-@dataclass(frozen=True)
-class SpinningSphere:
+class SpinningSphere(_Value):
     """A nanosphere with an internal temperature.
 
     Its spin axis belongs to the arrangement and its spin rate is an
@@ -86,18 +118,21 @@ class SpinningSphere:
         Sphere radius (m), > 0.
     material : MaterialModel
     temperature : float
-        Internal temperature (K), >= 0. Zero is treated exactly (coth -> sgn).
+        Internal temperature (K), finite and >= 0. Zero is treated exactly
+        (coth -> sgn).
     """
 
-    radius: float
-    material: MaterialModel
-    temperature: float = 300.0
+    _fields = ("radius", "material", "temperature")
 
-    def __post_init__(self):
+    def __init__(self, radius, material, temperature=300.0):
+        super().__init__(radius, material, temperature)
         if not (self.radius > 0):
             raise ValueError(f"radius must be > 0, got {self.radius}")
         if not (self.temperature >= 0):
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        # theta = hbar w/2kT would be 0, which the closed form takes for T = 0
+        if self.temperature == math.inf:
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
 
 
 def resonance_frequency(material):

@@ -37,11 +37,10 @@ joules appear only in the returned values.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .response import C_LIGHT, HBAR, K_B, resonance_frequency
+from .response import C_LIGHT, HBAR, K_B, _Value, resonance_frequency
 
 __all__ = [
     "ConvergenceError", "PairContext", "pair_quadrature_spec",
@@ -71,8 +70,7 @@ class ConvergenceError(RuntimeError):
         self.estimate = estimate
 
 
-@dataclass(frozen=True)
-class PairContext:
+class PairContext(_Value):
     """Two spheres and their distance; everything the shift integrals need.
 
     The directions (spin axes and line of centers) live in
@@ -97,11 +95,10 @@ class PairContext:
         ValueError where that sum passes the bound.
     """
 
-    sphere_a: object
-    sphere_b: object
-    separation: float
+    _fields = ("sphere_a", "sphere_b", "separation")
 
-    def __post_init__(self):
+    def __init__(self, sphere_a, sphere_b, separation):
+        super().__init__(sphere_a, sphere_b, separation)
         if self.separation <= self.sphere_a.radius + self.sphere_b.radius:
             raise ValueError("separation must exceed the summed radii")
         ma, mb = self.sphere_a.material, self.sphere_b.material
@@ -640,7 +637,8 @@ def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
     s, t, c = zip(*terms)
     wa, wb = np.append(omega_a, 0.0), np.append(omega_b, 0.0)    # the rest energy last
     # an overflow reaches no value unjudged: _check rejects a non-finite
-    # shift and _fails every non-finite value, so numpy need not warn of it
+    # shift and _fails every non-finite value, so numpy need not warn of it;
+    # the rows' sums are inside too, where values that failed may overflow
     with np.errstate(all="ignore"):
         x = np.abs(np.multiply.outer(wa, s) - np.multiply.outer(wb, t)) / ctx._scaled[0]
         tops = x.max(axis=1)                                # NaN or infinity too
@@ -650,11 +648,11 @@ def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
         shifts, inverse = np.unique(x, return_inverse=True)
         inverse = inverse.reshape(x.shape)
         sums, failures = _checked(ctx, shifts.tolist(), rel)
-    values = sums[inverse]                                  # (rows + 1, terms)
-    total = np.zeros(len(wa))
-    for j, weight in enumerate(c):
-        total += weight * values[:, j]
-    energies = (2.0 * ctx._joules * total).tolist()
+        values = sums[inverse]                              # (rows + 1, terms)
+        total = np.zeros(len(wa))
+        for j, weight in enumerate(c):
+            total += weight * values[:, j]
+        energies = (2.0 * ctx._joules * total).tolist()
     errors = {}
     if failures:
         failed = np.zeros(len(shifts), dtype=bool)

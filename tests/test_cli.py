@@ -6,13 +6,12 @@ import re
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spinvdw
-from spinvdw import baseline, cli, configurations, spectral
+from spinvdw import baseline, cli, configurations, oracle, spectral
 from spinvdw.cli import (AXIS_KEYS, CSV_COLUMNS, DEFAULT_SEPARATION, PRESETS, ConfigError,
                          SweepResult, SweepSpec, _default_pair, _fmt, _run_checks, emit, main,
                          parse_config, read_csv_rows, run_preset, run_sweep)
@@ -310,6 +309,76 @@ class TestSweepSpec:
         config = {"arrangement": "general", "sweep.omega_a_grid_rad_s": [0.0],
                   **dict(zip(AXIS_KEYS, ([0, 0, 1], [0, 0, 1], [1, 0, 0])))}
         assert parse_config(config)[0] == spec
+
+    def test_replace_checks_the_new_spec(self):
+        spec = SweepSpec(omega_a=(1e10,), omega_b=(0.0,))
+        with pytest.raises(ConfigError, match="^arrangement: unknown value 'xx'$"):
+            spec.replace(arrangement="xx")
+        new = spec.replace(omega_a=np.array([1e10, 2e10]), omega_b=[np.float64(0.5), 1])
+        assert (new.omega_a, new.omega_b) == ((1e10, 2e10), (0.5, 1.0))
+        assert all(type(v) is float for v in new.omega_a + new.omega_b)
+        assert new.replace(omega_a=(1e10,), omega_b=(0.0,)) == spec
+        assert spec.omega_a == (1e10,)
+        with pytest.raises(TypeError):
+            spec.replace(colour="red")
+
+
+class TestValueClasses:
+    """The value classes compare, hash and print by their fields, which are read-only."""
+
+    # each class: a maker of new instances with equal fields, and one that differs
+    CASES = {
+        "MaterialModel": (lambda: MaterialModel(12.2, 5.7e9, 2.8e8),
+                          MaterialModel(12.2, 5.7e9, 2.9e8)),
+        "SpinningSphere": (lambda: SpinningSphere(60e-9, bst()),
+                           SpinningSphere(60e-9, bst(), 0.0)),
+        "PairContext": (_default_pair, _default_pair(0.0)),
+        "LorentzPair": (lambda: oracle.LorentzPair(1e-33, 2e-33, 1e10, 1e10, 1.8e-7),
+                        oracle.LorentzPair(2e-33, 1e-33, 1e10, 1e10, 1.8e-7)),
+        "SweepSpec": (lambda: SweepSpec(omega_a=(1e10,), omega_b=(0.0,)),
+                      SweepSpec(omega_a=(1e10,), omega_b=(-0.0,), arrangement="uu")),
+        "SweepResult": (lambda: SweepResult({"E_J": [1.0]}, {"preset": "x"}),
+                        SweepResult({"E_J": [1.0]}, {"preset": "y"})),
+    }
+    FROZEN = [name for name in CASES if name != "SweepResult"]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equal_fields_give_equal_objects(self, name):
+        make, other = self.CASES[name]
+        first, second = make(), make()
+        assert first is not second and first == second and not first != second
+        assert first != other and first != tuple(vars(first).values())
+
+    @pytest.mark.parametrize("name", FROZEN)
+    def test_equal_frozen_objects_hash_alike(self, name):
+        first, second = self.CASES[name][0](), self.CASES[name][0]()
+        assert hash(first) == hash(second) and {first: name}[second] == name
+
+    def test_result_is_unhashable_and_assignable(self):
+        result = self.CASES["SweepResult"][0]()
+        with pytest.raises(TypeError):
+            hash(result)
+        result.metadata = {"preset": "y"}
+        assert result == self.CASES["SweepResult"][1]
+
+    @pytest.mark.parametrize("name", FROZEN)
+    def test_fields_are_read_only(self, name):
+        value = self.CASES[name][0]()
+        for attr, field in list(vars(value).items()):       # a context's derived ones too
+            with pytest.raises(AttributeError):
+                setattr(value, attr, field)
+            with pytest.raises(AttributeError):
+                delattr(value, attr)
+        assert value == self.CASES[name][0]()
+
+    def test_repr_names_each_field(self):
+        material = "MaterialModel(f0=12.2, omega_tilde0=5700000000.0, gamma0=280000000.0)"
+        assert repr(bst()) == material
+        assert repr(SpinningSphere(6e-08, bst())) == (
+            f"SpinningSphere(radius=6e-08, material={material}, temperature=300.0)")
+        assert repr(SweepSpec(omega_a=(1.0,), omega_b=(0.0,))) == (
+            "SweepSpec(arrangement='rr', omega_a=(1.0,), omega_b=(0.0,), rel_tol=1e-08, "
+            "out_path='', out_format='csv', axes=())")
 
 
 class TestSweep:
@@ -1168,7 +1237,7 @@ class TestPointCommands:
         monkeypatch.undo()
         spec, ctx = parse_config(config)
         w0 = resonance_frequency(ctx.sphere_a.material)
-        row = run_sweep(replace(spec, omega_a=(1.3 * w0,), omega_b=(-0.4 * w0,)), ctx).rows[0]
+        row = run_sweep(spec.replace(omega_a=(1.3 * w0,), omega_b=(-0.4 * w0,)), ctx).rows[0]
         assert not row["error"]
         if command == "energy":
             lines = [f"E_J      = {row['E_J']:.10e}", f"E0_J     = {row['E0_J']:.10e}",
@@ -1464,23 +1533,34 @@ class TestMainExitCodes:
     @pytest.mark.filterwarnings("error")
     def test_non_finite_energy_is_3(self, tmp_path, capsys):
         # a damping that dwarfs the resonance overflows the closed form's
-        # working units into NaN: a failed point, and failed sweep rows,
-        # with no numpy warning on the way
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"material.omega_tilde0_rad_s": 1e-300,
-                                   "sweep.omega_a_count": 3}))
-        for command in ("energy", "force"):
-            assert main(["--config", str(cfg), command, "--omega-a", "0.5"]) == 3
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
-            assert "value is not finite (nan)" in err
-        out_path = tmp_path / "out.csv"
-        assert main(["--config", str(cfg), "sweep", "--out", str(out_path)]) == 0
-        assert capsys.readouterr() == (f"wrote {out_path} (3 rows, 3 failed)\n", "")
-        rows = read_csv_rows(out_path)
-        assert len(rows) == 3
-        assert all("value is not finite (nan)" in row["error"] for row in rows)
+        # working units into NaN, and a huge temperature its roundoff
+        # estimate, and the rows' weighted sums, into infinity: a failed
+        # point, and failed sweep rows, with no numpy warning on the way
+        for config, message in (({"material.omega_tilde0_rad_s": 1e-300},
+                                 "value is not finite (nan)"),
+                                ({"temperature_K": 1e306}, "roundoff estimate inf")):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**config, "sweep.omega_a_count": 3}))
+            for command in ("energy", "force"):
+                assert main(["--config", str(cfg), command, "--omega-a", "0.5"]) == 3
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
+                assert message in err
+            out_path = tmp_path / "out.csv"
+            assert main(["--config", str(cfg), "sweep", "--out", str(out_path)]) == 0
+            assert capsys.readouterr() == (f"wrote {out_path} (3 rows, 3 failed)\n", "")
+            rows = read_csv_rows(out_path)
+            assert len(rows) == 3
+            assert all(message in row["error"] for row in rows)
+
+    def test_infinite_temperature_is_2(self, tmp_path, capsys):
+        # theta = hbar w/2kT is 0 at T = inf, which the closed form took
+        # for T = 0, printing the zero-temperature values
+        cfg = tmp_path / "hot.json"
+        cfg.write_text('{"temperature_K": Infinity}')
+        assert main(["--config", str(cfg), "energy", "--omega-a", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "config error: temperature must be finite, got inf\n")
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_fixed_rate_sweep_is_2(self, tmp_path, capsys, value):
@@ -1568,14 +1648,26 @@ class TestMainExitCodes:
         ok, info = rows["exchange_symmetry"]
         assert ok and float(info.removeprefix("dev=")) <= 1e-9
 
-    def test_import_leaves_scipy_unloaded(self):
-        # the physical constants are literals; scipy would cost start-up time
+    @staticmethod
+    def _fresh_python(code):
+        """What ``python -c code`` prints, with this spinvdw first on the path."""
         src = os.path.dirname(os.path.dirname(spinvdw.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, spinvdw.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))"],
-            env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=env, capture_output=True, text=True, check=True)
+        return proc.stdout.strip()
+
+    def test_import_after_numpy_loads_no_argparse_json_or_dataclasses(self):
+        # sweeps use none of them, and each costs start-up time; the
+        # difference after numpy holds whatever numpy itself imports
+        assert self._fresh_python(
+            "import sys, numpy; before = set(sys.modules); import spinvdw.cli; "
+            "print(sorted({'argparse', 'json', 'dataclasses'} & (set(sys.modules) - before)))"
+        ) == "[]"
+
+    def test_import_leaves_scipy_unloaded(self):
+        # the physical constants are literals; scipy would cost start-up time
+        assert self._fresh_python(
+            "import sys, spinvdw.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))") == "[]"

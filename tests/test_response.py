@@ -150,6 +150,9 @@ class TestValidation:
             SpinningSphere(-A, bst())
         with pytest.raises(ValueError):
             SpinningSphere(A, bst(), -5.0)
+        # theta = hbar w/2kT would be 0, the closed form's mark of T = 0
+        with pytest.raises(ValueError, match="^temperature must be finite, got inf$"):
+            SpinningSphere(A, bst(), math.inf)
 
     def test_resonance_above_bare_frequency(self, material):
         assert resonance_frequency(material) > material.omega_tilde0
