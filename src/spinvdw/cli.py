@@ -10,8 +10,10 @@ and the empty config reproduces the default BST pair (a = 60 nm, R = 180 nm,
 T = 300 K). See the README for the schema.
 """
 
+import argparse
 import functools
 import itertools
+import json
 import math
 import os
 import stat
@@ -56,9 +58,6 @@ class SweepSpec(_Value):
     ``AXIS_KEYS``. The canonical arrangements fix their axes, and take none:
     given axes are a ConfigError that names their keys.
     """
-
-    _fields = ("arrangement", "omega_a", "omega_b", "rel_tol", "out_path", "out_format",
-               "axes")
 
     def __init__(self, arrangement="rr", omega_a=(), omega_b=(),
                  rel_tol=spectral.DEFAULT_REL_TOL, out_path="", out_format="csv", axes=()):
@@ -106,19 +105,17 @@ class SweepSpec(_Value):
         return Arrangement(self.arrangement)
 
 
-class SweepResult(_Value):
+class SweepResult:
     """Computed sweep points as columns, plus run metadata.
 
     ``columns`` maps each column name, in output order, to a list with one
     value per row (for a sweep, the ``CSV_COLUMNS``); ``rows`` is the same
-    table as one dict per row, built from the columns on first use. Its
-    fields can be assigned, and it has no hash.
+    table as one dict per row, built from the columns on first use.
     """
 
-    _fields = ("columns", "metadata")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    def __init__(self, columns, metadata):
+        self.columns = columns
+        self.metadata = metadata
 
     @functools.cached_property
     def rows(self):
@@ -207,8 +204,6 @@ def parse_config(source=None):
     elif isinstance(source, dict):
         cfg = dict(source)
     else:
-        import json     # here, so that sweeps from a dict or a preset do not import it
-
         try:
             with open(source) as fh:
                 cfg = json.load(fh)
@@ -420,8 +415,6 @@ def emit(result, fmt, path):
             lines += [line % values for values in (zip(*varying) if varying else [()] * n)]
         text = "".join(lines)
     else:
-        import json     # here, so that sweeps to CSV do not import it
-
         safe = [{key: None if isinstance(value, float) and not math.isfinite(value) else value
                  for key, value in fields.items()} for fields in (result.metadata, *result.rows)]
         text = json.dumps({"metadata": safe[0], "rows": safe[1:]}, indent=1,
@@ -608,8 +601,6 @@ def _point_args(sub):
 
 
 def build_parser():
-    import argparse     # here, so that importing the module for its sweeps does not import it
-
     parser = argparse.ArgumentParser(
         prog="spinvdw",
         description="van der Waals energies and forces between spinning nanospheres")

@@ -38,11 +38,9 @@ class LorentzPair(_Value):
         Center-to-center distance R (m), > 0.
     """
 
-    _fields = ("alpha0A", "alpha0B", "omega0A", "omega0B", "separation")
-
     def __init__(self, alpha0A, alpha0B, omega0A, omega0B, separation):
         super().__init__(alpha0A, alpha0B, omega0A, omega0B, separation)
-        for name in ("alpha0A", "alpha0B", "omega0A", "omega0B", "separation"):
+        for name in self._fields:
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0")
 

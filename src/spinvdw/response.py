@@ -36,17 +36,20 @@ class PoleProximityError(ArithmeticError):
 
 
 class _Value:
-    """Equality, hash, repr and read-only fields of a value class, from ``_fields``.
+    """Equality, hash, repr and read-only fields of a value class.
 
     What ``dataclass(frozen=True)`` gives, without the cost of generating
-    its methods at import: a subclass's ``__init__`` passes its values, in
-    ``_fields`` order, to this one, then checks them.
+    its methods at import. The fields are the parameters of a subclass's
+    ``__init__``, which passes their values, in order, to this one, then
+    checks them.
     """
 
-    _fields = ()
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def __init__(self, *values):
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _values(self):
@@ -84,8 +87,6 @@ class MaterialModel(_Value):
         Damping rate (rad/s), >= 0. Zero gives the dissipationless model.
     """
 
-    _fields = ("f0", "omega_tilde0", "gamma0")
-
     def __init__(self, f0, omega_tilde0, gamma0):
         super().__init__(f0, omega_tilde0, gamma0)
         if not (self.f0 > 0):
@@ -121,8 +122,6 @@ class SpinningSphere(_Value):
         Internal temperature (K), finite and >= 0. Zero is treated exactly
         (coth -> sgn).
     """
-
-    _fields = ("radius", "material", "temperature")
 
     def __init__(self, radius, material, temperature=300.0):
         super().__init__(radius, material, temperature)

@@ -95,8 +95,6 @@ class PairContext(_Value):
         ValueError where that sum passes the bound.
     """
 
-    _fields = ("sphere_a", "sphere_b", "separation")
-
     def __init__(self, sphere_a, sphere_b, separation):
         super().__init__(sphere_a, sphere_b, separation)
         if self.separation <= self.sphere_a.radius + self.sphere_b.radius:
