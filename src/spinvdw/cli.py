@@ -131,6 +131,11 @@ def _length(columns):
 def _floats(values, name):
     """``values``, all numbers, as a tuple of finite floats; a ConfigError named ``name`` if not."""
     if isinstance(values, np.ndarray):
+        if values.dtype == np.float64 and values.ndim == 1:
+            # a grid built in numpy: one check and one conversion for all its values
+            if not np.isfinite(values).all():
+                raise ConfigError(f"{name}: non-finite value")
+            return tuple(values.tolist())
         values = values.tolist()        # one call, not one numpy scalar per value
     try:
         values = tuple(map(_number, values))
@@ -272,6 +277,11 @@ def parse_config(source=None):
                      cfg.get("quadrature.rel_tol", spectral.DEFAULT_REL_TOL),
                      cfg.get("output.path", ""), cfg.get("output.format", "csv"), axes)
 
+    if 0.0 < temperature < math.inf:    # the spheres judge the others, by their own messages
+        try:
+            spectral._theta(w0, temperature)        # as the context judges it, named for its key
+        except ValueError as exc:
+            raise ConfigError(f"temperature_K: {exc}") from None
     try:
         ctx = PairContext(SpinningSphere(radius_a, mat_a, temperature),
                           SpinningSphere(radius_b, mat_b, temperature), separation)
@@ -301,16 +311,16 @@ def run_sweep(spec, ctx):
     either differs from A's.
     """
     w0 = resonance_frequency(ctx.sphere_a.material)
-    omega_a, omega_b = list(spec.omega_a), list(spec.omega_b)
+    omega_a = np.array(spec.omega_a)
     try:
         energies, e0, errors = spectral.sweep_energies(
-            ctx, spec.make_arrangement()._terms, omega_a, omega_b, spec.rel_tol)
+            ctx, spec.make_arrangement()._terms, omega_a, spec.omega_b, spec.rel_tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     n = len(omega_a)
     rest = errors.pop(None, None)
     if rest is not None:
-        energies = [math.nan] * n   # and every value that follows from them
+        energies = np.full(n, math.nan)     # and every value that follows from them
         error = [f"ConvergenceError: zero-rotation reference failed: "
                  f"{type(rest).__name__}: {rest}"] * n
     else:
@@ -318,14 +328,17 @@ def run_sweep(spec, ctx):
         for k, exc in errors.items():
             error[k] = f"{type(exc).__name__}: {exc}"
     f0 = 6.0 * e0 / ctx.separation
-    forces = [6.0 * e / ctx.separation for e in energies]
-    columns = {
-        "omega_A_rad_s": omega_a, "omega_B_rad_s": omega_b,
-        "omega_A_over_omega0": [wa / w0 for wa in omega_a],
-        "E_J": energies, "E0_J": [e0] * n, "deltaE_J": [e - e0 for e in energies],
-        "F_N": forces, "deltaF_fN": [(f - f0) * 1e15 for f in forces],
-        "error": error,
-    }
+    # each column in numpy, by the operations of one float at a time, and
+    # converted once; an overflow is a value, as it is in Python's floats
+    with np.errstate(all="ignore"):
+        forces = 6.0 * energies / ctx.separation
+        columns = {
+            "omega_A_rad_s": list(spec.omega_a), "omega_B_rad_s": list(spec.omega_b),
+            "omega_A_over_omega0": (omega_a / w0).tolist(),
+            "E_J": energies.tolist(), "E0_J": [e0] * n, "deltaE_J": (energies - e0).tolist(),
+            "F_N": forces.tolist(), "deltaF_fN": ((forces - f0) * 1e15).tolist(),
+            "error": error,
+        }
 
     sa, ma = ctx.sphere_a, ctx.sphere_a.material
     metadata = {
@@ -361,7 +374,7 @@ def _quoted(text):
 def _constant(column):
     """Whether every value equals the first with its sign bit; NaN never does."""
     first = column[0]
-    return (first == first and column.count(first) == len(column)
+    return (first == first and column[-1] == first and column.count(first) == len(column)
             and (first != 0.0 or len({math.copysign(1.0, v) for v in column}) == 1))
 
 
@@ -482,8 +495,9 @@ def run_preset(name, rel_tol=None, points=None):
     if name not in _PRESET_TABLE:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     temperature, arrangement, last, ratios = _PRESET_TABLE[name]
-    grid = np.linspace(0.0, last * resonance_frequency(bst()), points or 200).tolist()
-    spec = SweepSpec(arrangement, grid * len(ratios), [rho * wa for rho in ratios for wa in grid],
+    grid = np.linspace(0.0, last * resonance_frequency(bst()), points or 200)
+    spec = SweepSpec(arrangement, np.tile(grid, len(ratios)),
+                     np.multiply.outer(ratios, grid).ravel(),
                      spectral.DEFAULT_REL_TOL if rel_tol is None else rel_tol)
     result = run_sweep(spec, _default_pair(temperature))
     result.metadata["preset"] = name

@@ -80,21 +80,26 @@ class MaterialModel(_Value):
     Parameters
     ----------
     f0 : float
-        Dimensionless oscillator strength, > 0.
+        Dimensionless oscillator strength, finite and > 0.
     omega_tilde0 : float
-        Bare oscillator angular frequency (rad/s), > 0.
+        Bare oscillator angular frequency (rad/s), finite and > 0; the
+        resonance omega_tilde0 sqrt(1 + f0/3) must be finite too.
     gamma0 : float
-        Damping rate (rad/s), >= 0. Zero gives the dissipationless model.
+        Damping rate (rad/s), finite and >= 0. Zero gives the
+        dissipationless model.
     """
 
     def __init__(self, f0, omega_tilde0, gamma0):
         super().__init__(f0, omega_tilde0, gamma0)
-        if not (self.f0 > 0):
-            raise ValueError(f"f0 must be > 0, got {self.f0}")
-        if not (self.omega_tilde0 > 0):
-            raise ValueError(f"omega_tilde0 must be > 0, got {self.omega_tilde0}")
-        if not (self.gamma0 >= 0):
-            raise ValueError(f"gamma0 must be >= 0, got {self.gamma0}")
+        if not (0 < self.f0 < math.inf):
+            raise ValueError(f"f0 must be finite and > 0, got {self.f0}")
+        if not (0 < self.omega_tilde0 < math.inf):
+            raise ValueError(f"omega_tilde0 must be finite and > 0, got {self.omega_tilde0}")
+        if not (0 <= self.gamma0 < math.inf):
+            raise ValueError(f"gamma0 must be finite and >= 0, got {self.gamma0}")
+        if resonance_frequency(self) == math.inf:
+            raise ValueError(f"omega_tilde0 = {self.omega_tilde0} rad/s and f0 = {self.f0} "
+                             f"give a resonance omega_tilde0 sqrt(1 + f0/3) that overflows")
 
     def scaled(self, omega_scale):
         """Same material with all frequencies expressed in units of omega_scale."""

@@ -89,7 +89,8 @@ class PairContext(_Value):
         Center-to-center distance R (m); must exceed the summed radii
         (dipole approximation) and keep R w/c <= ``MAX_RETARDATION`` = 0.1,
         with w the largest resonance or damping rate of the two materials
-        (non-retarded regime; 2.3 mm for BST). Both materials need gamma0 > 0.
+        (non-retarded regime; 2.3 mm for BST). Both materials need gamma0 > 0,
+        and both temperatures a theta = hbar w/2kT that :func:`_theta` accepts.
         The energies at rates (Omega_A, Omega_B) add their largest shift
         |s Omega_A - t Omega_B| to w, as their Doppler images do, and raise
         ValueError where that sum passes the bound.
@@ -111,10 +112,12 @@ class PairContext(_Value):
                 f"separation {self.separation} m is outside the non-retarded regime: "
                 f"R w/c = {reach:.3g} exceeds {MAX_RETARDATION}, w the largest "
                 f"resonance or damping rate of the spheres")
+        t_a, t_b = self.sphere_a.temperature, self.sphere_b.temperature
+        for t in (t_a, t_b):
+            _theta(ws, t)
         a3 = self.sphere_a.radius**3 * self.sphere_b.radius**3
         scaled = (ma.scaled(ws), mb.scaled(ws))
         energy_scale = HBAR * ws * a3 / self.separation**6
-        t_a, t_b = self.sphere_a.temperature, self.sphere_b.temperature
         poles = tuple(map(_alpha_poles, scaled))
         ba = (*poles, t_b)
         derived = {
@@ -325,6 +328,28 @@ def _series_size(rho):
     return float(_ZETA[0]) / (1.0 - rho) ** 2
 
 
+def _theta(omega_scale, temperature):
+    """theta = hbar w_s/2kT at a temperature, in the working units of ``omega_scale``.
+
+    As :func:`_closed` forms it for each row, on the temperatures of a
+    context that this has judged; 0 at T = 0, where coth -> sgn Re q. A
+    temperature T > 0 at which theta or the Matsubara spacing xi1 =
+    pi/theta overflows is outside the closed form's range and raises
+    ValueError: kT underflows below about 2e-301 K, and xi1 overflows above
+    about 3e306 K for BST. theta underflows to 0, and is taken as T = 0,
+    only where hbar w_s itself does (w_s below about 2e-290 rad/s).
+    """
+    if not temperature:
+        return 0.0
+    kt = 2.0 * K_B * temperature
+    theta = HBAR * omega_scale / kt if kt else math.inf
+    if theta == math.inf or theta and math.pi / theta == math.inf:
+        raise ValueError(f"temperature {temperature} K is outside the range of the closed "
+                         f"form: theta = hbar w/2kT = {theta:.3g} and the Matsubara spacing "
+                         f"pi/theta must be finite")
+    return theta
+
+
 # The kinds in the row order of the closed form's results
 _KINDS = ("BA", "AB")
 
@@ -336,9 +361,10 @@ def _closed(rows, omega_scale, shifts):
 
     Each row (poles_x, poles_y, T_y), the :func:`_alpha_poles` of X and Y,
     is one kind of integral; all rows are evaluated at all ``shifts`` (in
-    working units) together. With alpha = sum_k r_k/(u - p_k),
-    S(u) = alpha_X(u + s) + alpha_X(u - s) has poles x_i with coefficients
-    a_i, and alpha_Y(u) - alpha_Y(-u) has poles y_j with coefficients b_j.
+    working units, a list or a 1-d array) together. With
+    alpha = sum_k r_k/(u - p_k), S(u) = alpha_X(u + s) + alpha_X(u - s) has
+    poles x_i with coefficients a_i, and alpha_Y(u) - alpha_Y(-u) has poles
+    y_j with coefficients b_j.
     Closing the contour in the upper half plane picks up the two upper
     poles q = -p_k of eta_Y and the poles of coth at the Matsubara
     frequencies i n xi1, whose sum is a digamma difference:
@@ -385,9 +411,11 @@ def _closed(rows, omega_scale, shifts):
     within 2W' +/- 3 gamma erred by up to 3.2 times the estimate for BST
     (gamma0/wt0 = 0.049) and 861 times at gamma0/wt0 = 1e-4 (1.7e-7 of J).
     """
-    reach = max(map(abs, shifts))
+    # a sweep's shifts come as an array, a one-point call's as a short list
+    reach = (float(np.abs(shifts).max()) if isinstance(shifts, np.ndarray)
+             else max(map(abs, shifts)))
     points = [(_pole_points(px, py), t and HBAR * omega_scale / (2.0 * K_B * t))
-              for px, py, t in rows]            # theta = 0 at T = 0: coth -> sgn Re q
+              for px, py, t in rows]            # as _theta forms it, 0 at T = 0
     coth = iter((1.0 / np.tanh([theta * -p for row_points, theta in points if theta
                                 for _, (poles_y, _) in row_points for p in poles_y])).tolist())
     flat, runs, rhos = [], {}, []
@@ -590,23 +618,27 @@ def _check(ctx, what, shifts, omega_a, omega_b, rel_tol):
 
 
 def _checked(ctx, shifts, rel):
-    """BA + AB at each working-unit shift in the list ``shifts``, checked at ``rel``.
+    """BA + AB at each working-unit shift in ``shifts``, checked at ``rel``.
 
-    Both kinds of every shift are evaluated in blocks of at most ``_BLOCK``
-    points, one :func:`_closed_kinds` call each, and judged by
-    :func:`_fails`, one array call per block. Returns the sums, an array,
-    and a dict from the index of each shift that fails to the error of its
-    first failing kind, BA before AB, as :func:`_failure` builds it.
+    ``shifts`` is a list or a 1-d array. Both kinds of every shift are
+    evaluated in blocks of at most ``_BLOCK`` points, one :func:`_closed`
+    call on the context's rows each, and judged by :func:`_fails`, one
+    array call per block; a row that serves both kinds (identical spheres)
+    is judged once, as BA, and counts twice in the sum. Returns the sums,
+    an array, and a dict from the index of each shift that fails to the
+    error of its first failing kind, BA before AB, as :func:`_failure`
+    builds it.
     """
     sums, failures = np.empty(len(shifts)), {}
-    step = _BLOCK // (len(ctx._rows) * max(map(len, ctx._poles)))
+    rows, omega_scale = ctx._rows, ctx._scaled[0]
+    step = _BLOCK // (len(rows) * max(map(len, ctx._poles)))
     for start in range(0, len(shifts), step):
-        values, roundoff = _closed_kinds(ctx, shifts[start:start + step])
+        values, roundoff = _closed(rows, omega_scale, shifts[start:start + step])
         real, imag = values.real, values.imag
         fails = _fails(real, imag, roundoff, rel)
-        sums[start:start + step] = real[0] + real[1]
+        sums[start:start + step] = real[0] + real[-1]
         if fails.any():
-            for j in np.flatnonzero(fails[0] | fails[1]).tolist():
+            for j in np.flatnonzero(fails.any(axis=0)).tolist():
                 k = 0 if fails[0, j] else 1
                 failures[start + j] = _failure(f"energy_{_KINDS[k]}",
                                                *(float(a[k, j]) for a in (real, roundoff, imag)),
@@ -624,11 +656,12 @@ def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
     blocks, and checked at ``rel_tol`` as :func:`_checked` checks them; a
     row is 2 sum c (BA + AB) over its terms, in term order.
 
-    Returns ``(energies, rest, errors)``: the energy of each row, E(0, 0),
-    and a dict from the index of each row that fails, or None for the rest
-    energy, to the error of its first failing term in term order (its
-    residue, then its rel_tol), as :func:`general_energy` raises it. A
-    failing row's energy is NaN. The inputs are checked as
+    Returns ``(energies, rest, errors)``: the energy of each row as a 1-d
+    float array, E(0, 0) as a float, and a dict from the index of each row
+    that fails, or None for the rest energy, to the error of its first
+    failing term in term order (its residue, then its rel_tol), as
+    :func:`general_energy` raises it. A failing row's energy is NaN. The
+    rates may be arrays or sequences of floats. The inputs are checked as
     :func:`_check` checks them, at the first row with a non-finite shift,
     else the first with the largest shift, before any evaluation.
     """
@@ -639,18 +672,20 @@ def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
     # the rows' sums are inside too, where values that failed may overflow
     with np.errstate(all="ignore"):
         x = np.abs(np.multiply.outer(wa, s) - np.multiply.outer(wb, t)) / ctx._scaled[0]
-        tops = x.max(axis=1)                                # NaN or infinity too
-        finite = np.isfinite(tops)
-        k = int(tops.argmax()) if finite.all() else int(finite.argmin())
+        # the row of the largest shift; if that is NaN or infinite, the first row not finite
+        top = int(x.argmax())
+        k = top // x.shape[1]
+        if not math.isfinite(x.flat[top]):
+            k = int(np.isfinite(x).all(axis=1).argmin())
         rel = _check(ctx, "sweep_energies", x[k].tolist(), float(wa[k]), float(wb[k]), rel_tol)
         shifts, inverse = np.unique(x, return_inverse=True)
         inverse = inverse.reshape(x.shape)
-        sums, failures = _checked(ctx, shifts.tolist(), rel)
+        sums, failures = _checked(ctx, shifts, rel)
         values = sums[inverse]                              # (rows + 1, terms)
         total = np.zeros(len(wa))
         for j, weight in enumerate(c):
             total += weight * values[:, j]
-        energies = (2.0 * ctx._joules * total).tolist()
+        energies = 2.0 * ctx._joules * total
     errors = {}
     if failures:
         failed = np.zeros(len(shifts), dtype=bool)
@@ -660,7 +695,7 @@ def sweep_energies(ctx, terms, omega_a, omega_b, rel_tol=None):
             first = int(inverse[k, hits[k].argmax()])
             errors[k if k < len(wa) - 1 else None] = failures[first]
             energies[k] = math.nan
-    return energies[:-1], energies[-1], errors
+    return energies[:-1], float(energies[-1]), errors
 
 
 def general_energy(ctx, terms, Omega_A, Omega_B, rel_tol=None):

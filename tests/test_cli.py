@@ -607,13 +607,13 @@ class TestBlockedSweep:
         # fig2a and fig2b hold 12 and 8 that 1e-12 slots would merge (333
         # and 389 slots)
         shifts = []
-        inner = spectral._closed_kinds
+        inner = spectral._closed
 
-        def recording(ctx, block):
+        def recording(rows, omega_scale, block):
             shifts.append(len(block))
-            return inner(ctx, block)
+            return inner(rows, omega_scale, block)
 
-        monkeypatch.setattr(spectral, "_closed_kinds", recording)
+        monkeypatch.setattr(spectral, "_closed", recording)
         for name in PRESETS:
             run_preset(name)
         assert shifts == [200, 200, 345, 397, 200]
@@ -625,19 +625,19 @@ class TestBlockedSweep:
                   "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": -0.5}
         spec, ctx = parse_config(config)
         blocks = []
-        inner = spectral._closed_kinds
+        inner = spectral._closed
 
-        def recording(context, block):
-            blocks.append((context, list(block)))
-            return inner(context, block)
+        def recording(rows, omega_scale, block):
+            blocks.append((rows, list(block)))
+            return inner(rows, omega_scale, block)
 
-        monkeypatch.setattr(spectral, "_closed_kinds", recording)
+        monkeypatch.setattr(spectral, "_closed", recording)
         first = run_sweep(spec, ctx).rows
         _, other = parse_config(config)
         assert other is not ctx and other == ctx
         assert run_sweep(spec, other).rows == first
         [(one, shifts), (two, again)] = blocks
-        assert one is ctx and two is other and shifts == again
+        assert one is ctx._rows and two is other._rows and shifts == again
 
     @pytest.mark.parametrize("config", [
         {"arrangement": "uu", "temperature_K": 1500.0, "sweep.omega_b_ratio": 1.0},
@@ -813,9 +813,10 @@ class TestSweepEnergies:
             "sweep.omega_a_stop_over_omega0": 4.5,
             "sweep.omega_b_rule": "ratio", "sweep.omega_b_ratio": 0.37})
         calls = []
-        inner = spectral._closed_kinds
-        monkeypatch.setattr(spectral, "_closed_kinds",
-                            lambda c, block: calls.append(len(block)) or inner(c, block))
+        inner = spectral._closed
+        monkeypatch.setattr(spectral, "_closed",
+                            lambda rows, scale, block: calls.append(len(block))
+                            or inner(rows, scale, block))
         run_sweep(spec, ctx)
         assert len(calls) == 2 and calls[0] == spectral._BLOCK and sum(calls) > spectral._BLOCK
         monkeypatch.undo()
@@ -1026,7 +1027,7 @@ class TestEmit:
             energies, rest, errors = inner(ctx, terms, omega_a, omega_b, rel_tol)
             for k in range(len(energies)):
                 errors[k] = ConvergenceError('error estimate 1e-3, tolerance 1e-15, "quoted"')
-            return [math.nan] * len(energies), rest, errors
+            return np.full(len(energies), math.nan), rest, errors
 
         monkeypatch.setattr(spectral, "sweep_energies", failing)
         spec, ctx = parse_config({"sweep.omega_a_grid_rad_s": [0.5 * w0, w0]})
@@ -1551,6 +1552,26 @@ class TestMainExitCodes:
         cfg.write_text('{"temperature_K": Infinity}')
         assert main(["--config", str(cfg), "energy", "--omega-a", "0.5"]) == 2
         assert capsys.readouterr() == ("", "config error: temperature must be finite, got inf\n")
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"temperature_K": 5e-324}',
+         "temperature_K: temperature 5e-324 K is outside the range of the closed form"),
+        ('{"temperature_K": 1e307}',
+         "temperature_K: temperature 1e+307 K is outside the range of the closed form"),
+        ('{"material.f0": Infinity}', "material.*: f0 must be finite and > 0, got inf"),
+        ('{"material.omega_tilde0_rad_s": 1.7e308}',
+         "material.*: omega_tilde0 = 1.7e+308 rad/s and f0 = 12.2 give a resonance"),
+    ], ids=["subnormal_temperature", "huge_temperature", "infinite_f0", "huge_omega"])
+    def test_input_outside_the_domain_names_its_key(self, tmp_path, capsys, config, message):
+        # 5e-324 K divided by zero (a traceback), 1e307 K was "math domain
+        # error", and the material constants blamed the sweep's range keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        for args in (["energy", "--omega-a", "0.5"], ["sweep", "--out", str(tmp_path / "o.csv")]):
+            assert main(["--config", str(cfg), *args]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(f"config error: {message}"), err
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_fixed_rate_sweep_is_2(self, tmp_path, capsys, value):

@@ -51,13 +51,13 @@ class TestCanonicalFormulas:
         # hand the shift integrals exactly the shifts the hand formula
         # names, BA and AB in a single call
         calls = []
-        inner = spectral._closed_kinds
+        inner = spectral._closed
 
-        def counting(ctx, shifts):
+        def counting(rows, omega_scale, shifts):
             calls.append(list(shifts))
-            return inner(ctx, shifts)
+            return inner(rows, omega_scale, shifts)
 
-        monkeypatch.setattr(spectral, "_closed_kinds", counting)
+        monkeypatch.setattr(spectral, "_closed", counting)
         for _ in range(2):          # nothing is kept: each call evaluates its shifts
             energy(ctx300, Arrangement(kind), 1.3 * w0, -0.4 * w0)
             [shifts] = calls

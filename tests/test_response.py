@@ -144,6 +144,13 @@ class TestValidation:
             MaterialModel(12.2, 0.0, 2.8e8)
         with pytest.raises(ValueError):
             MaterialModel(12.2, 5.7e9, -1.0)
+        # a constant that is not finite, or a resonance that overflows, names its field
+        for constants, field in (((math.inf, 5.7e9, 2.8e8), "f0"),
+                                 ((12.2, math.inf, 2.8e8), "omega_tilde0"),
+                                 ((12.2, 5.7e9, math.inf), "gamma0"),
+                                 ((12.2, 1.7e308, 2.8e8), "omega_tilde0")):
+            with pytest.raises(ValueError, match=f"^{field} "):
+                MaterialModel(*constants)
 
     def test_sphere_invariants(self):
         with pytest.raises(ValueError):

@@ -817,6 +817,27 @@ class TestEveryDamping:
         with pytest.raises(ValueError, match="oracle"):
             PairContext(sphere, SpinningSphere(A, bst(), 0.0), R)
 
+    @pytest.mark.parametrize("temperature", [5e-324, 1e-310, 1e307, 1.7e308])
+    def test_temperature_outside_the_closed_form_rejected(self, temperature):
+        # 2 kT underflows to 0 below about 2e-301 K, where theta once divided
+        # by zero, and pi/theta overflows above about 3e306 K for BST, where
+        # the series once took log(0): either sphere's temperature is judged
+        message = f"^temperature {re.escape(str(temperature))} K is outside the range"
+        for spheres in ((temperature, 300.0), (300.0, temperature)):
+            with pytest.raises(ValueError, match=message):
+                PairContext(*(SpinningSphere(A, bst(), t) for t in spheres), R)
+
+    def test_temperatures_next_to_the_range_evaluate(self, w0):
+        # 1e-300 K, just inside, gives the T = 0 energy; 1e306 K builds its context
+        def context(temperature):
+            sphere = SpinningSphere(A, bst(), temperature)
+            return PairContext(sphere, sphere, R)
+
+        uo = Arrangement("uo")
+        assert energy(context(1e-300), uo, 1.3 * w0, -0.4 * w0) == approx(
+            energy(context(0.0), uo, 1.3 * w0, -0.4 * w0), rel=1e-14)
+        assert context(1e306).sphere_a.temperature == 1e306
+
 
 class TestShiftCache:
     """What one call evaluates: its exact distinct shifts, once; nothing is kept after it."""
@@ -901,6 +922,25 @@ class TestShiftCache:
         assert math.isnan(energies[1])
         assert (energies[0], energies[2], rest_again) == (clean[0], clean[2], rest)
 
+    def test_both_kinds_failing_name_energy_ba(self, monkeypatch, w0):
+        # unequal spheres with both rows corrupt: the failure is BA's, the
+        # first kind, in a one-point call and in a sweep's row
+        ctx = PairContext(SpinningSphere(A, bst(), 300.0),
+                          SpinningSphere(50e-9, bst(), 900.0), R)
+        inner = spectral._closed
+
+        def corrupt(rows, omega_scale, shifts):
+            value, roundoff = inner(rows, omega_scale, shifts)
+            assert len(rows) == 2
+            return value + 1j, roundoff
+
+        monkeypatch.setattr(spectral, "_closed", corrupt)
+        message = r"^energy_BA: imaginary residue 1\.000e\+00 exceeds"
+        with pytest.raises(ArithmeticError, match=message):
+            aux_energy(ctx, 0.7 * w0)
+        _, _, errors = spectral.sweep_energies(ctx, ((1.0, 0.0, 0.5),), [0.7 * w0], [0.0])
+        assert set(errors) == {0, None} and re.match(message, str(errors[0]))
+
     def test_adjacent_doubles_are_two_shifts(self, monkeypatch, ctx300, w0):
         # shifts one ulp apart are two shifts in a one-point call, as in a
         # sweep: each is evaluated once and weighs its own term
@@ -928,9 +968,10 @@ class TestShiftCache:
         # kept, so the call evaluates both, in one evaluation
         first = aux_energy(ctx300, 0.7 * w0)
         blocks = []
-        inner = spectral._closed_kinds
-        monkeypatch.setattr(spectral, "_closed_kinds",
-                            lambda ctx, block: blocks.append(list(block)) or inner(ctx, block))
+        inner = spectral._closed
+        monkeypatch.setattr(spectral, "_closed",
+                            lambda rows, scale, block: blocks.append(list(block))
+                            or inner(rows, scale, block))
         terms = ((1.0, 0.0, 0.5), (0.0, 1.0, 0.5))
         e = spectral.general_energy(ctx300, terms, 0.7 * w0, 1.1 * w0)
         ws = ctx300._scaled[0]
@@ -1022,17 +1063,28 @@ class TestShiftCache:
             assert text.startswith(both + error), text
         assert calls == []
 
+    def test_sweep_checks_its_first_row_that_is_not_finite(self, ctx300):
+        # a row whose shift overflows before a row with a NaN rate: the
+        # sweep names the first row that is not finite, not the NaN that
+        # the search for the largest shift meets first
+        rr = Arrangement("rr")
+        with pytest.raises(ValueError, match=r"^Omega_A = 1e\+308 rad/s, Omega_B = -1e\+308 "
+                                             r"rad/s: a shift \|s Omega_A - t Omega_B\| overflows"):
+            spectral.sweep_energies(ctx300, rr._terms, [1e308, math.nan], [-1e308, 0.0])
+        with pytest.raises(ValueError, match=r"^Omega_A = nan rad/s: rotation rates must be finite"):
+            spectral.sweep_energies(ctx300, rr._terms, [math.nan, 1e308], [0.0, -1e308])
+
     def test_rest_term_is_one_entry_in_slot_zero(self, monkeypatch, ctx300, w0):
         # the rest term is evaluated once, at shift 0.0, in the one
         # evaluation of its call, as a shift that cancels to 0, with the same bits
         blocks = []
-        inner = spectral._closed_kinds
+        inner = spectral._closed
 
-        def recording(ctx, shifts):
+        def recording(rows, omega_scale, shifts):
             blocks.append(list(shifts))
-            return inner(ctx, shifts)
+            return inner(rows, omega_scale, shifts)
 
-        monkeypatch.setattr(spectral, "_closed_kinds", recording)
+        monkeypatch.setattr(spectral, "_closed", recording)
         rates = (0.9 * w0, 0.2 * w0)
         rr, uo = Arrangement("rr"), Arrangement("uo")
         for call in (lambda: energy(ctx300, rr, *rates),
